@@ -10,7 +10,7 @@ from .classify import (ClassificationReport, SweepResult, classify_testset,
 from .data import (BundleFormatError, LabeledCube, Split, SplitMix64,
                    extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle)
-from .dictionary import Dictionary, GramCache, assemble, solve_regularized
+from .dictionary import Dictionary, GramCache, assemble
 from .network import (GradCheckReport, NetParams, ParamGrads, StageTrace,
                       TrainConfig, TrainingDiverged, backward, class_residuals,
                       forward, grad_check, loss, mean_loss, one_hot, train)
@@ -29,6 +29,6 @@ __all__ = [
     "fista", "forward", "gomp", "grad_check", "lasso_kkt_violation",
     "lasso_objective", "load_bundle", "load_pixel_csv", "loss", "make_solver",
     "make_split", "mean_loss", "omp", "one_hot", "pixels_to_cube", "romp",
-    "samp", "save_bundle", "soft_threshold", "solve_regularized", "sp",
+    "samp", "save_bundle", "soft_threshold", "sp",
     "src_decide", "sweep", "train",
 ]

@@ -18,9 +18,6 @@ from . import network, solvers
 from .data import LabeledCube, extract_pixels, make_split
 from .dictionary import Dictionary, GramCache, assemble
 
-SOLVER_NAMES = ("omp", "sp", "romp", "gomp", "samp", "fista", "admm_fixed", "asdn")
-
-
 def src_decide(dictionary: Dictionary, code, x: np.ndarray) -> int:
     """Class with the smallest reconstruction residual ||x - D_i a_i||;
     exact ties go to the lowest class index."""
@@ -91,61 +88,70 @@ def evaluate(pred, truth, n_classes: int) -> ClassificationReport:
                                 oa=oa, aa=aa, kappa=float(kappa))
 
 
+def _net_params(net) -> "network.NetParams":
+    return net if isinstance(net, network.NetParams) else network.NetParams.from_json(net)
+
+
+# The keyword parameters each solver takes after (dictionary, x), and one type
+# for each name. Defaults live only in the solver signatures, AdmmConfig and
+# NetParams.default; "k" is the one parameter without a default. "asdn" is
+# network.forward with params "net" (a NetParams or its JSON document),
+# or else NetParams.default(n_stages).
+SOLVER_PARAMS = {
+    "omp": ("k",),
+    "sp": ("k",),
+    "romp": ("k",),
+    "gomp": ("k", "s"),
+    "samp": ("step", "tol"),
+    "fista": ("lam", "max_iters", "tol"),
+    "admm_fixed": ("lam", "rho", "relax", "tau", "max_iters", "tol"),
+    "asdn": ("net", "n_stages"),
+}
+PARAM_TYPES = {"k": int, "s": int, "step": int, "max_iters": int, "n_stages": int,
+               "lam": float, "rho": float, "relax": float, "tau": float, "tol": float,
+               "net": _net_params}
+SOLVER_NAMES = tuple(SOLVER_PARAMS)
+
+
+def param_name(key: str) -> str:
+    """The canonical name of a solver parameter: the alias "lambda" is "lam"."""
+    return "lam" if key == "lambda" else key
+
+
+def canonical_params(params: dict | None) -> dict:
+    """A copy of a solver-parameter record under canonical names; of two
+    keys that name the same parameter the later one wins."""
+    return {param_name(key): value for key, value in (params or {}).items()}
+
+
+def solver_kwargs(name: str, params: dict | None = None) -> dict:
+    """The keyword arguments solver ``name`` takes from a parameter record,
+    cast to their types. Keys the solver does not take are ignored; an
+    unknown solver raises ValueError."""
+    if name not in SOLVER_PARAMS:
+        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    params = canonical_params(params)
+    return {key: PARAM_TYPES[key](params[key]) for key in SOLVER_PARAMS[name]
+            if params.get(key) is not None}
+
+
 def make_solver(dictionary: Dictionary, name: str, params: dict | None = None,
                 cache: GramCache | None = None):
     """Build a per-pixel solver callable ``x -> SparseCode``.
 
-    ``name`` is one of omp, sp, romp, gomp, samp, fista, admm_fixed, asdn;
-    ``params`` carries that solver's parameter record (lowercase keys; the
-    alias "lambda" is accepted for "lam", "net" holds the network parameter
-    document or a NetParams for "asdn").
+    ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
+    (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
+    module at every call.
     """
-    params = dict(params or {})
-    if "lambda" in params:
-        params["lam"] = params.pop("lambda")
-    if name not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    kwargs = solver_kwargs(name, params)
     cache = cache if cache is not None else GramCache(dictionary)
-
-    if name == "omp":
-        k = int(params["k"])
-        return lambda x: solvers.omp(dictionary, x, k)
-    if name == "sp":
-        k = int(params["k"])
-        return lambda x: solvers.sp(dictionary, x, k)
-    if name == "romp":
-        k = int(params["k"])
-        return lambda x: solvers.romp(dictionary, x, k)
-    if name == "gomp":
-        k = int(params["k"])
-        s = int(params.get("s", 2))
-        return lambda x: solvers.gomp(dictionary, x, k, s)
-    if name == "samp":
-        step = int(params.get("step", 1))
-        tol = float(params.get("tol", solvers.GREEDY_TOL))
-        return lambda x: solvers.samp(dictionary, x, step, tol)
-    if name == "fista":
-        lam = float(params.get("lam", 0.1))
-        max_iters = int(params.get("max_iters", 1000))
-        tol = float(params.get("tol", 1e-8))
-        return lambda x: solvers.fista(dictionary, x, lam, max_iters, tol)
     if name == "admm_fixed":
-        cfg = solvers.AdmmConfig(
-            lam=float(params.get("lam", 0.1)),
-            rho=float(params.get("rho", 1.0)),
-            relax=float(params.get("relax", 1.0)),
-            tau=float(params.get("tau", 1.0)),
-            max_iters=int(params.get("max_iters", 1000)),
-            tol=float(params.get("tol", 1e-8)),
-        )
+        cfg = solvers.AdmmConfig(**kwargs)
         return lambda x: solvers.admm_fixed(dictionary, x, cfg, cache)
-    # asdn: the unrolled network; "net" is a NetParams or its JSON document
-    net = params.get("net")
-    if net is None:
-        net = network.NetParams.default(int(params.get("n_stages", 9)))
-    elif isinstance(net, dict):
-        net = network.NetParams.from_json(net)
-    return lambda x: network.forward(dictionary, x, net, cache)[0]
+    if name == "asdn":
+        net = kwargs.pop("net", None) or network.NetParams.default(**kwargs)
+        return lambda x: network.forward(dictionary, x, net, cache)[0]
+    return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
 
 
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
@@ -230,16 +236,14 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
         raise ValueError("parameter grid is empty")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    base = dict(params or {})
+    base = canonical_params(params)
     seeds = [base_seed + r for r in range(runs)]
 
     oa = np.zeros((grid.size, runs))
     aa = np.zeros((grid.size, runs))
     kappa = np.zeros((grid.size, runs))
     for gi, value in enumerate(grid):
-        merged = dict(base)
-        merged[parameter] = int(value) if float(value).is_integer() and \
-            parameter in ("k", "s", "step", "max_iters", "n_stages") else float(value)
+        merged = {**base, param_name(parameter): float(value)}
         for r, seed in enumerate(seeds):
             split = make_split(cube, dict_frac, train_frac, seed)
             dict_pixels, dict_labels = extract_pixels(

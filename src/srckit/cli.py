@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import network, synthetic
-from .classify import (SOLVER_NAMES, classify_testset, evaluate, sweep)
+from .classify import (PARAM_TYPES, SOLVER_NAMES, canonical_params, classify_testset,
+                       evaluate, sweep)
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
 from .dictionary import assemble
@@ -212,24 +213,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return config
 
 
-_SOLVER_PARAM_KEYS = ("k", "s", "step", "lam", "rho", "relax", "tau",
-                      "max_iters", "tol")
-
-
 def _solver_params(config: dict) -> dict:
-    params = dict(config.get("solver_params", {}))
-    if "lambda" in params:
-        params["lam"] = params.pop("lambda")
-    for key in _SOLVER_PARAM_KEYS:
-        if config.get(key) is not None:
-            params[key] = config[key]
+    """The config's "solver_params" record, then every top-level solver
+    parameter key on top, then the --params network file."""
+    params = canonical_params(config.get("solver_params"))
+    params.update({key: config[key] for key in PARAM_TYPES
+                   if config.get(key) is not None})
     if config.get("net_params"):
         path = Path(config["net_params"])
         if not path.is_file():
             raise ConfigError(f"network params file not found: {path}")
         params["net"] = json.loads(path.read_text(encoding="utf-8"))
-    elif "net" in config:
-        params["net"] = config["net"]
     return params
 
 
@@ -419,7 +413,6 @@ def _cmd_sweep(config: dict) -> int:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     base_seed = int(config.get("base_seed", 0))
     params = _solver_params(config)
-    params.pop(parameter, None)
     cube = load_bundle(bundle)
     outdir = _outdir(config)
 

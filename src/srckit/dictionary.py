@@ -92,14 +92,9 @@ class GramCache:
     """
 
     def __init__(self, dictionary: Dictionary):
-        self.dictionary = dictionary
         self.gram = dictionary.atoms.T @ dictionary.atoms
         self._factors: dict[float, tuple] = {}
         self._lock = threading.Lock()
-
-    def correlate(self, x: np.ndarray) -> np.ndarray:
-        """D^T x for a single pixel (or a (bands, k) block)."""
-        return self.dictionary.atoms.T @ x
 
     def clear_factors(self) -> None:
         """Drop stored factorizations (call after a parameter update sweep
@@ -137,7 +132,3 @@ class GramCache:
             w = w + cho_solve(factor, residual)
         return w
 
-
-def solve_regularized(cache: GramCache, rho: float, rhs: np.ndarray) -> np.ndarray:
-    """(D^T D + rho*I)^-1 rhs, factorized once per distinct rho and reused."""
-    return cache.solve(rho, rhs)

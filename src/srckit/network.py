@@ -15,8 +15,9 @@ Stage n (z0 = u0 = 0, M_r = D^T D + r*I):
     z_n     = soft_threshold(v_n, eta_n)
     u_n     = u_{n-1} + tau_n * (alpha_n - z_n)
 
-With stage-constant parameters this reproduces the fixed-parameter ADMM
-iterates exactly.
+Each stage is ``solvers.admm_stage``, the kernel ``admm_fixed`` repeats, so
+with stage-constant parameters the network reproduces the fixed-parameter
+ADMM iterates exactly; the final node is that kernel's sparsity node alone.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary, GramCache
-from .solvers import SparseCode, soft_threshold
+from .solvers import SparseCode, admm_stage
 
 RHO_FLOOR = 1e-6
 TAU_FLOOR = 1e-6
@@ -149,10 +150,6 @@ class ParamGrads:
     d_tau: np.ndarray
     loss_value: float
 
-    def scaled(self, factor: float) -> "ParamGrads":
-        return ParamGrads(self.d_rho * factor, self.d_eta * factor,
-                          self.d_tau * factor, self.loss_value * factor)
-
 
 @dataclass
 class TrainConfig:
@@ -191,28 +188,22 @@ def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
     if len(x) != dictionary.n_bands:
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")
     cache = cache if cache is not None else GramCache(dictionary)
-    dtx = cache.correlate(x)
-    relax = params.relax
-    m = dictionary.n_atoms
-    z = np.zeros(m)
-    u = np.zeros(m)
+    dtx = dictionary.atoms.T @ x
+    z = np.zeros(dictionary.n_atoms)
+    u = np.zeros(dictionary.n_atoms)
     alpha_seq, z_seq, u_seq, v_seq = [], [], [], []
     for n in range(params.n_stages):
-        rho = params.rho[n]
-        alpha = relax * cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
-        v = alpha + u
-        z = soft_threshold(v, params.eta[n])
-        u = u + params.tau[n] * (alpha - z)
+        alpha, v, z, u = admm_stage(cache, dtx, z, u, params.rho[n], params.relax,
+                                    params.eta[n], params.tau[n])
         alpha_seq.append(alpha)
         v_seq.append(v)
         z_seq.append(z)
         u_seq.append(u)
-    rho = params.rho[params.n_stages]
-    alpha = relax * cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
-    alpha_seq.append(alpha)
+    alpha_seq.append(admm_stage(cache, dtx, z, u, params.rho[params.n_stages],
+                                params.relax)[0])
     trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
                        pre_activation_seq=v_seq)
-    return SparseCode.from_dense(alpha), trace
+    return SparseCode.from_dense(alpha_seq[-1]), trace
 
 
 def class_residuals(dictionary: Dictionary, code, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Baseline sparse solvers over a class-partitioned dictionary.
 
-Greedy family (sparsity-level K): omp, sp, romp, gomp, samp.
-l1 family (weight lambda): fista, admm_fixed.
+Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. One growth
+loop serves gomp and romp (omp is gomp with one atom per step), and one
+expand-prune-refit step serves sp and samp.
+l1 family (weight lambda): fista, admm_fixed. ``admm_stage`` is the one
+scaled-form ADMM stage, shared by admm_fixed and the unrolled network.
 
 Conventions shared by every solver here:
   * correlation ties break toward the lowest atom index;
@@ -148,26 +151,53 @@ def _code_from_support(n_atoms: int, support: np.ndarray, coef: np.ndarray) -> S
     return SparseCode.from_dense(coeffs)
 
 
-def omp(dictionary: Dictionary, x: np.ndarray, k: int,
-        tol: float = GREEDY_TOL) -> SparseCode:
-    """Orthogonal matching pursuit: grow the support one atom at a time by
-    max correlation with the residual, refitting least squares each step."""
-    _check_sparsity_level(dictionary, k)
+def _grow(dictionary: Dictionary, x: np.ndarray, tol: float, n_steps: int,
+          select, sort: bool) -> SparseCode:
+    """Growth loop of gomp (hence omp) and romp: up to ``n_steps`` times, add
+    the atoms ``select(correlations, floor, support)`` picks (kept ascending
+    when ``sort``) and refit; stops early on residual <= tol or no picks."""
     atoms = dictionary.atoms
     floor = _CORR_FLOOR_REL * np.linalg.norm(x)
     support = np.empty(0, dtype=np.int64)
     coef = np.empty(0)
     residual = x.astype(np.float64, copy=True)
-    for _ in range(k):
+    for _ in range(n_steps):
         if np.linalg.norm(residual) <= tol:
             break
-        picks = _top_candidates(atoms.T @ residual, 1, floor, support)
+        picks = select(atoms.T @ residual, floor, support)
         if picks.size == 0:
             break
-        support = np.append(support, picks)
+        support = np.concatenate([support, picks])
+        if sort:
+            support = np.sort(support)
         coef = _ls_on_support(atoms[:, support], x)
         residual = x - atoms[:, support] @ coef
     return _code_from_support(dictionary.n_atoms, support, coef)
+
+
+def _expand_prune(atoms: np.ndarray, x: np.ndarray, residual: np.ndarray,
+                  support: np.ndarray, size: int, floor: float):
+    """Step of sp and samp: add the ``size`` atoms best correlated with the
+    residual, refit, prune to the ``size`` largest coefficients, refit.
+    Returns (support, coef, residual, residual norm), or None if nothing is
+    left to add."""
+    extra = _top_candidates(atoms.T @ residual, size, floor, support)
+    if extra.size == 0:
+        return None
+    candidate = np.sort(np.concatenate([support, extra]))
+    cand_coef = _ls_on_support(atoms[:, candidate], x)
+    keep = np.sort(candidate[np.argsort(-np.abs(cand_coef), kind="stable")[:size]])
+    coef = _ls_on_support(atoms[:, keep], x)
+    residual = x - atoms[:, keep] @ coef
+    return keep, coef, residual, np.linalg.norm(residual)
+
+
+def omp(dictionary: Dictionary, x: np.ndarray, k: int,
+        tol: float = GREEDY_TOL) -> SparseCode:
+    """Orthogonal matching pursuit: grow the support one atom at a time by
+    max correlation with the residual, refitting least squares each step.
+    This is gomp with one atom per iteration."""
+    return gomp(dictionary, x, k, 1, tol)
 
 
 def sp(dictionary: Dictionary, x: np.ndarray, k: int, tol: float = GREEDY_TOL,
@@ -190,18 +220,10 @@ def sp(dictionary: Dictionary, x: np.ndarray, k: int, tol: float = GREEDY_TOL,
     for _ in range(max_iters):
         if best_norm <= tol:
             break
-        extra = _top_candidates(atoms.T @ residual, k, floor, support)
-        if extra.size == 0:
+        trial = _expand_prune(atoms, x, residual, support, k, floor)
+        if trial is None or trial[3] >= best_norm:
             break
-        candidate = np.sort(np.concatenate([support, extra]))
-        cand_coef = _ls_on_support(atoms[:, candidate], x)
-        keep = np.sort(candidate[np.argsort(-np.abs(cand_coef), kind="stable")[:k]])
-        new_coef = _ls_on_support(atoms[:, keep], x)
-        new_residual = x - atoms[:, keep] @ new_coef
-        new_norm = np.linalg.norm(new_residual)
-        if new_norm >= best_norm:
-            break
-        support, coef, residual, best_norm = keep, new_coef, new_residual, new_norm
+        support, coef, residual, best_norm = trial
     return _code_from_support(dictionary.n_atoms, support, coef)
 
 
@@ -211,21 +233,14 @@ def romp(dictionary: Dictionary, x: np.ndarray, k: int,
     keep the maximal-energy group whose magnitudes are within a factor 2,
     add the whole group, refit. Stops at |support| >= 2K or a tiny residual."""
     _check_sparsity_level(dictionary, k)
-    atoms = dictionary.atoms
-    floor = _CORR_FLOOR_REL * np.linalg.norm(x)
-    support = np.empty(0, dtype=np.int64)
-    coef = np.empty(0)
-    residual = x.astype(np.float64, copy=True)
-    while support.size < 2 * k:
-        if np.linalg.norm(residual) <= tol:
-            break
-        correlations = atoms.T @ residual
+
+    def select(correlations, floor, support):
+        if support.size >= 2 * k:
+            return support[:0]
         picks = _top_candidates(correlations, k, floor, support)
-        if picks.size == 0:
-            break
         mags = np.abs(correlations[picks])  # descending by construction
         energy = np.concatenate(([0.0], np.cumsum(mags ** 2)))
-        best_span, best_energy = (0, 1), -1.0
+        best_span, best_energy = (0, 0), -1.0
         for i in range(len(mags)):
             j = i
             while j + 1 < len(mags) and mags[i] <= 2.0 * mags[j + 1]:
@@ -233,17 +248,16 @@ def romp(dictionary: Dictionary, x: np.ndarray, k: int,
             window_energy = energy[j + 1] - energy[i]
             if window_energy > best_energy:
                 best_span, best_energy = (i, j + 1), window_energy
-        group = picks[best_span[0]:best_span[1]]
-        support = np.sort(np.concatenate([support, group]))
-        coef = _ls_on_support(atoms[:, support], x)
-        residual = x - atoms[:, support] @ coef
-    return _code_from_support(dictionary.n_atoms, support, coef)
+        return picks[best_span[0]:best_span[1]]
+
+    # every step adds at least one atom, so 2K steps reach |support| >= 2K
+    return _grow(dictionary, x, tol, 2 * k, select, sort=True)
 
 
 def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
          tol: float = GREEDY_TOL) -> SparseCode:
     """Generalized OMP: select ``s`` atoms per iteration by correlation
-    magnitude, refit, run ceil(K/s) iterations. s=1 reproduces omp exactly."""
+    magnitude, refit, run ceil(K/s) iterations. s=1 is omp."""
     _check_sparsity_level(dictionary, k)
     if s < 1:
         raise ValueError(f"atoms-per-iteration S={s} must be >= 1")
@@ -251,21 +265,9 @@ def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
     if s * n_iters > dictionary.n_atoms:
         raise ValueError(
             f"S*iterations = {s * n_iters} exceeds dictionary size {dictionary.n_atoms}")
-    atoms = dictionary.atoms
-    floor = _CORR_FLOOR_REL * np.linalg.norm(x)
-    support = np.empty(0, dtype=np.int64)
-    coef = np.empty(0)
-    residual = x.astype(np.float64, copy=True)
-    for _ in range(n_iters):
-        if np.linalg.norm(residual) <= tol:
-            break
-        picks = _top_candidates(atoms.T @ residual, s, floor, support)
-        if picks.size == 0:
-            break
-        support = np.append(support, picks)
-        coef = _ls_on_support(atoms[:, support], x)
-        residual = x - atoms[:, support] @ coef
-    return _code_from_support(dictionary.n_atoms, support, coef)
+    return _grow(dictionary, x, tol, n_iters,
+                 lambda correlations, floor, support:
+                 _top_candidates(correlations, s, floor, support), sort=False)
 
 
 def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
@@ -279,8 +281,7 @@ def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
     atoms = dictionary.atoms
     cap = min(dictionary.n_bands, dictionary.n_atoms) // 2
     floor = _CORR_FLOOR_REL * np.linalg.norm(x)
-    none = np.empty(0, dtype=np.int64)
-    support = none
+    support = np.empty(0, dtype=np.int64)
     coef = np.empty(0)
     residual = x.astype(np.float64, copy=True)
     resid_norm = np.linalg.norm(residual)
@@ -288,22 +289,16 @@ def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
     for _ in range(max_iters):
         if resid_norm <= tol or size > cap:
             break
-        prelim = _top_candidates(atoms.T @ residual, size, floor, support)
-        if prelim.size == 0:
+        trial = _expand_prune(atoms, x, residual, support, size, floor)
+        if trial is None:
             break  # residual orthogonal to every unselected atom
-        candidate = np.sort(np.concatenate([support, prelim]))
-        cand_coef = _ls_on_support(atoms[:, candidate], x)
-        keep = np.sort(candidate[np.argsort(-np.abs(cand_coef), kind="stable")[:size]])
-        new_coef = _ls_on_support(atoms[:, keep], x)
-        new_residual = x - atoms[:, keep] @ new_coef
-        new_norm = np.linalg.norm(new_residual)
-        if new_norm <= tol:
-            support, coef = keep, new_coef
+        if trial[3] <= tol:
+            support, coef = trial[:2]
             break
-        if new_norm >= resid_norm:
+        if trial[3] >= resid_norm:
             size += step  # stage switch: residual stalled at this size
         else:
-            support, coef, residual, resid_norm = keep, new_coef, new_residual, new_norm
+            support, coef, residual, resid_norm = trial
     return _code_from_support(dictionary.n_atoms, support, coef)
 
 
@@ -327,7 +322,7 @@ def _largest_gram_eigenvalue(atoms: np.ndarray, n_iters: int = 100) -> float:
     return float(lam)
 
 
-def fista(dictionary: Dictionary, x: np.ndarray, lam: float,
+def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
           max_iters: int = 1000, tol: float = 1e-8, callback=None) -> SparseCode:
     """FISTA with function-value restart, so the lasso objective is
     non-increasing. Step size 1/L with L the power-iteration estimate of the
@@ -370,33 +365,45 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float,
     return SparseCode.from_dense(alpha)
 
 
+def admm_stage(cache: GramCache, dtx: np.ndarray, z: np.ndarray, u: np.ndarray,
+               rho: float, relax: float, eta: float | None = None,
+               tau: float | None = None):
+    """One scaled-form ADMM lasso stage (Boyd et al. 2011, 3.1.1), the
+    kernel of admm_fixed and of every network stage; returns (alpha, v, z', u'):
+
+        alpha = relax * (D^T D + rho I)^-1 (D^T x + rho (z - u)) + (1 - relax) * z
+        v = alpha + u,   z' = soft_threshold(v, eta),   u' = u + tau * (alpha - z')
+
+    With ``eta`` and ``tau`` None only alpha is computed (the network's final node).
+    """
+    alpha = relax * cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
+    if eta is None:
+        return alpha, None, None, None
+    v = alpha + u
+    z_next = soft_threshold(v, eta)
+    return alpha, v, z_next, u + tau * (alpha - z_next)
+
+
 def admm_fixed(dictionary: Dictionary, x: np.ndarray, cfg: AdmmConfig,
                cache: GramCache | None = None, callback=None) -> SparseCode:
-    """Scaled-form ADMM for the lasso with fixed (lam, rho, relax, tau).
-
-    Per iteration:
-        alpha = relax * (D^T D + rho I)^-1 (D^T x + rho (z - u)) + (1 - relax) * z
-        z     = soft_threshold(alpha + u, lam / rho)
-        u     = u + tau * (alpha - z)
-    Stops at max_iters or max(||alpha - z||, rho * ||z - z_prev||) <= tol.
-    Returns z, which is exactly sparse by construction. ``callback``, when
-    given, is invoked as callback(alpha, z, u) after every iteration.
+    """Scaled-form ADMM for the lasso with fixed (lam, rho, relax, tau): the
+    stage ``admm_stage`` repeated with eta = lam / rho. Stops at max_iters or
+    max(||alpha - z||, rho * ||z - z_prev||) <= tol. Returns z, which is
+    exactly sparse by construction. ``callback``, when given, is invoked as
+    callback(alpha, z, u) after every iteration.
     """
     cache = cache if cache is not None else GramCache(dictionary)
-    dtx = cache.correlate(x)
+    dtx = dictionary.atoms.T @ x
     eta = cfg.lam / cfg.rho
-    rho, relax, tau = cfg.rho, cfg.relax, cfg.tau
     z = np.zeros(dictionary.n_atoms)
     u = np.zeros(dictionary.n_atoms)
     for _ in range(cfg.max_iters):
         z_prev = z
-        alpha = relax * cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
-        z = soft_threshold(alpha + u, eta)
-        u = u + tau * (alpha - z)
+        alpha, _, z, u = admm_stage(cache, dtx, z, u, cfg.rho, cfg.relax, eta, cfg.tau)
         if callback is not None:
             callback(alpha, z, u)
         primal = np.linalg.norm(alpha - z)
-        dual = rho * np.linalg.norm(z - z_prev)
+        dual = cfg.rho * np.linalg.norm(z - z_prev)
         if max(primal, dual) <= cfg.tol:
             break
     return SparseCode.from_dense(z)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srckit.dictionary import Dictionary, GramCache, assemble, solve_regularized
+from srckit.dictionary import Dictionary, GramCache, assemble
 from srckit.synthetic import random_orthonormal
 
 
@@ -54,7 +54,7 @@ class TestSolveRegularized:
                        labels_per_atom=[1, 1, 1, 1])
         cache = GramCache(d)
         b = np.array([2.0, -4.0, 6.0, 0.5])
-        assert np.allclose(solve_regularized(cache, 2.0, b), b / 2.0, atol=1e-14)
+        assert np.allclose(cache.solve(2.0, b), b / 2.0, atol=1e-14)
 
     def test_orthonormal(self):
         q = random_orthonormal(3, 5)
