@@ -3,7 +3,8 @@
 Greedy and l1 sparse solvers over a class-partitioned dictionary, an
 unrolled ADMM network whose per-stage parameters are learned by analytic
 back-propagation, residual-rule classification with OA/AA/kappa metrics,
-and a seeded benchmark harness.
+seeded parameter sweeps, and a config-driven CLI. The benchmark harness
+lives outside the package, in ``perfbench/``.
 """
 from .classify import (ClassificationReport, SweepResult, classify_testset,
                        evaluate, make_solver, src_decide, sweep)

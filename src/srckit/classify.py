@@ -98,11 +98,11 @@ def _net_params(net) -> "network.NetParams":
 # network.forward with params "net" (a NetParams or its JSON document),
 # or else NetParams.default(n_stages).
 SOLVER_PARAMS = {
-    "omp": ("k",),
-    "sp": ("k",),
-    "romp": ("k",),
-    "gomp": ("k", "s"),
-    "samp": ("step", "tol"),
+    "omp": ("k", "tol"),
+    "sp": ("k", "tol", "max_iters"),
+    "romp": ("k", "tol"),
+    "gomp": ("k", "s", "tol"),
+    "samp": ("step", "tol", "max_iters"),
     "fista": ("lam", "max_iters", "tol"),
     "admm_fixed": ("lam", "rho", "relax", "tau", "max_iters", "tol"),
     "asdn": ("net", "n_stages"),
@@ -124,14 +124,28 @@ def canonical_params(params: dict | None) -> dict:
     return {param_name(key): value for key, value in (params or {}).items()}
 
 
+def check_sweep(solver: str, parameter: str, params: dict | None = None) -> None:
+    """Raise ValueError unless ``solver`` takes the numeric ``parameter`` and,
+    with it set, has every parameter it needs."""
+    key = param_name(parameter)
+    taken = SOLVER_PARAMS.get(solver)
+    if taken is not None and (key not in taken or PARAM_TYPES[key] not in (int, float)):
+        raise ValueError(f"solver {solver} takes no numeric parameter {parameter!r}; "
+                         f"it takes {', '.join(taken)}")
+    solver_kwargs(solver, {**canonical_params(params), key: 1})
+
+
 def solver_kwargs(name: str, params: dict | None = None) -> dict:
     """The keyword arguments solver ``name`` takes from a parameter record,
     cast to their types. Keys the solver does not take are ignored; an
-    unknown solver raises ValueError."""
+    unknown solver or a missing "k" raises ValueError."""
     if name not in SOLVER_PARAMS:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     params = canonical_params(params)
-    return {key: PARAM_TYPES[key](params[key]) for key in SOLVER_PARAMS[name]
+    keys = SOLVER_PARAMS[name]
+    if "k" in keys and params.get("k") is None:
+        raise ValueError(f"solver {name} needs parameter 'k' (the sparsity level K)")
+    return {key: PARAM_TYPES[key](params[key]) for key in keys
             if params.get(key) is not None}
 
 
@@ -236,6 +250,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
         raise ValueError("parameter grid is empty")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    check_sweep(solver, parameter, params)
     base = canonical_params(params)
     seeds = [base_seed + r for r in range(runs)]
 

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import network, synthetic
-from .classify import (PARAM_TYPES, SOLVER_NAMES, canonical_params, classify_testset,
-                       evaluate, sweep)
+from .classify import (PARAM_TYPES, SOLVER_NAMES, canonical_params, check_sweep,
+                       classify_testset, evaluate, solver_kwargs, sweep)
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
 from .dictionary import assemble
@@ -108,23 +108,27 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
 
-    def common(p):
+    def common(p, threads=False):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker cap (0 = all cores)")
+        if threads:
+            p.add_argument("--threads", type=int, help="worker cap (0 = all cores)")
 
-    def dataset(p):
+    def dataset(p, seed=True, normalize=True, split=True):
         p.add_argument("--bundle", help="bundle directory")
         p.add_argument("--dict-frac", type=float, dest="dict_frac")
         p.add_argument("--train-frac", type=float, dest="train_frac")
-        p.add_argument("--seed", type=int, help="split seed")
-        norm = p.add_mutually_exclusive_group()
-        norm.add_argument("--normalize", dest="normalize", action="store_true",
-                          default=None)
-        norm.add_argument("--no-normalize", dest="normalize", action="store_false",
-                          default=None)
-        p.add_argument("--split", dest="split_file",
-                       help="reuse a saved split.json instead of re-drawing")
+        if seed:
+            p.add_argument("--seed", type=int, help="split seed")
+        if normalize:
+            norm = p.add_mutually_exclusive_group()
+            norm.add_argument("--normalize", dest="normalize", action="store_true",
+                              default=None)
+            norm.add_argument("--no-normalize", dest="normalize", action="store_false",
+                              default=None)
+        if split:
+            p.add_argument("--split", dest="split_file",
+                           help="reuse a saved split.json instead of re-drawing")
 
     def solver(p):
         p.add_argument("--solver", choices=SOLVER_NAMES)
@@ -147,10 +151,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="draw and save a dictionary/train/test split")
     common(p)
-    dataset(p)
+    dataset(p, normalize=False, split=False)
 
     p = sub.add_parser("train", help="train the unrolled network on the train split")
-    common(p)
+    common(p, threads=True)
     dataset(p)
     p.add_argument("--stages", type=int, help="network depth N")
     p.add_argument("--lr", type=float, dest="learning_rate")
@@ -162,13 +166,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--init-tau", type=float, dest="init_tau")
 
     p = sub.add_parser("eval", help="classify the test split and write a report")
-    common(p)
+    common(p, threads=True)
     dataset(p)
     solver(p)
 
     p = sub.add_parser("sweep", help="accuracy across a solver-parameter grid")
-    common(p)
-    dataset(p)
+    common(p, threads=True)
+    dataset(p, seed=False, split=False)
     solver(p)
     p.add_argument("--param", help="solver parameter to sweep (e.g. k, lam, rho)")
     p.add_argument("--grid", help="a:b | a:b:s | comma list")
@@ -227,6 +231,14 @@ def _solver_params(config: dict) -> dict:
     return params
 
 
+def _checked(check, *args):
+    """Call a validator from the library; its ValueError is a config error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _require(config: dict, key: str, kind=None):
     if config.get(key) is None:
         raise ConfigError(f"missing required key: {key}")
@@ -255,12 +267,43 @@ def _dataset_inputs(config: dict):
 
 
 def _load_split(config: dict, cube, dict_frac, train_frac, seed) -> Split:
-    if config.get("split_file"):
-        path = Path(config["split_file"])
-        if not path.is_file():
-            raise ConfigError(f"split file not found: {path}")
-        return Split.from_json(json.loads(path.read_text(encoding="utf-8")))
-    return make_split(cube, dict_frac, train_frac, seed)
+    if not config.get("split_file"):
+        return make_split(cube, dict_frac, train_frac, seed)
+    path = Path(config["split_file"])
+    if not path.is_file():
+        raise ConfigError(f"split file not found: {path}")
+    try:
+        split = Split.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"split file {path} is malformed: {exc}") from exc
+    _check_split(split, cube, path)
+    return split
+
+
+def _check_split(split: Split, cube, path: Path) -> None:
+    """A split file must index labeled cube pixels of the class it files them
+    under, and its dictionary, train and test sets must be pairwise disjoint."""
+    labels = cube.labels.ravel()
+    sets = {"dictionary": split.dictionary_ids, "train": split.train_ids,
+            "test": split.test_ids}
+    for name, groups in sets.items():
+        for class_id, ids in groups.items():
+            outside = ids[(ids < 0) | (ids >= labels.size)]
+            if outside.size:
+                raise ConfigError(f"split file {path}: {name} id {outside[0]} lies "
+                                  f"outside the {labels.size}-pixel cube")
+            wrong = ids[labels[ids] != class_id]
+            if wrong.size:
+                raise ConfigError(
+                    f"split file {path}: {name} id {wrong[0]} is filed under class "
+                    f"{class_id} but its cube label is {labels[wrong[0]]}")
+    flat = {"dictionary": split.dictionary_flat(), "train": split.train_flat(),
+            "test": split.test_flat()}
+    for a, b in (("dictionary", "train"), ("dictionary", "test"), ("train", "test")):
+        shared = np.intersect1d(flat[a], flat[b])
+        if shared.size:
+            raise ConfigError(f"split file {path}: id {shared[0]} is in both the "
+                              f"{a} and {b} sets")
 
 
 def _threads(config: dict):
@@ -275,6 +318,11 @@ def _outdir(config: dict) -> Path:
     out = Path(_require(config, "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _given_files(config: dict, *keys) -> list:
+    """The files named by those of ``keys`` the config sets."""
+    return [Path(config[key]) for key in keys if config.get(key)]
 
 
 def _manifest(outdir: Path, command: str, config: dict, inputs) -> None:
@@ -363,7 +411,7 @@ def _cmd_train(config: dict) -> int:
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(outdir / "split.json", split.to_json())
-    _manifest(outdir, "train", config, [bundle])
+    _manifest(outdir, "train", config, [bundle, *_given_files(config, "split_file")])
     print(json.dumps({"status": "ok", "final_mean_loss": float(history[-1]),
                       "params": str(outdir / "params.json")}))
     return 0
@@ -372,9 +420,8 @@ def _cmd_train(config: dict) -> int:
 def _classify_split(config: dict):
     bundle, dict_frac, train_frac, seed, normalize = _dataset_inputs(config)
     solver = _require(config, "solver")
-    if solver not in SOLVER_NAMES:
-        raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
     params = _solver_params(config)
+    _checked(solver_kwargs, solver, params)
     cube = load_bundle(bundle)
     split = _load_split(config, cube, dict_frac, train_frac, seed)
     dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
@@ -394,7 +441,8 @@ def _cmd_eval(config: dict) -> int:
     grid = np.zeros(cube.height * cube.width, dtype="<i4")
     grid[test_ids] = pred
     (outdir / "labels_pred.bin").write_bytes(grid.tobytes())
-    _manifest(outdir, "eval", config, [bundle])
+    _manifest(outdir, "eval", config,
+              [bundle, *_given_files(config, "split_file", "net_params")])
     print(json.dumps({"status": "ok", "oa": report.oa, "aa": report.aa,
                       "kappa": report.kappa}))
     return 0
@@ -403,8 +451,6 @@ def _cmd_eval(config: dict) -> int:
 def _cmd_sweep(config: dict) -> int:
     bundle, dict_frac, train_frac, _, normalize = _dataset_inputs(config)
     solver = _require(config, "solver")
-    if solver not in SOLVER_NAMES:
-        raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVER_NAMES}")
     parameter = _require(config, "param")
     grid_text = _require(config, "grid")
     grid = parse_grid(str(grid_text)) if isinstance(grid_text, str) else list(grid_text)
@@ -413,6 +459,7 @@ def _cmd_sweep(config: dict) -> int:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     base_seed = int(config.get("base_seed", 0))
     params = _solver_params(config)
+    _checked(check_sweep, solver, parameter, params)
     cube = load_bundle(bundle)
     outdir = _outdir(config)
 
@@ -421,7 +468,7 @@ def _cmd_sweep(config: dict) -> int:
                    params=params, threads=_threads(config))
     (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(outdir / "sweep.json", result.to_json())
-    _manifest(outdir, "sweep", config, [bundle])
+    _manifest(outdir, "sweep", config, [bundle, *_given_files(config, "net_params")])
     print(json.dumps({"status": "ok", "rows": len(result.grid),
                       "csv": str(outdir / "sweep.csv")}))
     return 0

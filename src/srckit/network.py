@@ -436,9 +436,11 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels,
     history = np.zeros(cfg.epochs)
 
     def pixel_grads(j):
-        x = pixels[:, j]
-        _, trace = forward(dictionary, x, params, cache)
-        return backward(dictionary, x, onehots[j], params, trace, cache)
+        # inside the per-pixel function: errstate does not carry into pool threads
+        with np.errstate(over="raise", invalid="raise"):
+            x = pixels[:, j]
+            _, trace = forward(dictionary, x, params, cache)
+            return backward(dictionary, x, onehots[j], params, trace, cache)
 
     try:
         for epoch in range(cfg.epochs):
@@ -452,7 +454,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels,
                     else:
                         grads = [pixel_grads(j) for j in batch]
                 except (ValueError, FloatingPointError) as exc:
-                    # non-finite intermediates surface as linalg input errors
+                    # overflow or NaN raises under errstate; non-finite values
+                    # that reach scipy surface as linalg input errors
                     raise TrainingDiverged(
                         f"training loss became non-finite at epoch {epoch}: {exc}"
                     ) from exc
