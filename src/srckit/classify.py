@@ -2,9 +2,12 @@
 
 A test pixel is coded over the class-partitioned dictionary by any of the
 registered solvers, then assigned to the class whose sub-dictionary
-reconstructs it with the smallest residual. Reports carry the confusion
-matrix with overall accuracy, average (per-class) accuracy, and the
-chance-corrected kappa coefficient, all as fractions in [0, 1].
+reconstructs it with the smallest residual. The unrolled network
+(``asdn``) codes the test pixels in blocks of ``network.BLOCK_COLUMNS`` (32)
+columns, one solve per stage for the whole block; every other solver codes
+one pixel at a time. Reports carry the confusion matrix with overall
+accuracy, average (per-class) accuracy, and the chance-corrected kappa
+coefficient, all as fractions in [0, 1].
 """
 from __future__ import annotations
 
@@ -18,11 +21,12 @@ from . import network, solvers
 from .data import LabeledCube, extract_pixels, make_split
 from .dictionary import Dictionary, GramCache, assemble
 
-def src_decide(dictionary: Dictionary, code, x: np.ndarray) -> int:
+def src_decide(dictionary: Dictionary, code, x: np.ndarray):
     """Class with the smallest reconstruction residual ||x - D_i a_i||;
-    exact ties go to the lowest class index."""
-    residuals = network.class_residuals(dictionary, code, x)
-    return int(np.argmin(residuals)) + 1
+    exact ties go to the lowest class index. For a block (x of shape
+    (bands, n), code (n_atoms, n)) the array of each column's class."""
+    classes = np.argmin(network.class_residuals(dictionary, code, x), axis=0) + 1
+    return int(classes) if classes.ndim == 0 else classes
 
 
 @dataclass
@@ -137,12 +141,18 @@ def check_sweep(solver: str, parameter: str, params: dict | None = None) -> None
 
 def solver_kwargs(name: str, params: dict | None = None) -> dict:
     """The keyword arguments solver ``name`` takes from a parameter record,
-    cast to their types. Keys the solver does not take are ignored; an
-    unknown solver or a missing "k" raises ValueError."""
+    cast to their types. Keys set to None count as absent. An unknown
+    solver, a key the solver does not take, or a missing "k" raises
+    ValueError naming it."""
     if name not in SOLVER_PARAMS:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     params = canonical_params(params)
     keys = SOLVER_PARAMS[name]
+    untaken = [key for key, value in params.items()
+               if value is not None and key not in keys]
+    if untaken:
+        raise ValueError(f"solver {name} takes no parameter "
+                         f"{', '.join(map(repr, untaken))}; it takes {', '.join(keys)}")
     if "k" in keys and params.get("k") is None:
         raise ValueError(f"solver {name} needs parameter 'k' (the sparsity level K)")
     return {key: PARAM_TYPES[key](params[key]) for key in keys
@@ -151,19 +161,22 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
 
 def make_solver(dictionary: Dictionary, name: str, params: dict | None = None,
                 cache: GramCache | None = None):
-    """Build a per-pixel solver callable ``x -> SparseCode``.
+    """Build a solver callable ``x -> SparseCode`` for one pixel; asdn's
+    also codes a block of pixel columns (bands, n) in one forward pass.
 
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
     (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
-    module at every call.
+    module at every call. Only admm_fixed and asdn solve with the Gram
+    matrix, so only they use ``cache`` (built here when None).
     """
     kwargs = solver_kwargs(name, params)
-    cache = cache if cache is not None else GramCache(dictionary)
     if name == "admm_fixed":
         cfg = solvers.AdmmConfig(**kwargs)
+        cache = cache if cache is not None else GramCache(dictionary)
         return lambda x: solvers.admm_fixed(dictionary, x, cfg, cache)
     if name == "asdn":
         net = kwargs.pop("net", None) or network.NetParams.default(**kwargs)
+        cache = cache if cache is not None else GramCache(dictionary)
         return lambda x: network.forward(dictionary, x, net, cache)[0]
     return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
 
@@ -173,25 +186,28 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
                      cache: GramCache | None = None) -> np.ndarray:
     """Code every pixel column and apply the residual decision rule.
 
-    Order-preserving and deterministic; with ``threads`` the pixels are
-    processed in parallel chunks without changing results.
+    ``asdn`` codes blocks of network.BLOCK_COLUMNS pixels, one forward pass
+    each, and decides each column from the block's class residuals; every
+    other solver codes one pixel at a time. With ``threads`` the blocks or
+    pixels map over a thread pool; the result is order-preserving and does
+    not depend on it.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
-    cache = cache if cache is not None else GramCache(dictionary)
     solve = make_solver(dictionary, solver, params, cache)
+    width = network.BLOCK_COLUMNS if solver == "asdn" else None
 
-    def decide(j):
-        x = pixels[:, j]
+    def decide(start):
+        x = pixels[:, start:start + width] if width else pixels[:, start]
         return src_decide(dictionary, solve(x), x)
 
-    indices = range(pixels.shape[1])
+    starts = range(0, pixels.shape[1], width or 1)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(decide, indices))
+            preds = list(pool.map(decide, starts))
     else:
-        preds = [decide(j) for j in indices]
-    return np.asarray(preds, dtype=np.int64)
+        preds = [decide(start) for start in starts]
+    return np.hstack(preds).astype(np.int64)
 
 
 @dataclass

@@ -112,7 +112,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory")
         if threads:
-            p.add_argument("--threads", type=int, help="worker cap (0 = all cores)")
+            p.add_argument("--threads", type=int,
+                           help="threads coding pixels in parallel, or 32-pixel "
+                                "blocks for asdn (0 = all cores)")
 
     def dataset(p, seed=True, normalize=True, split=True):
         p.add_argument("--bundle", help="bundle directory")
@@ -154,7 +156,7 @@ def _build_parser() -> _Parser:
     dataset(p, normalize=False, split=False)
 
     p = sub.add_parser("train", help="train the unrolled network on the train split")
-    common(p, threads=True)
+    common(p)
     dataset(p)
     p.add_argument("--stages", type=int, help="network depth N")
     p.add_argument("--lr", type=float, dest="learning_rate")
@@ -325,6 +327,14 @@ def _given_files(config: dict, *keys) -> list:
     return [Path(config[key]) for key in keys if config.get(key)]
 
 
+def _without_draw(config: dict) -> dict:
+    """The config without the split-draw keys when a saved split replaced the
+    draw: the split file's hash, not those keys, identifies the split."""
+    if not config.get("split_file"):
+        return config
+    return {k: v for k, v in config.items() if k not in ("seed", "dict_frac", "train_frac")}
+
+
 def _manifest(outdir: Path, command: str, config: dict, inputs) -> None:
     doc = {
         "command": command,
@@ -405,13 +415,13 @@ def _cmd_train(config: dict) -> int:
     dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
     dictionary = assemble(dict_pixels, dict_labels)
     train_pixels, train_labels = extract_pixels(cube, split.train_flat(), normalize)
-    params, history = train(dictionary, train_pixels, train_labels, train_cfg,
-                            threads=_threads(config))
+    params, history = train(dictionary, train_pixels, train_labels, train_cfg)
     params.save(outdir / "params.json")
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(outdir / "split.json", split.to_json())
-    _manifest(outdir, "train", config, [bundle, *_given_files(config, "split_file")])
+    _manifest(outdir, "train", _without_draw({**config, "train_seed": train_cfg.seed}),
+              [bundle, *_given_files(config, "split_file")])
     print(json.dumps({"status": "ok", "final_mean_loss": float(history[-1]),
                       "params": str(outdir / "params.json")}))
     return 0
@@ -441,7 +451,7 @@ def _cmd_eval(config: dict) -> int:
     grid = np.zeros(cube.height * cube.width, dtype="<i4")
     grid[test_ids] = pred
     (outdir / "labels_pred.bin").write_bytes(grid.tobytes())
-    _manifest(outdir, "eval", config,
+    _manifest(outdir, "eval", _without_draw(config),
               [bundle, *_given_files(config, "split_file", "net_params")])
     print(json.dumps({"status": "ok", "oa": report.oa, "aa": report.aa,
                       "kappa": report.kappa}))

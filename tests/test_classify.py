@@ -248,3 +248,19 @@ class TestSweep:
         doc = result.to_json()
         assert doc["parameter"] == "k"
         assert len(doc["grid"]) == 1
+
+
+def test_gram_built_only_for_solvers_that_solve_with_it(monkeypatch):
+    from srckit import classify
+
+    def no_gram(dictionary):
+        raise AssertionError("GramCache built for a solver that never solves with it")
+
+    data = subspace_classes(3, n_classes=3, dim=30, sub_dim=4, n_dict=6,
+                            n_train=1, n_test=2, noise=0.01)
+    d = assemble(data.dict_pixels, data.dict_labels)
+    monkeypatch.setattr(classify, "GramCache", no_gram)
+    for name, params in [("omp", {"k": 3}), ("fista", {"lam": 0.05, "max_iters": 20})]:
+        assert classify_testset(d, data.test_pixels, name, params).shape == (6,)
+    with pytest.raises(AssertionError, match="GramCache built"):
+        classify_testset(d, data.test_pixels, "asdn", {"n_stages": 1})

@@ -301,3 +301,52 @@ def test_divergence_raises_in_pool_threads():
     cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         train(d, px, data.train_labels, cfg, threads=2)
+
+
+def test_misplaced_solver_flag_is_config_error(capsys, bundle, tmp_path):
+    status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "fista",
+                      "--K", 3, "--rho", 9, "--out", tmp_path / "out")
+    assert status == 3
+    assert "'k', 'rho'" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_misplaced_sweep_flag_is_config_error(capsys, bundle, tmp_path):
+    status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "fista",
+                      "--param", "lam", "--grid", "0.1", "--S", 2, "--out", tmp_path / "out")
+    assert status == 3
+    assert "'s'" in err["message"]
+
+
+def test_train_threads_is_usage_error(capsys):
+    status, err = run(capsys, "train", "--threads", "2")
+    assert status == 2
+    assert "unrecognized arguments" in err["message"]
+
+
+class TestManifestUnderSplit:
+    def test_eval_omits_draw_keys(self, capsys, bundle, trained, tmp_path):
+        # the split in ``trained`` was drawn at seed 3
+        status, _ = run(capsys, "eval", "--bundle", bundle, *DATA, "--seed", 11,
+                        "--split", trained / "split.json", "--solver", "omp", "--K", 2,
+                        "--out", tmp_path)
+        assert status == 0
+        config = read_json(tmp_path / "manifest.json")["config"]
+        assert not {"seed", "dict_frac", "train_frac"} & set(config)
+        assert config["split_file"] == str(trained / "split.json")
+
+    def test_train_records_its_training_seed(self, capsys, bundle, trained, tmp_path):
+        status, _ = run(capsys, "train", "--bundle", bundle, *DATA, "--seed", 11,
+                        "--split", trained / "split.json", "--stages", 1,
+                        "--epochs", 1, "--out", tmp_path)
+        assert status == 0
+        config = read_json(tmp_path / "manifest.json")["config"]
+        assert "seed" not in config
+        assert config["train_seed"] == 11
+
+    def test_drawn_split_keeps_draw_keys(self, capsys, bundle, tmp_path):
+        status, _ = run(capsys, "eval", "--bundle", bundle, *DATA, "--seed", 11,
+                        "--solver", "omp", "--K", 2, "--out", tmp_path)
+        assert status == 0
+        config = read_json(tmp_path / "manifest.json")["config"]
+        assert (config["seed"], config["dict_frac"], config["train_frac"]) == (11, 0.2, 0.25)
