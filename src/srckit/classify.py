@@ -207,7 +207,7 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
             preds = list(pool.map(decide, starts))
     else:
         preds = [decide(start) for start in starts]
-    return np.hstack(preds).astype(np.int64)
+    return np.asarray(np.concatenate(preds) if width else preds, dtype=np.int64)
 
 
 @dataclass
