@@ -5,14 +5,14 @@ registered solvers, then assigned to the class whose sub-dictionary
 reconstructs it with the smallest residual. The unrolled network
 (``asdn``) codes the test pixels in blocks of ``network.BLOCK_COLUMNS`` (32)
 columns, one solve per stage for the whole block; every other solver codes
-one pixel at a time. Reports carry the confusion matrix with overall
+one pixel at a time. All coding runs on the calling thread: the block and
+BLAS are the only parallelism. Reports carry the confusion matrix with overall
 accuracy, average (per-class) accuracy, and the chance-corrected kappa
 coefficient, all as fractions in [0, 1].
 """
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +142,8 @@ def check_sweep(solver: str, parameter: str, params: dict | None = None) -> None
 def solver_kwargs(name: str, params: dict | None = None) -> dict:
     """The keyword arguments solver ``name`` takes from a parameter record,
     cast to their types. Keys set to None count as absent. An unknown
-    solver, a key the solver does not take, or a missing "k" raises
-    ValueError naming it."""
+    solver, a key the solver does not take, a missing "k", or "n_stages"
+    beside "net" raises ValueError naming it."""
     if name not in SOLVER_PARAMS:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     params = canonical_params(params)
@@ -155,6 +155,9 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
                          f"{', '.join(map(repr, untaken))}; it takes {', '.join(keys)}")
     if "k" in keys and params.get("k") is None:
         raise ValueError(f"solver {name} needs parameter 'k' (the sparsity level K)")
+    if params.get("net") is not None and params.get("n_stages") is not None:
+        raise ValueError(f"solver {name} takes 'n_stages' only without 'net': "
+                         "a trained network fixes its own depth")
     return {key: PARAM_TYPES[key](params[key]) for key in keys
             if params.get(key) is not None}
 
@@ -175,7 +178,7 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None,
         cache = cache if cache is not None else GramCache(dictionary)
         return lambda x: solvers.admm_fixed(dictionary, x, cfg, cache)
     if name == "asdn":
-        net = kwargs.pop("net", None) or network.NetParams.default(**kwargs)
+        net = kwargs.get("net") or network.NetParams.default(**kwargs)
         cache = cache if cache is not None else GramCache(dictionary)
         return lambda x: network.forward(dictionary, x, net, cache)[0]
     return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
@@ -188,9 +191,8 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
 
     ``asdn`` codes blocks of network.BLOCK_COLUMNS pixels, one forward pass
     each, and decides each column from the block's class residuals; every
-    other solver codes one pixel at a time. With ``threads`` the blocks or
-    pixels map over a thread pool; the result is order-preserving and does
-    not depend on it.
+    other solver codes one pixel at a time, all on the calling thread.
+    ``threads`` has no effect: the block and BLAS are the only parallelism.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
@@ -201,12 +203,7 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
         x = pixels[:, start:start + width] if width else pixels[:, start]
         return src_decide(dictionary, solve(x), x)
 
-    starts = range(0, pixels.shape[1], width or 1)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(decide, starts))
-    else:
-        preds = [decide(start) for start in starts]
+    preds = [decide(start) for start in range(0, pixels.shape[1], width or 1)]
     return np.asarray(np.concatenate(preds) if width else preds, dtype=np.int64)
 
 
@@ -253,13 +250,14 @@ class SweepResult:
 def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
           base_seed: int = 0, dict_frac: float = 0.01,
           train_frac: float = 1.0 / 11.0, normalize: bool = True,
-          params: dict | None = None, threads: int | None = None) -> SweepResult:
+          params: dict | None = None) -> SweepResult:
     """Classification accuracy across a solver-parameter grid.
 
-    For each grid value the split is re-drawn ``runs`` times with seeds
-    base_seed..base_seed+runs-1 (fresh dictionary each run, so no bias from
-    a single random sampling), the test pixels are classified, and
-    OA/AA/kappa are averaged. Standard deviations use ddof=1 when runs > 1.
+    The split is drawn ``runs`` times with seeds base_seed..base_seed+runs-1
+    (fresh dictionary each run, so no bias from a single random sampling);
+    every grid value classifies the test pixels of every draw, and
+    OA/AA/kappa are averaged over the draws. Standard deviations use ddof=1
+    when runs > 1.
     """
     grid = np.asarray(list(grid), dtype=np.float64)
     if grid.size == 0:
@@ -273,18 +271,17 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
     oa = np.zeros((grid.size, runs))
     aa = np.zeros((grid.size, runs))
     kappa = np.zeros((grid.size, runs))
-    for gi, value in enumerate(grid):
-        merged = {**base, param_name(parameter): float(value)}
-        for r, seed in enumerate(seeds):
-            split = make_split(cube, dict_frac, train_frac, seed)
-            dict_pixels, dict_labels = extract_pixels(
-                cube, split.dictionary_flat(), normalize)
-            dictionary = assemble(dict_pixels, dict_labels)
-            test_pixels, test_labels = extract_pixels(
-                cube, split.test_flat(), normalize)
+    for r, seed in enumerate(seeds):
+        split = make_split(cube, dict_frac, train_frac, seed)
+        dict_pixels, dict_labels = extract_pixels(
+            cube, split.dictionary_flat(), normalize)
+        dictionary = assemble(dict_pixels, dict_labels)
+        test_pixels, test_labels = extract_pixels(
+            cube, split.test_flat(), normalize)
+        for gi, value in enumerate(grid):
+            merged = {**base, param_name(parameter): float(value)}
             try:
-                pred = classify_testset(dictionary, test_pixels, solver,
-                                        merged, threads)
+                pred = classify_testset(dictionary, test_pixels, solver, merged)
             except Exception as exc:
                 raise RuntimeError(
                     f"sweep failed at {parameter}={value}: {exc}") from exc

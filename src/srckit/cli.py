@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -71,8 +70,8 @@ def _hash_inputs(paths) -> dict:
     return hashes
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+def _write_json(path: Path, doc, indent: int | None = 2) -> None:
+    path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -108,13 +107,9 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory")
-        if threads:
-            p.add_argument("--threads", type=int,
-                           help="threads coding pixels in parallel, or 32-pixel "
-                                "blocks for asdn (0 = all cores)")
 
     def dataset(p, seed=True, normalize=True, split=True):
         p.add_argument("--bundle", help="bundle directory")
@@ -143,8 +138,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--tau", type=float, help="dual step rate")
         p.add_argument("--max-iters", type=int, dest="max_iters")
         p.add_argument("--tol", type=float)
-        p.add_argument("--params", dest="net_params",
-                       help="trained network params.json (asdn solver)")
 
     p = sub.add_parser("ingest", help="convert a pixel CSV to a bundle, or validate one")
     common(p)
@@ -168,12 +161,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--init-tau", type=float, dest="init_tau")
 
     p = sub.add_parser("eval", help="classify the test split and write a report")
-    common(p, threads=True)
+    common(p)
     dataset(p)
     solver(p)
+    # sweep has no --params: a trained network fixes n_stages, the only
+    # parameter asdn could sweep
+    p.add_argument("--params", dest="net_params",
+                   help="trained network params.json (asdn solver)")
 
     p = sub.add_parser("sweep", help="accuracy across a solver-parameter grid")
-    common(p, threads=True)
+    common(p)
     dataset(p, seed=False, split=False)
     solver(p)
     p.add_argument("--param", help="solver parameter to sweep (e.g. k, lam, rho)")
@@ -308,14 +305,6 @@ def _check_split(split: Split, cube, path: Path) -> None:
                               f"{a} and {b} sets")
 
 
-def _threads(config: dict):
-    threads = config.get("threads")
-    if threads is None:
-        return None
-    threads = int(threads)
-    return os.cpu_count() if threads == 0 else threads
-
-
 def _outdir(config: dict) -> Path:
     out = Path(_require(config, "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -384,7 +373,8 @@ def _cmd_split(config: dict) -> int:
     cube = load_bundle(bundle)
     outdir = _outdir(config)
     split = make_split(cube, dict_frac, train_frac, seed)
-    _write_json(outdir / "split.json", split.to_json())
+    # one line: indented, a split puts each of its many pixel ids on its own
+    _write_json(outdir / "split.json", split.to_json(), indent=None)
     _manifest(outdir, "split", config, [bundle])
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
@@ -419,7 +409,7 @@ def _cmd_train(config: dict) -> int:
     params.save(outdir / "params.json")
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(outdir / "split.json", split.to_json())
+    _write_json(outdir / "split.json", split.to_json(), indent=None)
     _manifest(outdir, "train", _without_draw({**config, "train_seed": train_cfg.seed}),
               [bundle, *_given_files(config, "split_file")])
     print(json.dumps({"status": "ok", "final_mean_loss": float(history[-1]),
@@ -438,8 +428,7 @@ def _classify_split(config: dict):
     dictionary = assemble(dict_pixels, dict_labels)
     test_ids = split.test_flat()
     test_pixels, test_labels = extract_pixels(cube, test_ids, normalize)
-    pred = classify_testset(dictionary, test_pixels, solver, params,
-                            threads=_threads(config))
+    pred = classify_testset(dictionary, test_pixels, solver, params)
     return bundle, cube, test_ids, test_labels, pred
 
 
@@ -475,10 +464,10 @@ def _cmd_sweep(config: dict) -> int:
 
     result = sweep(cube, solver, parameter, grid, runs=runs, base_seed=base_seed,
                    dict_frac=dict_frac, train_frac=train_frac, normalize=normalize,
-                   params=params, threads=_threads(config))
+                   params=params)
     (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(outdir / "sweep.json", result.to_json())
-    _manifest(outdir, "sweep", config, [bundle, *_given_files(config, "net_params")])
+    _manifest(outdir, "sweep", config, [bundle])
     print(json.dumps({"status": "ok", "rows": len(result.grid),
                       "csv": str(outdir / "sweep.csv")}))
     return 0

@@ -10,7 +10,6 @@ pixels in blocks.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,31 +90,25 @@ def assemble(samples: np.ndarray, labels) -> Dictionary:
 class GramCache:
     """D^T D plus a per-rho store of SPD factorizations of (D^T D + rho*I).
 
-    Reads are lock-free; factorization insertion is serialized so concurrent
-    solvers over different pixels can share one cache.
+    The store is a plain dict: srckit codes on one thread, and a caller that
+    shares a cache across its own threads at worst factors one rho twice.
     """
 
     def __init__(self, dictionary: Dictionary):
         self.gram = dictionary.atoms.T @ dictionary.atoms
         self._factors: dict[float, tuple] = {}
-        self._lock = threading.Lock()
 
     def clear_factors(self) -> None:
         """Drop stored factorizations (call after a parameter update sweep
         so the store does not grow without bound during training)."""
-        with self._lock:
-            self._factors.clear()
+        self._factors.clear()
 
     def _factorization(self, rho: float):
         key = float(rho)
         factor = self._factors.get(key)
         if factor is None:
-            with self._lock:
-                factor = self._factors.get(key)
-                if factor is None:
-                    m = self.gram + key * np.eye(self.gram.shape[0])
-                    factor = cho_factor(m, lower=False)
-                    self._factors[key] = factor
+            m = self.gram + key * np.eye(self.gram.shape[0])
+            factor = self._factors[key] = cho_factor(m, lower=False)
         return factor
 
     def solve(self, rho: float, rhs: np.ndarray) -> np.ndarray:

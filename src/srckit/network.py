@@ -442,7 +442,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels,
     order, so runs are bit-reproducible), applies params <- params - lr *
     mean grad, and projects onto the parameter floors. Returns (final params,
     per-epoch mean loss). Deterministic given cfg.seed. ``threads`` has no
-    effect: a block already amortizes each solve over its pixels.
+    effect: training runs on the calling thread, and the block and BLAS are
+    the only parallelism.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = pixels.shape[1]

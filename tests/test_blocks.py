@@ -1,6 +1,7 @@
 """Differential tests of the blocked network path against the per-pixel
 reference path, and the hooks the benchmark harness wraps."""
 import inspect
+import threading
 
 import numpy as np
 import pytest
@@ -165,6 +166,24 @@ def test_classify_asdn_threads_bit_identical():
     serial = classify_testset(D, PIXELS, "asdn", {"net": net})
     threaded = classify_testset(D, PIXELS, "asdn", {"net": net}, threads=4)
     assert serial.tobytes() == threaded.tobytes()
+
+
+def test_classify_codes_on_the_calling_thread(monkeypatch):
+    idents = []
+
+    def on_thread(fn):
+        def recorded(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(network, "forward", on_thread(network.forward))
+    monkeypatch.setattr(solvers, "omp", on_thread(solvers.omp))
+    net = random_net(np.random.default_rng(3))
+    classify_testset(D, PIXELS, "asdn", {"net": net}, threads=4)
+    classify_testset(D, PIXELS, "omp", {"k": 3}, threads=4)
+    blocks = -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
+    assert idents == [threading.get_ident()] * (blocks + PIXELS.shape[1])
 
 
 class TestBenchmarkHooks:

@@ -241,6 +241,24 @@ class TestSweep:
         assert float(first[0]) == 2.0
         assert 0.0 <= float(first[1]) <= 100.0  # percent scale
 
+    def test_draws_each_split_once(self, monkeypatch):
+        from srckit import classify
+        calls = {"make_split": 0, "assemble": 0}
+
+        def counted(name):
+            fn = getattr(classify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(classify, name, counted(name))
+        sweep(make_cube(), "omp", "k", [2, 3, 4], runs=2, dict_frac=0.1,
+              train_frac=0.2)
+        assert calls == {"make_split": 2, "assemble": 2}
+
     def test_json_round_trip(self):
         cube = make_cube()
         result = sweep(cube, "omp", "k", [2], runs=1, dict_frac=0.1,
@@ -264,3 +282,11 @@ def test_gram_built_only_for_solvers_that_solve_with_it(monkeypatch):
         assert classify_testset(d, data.test_pixels, name, params).shape == (6,)
     with pytest.raises(AssertionError, match="GramCache built"):
         classify_testset(d, data.test_pixels, "asdn", {"n_stages": 1})
+
+
+def test_asdn_net_with_n_stages_raises():
+    data = subspace_classes(3, n_classes=2, dim=10, sub_dim=2, n_dict=3,
+                            n_train=1, n_test=1, noise=0.01)
+    d = assemble(data.dict_pixels, data.dict_labels)
+    with pytest.raises(ValueError, match="'n_stages'"):
+        make_solver(d, "asdn", {"net": NetParams.default(9), "n_stages": 1})

@@ -147,14 +147,14 @@ class TestManifestHashes:
         inputs = read_json(tmp_path / "manifest.json")["inputs"]
         assert inputs[str(split_path)] == sha256(split_path)
 
-    def test_sweep_hashes_params(self, capsys, bundle, trained, tmp_path):
-        params_path = trained / "params.json"
-        status, _ = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "asdn",
-                        "--params", params_path, "--param", "n_stages", "--grid", "1",
-                        "--runs", 1, "--out", tmp_path)
-        assert status == 0
-        inputs = read_json(tmp_path / "manifest.json")["inputs"]
-        assert inputs[str(params_path)] == sha256(params_path)
+    def test_sweep_params_is_usage_error(self, capsys, bundle, trained, tmp_path):
+        # a trained network fixes n_stages, the only parameter asdn could sweep
+        status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "asdn",
+                          "--params", trained / "params.json", "--param", "n_stages",
+                          "--grid", "1", "--runs", 1, "--out", tmp_path / "out")
+        assert status == 2
+        assert "unrecognized arguments" in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSplitValidation:
@@ -204,6 +204,7 @@ class TestSplitValidation:
     ["ingest", "--threads", "2"], ["split", "--threads", "2"],
     ["gradcheck", "--threads", "2"], ["report", "--threads", "2"],
     ["split", "--split", "s.json"], ["split", "--normalize"],
+    ["eval", "--threads", "2"], ["sweep", "--threads", "2"],
 ])
 def test_unread_flags_are_usage_errors(capsys, argv):
     status, err = run(capsys, *argv)
@@ -350,3 +351,113 @@ class TestManifestUnderSplit:
         assert status == 0
         config = read_json(tmp_path / "manifest.json")["config"]
         assert (config["seed"], config["dict_frac"], config["train_frac"]) == (11, 0.2, 0.25)
+
+
+class TestNetWithStages:
+    """A trained network fixes its own depth, so "n_stages" beside "net" is a
+    config error rather than a value the network silently ignores."""
+
+    def test_eval(self, capsys, bundle, trained, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_stages": 1}), encoding="utf-8")
+        status, err = run(capsys, "eval", "--config", config, "--bundle", bundle, *DATA,
+                          "--solver", "asdn", "--params", trained / "params.json",
+                          "--out", tmp_path / "out")
+        assert status == 3
+        assert "'n_stages'" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep(self, capsys, bundle, trained, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"net_params": str(trained / "params.json")}),
+                          encoding="utf-8")
+        status, err = run(capsys, "sweep", "--config", config, "--bundle", bundle, *DATA,
+                          "--solver", "asdn", "--param", "n_stages", "--grid", "1,2",
+                          "--runs", 1, "--out", tmp_path / "out")
+        assert status == 3
+        assert "'n_stages'" in err["message"]
+
+
+def test_split_json_is_one_line(capsys, bundle, trained, tmp_path):
+    status, _ = run(capsys, "split", "--bundle", bundle, *DATA, "--seed", 3,
+                    "--out", tmp_path)
+    assert status == 0
+    for path in (trained / "split.json", tmp_path / "split.json"):
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert read_json(path) == make_split(tiny_cube(), 0.2, 0.25, 3).to_json()
+
+
+def write_pixel_csv(path):
+    cube = tiny_cube()
+    rows = [",".join(map(repr, spectrum.tolist())) + f",{label}"
+            for spectrum, label in zip(cube.data[0], cube.labels[0])]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return cube
+
+
+class TestIngest:
+    def test_csv_to_bundle_then_validate(self, capsys, tmp_path):
+        cube = write_pixel_csv(tmp_path / "pixels.csv")
+        status, err = run(capsys, "ingest", "--csv", tmp_path / "pixels.csv",
+                          "--bundle", tmp_path / "bundle", "--out", tmp_path / "a")
+        assert (status, err) == (0, None)
+        loaded = load_bundle(tmp_path / "bundle")
+        assert np.array_equal(loaded.data, cube.data)
+        assert np.array_equal(loaded.labels, cube.labels)
+
+        status, err = run(capsys, "ingest", "--bundle", tmp_path / "bundle",
+                          "--out", tmp_path / "b")
+        assert (status, err) == (0, None)
+        summary = read_json(tmp_path / "b" / "summary.json")
+        assert summary == read_json(tmp_path / "a" / "summary.json")
+        assert (summary["bands"], summary["classes"]) == (12, 3)
+        assert summary["class_counts"] == {"1": 20, "2": 20, "3": 20}
+
+    def test_missing_csv(self, capsys, tmp_path):
+        status, err = run(capsys, "ingest", "--csv", tmp_path / "missing.csv",
+                          "--bundle", tmp_path / "bundle", "--out", tmp_path / "out")
+        assert status == 3
+        assert "csv file not found" in err["message"]
+        assert not (tmp_path / "bundle").exists()
+
+
+class TestGradcheck:
+    def test_passes_at_defaults(self, capsys, tmp_path):
+        status, err = run(capsys, "gradcheck", "--out", tmp_path)
+        assert (status, err) == (0, None)
+        doc = read_json(tmp_path / "gradcheck.json")
+        assert 0.0 <= doc["max_rel_error"] <= 1e-5
+
+    def test_fails_above_tolerance(self, capsys, tmp_path):
+        status, err = run(capsys, "gradcheck", "--tol", "1e-300", "--out", tmp_path)
+        assert status == 1
+        assert "gradient check failed" in err["message"]
+
+
+class TestReport:
+    @pytest.fixture
+    def report_path(self, tmp_path):
+        report = evaluate([1, 2, 2, 3, 3, 3], [1, 2, 3, 3, 3, 1], 3)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report.to_json()), encoding="utf-8")
+        return path
+
+    def test_prints_summary_line(self, capsys, report_path):
+        assert cli.run(["report", "--report", str(report_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "classes: 3  samples: 6"
+        assert lines[-1] == "OA 66.67%  AA 72.22%  kappa 47.83"  # kappa = 11/23
+
+    def test_csv_rows(self, capsys, report_path, tmp_path):
+        status, err = run(capsys, "report", "--report", report_path,
+                          "--csv", tmp_path / "classes.csv")
+        assert (status, err) == (0, None)
+        rows = (tmp_path / "classes.csv").read_text(encoding="utf-8").splitlines()
+        assert rows == ["class,accuracy_percent,n", "1,50.0,2", "2,100.0,1",
+                        "3,66.6666666667,3"]
+
+    def test_missing_report(self, capsys, tmp_path):
+        status, err = run(capsys, "report", "--report", tmp_path / "missing.json")
+        assert status == 3
+        assert "report file not found" in err["message"]
