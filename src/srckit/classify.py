@@ -19,7 +19,7 @@ import numpy as np
 
 from . import network, solvers
 from .data import LabeledCube, extract_pixels, make_split
-from .dictionary import Dictionary, GramCache, assemble
+from .dictionary import Dictionary, assemble
 
 def src_decide(dictionary: Dictionary, code, x: np.ndarray):
     """Class with the smallest reconstruction residual ||x - D_i a_i||;
@@ -162,41 +162,39 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
             if params.get(key) is not None}
 
 
-def make_solver(dictionary: Dictionary, name: str, params: dict | None = None,
-                cache: GramCache | None = None):
+def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
     """Build a solver callable ``x -> SparseCode`` for one pixel; asdn's
     also codes a block of pixel columns (bands, n) in one forward pass.
 
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
     (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
-    module at every call. Only admm_fixed and asdn solve with the Gram
-    matrix, so only they use ``cache`` (built here when None).
+    module at every call. admm_fixed and asdn solve through the
+    dictionary's ``gram_cache``, so the Gram is built at their first solve
+    and only for them, and later solvers over the same dictionary reuse it.
     """
     kwargs = solver_kwargs(name, params)
     if name == "admm_fixed":
         cfg = solvers.AdmmConfig(**kwargs)
-        cache = cache if cache is not None else GramCache(dictionary)
-        return lambda x: solvers.admm_fixed(dictionary, x, cfg, cache)
+        return lambda x: solvers.admm_fixed(dictionary, x, cfg)
     if name == "asdn":
         net = kwargs.get("net") or network.NetParams.default(**kwargs)
-        cache = cache if cache is not None else GramCache(dictionary)
-        return lambda x: network.forward(dictionary, x, net, cache)[0]
+        return lambda x: network.forward(dictionary, x, net)[0]
     return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
 
 
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
-                     params: dict | None = None, threads: int | None = None,
-                     cache: GramCache | None = None) -> np.ndarray:
+                     params: dict | None = None) -> np.ndarray:
     """Code every pixel column and apply the residual decision rule.
 
     ``asdn`` codes blocks of network.BLOCK_COLUMNS pixels, one forward pass
     each, and decides each column from the block's class residuals; every
     other solver codes one pixel at a time, all on the calling thread.
-    ``threads`` has no effect: the block and BLAS are the only parallelism.
+    Solvers that solve with the Gram use, and keep filling, the
+    dictionary's ``gram_cache``.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
-    solve = make_solver(dictionary, solver, params, cache)
+    solve = make_solver(dictionary, solver, params)
     width = network.BLOCK_COLUMNS if solver == "asdn" else None
 
     def decide(start):

@@ -102,6 +102,14 @@ def parse_grid(text: str):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
+def _grid_values(value) -> list:
+    """A config grid: grid text (see parse_grid) or a list of numbers."""
+    grid = parse_grid(value) if isinstance(value, str) else [float(v) for v in value]
+    if not grid:
+        raise ConfigError("parameter grid is empty")
+    return grid
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="srckit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -238,10 +246,11 @@ def _checked(check, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _require(config: dict, key: str, kind=None):
-    if config.get(key) is None:
+def _require(config: dict, key: str, kind=None, default=None):
+    """config[key] cast by kind; absent or None, it takes default if given."""
+    value = config[key] if config.get(key) is not None else default
+    if value is None:
         raise ConfigError(f"missing required key: {key}")
-    value = config[key]
     if kind is not None:
         try:
             value = kind(value)
@@ -254,13 +263,13 @@ def _dataset_inputs(config: dict):
     bundle = Path(_require(config, "bundle"))
     if not bundle.is_dir():
         raise ConfigError(f"bundle directory not found: {bundle}")
-    dict_frac = float(config.get("dict_frac", 0.01))
-    train_frac = float(config.get("train_frac", 1.0 / 11.0))
+    dict_frac = _require(config, "dict_frac", float, 0.01)
+    train_frac = _require(config, "train_frac", float, 1.0 / 11.0)
     if not 0.0 < dict_frac < 1.0:
         raise ConfigError(f"dict_frac must lie in (0, 1), got {dict_frac}")
     if not 0.0 <= train_frac < 1.0:
         raise ConfigError(f"train_frac must lie in [0, 1), got {train_frac}")
-    seed = int(config.get("seed", 0))
+    seed = _require(config, "seed", int, 0)
     normalize = bool(config.get("normalize", True))
     return bundle, dict_frac, train_frac, seed, normalize
 
@@ -384,18 +393,15 @@ def _cmd_split(config: dict) -> int:
 
 def _cmd_train(config: dict) -> int:
     bundle, dict_frac, train_frac, seed, normalize = _dataset_inputs(config)
-    stages = int(config.get("stages", 9))
-    init = NetParams.default(
-        stages,
-        rho=float(config.get("init_rho", 1.0)),
-        eta=float(config.get("init_eta", 0.1)),
-        tau=float(config.get("init_tau", 1.0)),
-    )
+    init = NetParams.default(_require(config, "stages", int, 9),
+                             rho=_require(config, "init_rho", float, 1.0),
+                             eta=_require(config, "init_eta", float, 0.1),
+                             tau=_require(config, "init_tau", float, 1.0))
     train_cfg = TrainConfig(
-        learning_rate=float(config.get("learning_rate", 1e-2)),
-        epochs=int(config.get("epochs", 50)),
-        batch_size=int(config.get("batch_size", 32)),
-        seed=int(config.get("train_seed", seed)),
+        learning_rate=_require(config, "learning_rate", float, 1e-2),
+        epochs=_require(config, "epochs", int, 50),
+        batch_size=_require(config, "batch_size", int, 32),
+        seed=_require(config, "train_seed", int, seed),
         init=init,
     )
     cube = load_bundle(bundle)
@@ -451,12 +457,11 @@ def _cmd_sweep(config: dict) -> int:
     bundle, dict_frac, train_frac, _, normalize = _dataset_inputs(config)
     solver = _require(config, "solver")
     parameter = _require(config, "param")
-    grid_text = _require(config, "grid")
-    grid = parse_grid(str(grid_text)) if isinstance(grid_text, str) else list(grid_text)
-    runs = int(config.get("runs", 5))
+    grid = _require(config, "grid", _grid_values)
+    runs = _require(config, "runs", int, 5)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    base_seed = int(config.get("base_seed", 0))
+    base_seed = _require(config, "base_seed", int, 0)
     params = _solver_params(config)
     _checked(check_sweep, solver, parameter, params)
     cube = load_bundle(bundle)
@@ -474,17 +479,16 @@ def _cmd_sweep(config: dict) -> int:
 
 
 def _cmd_gradcheck(config: dict) -> int:
-    stages = int(config.get("stages", 5))
-    seed = int(config.get("seed", 0))
-    fd_step = float(config.get("fd_step", 1e-6))
-    tol = float(config.get("tol", 1e-5))
-    outdir = _outdir(config)
+    seed = _require(config, "seed", int, 0)
+    fd_step = _require(config, "fd_step", float, 1e-6)
+    tol = _require(config, "tol", float, 1e-5)
     dictionary, x, y, params = synthetic.gradcheck_instance(
         seed,
-        n_bands=int(config.get("bands", 20)),
-        n_atoms=int(config.get("atoms", 40)),
-        n_classes=int(config.get("n_classes", 2)),
-        n_stages=stages)
+        n_bands=_require(config, "bands", int, 20),
+        n_atoms=_require(config, "atoms", int, 40),
+        n_classes=_require(config, "n_classes", int, 2),
+        n_stages=_require(config, "stages", int, 5))
+    outdir = _outdir(config)
     report = grad_check(dictionary, x, y, params, step=fd_step)
     doc = {
         "max_rel_error": report.max_rel_error,

@@ -1,16 +1,18 @@
 """Class-partitioned dictionary and shared regularized-solve machinery.
 
 The dictionary stacks training pixels as columns, grouped contiguously by
-class. Every l1-style solver repeatedly applies (D^T D + rho*I)^-1, so the
-Gram matrix and one SPD factorization per distinct rho are cached here.
+class. Every l1-style solver repeatedly applies (D^T D + rho*I)^-1 for one
+fixed D, so each Dictionary owns one ``GramCache``, built on first use as
+``Dictionary.gram_cache``: the Gram matrix and one SPD factorization per
+distinct rho, reused by every solve over D (Boyd et al. 2011, 4.2.4).
 ``GramCache.solve`` takes one right-hand side (m,) or a block of them (m, n):
 a block reuses the factorization across all its columns in one triangular
-solve pair (Boyd et al. 2011, 4.2), which is how the unrolled network codes
-pixels in blocks.
+solve pair, which is how the unrolled network codes pixels in blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -61,6 +63,12 @@ class Dictionary:
         """Columns belonging to ``class_id`` (a view, do not mutate)."""
         return self.atoms[:, self.class_slice(class_id)]
 
+    @cached_property
+    def gram_cache(self) -> "GramCache":
+        """This dictionary's GramCache, built on first use and kept for its
+        life; the atoms must not be mutated after that first use."""
+        return GramCache(self)
+
 
 def assemble(samples: np.ndarray, labels) -> Dictionary:
     """Group sample columns contiguously by class and record block offsets.
@@ -88,10 +96,10 @@ def assemble(samples: np.ndarray, labels) -> Dictionary:
 
 
 class GramCache:
-    """D^T D plus a per-rho store of SPD factorizations of (D^T D + rho*I).
-
-    The store is a plain dict: srckit codes on one thread, and a caller that
-    shares a cache across its own threads at worst factors one rho twice.
+    """D^T D plus a per-rho store of SPD factorizations of (D^T D + rho*I),
+    reached through ``Dictionary.gram_cache``. The store is a plain dict that
+    keeps every rho until ``clear_factors``: srckit codes on one thread, and a
+    caller sharing a cache across its own threads at worst factors a rho twice.
     """
 
     def __init__(self, dictionary: Dictionary):

@@ -21,13 +21,14 @@ ADMM iterates exactly; the final node is that kernel's sparsity node alone.
 
 ``forward``, ``class_residuals`` and ``backward`` take one pixel (bands,) or
 a block of pixel columns (bands, n). Every stage is elementwise apart from
-its solve, so a block costs one ``GramCache.solve`` over all its columns per
-node in place of one per pixel. The per-pixel calls stay the reference:
-``grad_check`` runs on them. ``classify.classify_testset`` and ``train`` code
-pixels in blocks of BLOCK_COLUMNS = 32. The width is bounded by memory,
-because a forward pass keeps the whole StageTrace of its block: evaluating
-635 pixels over 426 atoms with 9 stages, 32 columns leave the peak resident
-memory where the per-pixel loop had it (125.5 MiB), while 128 raise it by 5 %.
+its solve through the dictionary's ``gram_cache``, so a block costs one solve
+over all its columns per node in place of one per pixel. The per-pixel calls
+stay the reference: ``grad_check`` runs on them. ``classify.classify_testset``
+and ``train`` code pixels in blocks of BLOCK_COLUMNS = 32. The width is
+bounded by memory, because a forward pass keeps the whole StageTrace of its
+block: evaluating 635 pixels over 426 atoms with 9 stages, 32 columns leave
+the peak resident memory where the per-pixel loop had it (125.5 MiB), while
+128 raise it by 5 %.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import Dictionary, GramCache
+from .dictionary import Dictionary
 from .solvers import SparseCode, admm_stage
 
 RHO_FLOOR = 1e-6
@@ -190,8 +191,8 @@ def one_hot(label: int, n_classes: int) -> np.ndarray:
     return y
 
 
-def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
-            cache: GramCache | None = None) -> tuple[SparseCode, StageTrace]:
+def forward(dictionary: Dictionary, x: np.ndarray,
+            params: NetParams) -> tuple[SparseCode, StageTrace]:
     """Run the N unrolled stages plus the final sparsity node.
 
     ``x`` is one pixel (bands,) or a block of pixel columns (bands, n).
@@ -201,19 +202,18 @@ def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
     """
     if len(x) != dictionary.n_bands:
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")
-    cache = cache if cache is not None else GramCache(dictionary)
     dtx = dictionary.atoms.T @ x
     z = np.zeros_like(dtx)
     u = np.zeros_like(dtx)
     alpha_seq, z_seq, u_seq, v_seq = [], [], [], []
     for n in range(params.n_stages):
-        alpha, v, z, u = admm_stage(cache, dtx, z, u, params.rho[n], params.relax,
+        alpha, v, z, u = admm_stage(dictionary, dtx, z, u, params.rho[n], params.relax,
                                     params.eta[n], params.tau[n])
         alpha_seq.append(alpha)
         v_seq.append(v)
         z_seq.append(z)
         u_seq.append(u)
-    alpha_seq.append(admm_stage(cache, dtx, z, u, params.rho[params.n_stages],
+    alpha_seq.append(admm_stage(dictionary, dtx, z, u, params.rho[params.n_stages],
                                 params.relax)[0])
     trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
                        pre_activation_seq=v_seq)
@@ -262,8 +262,7 @@ def loss(residuals: np.ndarray, y: np.ndarray) -> float:
 
 
 def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
-             params: NetParams, trace: StageTrace,
-             cache: GramCache | None = None) -> ParamGrads:
+             params: NetParams, trace: StageTrace) -> ParamGrads:
     """Analytic gradients of the loss w.r.t. every (rho, eta, tau).
 
     ``x`` is one pixel with one-hot ``y`` (n_classes,), or a block (bands, n)
@@ -275,7 +274,6 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     on each class block. The soft-threshold derivative is taken as 0 exactly
     at |v| = eta.
     """
-    cache = cache if cache is not None else GramCache(dictionary)
     n = params.n_stages
     if len(trace.alpha_seq) != n + 1 or len(trace.z_seq) != n:
         raise ValueError("trace does not match params.n_stages")
@@ -304,7 +302,7 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     def through_sparsity(idx, g_a, z_in, u_in, alpha_n):
         """VJP through alpha_idx; returns gradients w.r.t. (z_in, u_in)."""
         rho = params.rho[idx]
-        h = cache.solve(rho, g_a)
+        h = dictionary.gram_cache.solve(rho, g_a)
         # w2 = M^-1 (D^T x + rho (z_in - u_in)), recovered from the trace
         w2 = (alpha_n - (1.0 - relax) * z_in) / relax
         d_rho[idx] = relax * float(np.vdot(h, (z_in - u_in) - w2))
@@ -339,21 +337,17 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
 
 
 def pixel_loss(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
-               params: NetParams, cache: GramCache | None = None) -> float:
-    code, _ = forward(dictionary, x, params, cache)
+               params: NetParams) -> float:
+    code, _ = forward(dictionary, x, params)
     return loss(class_residuals(dictionary, code, x), y)
 
 
 def mean_loss(dictionary: Dictionary, pixels: np.ndarray, labels,
-              params: NetParams, cache: GramCache | None = None) -> float:
+              params: NetParams) -> float:
     """Mean per-pixel loss of the network at fixed parameters."""
-    cache = cache if cache is not None else GramCache(dictionary)
     c = dictionary.n_classes
-    total = 0.0
-    for j, label in enumerate(labels):
-        total += pixel_loss(dictionary, pixels[:, j], one_hot(int(label), c),
-                            params, cache)
-    return total / len(labels)
+    return sum(pixel_loss(dictionary, pixels[:, j], one_hot(int(label), c), params)
+               for j, label in enumerate(labels)) / len(labels)
 
 
 def kink_margin(trace: StageTrace, params: NetParams) -> float:
@@ -387,8 +381,7 @@ class GradCheckReport:
 
 def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
                params: NetParams, step: float = 1e-6,
-               zero_atol: float = 1e-12,
-               cache: GramCache | None = None) -> GradCheckReport:
+               zero_atol: float = 1e-12) -> GradCheckReport:
     """Compare analytic gradients against central differences of the loss.
 
     Parameter pairs whose analytic and numeric gradients are both below
@@ -397,17 +390,16 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    cache = cache if cache is not None else GramCache(dictionary)
-    _, trace = forward(dictionary, x, params, cache)
-    analytic = backward(dictionary, x, y, params, trace, cache)
+    _, trace = forward(dictionary, x, params)
+    analytic = backward(dictionary, x, y, params, trace)
 
     def numeric(kind, idx):
         plus = params.copy()
         minus = params.copy()
         getattr(plus, kind)[idx] += step
         getattr(minus, kind)[idx] -= step
-        e_plus = pixel_loss(dictionary, x, y, plus, cache)
-        e_minus = pixel_loss(dictionary, x, y, minus, cache)
+        e_plus = pixel_loss(dictionary, x, y, plus)
+        e_minus = pixel_loss(dictionary, x, y, minus)
         return (e_plus - e_minus) / (2.0 * step)
 
     def compare(kind, grads):
@@ -433,17 +425,15 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
         max_rel_error=max_rel, loss_value=analytic.loss_value)
 
 
-def train(dictionary: Dictionary, pixels: np.ndarray, labels,
-          cfg: TrainConfig, threads: int | None = None):
+def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
     """Projected minibatch gradient descent over the stage parameters.
 
     Each step runs its minibatch through forward and backward in blocks of at
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
     order, so runs are bit-reproducible), applies params <- params - lr *
     mean grad, and projects onto the parameter floors. Returns (final params,
-    per-epoch mean loss). Deterministic given cfg.seed. ``threads`` has no
-    effect: training runs on the calling thread, and the block and BLAS are
-    the only parallelism.
+    per-epoch mean loss). Deterministic given cfg.seed. Each step moves rho,
+    so it ends by clearing the factorizations of the dictionary's gram_cache.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = pixels.shape[1]
@@ -459,7 +449,6 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels,
 
     params = cfg.init.copy()
     rng = np.random.default_rng(cfg.seed)
-    cache = GramCache(dictionary)
     history = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -475,8 +464,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels,
                     for b in range(0, len(batch), BLOCK_COLUMNS):
                         cols = batch[b:b + BLOCK_COLUMNS]
                         x = pixels[:, cols]
-                        _, trace = forward(dictionary, x, params, cache)
-                        g = backward(dictionary, x, onehots[:, cols], params, trace, cache)
+                        _, trace = forward(dictionary, x, params)
+                        g = backward(dictionary, x, onehots[:, cols], params, trace)
                         d_rho += g.d_rho
                         d_eta += g.d_eta
                         d_tau += g.d_tau
@@ -494,7 +483,7 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels,
             scale = 1.0 / len(batch)
             mean_grads = ParamGrads(d_rho * scale, d_eta * scale, d_tau * scale, 0.0)
             params = params.stepped(cfg.learning_rate, mean_grads)
-            cache.clear_factors()
+            dictionary.gram_cache.clear_factors()
         history[epoch] = epoch_loss / n
         if not math.isfinite(history[epoch]):
             raise TrainingDiverged(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dictionary import Dictionary, GramCache
+from .dictionary import Dictionary
 
 GREEDY_TOL = 1e-10
 _CORR_FLOOR_REL = 1e-12
@@ -365,8 +365,8 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
     return SparseCode.from_dense(alpha)
 
 
-def admm_stage(cache: GramCache, dtx: np.ndarray, z: np.ndarray, u: np.ndarray,
-               rho: float, relax: float, eta: float | None = None,
+def admm_stage(dictionary: Dictionary, dtx: np.ndarray, z: np.ndarray,
+               u: np.ndarray, rho: float, relax: float, eta: float | None = None,
                tau: float | None = None):
     """One scaled-form ADMM lasso stage (Boyd et al. 2011, 3.1.1), the
     kernel of admm_fixed and of every network stage; returns (alpha, v, z', u'):
@@ -376,7 +376,7 @@ def admm_stage(cache: GramCache, dtx: np.ndarray, z: np.ndarray, u: np.ndarray,
 
     With ``eta`` and ``tau`` None only alpha is computed (the network's final node).
     """
-    alpha = relax * cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
+    alpha = relax * dictionary.gram_cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
     if eta is None:
         return alpha, None, None, None
     v = alpha + u
@@ -385,21 +385,20 @@ def admm_stage(cache: GramCache, dtx: np.ndarray, z: np.ndarray, u: np.ndarray,
 
 
 def admm_fixed(dictionary: Dictionary, x: np.ndarray, cfg: AdmmConfig,
-               cache: GramCache | None = None, callback=None) -> SparseCode:
+               callback=None) -> SparseCode:
     """Scaled-form ADMM for the lasso with fixed (lam, rho, relax, tau): the
     stage ``admm_stage`` repeated with eta = lam / rho. Stops at max_iters or
     max(||alpha - z||, rho * ||z - z_prev||) <= tol. Returns z, which is
     exactly sparse by construction. ``callback``, when given, is invoked as
     callback(alpha, z, u) after every iteration.
     """
-    cache = cache if cache is not None else GramCache(dictionary)
     dtx = dictionary.atoms.T @ x
     eta = cfg.lam / cfg.rho
     z = np.zeros(dictionary.n_atoms)
     u = np.zeros(dictionary.n_atoms)
     for _ in range(cfg.max_iters):
         z_prev = z
-        alpha, _, z, u = admm_stage(cache, dtx, z, u, cfg.rho, cfg.relax, eta, cfg.tau)
+        alpha, _, z, u = admm_stage(dictionary, dtx, z, u, cfg.rho, cfg.relax, eta, cfg.tau)
         if callback is not None:
             callback(alpha, z, u)
         primal = np.linalg.norm(alpha - z)

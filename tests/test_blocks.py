@@ -108,13 +108,12 @@ def test_forward_and_residuals_match_per_pixel(width, seed):
     rng = np.random.default_rng(seed)
     net = random_net(rng)
     x, _ = pick(rng, width)
-    cache = GramCache(D)
-    code, trace = forward(D, x, net, cache)
+    code, trace = forward(D, x, net)
     residuals = class_residuals(D, code, x)
     assert code.coeffs.shape == (D.n_atoms, width)
     assert residuals.shape == (D.n_classes, width)
     for j in range(width):
-        one, one_trace = forward(D, x[:, j], net, cache)
+        one, one_trace = forward(D, x[:, j], net)
         scale = np.linalg.norm(one.coeffs) + 1e-300
         assert np.linalg.norm(code.coeffs[:, j] - one.coeffs) <= 1e-10 * scale
         for seq, one_seq in ((trace.z_seq, one_trace.z_seq), (trace.u_seq, one_trace.u_seq)):
@@ -131,13 +130,12 @@ def test_backward_block_is_sum_of_pixels(width, seed):
     net = random_net(rng)
     x, labels = pick(rng, width)
     y = np.stack([one_hot(int(label), D.n_classes) for label in labels], axis=1)
-    cache = GramCache(D)
-    _, trace = forward(D, x, net, cache)
-    block = backward(D, x, y, net, trace, cache)
+    _, trace = forward(D, x, net)
+    block = backward(D, x, y, net, trace)
     pixels = []
     for j in range(width):
-        _, one_trace = forward(D, x[:, j], net, cache)
-        pixels.append(backward(D, x[:, j], y[:, j], net, one_trace, cache))
+        _, one_trace = forward(D, x[:, j], net)
+        pixels.append(backward(D, x[:, j], y[:, j], net, one_trace))
     for name in ("d_rho", "d_eta", "d_tau"):
         terms = np.array([getattr(g, name) for g in pixels])
         # relative to the summed magnitudes, since the terms may cancel
@@ -164,7 +162,7 @@ def test_classify_asdn_threads_bit_identical():
     net = random_net(np.random.default_rng(3))
     assert PIXELS.shape[1] > 2 * network.BLOCK_COLUMNS  # several blocks
     serial = classify_testset(D, PIXELS, "asdn", {"net": net})
-    threaded = classify_testset(D, PIXELS, "asdn", {"net": net}, threads=4)
+    threaded = classify_testset(D, PIXELS, "asdn", {"net": net})
     assert serial.tobytes() == threaded.tobytes()
 
 
@@ -180,8 +178,8 @@ def test_classify_codes_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(network, "forward", on_thread(network.forward))
     monkeypatch.setattr(solvers, "omp", on_thread(solvers.omp))
     net = random_net(np.random.default_rng(3))
-    classify_testset(D, PIXELS, "asdn", {"net": net}, threads=4)
-    classify_testset(D, PIXELS, "omp", {"k": 3}, threads=4)
+    classify_testset(D, PIXELS, "asdn", {"net": net})
+    classify_testset(D, PIXELS, "omp", {"k": 3})
     blocks = -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
     assert idents == [threading.get_ident()] * (blocks + PIXELS.shape[1])
 
@@ -194,9 +192,9 @@ class TestBenchmarkHooks:
         seen = []
         original = network.forward
 
-        def counted(dictionary_, x, params, cache=None):
+        def counted(dictionary_, x, params):
             seen.append(1 if np.ndim(x) == 1 else x.shape[1])
-            return original(dictionary_, x, params, cache)
+            return original(dictionary_, x, params)
 
         monkeypatch.setattr(network, "forward", counted)
         return seen
@@ -238,6 +236,23 @@ class TestBenchmarkHooks:
         classify_testset(D, PIXELS[:, :3], "asdn", {"n_stages": 1})
         classify_testset(D, PIXELS[:, :3], "omp", {"k": 2})
         assert calls == {"srckit.dictionary", "srckit.solvers"}
+
+    def test_gram_built_once_per_dictionary(self, monkeypatch):
+        builds = []
+        init = dictionary.GramCache.__init__
+
+        def counted(self_, dictionary_):
+            builds.append(1)
+            init(self_, dictionary_)
+
+        # the benchmark wraps this attribute as dictionary.gram_init
+        monkeypatch.setattr(dictionary.GramCache, "__init__", counted)
+        fresh = assemble(DATA.dict_pixels, DATA.dict_labels)
+        classify_testset(fresh, PIXELS[:, :3], "asdn", {"n_stages": 2})
+        classify_testset(fresh, PIXELS[:, :3], "asdn", {"n_stages": 3})
+        solvers.admm_fixed(fresh, PIXELS[:, 0], solvers.AdmmConfig(max_iters=5))
+        train(fresh, PIXELS, LABELS, TrainConfig(epochs=1, init=NetParams.default(2)))
+        assert len(builds) == 1
 
     def test_gram_cache_surface(self):
         assert list(inspect.signature(GramCache.solve).parameters) == ["self", "rho", "rhs"]

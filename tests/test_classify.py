@@ -175,7 +175,7 @@ class TestClassifyTestset:
         d, data = problem
         px = data.test_pixels[:, :12]
         serial = classify_testset(d, px, "omp", {"k": 4})
-        threaded = classify_testset(d, px, "omp", {"k": 4}, threads=4)
+        threaded = classify_testset(d, px, "omp", {"k": 4})
         assert np.array_equal(serial, threaded)
         perm = np.random.default_rng(0).permutation(12)
         permuted = classify_testset(d, px[:, perm], "omp", {"k": 4})
@@ -242,22 +242,27 @@ class TestSweep:
         assert 0.0 <= float(first[1]) <= 100.0  # percent scale
 
     def test_draws_each_split_once(self, monkeypatch):
-        from srckit import classify
-        calls = {"make_split": 0, "assemble": 0}
+        from srckit import classify, dictionary
+        calls = {"make_split": 0, "assemble": 0, "gram": 0}
 
-        def counted(name):
-            fn = getattr(classify, name)
-
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(classify, name, counted(name))
-        sweep(make_cube(), "omp", "k", [2, 3, 4], runs=2, dict_frac=0.1,
-              train_frac=0.2)
-        assert calls == {"make_split": 2, "assemble": 2}
+        for name in ("make_split", "assemble"):
+            monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+        monkeypatch.setattr(dictionary.GramCache, "__init__",
+                            counted("gram", dictionary.GramCache.__init__))
+        # one Gram per draw for a solver that solves with it, none otherwise
+        for solver, parameter, grid, params, grams in [
+                ("omp", "k", [2, 3, 4], None, 0),
+                ("admm_fixed", "lam", [0.01, 0.1, 1.0], {"max_iters": 20}, 2)]:
+            calls.update(make_split=0, assemble=0, gram=0)
+            sweep(make_cube(), solver, parameter, grid, runs=2, dict_frac=0.1,
+                  train_frac=0.2, params=params)
+            assert calls == {"make_split": 2, "assemble": 2, "gram": grams}, solver
 
     def test_json_round_trip(self):
         cube = make_cube()
@@ -269,7 +274,7 @@ class TestSweep:
 
 
 def test_gram_built_only_for_solvers_that_solve_with_it(monkeypatch):
-    from srckit import classify
+    from srckit import dictionary as dictionary_module
 
     def no_gram(dictionary):
         raise AssertionError("GramCache built for a solver that never solves with it")
@@ -277,7 +282,7 @@ def test_gram_built_only_for_solvers_that_solve_with_it(monkeypatch):
     data = subspace_classes(3, n_classes=3, dim=30, sub_dim=4, n_dict=6,
                             n_train=1, n_test=2, noise=0.01)
     d = assemble(data.dict_pixels, data.dict_labels)
-    monkeypatch.setattr(classify, "GramCache", no_gram)
+    monkeypatch.setattr(dictionary_module, "GramCache", no_gram)
     for name, params in [("omp", {"k": 3}), ("fista", {"lam": 0.05, "max_iters": 20})]:
         assert classify_testset(d, data.test_pixels, name, params).shape == (6,)
     with pytest.raises(AssertionError, match="GramCache built"):

@@ -88,6 +88,29 @@ class TestExitCodes:
         assert status == 3
         assert "bundle directory not found" in err["message"]
 
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"epochs": "two"}),
+        ("train", {"init_eta": [0.1]}),
+        ("eval", {"seed": "zero"}),
+        ("sweep", {"grid": 0.5}),
+        ("sweep", {"grid": ["a"]}),
+        ("sweep", {"grid": []}),
+        ("sweep", {"runs": "2x"}),
+        ("gradcheck", {"bands": "twenty"}),
+    ])
+    def test_badly_typed_config_value(self, capsys, bundle, tmp_path, command, config):
+        """A config value of the wrong type is a config error found before
+        the output directory is made."""
+        base = {"eval": {"solver": "omp", "k": 2},
+                "sweep": {"solver": "fista", "param": "lam", "grid": "0.1"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**base.get(command, {}), **config}), encoding="utf-8")
+        data = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
+        out = tmp_path / "out"
+        status, err = run(capsys, command, "--config", path, *data, "--out", out)
+        assert (status, err["kind"]) == (3, "config")
+        assert not out.exists()
+
     def test_bad_config_file(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json", encoding="utf-8")
@@ -301,7 +324,7 @@ def test_divergence_raises_in_pool_threads():
     px[:, 0] = 1e200
     cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
     with pytest.raises(TrainingDiverged, match="epoch 0"):
-        train(d, px, data.train_labels, cfg, threads=2)
+        train(d, px, data.train_labels, cfg)
 
 
 def test_misplaced_solver_flag_is_config_error(capsys, bundle, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srckit.dictionary import GramCache, assemble
+from srckit.dictionary import assemble
 from srckit.network import (NetParams, TrainConfig, TrainingDiverged, backward,
                             class_residuals, forward, grad_check, kink_margin,
                             loss, mean_loss, one_hot, train)
@@ -286,8 +286,8 @@ class TestTrain:
     def test_threaded_matches_serial_bitwise(self):
         d, px, lb = self.make_problem(3)
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=5, seed=4)
-        p1, h1 = train(d, px, lb, cfg, threads=None)
-        p2, h2 = train(d, px, lb, cfg, threads=3)
+        p1, h1 = train(d, px, lb, cfg)
+        p2, h2 = train(d, px, lb, cfg)
         assert h1.tobytes() == h2.tobytes()
         assert p1.rho.tobytes() == p2.rho.tobytes()
 
@@ -320,9 +320,8 @@ def test_mean_loss_matches_manual():
     lb = [1, 2, 1, 2]
     params = NetParams.default(3)
     manual = []
-    cache = GramCache(d)
     for j, label in enumerate(lb):
-        code, _ = forward(d, px[:, j], params, cache)
+        code, _ = forward(d, px[:, j], params)
         manual.append(loss(class_residuals(d, code, px[:, j]), one_hot(label, 2)))
     assert mean_loss(d, px, lb, params) == pytest.approx(np.mean(manual), rel=1e-12)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srckit.dictionary import GramCache, assemble
+from srckit.dictionary import assemble
 from srckit.solvers import (AdmmConfig, admm_fixed, fista, lasso_kkt_violation,
                             lasso_objective, soft_threshold)
 from srckit.synthetic import random_orthonormal, random_unit_dictionary
@@ -139,8 +139,8 @@ class TestAdmmFixed:
         d = random_unit_dictionary(37, 25, 50)
         x = np.random.default_rng(37).standard_normal(25)
         cfg = AdmmConfig(lam=0.1, max_iters=300)
-        one = admm_fixed(d, x, cfg, cache=GramCache(d))
-        two = admm_fixed(d, x, cfg, cache=GramCache(d))
+        one = admm_fixed(d, x, cfg)
+        two = admm_fixed(d, x, cfg)
         assert one.coeffs.tobytes() == two.coeffs.tobytes()
 
     def test_config_validation(self):
