@@ -2,16 +2,18 @@
 
 A test pixel is coded over the class-partitioned dictionary by any of the
 registered solvers, then assigned to the class whose sub-dictionary
-reconstructs it with the smallest residual. The unrolled network
-(``asdn``) codes the test pixels in blocks of ``network.BLOCK_COLUMNS`` (32)
-columns, one solve per stage for the whole block; every other solver codes
-one pixel at a time. All coding runs on the calling thread: the block and
-BLAS are the only parallelism. Reports carry the confusion matrix with overall
+reconstructs it with the smallest residual. Every solver codes the test
+pixels in blocks of ``network.BLOCK_COLUMNS`` (32) columns, with one decision
+per block. omp and gomp (batched refits) and the unrolled network ``asdn``
+(one solve per stage) code a whole block in one call; the other solvers code
+its pixels one call each. All coding runs on the calling thread: the block
+and BLAS are the only parallelism. Reports carry the confusion matrix with overall
 accuracy, average (per-class) accuracy, and the chance-corrected kappa
 coefficient, all as fractions in [0, 1].
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -92,6 +94,16 @@ def evaluate(pred, truth, n_classes: int) -> ClassificationReport:
                                 oa=oa, aa=aa, kappa=float(kappa))
 
 
+def integer(value) -> int:
+    """``value`` as an int: an integer, or a float with an integral value
+    (the 2.0 a sweep grid gives "k"). A boolean, a fractional or non-finite
+    number, or anything else raises ValueError rather than being truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _net_params(net) -> "network.NetParams":
     return net if isinstance(net, network.NetParams) else network.NetParams.from_json(net)
 
@@ -111,7 +123,8 @@ SOLVER_PARAMS = {
     "admm_fixed": ("lam", "rho", "relax", "tau", "max_iters", "tol"),
     "asdn": ("net", "n_stages"),
 }
-PARAM_TYPES = {"k": int, "s": int, "step": int, "max_iters": int, "n_stages": int,
+PARAM_TYPES = {"k": integer, "s": integer, "step": integer, "max_iters": integer,
+               "n_stages": integer,
                "lam": float, "rho": float, "relax": float, "tau": float, "tol": float,
                "net": _net_params}
 SOLVER_NAMES = tuple(SOLVER_PARAMS)
@@ -128,22 +141,23 @@ def canonical_params(params: dict | None) -> dict:
     return {param_name(key): value for key, value in (params or {}).items()}
 
 
-def check_sweep(solver: str, parameter: str, params: dict | None = None) -> None:
+def check_sweep(solver: str, parameter: str, params: dict | None, grid) -> None:
     """Raise ValueError unless ``solver`` takes the numeric ``parameter`` and,
-    with it set, has every parameter it needs."""
+    with it set to each value of ``grid``, has every parameter it needs."""
     key = param_name(parameter)
     taken = SOLVER_PARAMS.get(solver)
-    if taken is not None and (key not in taken or PARAM_TYPES[key] not in (int, float)):
+    if taken is not None and (key not in taken or PARAM_TYPES[key] not in (integer, float)):
         raise ValueError(f"solver {solver} takes no numeric parameter {parameter!r}; "
                          f"it takes {', '.join(taken)}")
-    solver_kwargs(solver, {**canonical_params(params), key: 1})
+    for value in grid:
+        solver_kwargs(solver, {**canonical_params(params), key: value})
 
 
 def solver_kwargs(name: str, params: dict | None = None) -> dict:
     """The keyword arguments solver ``name`` takes from a parameter record,
     cast to their types. Keys set to None count as absent. An unknown
-    solver, a key the solver does not take, a missing "k", or "n_stages"
-    beside "net" raises ValueError naming it."""
+    solver, a key the solver does not take, a value its type rejects, a
+    missing "k", or "n_stages" beside "net" raises ValueError naming it."""
     if name not in SOLVER_PARAMS:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     params = canonical_params(params)
@@ -158,51 +172,60 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
     if params.get("net") is not None and params.get("n_stages") is not None:
         raise ValueError(f"solver {name} takes 'n_stages' only without 'net': "
                          "a trained network fixes its own depth")
-    return {key: PARAM_TYPES[key](params[key]) for key in keys
-            if params.get(key) is not None}
+    kwargs = {}
+    for key in keys:
+        if params.get(key) is not None:
+            try:
+                kwargs[key] = PARAM_TYPES[key](params[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"solver {name} parameter {key!r}: {exc}") from exc
+    return kwargs
 
 
 def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
-    """Build a solver callable ``x -> SparseCode`` for one pixel; asdn's
-    also codes a block of pixel columns (bands, n) in one forward pass.
+    """Build a solver callable ``x -> SparseCode`` that codes one pixel
+    (bands,) or a block of pixel columns (bands, n).
 
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
     (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
-    module at every call. admm_fixed and asdn solve through the
-    dictionary's ``gram_cache``, so the Gram is built at their first solve
-    and only for them, and later solvers over the same dictionary reuse it.
+    module at every call. omp, gomp and asdn code a block in one call;
+    every other solver codes it one ``solvers.<name>`` call per column and
+    stacks the codes. admm_fixed and asdn solve through the dictionary's
+    ``gram_cache``, so the Gram is built at their first solve and only for
+    them, and later solvers over the same dictionary reuse it.
     """
     kwargs = solver_kwargs(name, params)
-    if name == "admm_fixed":
-        cfg = solvers.AdmmConfig(**kwargs)
-        return lambda x: solvers.admm_fixed(dictionary, x, cfg)
     if name == "asdn":
         net = kwargs.get("net") or network.NetParams.default(**kwargs)
         return lambda x: network.forward(dictionary, x, net)[0]
-    return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
+    if name in ("omp", "gomp"):
+        return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
+    if name == "admm_fixed":
+        kwargs = {"cfg": solvers.AdmmConfig(**kwargs)}
+
+    def per_column(x):
+        if x.ndim == 1:
+            return getattr(solvers, name)(dictionary, x, **kwargs)
+        return solvers.SparseCode.from_dense(
+            np.stack([per_column(column).coeffs for column in x.T], axis=1))
+    return per_column
 
 
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
                      params: dict | None = None) -> np.ndarray:
     """Code every pixel column and apply the residual decision rule.
 
-    ``asdn`` codes blocks of network.BLOCK_COLUMNS pixels, one forward pass
-    each, and decides each column from the block's class residuals; every
-    other solver codes one pixel at a time, all on the calling thread.
-    Solvers that solve with the Gram use, and keep filling, the
-    dictionary's ``gram_cache``.
+    Pixels are coded in blocks of network.BLOCK_COLUMNS, one call of the
+    ``make_solver`` callable and one ``src_decide`` per block, all on the
+    calling thread. Solvers that solve with the Gram use, and keep filling,
+    the dictionary's ``gram_cache``.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
     solve = make_solver(dictionary, solver, params)
-    width = network.BLOCK_COLUMNS if solver == "asdn" else None
-
-    def decide(start):
-        x = pixels[:, start:start + width] if width else pixels[:, start]
-        return src_decide(dictionary, solve(x), x)
-
-    preds = [decide(start) for start in range(0, pixels.shape[1], width or 1)]
-    return np.asarray(np.concatenate(preds) if width else preds, dtype=np.int64)
+    width = network.BLOCK_COLUMNS
+    blocks = [pixels[:, start:start + width] for start in range(0, pixels.shape[1], width)]
+    return np.concatenate([src_decide(dictionary, solve(x), x) for x in blocks]).astype(np.int64)
 
 
 @dataclass
@@ -262,7 +285,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
         raise ValueError("parameter grid is empty")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    check_sweep(solver, parameter, params)
+    check_sweep(solver, parameter, params, grid)
     base = canonical_params(params)
     seeds = [base_seed + r for r in range(runs)]
 

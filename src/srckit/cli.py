@@ -22,7 +22,7 @@ import numpy as np
 
 from . import network, synthetic
 from .classify import (PARAM_TYPES, SOLVER_NAMES, canonical_params, check_sweep,
-                       classify_testset, evaluate, solver_kwargs, sweep)
+                       classify_testset, evaluate, integer, solver_kwargs, sweep)
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
 from .dictionary import assemble
@@ -259,6 +259,13 @@ def _require(config: dict, key: str, kind=None, default=None):
     return value
 
 
+def _boolean(value) -> bool:
+    """A JSON boolean as is; a string such as "false" is not read as one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _dataset_inputs(config: dict):
     bundle = Path(_require(config, "bundle"))
     if not bundle.is_dir():
@@ -269,8 +276,8 @@ def _dataset_inputs(config: dict):
         raise ConfigError(f"dict_frac must lie in (0, 1), got {dict_frac}")
     if not 0.0 <= train_frac < 1.0:
         raise ConfigError(f"train_frac must lie in [0, 1), got {train_frac}")
-    seed = _require(config, "seed", int, 0)
-    normalize = bool(config.get("normalize", True))
+    seed = _require(config, "seed", integer, 0)
+    normalize = _require(config, "normalize", _boolean, True)
     return bundle, dict_frac, train_frac, seed, normalize
 
 
@@ -393,15 +400,15 @@ def _cmd_split(config: dict) -> int:
 
 def _cmd_train(config: dict) -> int:
     bundle, dict_frac, train_frac, seed, normalize = _dataset_inputs(config)
-    init = NetParams.default(_require(config, "stages", int, 9),
+    init = NetParams.default(_require(config, "stages", integer, 9),
                              rho=_require(config, "init_rho", float, 1.0),
                              eta=_require(config, "init_eta", float, 0.1),
                              tau=_require(config, "init_tau", float, 1.0))
     train_cfg = TrainConfig(
         learning_rate=_require(config, "learning_rate", float, 1e-2),
-        epochs=_require(config, "epochs", int, 50),
-        batch_size=_require(config, "batch_size", int, 32),
-        seed=_require(config, "train_seed", int, seed),
+        epochs=_require(config, "epochs", integer, 50),
+        batch_size=_require(config, "batch_size", integer, 32),
+        seed=_require(config, "train_seed", integer, seed),
         init=init,
     )
     cube = load_bundle(bundle)
@@ -458,12 +465,12 @@ def _cmd_sweep(config: dict) -> int:
     solver = _require(config, "solver")
     parameter = _require(config, "param")
     grid = _require(config, "grid", _grid_values)
-    runs = _require(config, "runs", int, 5)
+    runs = _require(config, "runs", integer, 5)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    base_seed = _require(config, "base_seed", int, 0)
+    base_seed = _require(config, "base_seed", integer, 0)
     params = _solver_params(config)
-    _checked(check_sweep, solver, parameter, params)
+    _checked(check_sweep, solver, parameter, params, grid)
     cube = load_bundle(bundle)
     outdir = _outdir(config)
 
@@ -479,15 +486,15 @@ def _cmd_sweep(config: dict) -> int:
 
 
 def _cmd_gradcheck(config: dict) -> int:
-    seed = _require(config, "seed", int, 0)
+    seed = _require(config, "seed", integer, 0)
     fd_step = _require(config, "fd_step", float, 1e-6)
     tol = _require(config, "tol", float, 1e-5)
     dictionary, x, y, params = synthetic.gradcheck_instance(
         seed,
-        n_bands=_require(config, "bands", int, 20),
-        n_atoms=_require(config, "atoms", int, 40),
-        n_classes=_require(config, "n_classes", int, 2),
-        n_stages=_require(config, "stages", int, 5))
+        n_bands=_require(config, "bands", integer, 20),
+        n_atoms=_require(config, "atoms", integer, 40),
+        n_classes=_require(config, "n_classes", integer, 2),
+        n_stages=_require(config, "stages", integer, 5))
     outdir = _outdir(config)
     report = grad_check(dictionary, x, y, params, step=fd_step)
     doc = {

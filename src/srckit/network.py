@@ -23,8 +23,9 @@ ADMM iterates exactly; the final node is that kernel's sparsity node alone.
 a block of pixel columns (bands, n). Every stage is elementwise apart from
 its solve through the dictionary's ``gram_cache``, so a block costs one solve
 over all its columns per node in place of one per pixel. The per-pixel calls
-stay the reference: ``grad_check`` runs on them. ``classify.classify_testset``
-and ``train`` code pixels in blocks of BLOCK_COLUMNS = 32. The width is
+stay the reference: ``grad_check`` runs on them. ``train`` codes pixels, and
+``classify.classify_testset`` codes them for every solver, in blocks of
+BLOCK_COLUMNS = 32. The width is
 bounded by memory, because a forward pass keeps the whole StageTrace of its
 block: evaluating 635 pixels over 426 atoms with 9 stages, 32 columns leave
 the peak resident memory where the per-pixel loop had it (125.5 MiB), while

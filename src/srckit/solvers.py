@@ -1,17 +1,20 @@
 """Baseline sparse solvers over a class-partitioned dictionary.
 
-Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. One growth
-loop serves gomp and romp (omp is gomp with one atom per step), and one
-expand-prune-refit step serves sp and samp.
+Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. gomp codes a
+block of pixel columns at once, with batched refits (omp is gomp with one
+atom per step); romp grows one pixel's support in ``_grow``, the per-pixel
+form of the same loop; one expand-prune-refit step serves sp and samp.
 l1 family (weight lambda): fista, admm_fixed. ``admm_stage`` is the one
 scaled-form ADMM stage, shared by admm_fixed and the unrolled network.
 
-Conventions shared by every solver here:
+Conventions shared by every solver here, per pixel column of a block:
   * correlation ties break toward the lowest atom index;
   * correlations at or below 1e-12 * ||x|| count as zero and are never
     selected (keeps exact-recovery supports free of numerical junk);
   * least-squares refits solve the SPD normal equations on the selected
-    sub-Gram with one refinement step.
+    sub-Gram with one refinement step;
+  * the ``tol`` stop tests the explicit residual x - D_S c, and each column
+    of a block stops on its own.
 """
 from __future__ import annotations
 
@@ -145,6 +148,23 @@ def _ls_on_support(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _ls_on_supports(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_ls_on_support`` for a stack of subsets: atoms_s (n, t, bands) holds
+    pixel j's t selected atoms as rows and x (n, bands) the pixels; returns
+    (n, t) coefficients from one batched solve of the normal equations plus
+    one refinement step. A stack with a sub-Gram that is not positive
+    definite is refit pixel by pixel, where lstsq takes the degenerate one."""
+    g = atoms_s @ atoms_s.transpose(0, 2, 1)
+    b = atoms_s @ x[:, :, None]
+    try:
+        np.linalg.cholesky(g)  # the check cho_factor makes per pixel
+    except np.linalg.LinAlgError:
+        return np.stack([_ls_on_support(a.T, row) for a, row in zip(atoms_s, x)])
+    coef = np.linalg.solve(g, b)
+    coef += np.linalg.solve(g, b - g @ coef)
+    return coef[:, :, 0]
+
+
 def _code_from_support(n_atoms: int, support: np.ndarray, coef: np.ndarray) -> SparseCode:
     coeffs = np.zeros(n_atoms)
     coeffs[support] = coef
@@ -196,7 +216,8 @@ def omp(dictionary: Dictionary, x: np.ndarray, k: int,
         tol: float = GREEDY_TOL) -> SparseCode:
     """Orthogonal matching pursuit: grow the support one atom at a time by
     max correlation with the residual, refitting least squares each step.
-    This is gomp with one atom per iteration."""
+    This is gomp with one atom per iteration, so ``x`` may be one pixel
+    (bands,) or a block (bands, n)."""
     return gomp(dictionary, x, k, 1, tol)
 
 
@@ -257,7 +278,17 @@ def romp(dictionary: Dictionary, x: np.ndarray, k: int,
 def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
          tol: float = GREEDY_TOL) -> SparseCode:
     """Generalized OMP: select ``s`` atoms per iteration by correlation
-    magnitude, refit, run ceil(K/s) iterations. s=1 is omp."""
+    magnitude, refit, run ceil(K/s) iterations. s=1 is omp.
+
+    ``x`` is one pixel (bands,), coded as a one-column block, or a block of
+    pixel columns (bands, n), whose code has coeffs (n_atoms, n). Each step takes the correlations of every still-active pixel in one
+    product, picks each pixel's ``s`` strongest unselected atoms, and refits
+    every pixel in one batched solve on the stack of sub-Grams of its
+    selected atoms (Batch OMP, Rubinstein et al. 2008); the Gram of the
+    whole dictionary is never built. Each pixel stops on its own, as in
+    ``_grow``: at residual <= tol, with no pick above the floor, or after
+    ceil(K/s) steps.
+    """
     _check_sparsity_level(dictionary, k)
     if s < 1:
         raise ValueError(f"atoms-per-iteration S={s} must be >= 1")
@@ -265,9 +296,48 @@ def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
     if s * n_iters > dictionary.n_atoms:
         raise ValueError(
             f"S*iterations = {s * n_iters} exceeds dictionary size {dictionary.n_atoms}")
-    return _grow(dictionary, x, tol, n_iters,
-                 lambda correlations, floor, support:
-                 _top_candidates(correlations, s, floor, support), sort=False)
+    x = np.asarray(x, dtype=np.float64)
+    atoms, atoms_t = dictionary.atoms, dictionary.atoms.T
+    rows = np.ascontiguousarray(x.reshape(len(x), -1).T)  # one row per pixel
+    n = len(rows)
+    floor = _CORR_FLOOR_REL * np.linalg.norm(rows, axis=1)
+    chosen = np.zeros((n, dictionary.n_atoms), dtype=bool)
+    support = np.zeros((n, s * n_iters), dtype=np.int64)  # in selection order
+    coef = np.zeros((n, s * n_iters))
+    size = np.zeros(n, dtype=np.int64)
+    residual = rows.copy()
+    active = np.flatnonzero(np.linalg.norm(residual, axis=1) > tol)
+    for _ in range(n_iters):
+        mags = np.abs(residual[active] @ atoms)
+        mags[chosen[active]] = -1.0
+        # s first-argmax picks, each masked for the next: the order of a
+        # stable sort by descending magnitude, so ties go to the lowest index
+        each = np.arange(len(active))
+        picks = np.empty((len(active), s), dtype=np.int64)
+        valid = np.empty((len(active), s), dtype=bool)
+        for q in range(s):
+            picks[:, q] = mags.argmax(axis=1)
+            valid[:, q] = mags[each, picks[:, q]] > floor[active]  # a prefix of each row
+            mags[each, picks[:, q]] = -1.0
+        keep = valid[:, 0]
+        active, picks, valid = active[keep], picks[keep], valid[keep]
+        if active.size == 0:
+            break
+        owner = np.broadcast_to(active[:, None], valid.shape)[valid]
+        support[owner, (size[active, None] + np.arange(s))[valid]] = picks[valid]
+        chosen[owner, picks[valid]] = True
+        size[active] += valid.sum(axis=1)
+        # a step may pick fewer than s atoms for some pixels: refit by size
+        for t in np.unique(size[active]):
+            group = active[size[active] == t]
+            atoms_s = atoms_t[support[group, :t]]  # (pixels, t, bands)
+            coef[group, :t] = _ls_on_supports(atoms_s, rows[group])
+            residual[group] = rows[group] - np.matmul(coef[group, None, :t], atoms_s)[:, 0]
+        active = active[np.linalg.norm(residual[active], axis=1) > tol]
+    coeffs = np.zeros((dictionary.n_atoms, n))
+    pixel, slot = np.nonzero(np.arange(support.shape[1]) < size[:, None])
+    coeffs[support[pixel, slot], pixel] = coef[pixel, slot]
+    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + x.shape[1:]))
 
 
 def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,

@@ -1,6 +1,7 @@
-"""Differential tests of the blocked network path against the per-pixel
-reference path, and the hooks the benchmark harness wraps."""
+"""Differential tests of the blocked network and greedy paths against the
+per-pixel reference paths, and the hooks the benchmark harness wraps."""
 import inspect
+import math
 import threading
 
 import numpy as np
@@ -158,6 +159,78 @@ def test_classify_asdn_matches_per_pixel_solver(width, seed):
     assert got.tolist() == want
 
 
+def greedy_block(rng, width, k):
+    """Test pixels, some replaced by exact sparse combinations of at most k
+    atoms (a 1-sparse one stops on tol after one step), zero columns and
+    repeats of column 0."""
+    x = pick(rng, width)[0].copy()
+    kind = rng.integers(0, 4, width)
+    for j in np.flatnonzero(kind == 1):
+        atoms = rng.choice(D.n_atoms, size=int(rng.integers(1, k + 1)), replace=False)
+        x[:, j] = D.atoms[:, atoms] @ (rng.uniform(0.5, 2.0, atoms.size)
+                                       * rng.choice([-1.0, 1.0], atoms.size))
+    x[:, kind == 2] = 0.0
+    x[:, kind == 3] = x[:, [0]]
+    return x
+
+
+@examples
+@given(width=widths, s=st.sampled_from([1, 2, 3]), seed=seeds)
+def test_gomp_block_matches_per_pixel_growth(width, s, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    x = greedy_block(rng, width, k)
+    block = solvers.gomp(D, x, k, s)
+    assert block.coeffs.shape == (D.n_atoms, width)
+
+    def top_s(correlations, floor, support):
+        return solvers._top_candidates(correlations, s, floor, support)
+
+    for j in range(width):
+        want = solvers._grow(D, x[:, j], solvers.GREEDY_TOL, math.ceil(k / s),
+                             top_s, sort=False)
+        got = block.coeffs[:, j]
+        # on an exact-sparse column, atoms picked beside the true ones get
+        # roundoff-level coefficients that either path may round to zero
+        tiny = 1e-10 * np.linalg.norm(want.coeffs)
+        assert np.array_equal(np.flatnonzero(np.abs(got) > tiny),
+                              np.flatnonzero(np.abs(want.coeffs) > tiny)), j
+        assert np.linalg.norm(got - want.coeffs) <= tiny, j
+
+
+@examples
+@given(width=widths, seed=seeds)
+def test_classify_omp_matches_per_pixel_solver(width, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    x = greedy_block(rng, width, k)
+    solve = make_solver(D, "omp", {"k": k})
+    want = [src_decide(D, solve(x[:, j]), x[:, j]) for j in range(width)]
+    got = classify_testset(D, x, "omp", {"k": k})
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_gomp_block_stops_each_column_on_its_own():
+    # a 1-sparse column meets tol after one step while its neighbour runs
+    # all K steps; a zero column never starts
+    x = np.stack([D.atoms[:, 5] * 2.0, PIXELS[:, 0], np.zeros(D.n_bands)], axis=1)
+    code = solvers.gomp(D, x, 6, s=1)
+    assert np.flatnonzero(code.coeffs[:, 0]).tolist() == [5]
+    assert np.count_nonzero(code.coeffs[:, 1]) == 6
+    assert not code.coeffs[:, 2].any()
+
+
+def test_block_refit_falls_back_per_pixel_on_a_singular_sub_gram():
+    # a zero atom makes the second sub-Gram singular, so cho_factor would
+    # fail on it: the whole stack is refit as _ls_on_support refits a pixel
+    atoms_s = np.stack([D.atoms[:, [0, 1]].T, np.stack([D.atoms[:, 2], np.zeros(D.n_bands)])])
+    x = PIXELS[:, :2].T
+    got = solvers._ls_on_supports(atoms_s, x)
+    for j in range(2):
+        assert np.array_equal(got[j], solvers._ls_on_support(atoms_s[j].T, x[j]))
+
+
 def test_classify_asdn_threads_bit_identical():
     net = random_net(np.random.default_rng(3))
     assert PIXELS.shape[1] > 2 * network.BLOCK_COLUMNS  # several blocks
@@ -181,7 +254,7 @@ def test_classify_codes_on_the_calling_thread(monkeypatch):
     classify_testset(D, PIXELS, "asdn", {"net": net})
     classify_testset(D, PIXELS, "omp", {"k": 3})
     blocks = -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
-    assert idents == [threading.get_ident()] * (blocks + PIXELS.shape[1])
+    assert idents == [threading.get_ident()] * (2 * blocks)
 
 
 class TestBenchmarkHooks:
@@ -234,7 +307,7 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(module, "cho_factor",
                                 counting(module.__name__, module.cho_factor))
         classify_testset(D, PIXELS[:, :3], "asdn", {"n_stages": 1})
-        classify_testset(D, PIXELS[:, :3], "omp", {"k": 2})
+        classify_testset(D, PIXELS[:, :3], "sp", {"k": 2})
         assert calls == {"srckit.dictionary", "srckit.solvers"}
 
     def test_gram_built_once_per_dictionary(self, monkeypatch):

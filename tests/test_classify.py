@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from srckit.classify import (ClassificationReport, classify_testset, evaluate,
-                             make_solver, src_decide, sweep)
+from srckit.classify import (ClassificationReport, check_sweep, classify_testset,
+                             evaluate, make_solver, solver_kwargs, src_decide, sweep)
 from srckit.data import LabeledCube, pixels_to_cube
 from srckit.dictionary import assemble
 from srckit.network import NetParams
@@ -295,3 +295,14 @@ def test_asdn_net_with_n_stages_raises():
     d = assemble(data.dict_pixels, data.dict_labels)
     with pytest.raises(ValueError, match="'n_stages'"):
         make_solver(d, "asdn", {"net": NetParams.default(9), "n_stages": 1})
+
+
+def test_integer_parameters_are_not_truncated():
+    assert solver_kwargs("gomp", {"k": 4.0, "s": np.int64(2)}) == {"k": 4, "s": 2}
+    assert type(solver_kwargs("omp", {"k": 2.0})["k"]) is int
+    for bad in (9.7, True, "3", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="'k'"):
+            solver_kwargs("omp", {"k": bad})
+    check_sweep("omp", "k", None, [1.0, 2.0])
+    with pytest.raises(ValueError, match="2.5"):
+        check_sweep("omp", "k", None, [1.0, 2.5])

@@ -97,6 +97,13 @@ class TestExitCodes:
         ("sweep", {"grid": []}),
         ("sweep", {"runs": "2x"}),
         ("gradcheck", {"bands": "twenty"}),
+        ("eval", {"normalize": "false"}),
+        ("train", {"normalize": 0}),
+        ("train", {"epochs": 1.9}),
+        ("train", {"epochs": True}),
+        ("eval", {"k": 9.7}),
+        ("eval", {"k": True}),
+        ("sweep", {"runs": 2.5}),
     ])
     def test_badly_typed_config_value(self, capsys, bundle, tmp_path, command, config):
         """A config value of the wrong type is a config error found before
@@ -109,6 +116,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         status, err = run(capsys, command, "--config", path, *data, "--out", out)
         assert (status, err["kind"]) == (3, "config")
+        assert all(key in err["message"] for key in config)
         assert not out.exists()
 
     def test_bad_config_file(self, capsys, tmp_path):
