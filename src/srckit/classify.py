@@ -13,6 +13,7 @@ coefficient, all as fractions in [0, 1].
 """
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,16 @@ def integer(value) -> int:
     return int(value)
 
 
+def real(value) -> float:
+    """``value`` as a finite float: an integer or a real number such as a
+    numpy float. A boolean, a string, NaN or an infinity raises ValueError
+    rather than being cast."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"expected a finite real number, got {value!r}")
+    return float(value)
+
+
 def _net_params(net) -> "network.NetParams":
     return net if isinstance(net, network.NetParams) else network.NetParams.from_json(net)
 
@@ -125,7 +136,7 @@ SOLVER_PARAMS = {
 }
 PARAM_TYPES = {"k": integer, "s": integer, "step": integer, "max_iters": integer,
                "n_stages": integer,
-               "lam": float, "rho": float, "relax": float, "tau": float, "tol": float,
+               "lam": real, "rho": real, "relax": real, "tau": real, "tol": real,
                "net": _net_params}
 SOLVER_NAMES = tuple(SOLVER_PARAMS)
 
@@ -146,7 +157,7 @@ def check_sweep(solver: str, parameter: str, params: dict | None, grid) -> None:
     with it set to each value of ``grid``, has every parameter it needs."""
     key = param_name(parameter)
     taken = SOLVER_PARAMS.get(solver)
-    if taken is not None and (key not in taken or PARAM_TYPES[key] not in (integer, float)):
+    if taken is not None and (key not in taken or PARAM_TYPES[key] not in (integer, real)):
         raise ValueError(f"solver {solver} takes no numeric parameter {parameter!r}; "
                          f"it takes {', '.join(taken)}")
     for value in grid:
@@ -177,7 +188,7 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
         if params.get(key) is not None:
             try:
                 kwargs[key] = PARAM_TYPES[key](params[key])
-            except (TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"solver {name} parameter {key!r}: {exc}") from exc
     return kwargs
 

@@ -1,13 +1,22 @@
 """Config-driven command-line front end for reproducible experiment runs.
 
 Subcommands: ingest | split | train | eval | sweep | gradcheck | report.
-A JSON config file supplies defaults; every flag overrides its config key.
-Each run validates the full configuration before touching the output
-directory, then writes its outputs plus a manifest.json capturing the
-effective config, seeds, and content hashes of the input files.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 config error.
-Failures print a single-line JSON object to stderr.
+One table, KEYS, declares every configuration key: its command-line flags,
+its kind, an optional range check, and the subcommands that read it with
+each one's default. The parser is generated from it. A run takes a JSON
+config file (--config), puts every flag given on top of it (flags win), and
+checks each key its subcommand reads before it touches the output
+directory: a value of the wrong kind (a boolean or string for a number,
+NaN or infinity for a real, a fraction for an integer), a value out of
+range, or a missing required key is a config error. Solver parameters take
+their kinds from classify.PARAM_TYPES. Keys the subcommand does not read
+are accepted and ignored. Each run writes its outputs plus a manifest.json
+with the effective typed config (every key read, defaults filled in) and
+content hashes of the input files.
+
+Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
+3 config error. Failures print a single-line JSON object to stderr.
 """
 from __future__ import annotations
 
@@ -17,12 +26,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import network, synthetic
-from .classify import (PARAM_TYPES, SOLVER_NAMES, canonical_params, check_sweep,
-                       classify_testset, evaluate, integer, solver_kwargs, sweep)
+from . import synthetic
+from .classify import (PARAM_TYPES, SOLVER_NAMES, ClassificationReport, canonical_params,
+                       check_sweep, classify_testset, evaluate, integer, real,
+                       solver_kwargs, sweep)
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
 from .dictionary import assemble
@@ -71,8 +82,20 @@ def _hash_inputs(paths) -> dict:
 
 
 def _write_json(path: Path, doc, indent: int | None = 2) -> None:
-    path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # a config "net" document is recorded as the network it parsed to
+    path.write_text(json.dumps(doc, indent=indent, sort_keys=True,
+                               default=NetParams.to_json) + "\n", encoding="utf-8")
+
+
+def _read_json(path: Path, what: str, parse=lambda doc: doc):
+    """``parse`` of the JSON document in ``path``. A missing file, one that is
+    not JSON, or one that ``parse`` rejects is a config error naming it."""
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path} is malformed: {exc!r}") from exc
 
 
 def parse_grid(text: str):
@@ -102,195 +125,193 @@ def parse_grid(text: str):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _grid_values(value) -> list:
-    """A config grid: grid text (see parse_grid) or a list of numbers."""
-    grid = parse_grid(value) if isinstance(value, str) else [float(v) for v in value]
+def _grid(value) -> list:
+    """A sweep grid: grid text (see parse_grid) or a nonempty list of
+    finite numbers."""
+    grid = [real(v) for v in (parse_grid(value) if isinstance(value, str) else value)]
     if not grid:
-        raise ConfigError("parameter grid is empty")
+        raise ValueError("parameter grid is empty")
     return grid
 
 
+# ---------------------------------------------------------------------------
+# the key table
+
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One config key. ``flags``: its spellings (a bool key has a --x/--no-x
+    pair; none for a config-only key). ``kind``: a caster such as
+    classify.integer, a type the value must be (bool, str, dict), or a tuple
+    of the allowed values. ``commands``: each subcommand that reads the key,
+    with its default (REQUIRED, or None if optional). ``check``: a range
+    check (text, predicate). ``config_only``: subcommands without the flag.
+    """
+
+    flags: tuple
+    kind: object
+    commands: dict
+    check: tuple | None = None
+    help: str | None = None
+    config_only: tuple = ()
+
+
+_DRAW = ("split", "train", "eval", "sweep")  # read a bundle and draw a split
+_CODE = ("eval", "sweep")  # classify with a solver
+_FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
+_AT_LEAST_ONE = ("be >= 1", lambda v: v >= 1)
+
+KEYS = {
+    "out": Key(("--out",), str, {**dict.fromkeys(_SUBCOMMANDS, REQUIRED), "report": None},
+               help="output directory"),
+    "bundle": Key(("--bundle",), str, dict.fromkeys(("ingest", *_DRAW), REQUIRED),
+                  help="bundle directory"),
+    "csv": Key(("--csv",), str, {"ingest": None},
+               help="pixel CSV to convert (omit to validate --bundle)"),
+    "dict_frac": Key(("--dict-frac",), real, dict.fromkeys(_DRAW, 0.01),
+                     ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)),
+    "train_frac": Key(("--train-frac",), real, dict.fromkeys(_DRAW, 1.0 / 11.0),
+                      ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+    "seed": Key(("--seed",), integer, dict.fromkeys(("split", "train", "eval", "gradcheck"), 0),
+                help="split seed"),
+    "normalize": Key(("--normalize", "--no-normalize"), bool,
+                     dict.fromkeys(("train", "eval", "sweep"), True)),
+    "split_file": Key(("--split",), str, dict.fromkeys(("train", "eval")),
+                      help="reuse a saved split.json instead of re-drawing"),
+    "stages": Key(("--stages",), integer, {"train": 9, "gradcheck": 5}, help="network depth N"),
+    "learning_rate": Key(("--lr",), real, {"train": 1e-2}),
+    "epochs": Key(("--epochs",), integer, {"train": 50}),
+    "batch_size": Key(("--batch-size",), integer, {"train": 32}),
+    "train_seed": Key(("--train-seed",), integer, {"train": None}),  # None: the split seed
+    "init_eta": Key(("--init-eta",), real, {"train": 0.1}),
+    "init_rho": Key(("--init-rho",), real, {"train": 1.0}),
+    "init_tau": Key(("--init-tau",), real, {"train": 1.0}),
+    "solver": Key(("--solver",), SOLVER_NAMES, dict.fromkeys(_CODE, REQUIRED)),
+    "k": Key(("--K",), PARAM_TYPES["k"], dict.fromkeys(_CODE), help="sparsity level"),
+    "s": Key(("--S",), PARAM_TYPES["s"], dict.fromkeys(_CODE), help="atoms per iteration (gomp)"),
+    "step": Key(("--step",), PARAM_TYPES["step"], dict.fromkeys(_CODE),
+                help="size increment (samp)"),
+    "lam": Key(("--lambda", "--lam"), PARAM_TYPES["lam"], dict.fromkeys(_CODE), help="l1 weight"),
+    "rho": Key(("--rho",), PARAM_TYPES["rho"], dict.fromkeys(_CODE), help="penalty parameter"),
+    "relax": Key(("--relax",), PARAM_TYPES["relax"], dict.fromkeys(_CODE),
+                 help="relaxation scalar"),
+    "tau": Key(("--tau",), PARAM_TYPES["tau"], dict.fromkeys(_CODE), help="dual step rate"),
+    "max_iters": Key(("--max-iters",), PARAM_TYPES["max_iters"], dict.fromkeys(_CODE)),
+    "tol": Key(("--tol",), PARAM_TYPES["tol"], {"eval": None, "sweep": None, "gradcheck": 1e-5},
+               help="solver tolerance; gradcheck: max acceptable relative error"),
+    "n_stages": Key((), PARAM_TYPES["n_stages"], dict.fromkeys(_CODE)),
+    "net": Key((), PARAM_TYPES["net"], dict.fromkeys(_CODE)),
+    "solver_params": Key((), dict, dict.fromkeys(_CODE)),
+    # sweep has no --params: a trained network fixes n_stages, the only
+    # parameter asdn could sweep
+    "net_params": Key(("--params",), str, dict.fromkeys(_CODE),
+                      help="trained network params.json (asdn solver)", config_only=("sweep",)),
+    "param": Key(("--param",), str, {"sweep": REQUIRED},
+                 help="solver parameter to sweep (e.g. k, lam, rho)"),
+    "grid": Key(("--grid",), _grid, {"sweep": REQUIRED}, help="a:b | a:b:s | comma list"),
+    "runs": Key(("--runs",), integer, {"sweep": 5}, _AT_LEAST_ONE),
+    "base_seed": Key(("--base-seed",), integer, {"sweep": 0}),
+    "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}, ("be > 0", lambda v: v > 0.0)),
+    "bands": Key(("--bands",), integer, {"gradcheck": 20}, _AT_LEAST_ONE),
+    "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _AT_LEAST_ONE),
+    "n_classes": Key(("--classes",), integer, {"gradcheck": 2}, _AT_LEAST_ONE),
+    "report": Key(("--report",), str, {"report": REQUIRED}, help="path to a report.json"),
+    "csv_out": Key(("--csv",), str, {"report": None}, help="also write per-class rows as CSV"),
+}
+
+
 def _build_parser() -> _Parser:
+    """One subparser per subcommand, with --config and a flag for every key
+    the subcommand reads from the command line."""
     parser = _Parser(prog="srckit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
-
-    def common(p):
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
-
-    def dataset(p, seed=True, normalize=True, split=True):
-        p.add_argument("--bundle", help="bundle directory")
-        p.add_argument("--dict-frac", type=float, dest="dict_frac")
-        p.add_argument("--train-frac", type=float, dest="train_frac")
-        if seed:
-            p.add_argument("--seed", type=int, help="split seed")
-        if normalize:
-            norm = p.add_mutually_exclusive_group()
-            norm.add_argument("--normalize", dest="normalize", action="store_true",
-                              default=None)
-            norm.add_argument("--no-normalize", dest="normalize", action="store_false",
-                              default=None)
-        if split:
-            p.add_argument("--split", dest="split_file",
-                           help="reuse a saved split.json instead of re-drawing")
-
-    def solver(p):
-        p.add_argument("--solver", choices=SOLVER_NAMES)
-        p.add_argument("--K", type=int, dest="k", help="sparsity level")
-        p.add_argument("--S", type=int, dest="s", help="atoms per iteration (gomp)")
-        p.add_argument("--step", type=int, help="size increment (samp)")
-        p.add_argument("--lambda", "--lam", type=float, dest="lam", help="l1 weight")
-        p.add_argument("--rho", type=float, help="penalty parameter")
-        p.add_argument("--relax", type=float, help="relaxation scalar")
-        p.add_argument("--tau", type=float, help="dual step rate")
-        p.add_argument("--max-iters", type=int, dest="max_iters")
-        p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("ingest", help="convert a pixel CSV to a bundle, or validate one")
-    common(p)
-    p.add_argument("--csv", help="pixel CSV to convert (omit to validate --bundle)")
-    p.add_argument("--bundle", help="bundle directory to write or validate")
-
-    p = sub.add_parser("split", help="draw and save a dictionary/train/test split")
-    common(p)
-    dataset(p, normalize=False, split=False)
-
-    p = sub.add_parser("train", help="train the unrolled network on the train split")
-    common(p)
-    dataset(p)
-    p.add_argument("--stages", type=int, help="network depth N")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--train-seed", type=int, dest="train_seed")
-    p.add_argument("--init-eta", type=float, dest="init_eta")
-    p.add_argument("--init-rho", type=float, dest="init_rho")
-    p.add_argument("--init-tau", type=float, dest="init_tau")
-
-    p = sub.add_parser("eval", help="classify the test split and write a report")
-    common(p)
-    dataset(p)
-    solver(p)
-    # sweep has no --params: a trained network fixes n_stages, the only
-    # parameter asdn could sweep
-    p.add_argument("--params", dest="net_params",
-                   help="trained network params.json (asdn solver)")
-
-    p = sub.add_parser("sweep", help="accuracy across a solver-parameter grid")
-    common(p)
-    dataset(p, seed=False, split=False)
-    solver(p)
-    p.add_argument("--param", help="solver parameter to sweep (e.g. k, lam, rho)")
-    p.add_argument("--grid", help="a:b | a:b:s | comma list")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--base-seed", type=int, dest="base_seed")
-
-    p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    common(p)
-    p.add_argument("--stages", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fd-step", type=float, dest="fd_step")
-    p.add_argument("--bands", type=int)
-    p.add_argument("--atoms", type=int)
-    p.add_argument("--classes", type=int, dest="n_classes")
-    p.add_argument("--tol", type=float, help="max acceptable relative error")
-
-    p = sub.add_parser("report", help="summarize a saved report.json")
-    common(p)
-    p.add_argument("--report", help="path to a report.json")
-    p.add_argument("--csv", dest="csv_out", help="also write per-class rows as CSV")
-
+        for key, spec in KEYS.items():
+            if command not in spec.commands or command in spec.config_only or not spec.flags:
+                continue
+            if spec.kind is bool:
+                pair = p.add_mutually_exclusive_group()
+                pair.add_argument(spec.flags[0], dest=key, action="store_true", default=None)
+                pair.add_argument(spec.flags[1], dest=key, action="store_false", default=None)
+            else:
+                p.add_argument(*spec.flags, dest=key, help=spec.help,
+                               type=_FLAG_TYPES.get(spec.kind, str),
+                               choices=spec.kind if isinstance(spec.kind, tuple) else None)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file first, then every non-None flag on top (flags win)."""
-    config: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
+def _typed(key: str, spec: Key, value, default):
+    """A merged value checked against its key's kind and range; None takes
+    the default."""
+    if value is None:
+        if default is REQUIRED:
+            raise ConfigError(f"missing required key: {key}")
+        return default
+    kind = spec.kind
+    if isinstance(kind, tuple):
+        valid = value in kind
+    elif isinstance(kind, type):
+        valid = isinstance(value, kind)
+    else:
         try:
-            config = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("config file must hold a JSON object")
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        config[key] = value
-    return config
+            value, valid = kind(value), True
+        except (KeyError, TypeError, ValueError):
+            valid = False
+    if not valid:
+        raise ConfigError(f"bad value for {key}: {value!r}")
+    if spec.check and not spec.check[1](value):
+        raise ConfigError(f"{key} must {spec.check[0]}, got {value!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The typed config of ``args.command``: the config file, every flag
+    given on top (flags win), then each key the subcommand reads checked
+    against KEYS, with its default where unset. Other keys are dropped."""
+    given = _read_json(Path(args.config), "config") if args.config else {}
+    if not isinstance(given, dict):
+        raise ConfigError("config file must hold a JSON object")
+    given.update({key: value for key, value in vars(args).items() if value is not None})
+    return {key: _typed(key, spec, given.get(key), spec.commands[args.command])
+            for key, spec in KEYS.items() if args.command in spec.commands}
 
 
 def _solver_params(config: dict) -> dict:
     """The config's "solver_params" record, then every top-level solver
     parameter key on top, then the --params network file."""
-    params = canonical_params(config.get("solver_params"))
-    params.update({key: config[key] for key in PARAM_TYPES
-                   if config.get(key) is not None})
-    if config.get("net_params"):
-        path = Path(config["net_params"])
-        if not path.is_file():
-            raise ConfigError(f"network params file not found: {path}")
-        params["net"] = json.loads(path.read_text(encoding="utf-8"))
+    params = canonical_params(config["solver_params"])
+    params.update({key: config[key] for key in PARAM_TYPES if config[key] is not None})
+    if config["net_params"]:
+        params["net"] = _read_json(Path(config["net_params"]), "network params",
+                                   NetParams.from_json)
     return params
 
 
-def _checked(check, *args):
-    """Call a validator from the library; its ValueError is a config error."""
+def _checked(check, *args, **kwargs):
+    """Call a validator or constructor from the library; its ValueError is
+    a config error."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _require(config: dict, key: str, kind=None, default=None):
-    """config[key] cast by kind; absent or None, it takes default if given."""
-    value = config[key] if config.get(key) is not None else default
-    if value is None:
-        raise ConfigError(f"missing required key: {key}")
-    if kind is not None:
-        try:
-            value = kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
-
-
-def _boolean(value) -> bool:
-    """A JSON boolean as is; a string such as "false" is not read as one."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _dataset_inputs(config: dict):
-    bundle = Path(_require(config, "bundle"))
+def _load_cube(config: dict):
+    bundle = Path(config["bundle"])
     if not bundle.is_dir():
         raise ConfigError(f"bundle directory not found: {bundle}")
-    dict_frac = _require(config, "dict_frac", float, 0.01)
-    train_frac = _require(config, "train_frac", float, 1.0 / 11.0)
-    if not 0.0 < dict_frac < 1.0:
-        raise ConfigError(f"dict_frac must lie in (0, 1), got {dict_frac}")
-    if not 0.0 <= train_frac < 1.0:
-        raise ConfigError(f"train_frac must lie in [0, 1), got {train_frac}")
-    seed = _require(config, "seed", integer, 0)
-    normalize = _require(config, "normalize", _boolean, True)
-    return bundle, dict_frac, train_frac, seed, normalize
+    return load_bundle(bundle)
 
 
-def _load_split(config: dict, cube, dict_frac, train_frac, seed) -> Split:
-    if not config.get("split_file"):
-        return make_split(cube, dict_frac, train_frac, seed)
+def _load_split(config: dict, cube) -> Split:
+    if not config["split_file"]:
+        return make_split(cube, config["dict_frac"], config["train_frac"], config["seed"])
     path = Path(config["split_file"])
-    if not path.is_file():
-        raise ConfigError(f"split file not found: {path}")
-    try:
-        split = Split.from_json(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"split file {path} is malformed: {exc}") from exc
+    split = _read_json(path, "split", Split.from_json)
     _check_split(split, cube, path)
     return split
 
@@ -322,29 +343,21 @@ def _check_split(split: Split, cube, path: Path) -> None:
 
 
 def _outdir(config: dict) -> Path:
-    out = Path(_require(config, "out"))
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _given_files(config: dict, *keys) -> list:
-    """The files named by those of ``keys`` the config sets."""
-    return [Path(config[key]) for key in keys if config.get(key)]
-
-
-def _without_draw(config: dict) -> dict:
-    """The config without the split-draw keys when a saved split replaced the
-    draw: the split file's hash, not those keys, identifies the split."""
-    if not config.get("split_file"):
-        return config
-    return {k: v for k, v in config.items() if k not in ("seed", "dict_frac", "train_frac")}
-
-
-def _manifest(outdir: Path, command: str, config: dict, inputs) -> None:
+def _manifest(outdir: Path, command: str, config: dict, *inputs) -> None:
+    """The typed config that ran, without unset keys, and the hash of every
+    file named by the ``inputs`` keys the config sets. With a saved split the
+    split-draw keys are left out: the split file's hash identifies it."""
+    drawn = ("seed", "dict_frac", "train_frac") if config.get("split_file") else ()
     doc = {
         "command": command,
-        "config": {k: v for k, v in sorted(config.items()) if v is not None},
-        "inputs": _hash_inputs(inputs),
+        "config": {k: v for k, v in sorted(config.items())
+                   if v is not None and k not in drawn},
+        "inputs": _hash_inputs(config[key] for key in inputs if config.get(key)),
     }
     _write_json(outdir / "manifest.json", doc)
 
@@ -354,23 +367,18 @@ def _manifest(outdir: Path, command: str, config: dict, inputs) -> None:
 
 
 def _cmd_ingest(config: dict) -> int:
-    bundle = Path(_require(config, "bundle"))
-    csv_path = config.get("csv")
-    if csv_path:
-        csv_path = Path(csv_path)
+    """convert a pixel CSV to a bundle, or validate one"""
+    if config["csv"]:
+        csv_path = Path(config["csv"])
         if not csv_path.is_file():
             raise ConfigError(f"csv file not found: {csv_path}")
         outdir = _outdir(config)
         spectra, labels = load_pixel_csv(csv_path)
         cube = pixels_to_cube(spectra, labels)
-        save_bundle(cube, bundle)
-        inputs = [csv_path]
+        save_bundle(cube, Path(config["bundle"]))
     else:
-        if not bundle.is_dir():
-            raise ConfigError(f"bundle directory not found: {bundle}")
+        cube = _load_cube(config)
         outdir = _outdir(config)
-        cube = load_bundle(bundle)
-        inputs = [bundle]
     counts = {int(c): int((cube.labels == c).sum())
               for c in range(1, cube.n_classes + 1)}
     summary = {
@@ -379,19 +387,19 @@ def _cmd_ingest(config: dict) -> int:
         "class_counts": counts,
     }
     _write_json(outdir / "summary.json", summary)
-    _manifest(outdir, "ingest", config, inputs)
+    _manifest(outdir, "ingest", config, "csv" if config["csv"] else "bundle")
     print(json.dumps({"status": "ok", "summary": str(outdir / "summary.json")}))
     return 0
 
 
 def _cmd_split(config: dict) -> int:
-    bundle, dict_frac, train_frac, seed, _ = _dataset_inputs(config)
-    cube = load_bundle(bundle)
+    """draw and save a dictionary/train/test split"""
+    cube = _load_cube(config)
     outdir = _outdir(config)
-    split = make_split(cube, dict_frac, train_frac, seed)
+    split = make_split(cube, config["dict_frac"], config["train_frac"], config["seed"])
     # one line: indented, a split puts each of its many pixel ids on its own
     _write_json(outdir / "split.json", split.to_json(), indent=None)
-    _manifest(outdir, "split", config, [bundle])
+    _manifest(outdir, "split", config, "bundle")
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
     print(json.dumps({"status": "ok", "per_class_sizes": sizes}))
@@ -399,22 +407,19 @@ def _cmd_split(config: dict) -> int:
 
 
 def _cmd_train(config: dict) -> int:
-    bundle, dict_frac, train_frac, seed, normalize = _dataset_inputs(config)
-    init = NetParams.default(_require(config, "stages", integer, 9),
-                             rho=_require(config, "init_rho", float, 1.0),
-                             eta=_require(config, "init_eta", float, 0.1),
-                             tau=_require(config, "init_tau", float, 1.0))
-    train_cfg = TrainConfig(
-        learning_rate=_require(config, "learning_rate", float, 1e-2),
-        epochs=_require(config, "epochs", integer, 50),
-        batch_size=_require(config, "batch_size", integer, 32),
-        seed=_require(config, "train_seed", integer, seed),
-        init=init,
-    )
-    cube = load_bundle(bundle)
-    split = _load_split(config, cube, dict_frac, train_frac, seed)
+    """train the unrolled network on the train split"""
+    if config["train_seed"] is None:
+        config["train_seed"] = config["seed"]
+    init = _checked(NetParams.default, config["stages"], rho=config["init_rho"],
+                    eta=config["init_eta"], tau=config["init_tau"])
+    train_cfg = _checked(TrainConfig, learning_rate=config["learning_rate"],
+                         epochs=config["epochs"], batch_size=config["batch_size"],
+                         seed=config["train_seed"], init=init)
+    cube = _load_cube(config)
+    split = _load_split(config, cube)
     outdir = _outdir(config)
 
+    normalize = config["normalize"]
     dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
     dictionary = assemble(dict_pixels, dict_labels)
     train_pixels, train_labels = extract_pixels(cube, split.train_flat(), normalize)
@@ -423,80 +428,63 @@ def _cmd_train(config: dict) -> int:
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(outdir / "split.json", split.to_json(), indent=None)
-    _manifest(outdir, "train", _without_draw({**config, "train_seed": train_cfg.seed}),
-              [bundle, *_given_files(config, "split_file")])
+    _manifest(outdir, "train", config, "bundle", "split_file")
     print(json.dumps({"status": "ok", "final_mean_loss": float(history[-1]),
                       "params": str(outdir / "params.json")}))
     return 0
 
 
-def _classify_split(config: dict):
-    bundle, dict_frac, train_frac, seed, normalize = _dataset_inputs(config)
-    solver = _require(config, "solver")
+def _cmd_eval(config: dict) -> int:
+    """classify the test split and write a report"""
     params = _solver_params(config)
-    _checked(solver_kwargs, solver, params)
-    cube = load_bundle(bundle)
-    split = _load_split(config, cube, dict_frac, train_frac, seed)
+    _checked(solver_kwargs, config["solver"], params)
+    cube = _load_cube(config)
+    split = _load_split(config, cube)
+    normalize = config["normalize"]
     dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
     dictionary = assemble(dict_pixels, dict_labels)
     test_ids = split.test_flat()
     test_pixels, test_labels = extract_pixels(cube, test_ids, normalize)
-    pred = classify_testset(dictionary, test_pixels, solver, params)
-    return bundle, cube, test_ids, test_labels, pred
+    pred = classify_testset(dictionary, test_pixels, config["solver"], params)
 
-
-def _cmd_eval(config: dict) -> int:
-    bundle, cube, test_ids, test_labels, pred = _classify_split(config)
     outdir = _outdir(config)
     report = evaluate(pred, test_labels, cube.n_classes)
     _write_json(outdir / "report.json", report.to_json())
     grid = np.zeros(cube.height * cube.width, dtype="<i4")
     grid[test_ids] = pred
     (outdir / "labels_pred.bin").write_bytes(grid.tobytes())
-    _manifest(outdir, "eval", _without_draw(config),
-              [bundle, *_given_files(config, "split_file", "net_params")])
+    _manifest(outdir, "eval", config, "bundle", "split_file", "net_params")
     print(json.dumps({"status": "ok", "oa": report.oa, "aa": report.aa,
                       "kappa": report.kappa}))
     return 0
 
 
 def _cmd_sweep(config: dict) -> int:
-    bundle, dict_frac, train_frac, _, normalize = _dataset_inputs(config)
-    solver = _require(config, "solver")
-    parameter = _require(config, "param")
-    grid = _require(config, "grid", _grid_values)
-    runs = _require(config, "runs", integer, 5)
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
-    base_seed = _require(config, "base_seed", integer, 0)
+    """accuracy across a solver-parameter grid"""
     params = _solver_params(config)
-    _checked(check_sweep, solver, parameter, params, grid)
-    cube = load_bundle(bundle)
+    _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
+    cube = _load_cube(config)
     outdir = _outdir(config)
 
-    result = sweep(cube, solver, parameter, grid, runs=runs, base_seed=base_seed,
-                   dict_frac=dict_frac, train_frac=train_frac, normalize=normalize,
-                   params=params)
+    result = sweep(cube, config["solver"], config["param"], config["grid"],
+                   runs=config["runs"], base_seed=config["base_seed"],
+                   dict_frac=config["dict_frac"], train_frac=config["train_frac"],
+                   normalize=config["normalize"], params=params)
     (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(outdir / "sweep.json", result.to_json())
-    _manifest(outdir, "sweep", config, [bundle])
+    _manifest(outdir, "sweep", config, "bundle")
     print(json.dumps({"status": "ok", "rows": len(result.grid),
                       "csv": str(outdir / "sweep.csv")}))
     return 0
 
 
 def _cmd_gradcheck(config: dict) -> int:
-    seed = _require(config, "seed", integer, 0)
-    fd_step = _require(config, "fd_step", float, 1e-6)
-    tol = _require(config, "tol", float, 1e-5)
-    dictionary, x, y, params = synthetic.gradcheck_instance(
-        seed,
-        n_bands=_require(config, "bands", integer, 20),
-        n_atoms=_require(config, "atoms", integer, 40),
-        n_classes=_require(config, "n_classes", integer, 2),
-        n_stages=_require(config, "stages", integer, 5))
+    """analytic vs finite-difference gradients"""
+    dictionary, x, y, params = _checked(
+        synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
+        n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
     outdir = _outdir(config)
-    report = grad_check(dictionary, x, y, params, step=fd_step)
+    report = grad_check(dictionary, x, y, params, step=config["fd_step"])
     doc = {
         "max_rel_error": report.max_rel_error,
         "loss": report.loss_value,
@@ -510,7 +498,8 @@ def _cmd_gradcheck(config: dict) -> int:
         },
     }
     _write_json(outdir / "gradcheck.json", doc)
-    _manifest(outdir, "gradcheck", config, [])
+    _manifest(outdir, "gradcheck", config)
+    tol = config["tol"]
     print(json.dumps({"status": "ok", "max_rel_error": report.max_rel_error,
                       "tol": tol}))
     if report.max_rel_error > tol:
@@ -520,25 +509,23 @@ def _cmd_gradcheck(config: dict) -> int:
 
 
 def _cmd_report(config: dict) -> int:
-    path = Path(_require(config, "report"))
-    if not path.is_file():
-        raise ConfigError(f"report file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    confusion = np.asarray(doc["confusion"])
+    """summarize a saved report.json"""
+    report = _read_json(Path(config["report"]), "report", ClassificationReport.from_json)
+    confusion, accuracies = report.confusion, report.per_class_acc.tolist()
     print(f"classes: {confusion.shape[0]}  samples: {int(confusion.sum())}")
-    for i, acc in enumerate(doc["per_class_acc"], start=1):
+    for i, acc in enumerate(accuracies, start=1):
         print(f"  class {i}: accuracy {100.0 * acc:.2f}%  "
               f"(n={int(confusion[i - 1].sum())})")
-    print(f"OA {100.0 * doc['oa']:.2f}%  AA {100.0 * doc['aa']:.2f}%  "
-          f"kappa {100.0 * doc['kappa']:.2f}")
-    if config.get("csv_out"):
+    print(f"OA {100.0 * report.oa:.2f}%  AA {100.0 * report.aa:.2f}%  "
+          f"kappa {100.0 * report.kappa:.2f}")
+    if config["csv_out"]:
         lines = ["class,accuracy_percent,n"]
-        for i, acc in enumerate(doc["per_class_acc"], start=1):
+        for i, acc in enumerate(accuracies, start=1):
             lines.append(f"{i},{repr(round(100.0 * acc, 10))},{int(confusion[i - 1].sum())}")
         Path(config["csv_out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if config.get("out"):
+    if config["out"]:
         outdir = _outdir(config)
-        _manifest(outdir, "report", config, [path])
+        _manifest(outdir, "report", config, "report")
     return 0
 
 
@@ -555,23 +542,18 @@ _HANDLERS = {
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 2
+    except SystemExit as exc:  # --help printed the help text
+        return exc.code
     if args.command is None:
         _emit_error("usage", f"expected a subcommand: {', '.join(_SUBCOMMANDS)}")
         return 2
     try:
-        config = _merge_config(args)
-        handler = _HANDLERS[args.command]
-    except ConfigError as exc:
-        _emit_error("config", str(exc))
-        return 3
-    try:
-        return handler(config)
+        return _HANDLERS[args.command](_merge_config(args))
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 3

@@ -306,3 +306,21 @@ def test_integer_parameters_are_not_truncated():
     check_sweep("omp", "k", None, [1.0, 2.0])
     with pytest.raises(ValueError, match="2.5"):
         check_sweep("omp", "k", None, [1.0, 2.5])
+
+
+def test_real_parameters_reject_booleans_strings_and_non_finite_values():
+    assert solver_kwargs("fista", {"lam": np.float64(0.5), "tol": 1}) == {"lam": 0.5, "tol": 1.0}
+    assert type(solver_kwargs("fista", {"tol": 1})["tol"]) is float
+    for bad in (True, "0.5", float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="'lam'"):
+            solver_kwargs("admm_fixed", {"lam": bad})
+    check_sweep("fista", "lam", None, [0.1, 1])
+    with pytest.raises(ValueError, match="nan"):
+        check_sweep("fista", "lam", None, [0.1, float("nan")])
+
+
+def test_network_document_without_a_field_names_net():
+    doc = NetParams.default(2).to_json()
+    del doc["eta"]
+    with pytest.raises(ValueError, match="'net'"):
+        solver_kwargs("asdn", {"net": doc})

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,10 @@ class TestExitCodes:
         ("eval", {"k": 9.7}),
         ("eval", {"k": True}),
         ("sweep", {"runs": 2.5}),
+        ("sweep", {"lam": True}),
+        ("train", {"learning_rate": "0.5"}),
+        ("train", {"init_eta": float("nan")}),
+        ("gradcheck", {"tol": float("inf")}),
     ])
     def test_badly_typed_config_value(self, capsys, bundle, tmp_path, command, config):
         """A config value of the wrong type is a config error found before
@@ -117,6 +122,31 @@ class TestExitCodes:
         status, err = run(capsys, command, "--config", path, *data, "--out", out)
         assert (status, err["kind"]) == (3, "config")
         assert all(key in err["message"] for key in config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, argv, named", [
+        ("gradcheck", ["--tol", "nan"], "tol"),
+        ("eval", ["--solver", "omp", "--K", 2, "--tol", "nan"], "tol"),
+        ("eval", ["--solver", "admm_fixed", "--lam", "inf"], "lam"),
+        ("train", ["--epochs", 0], "epochs"),
+        ("train", ["--init-rho", 0], "rho"),
+        ("train", ["--stages", 0], "stage"),
+        ("gradcheck", ["--stages", 0], "stage"),
+        ("gradcheck", ["--fd-step", -1], "fd_step"),
+        ("gradcheck", ["--bands", 0], "bands"),
+        ("gradcheck", ["--classes", 0], "n_classes"),
+        ("eval", ["--solver", "omp", "--K", 2, "--dict-frac", 1], "dict_frac"),
+        ("sweep", ["--solver", "fista", "--param", "lam", "--grid", "0.1", "--runs", 0],
+         "runs"),
+    ])
+    def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
+        """A non-finite real, or a value out of range for the table or the
+        library, is a config error raised before the output directory is made."""
+        data = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
+        out = tmp_path / "out"
+        status, err = run(capsys, command, *data, *argv, "--out", out)
+        assert (status, err["kind"]) == (3, "config")
+        assert named in err["message"]
         assert not out.exists()
 
     def test_bad_config_file(self, capsys, tmp_path):
@@ -384,6 +414,18 @@ class TestManifestUnderSplit:
         assert (config["seed"], config["dict_frac"], config["train_frac"]) == (11, 0.2, 0.25)
 
 
+def test_manifest_records_the_effective_config(capsys, bundle, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threads": 2}), encoding="utf-8")
+    status, _ = run(capsys, "eval", "--config", config, "--bundle", bundle,
+                    "--train-frac", 0.25, "--solver", "omp", "--K", 2, "--out", tmp_path / "out")
+    assert status == 0
+    recorded = read_json(tmp_path / "out" / "manifest.json")["config"]
+    assert (recorded["seed"], recorded["dict_frac"], recorded["normalize"]) == (0, 0.01, True)
+    assert recorded["train_frac"] == 0.25
+    assert "threads" not in recorded
+
+
 class TestNetWithStages:
     """A trained network fixes its own depth, so "n_stages" beside "net" is a
     config error rather than a value the network silently ignores."""
@@ -492,3 +534,60 @@ class TestReport:
         status, err = run(capsys, "report", "--report", tmp_path / "missing.json")
         assert status == 3
         assert "report file not found" in err["message"]
+
+    def test_report_that_is_not_json(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("{oa: 1", encoding="utf-8")
+        status, err = run(capsys, "report", "--report", path, "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert f"report file {path} is malformed" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_report_without_confusion(self, capsys, report_path):
+        doc = read_json(report_path)
+        del doc["confusion"]
+        report_path.write_text(json.dumps(doc), encoding="utf-8")
+        status, err = run(capsys, "report", "--report", report_path)
+        assert (status, err["kind"]) == (3, "config")
+        assert str(report_path) in err["message"] and "confusion" in err["message"]
+
+
+def test_params_file_without_eta(capsys, bundle, trained, tmp_path):
+    doc = read_json(trained / "params.json")
+    del doc["eta"]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "asdn",
+                      "--params", path, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert str(path) in err["message"] and "eta" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# each subcommand's flags, as the hand-written parser declared them
+HELP_FLAGS = {
+    "ingest": "--bundle --config --csv --out",
+    "split": "--bundle --config --dict-frac --out --seed --train-frac",
+    "train": "--batch-size --bundle --config --dict-frac --epochs --init-eta --init-rho "
+             "--init-tau --lr --no-normalize --normalize --out --seed --split --stages "
+             "--train-frac --train-seed",
+    "eval": "--K --S --bundle --config --dict-frac --lam --lambda --max-iters "
+            "--no-normalize --normalize --out --params --relax --rho --seed --solver "
+            "--split --step --tau --tol --train-frac",
+    "sweep": "--K --S --base-seed --bundle --config --dict-frac --grid --lam --lambda "
+             "--max-iters --no-normalize --normalize --out --param --relax --rho --runs "
+             "--solver --step --tau --tol --train-frac",
+    "gradcheck": "--atoms --bands --classes --config --fd-step --out --seed --stages --tol",
+    "report": "--config --csv --out --report",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_returns_zero_and_lists_the_flags(capsys, command):
+    assert cli.run([command, "--help"]) == 0
+    listed = set()
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):  # an option row: "  -h, --help  text"
+            invocation = re.split(r"\s{2,}", line.strip())[0]
+            listed.update(part.split()[0] for part in invocation.split(", "))
+    assert listed == {"-h", "--help", *HELP_FLAGS[command].split()}
