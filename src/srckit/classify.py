@@ -4,17 +4,17 @@ A test pixel is coded over the class-partitioned dictionary by any of the
 registered solvers, then assigned to the class whose sub-dictionary
 reconstructs it with the smallest residual. Every solver codes the test
 pixels in blocks of ``network.BLOCK_COLUMNS`` (32) columns, with one decision
-per block. omp and gomp (batched refits) and the unrolled network ``asdn``
-(one solve per stage) code a whole block in one call; the other solvers code
-its pixels one call each. All coding runs on the calling thread: the block
-and BLAS are the only parallelism. Reports carry the confusion matrix with overall
-accuracy, average (per-class) accuracy, and the chance-corrected kappa
-coefficient, all as fractions in [0, 1].
+per block. omp, gomp, fista, admm_fixed and the unrolled network ``asdn``
+code a whole block in one call, each column stopping on its own; sp, romp
+and samp code its pixels one call each. All coding runs on the calling
+thread: the block and BLAS are the only parallelism. Reports carry the
+confusion matrix with overall accuracy, average (per-class) accuracy, and
+the chance-corrected kappa coefficient, all as fractions in [0, 1].
 """
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -107,10 +107,10 @@ def integer(value) -> int:
 
 def real(value) -> float:
     """``value`` as a finite float: an integer or a real number such as a
-    numpy float. A boolean, a string, NaN or an infinity raises ValueError
-    rather than being cast."""
+    numpy float. A boolean, a string, NaN, an infinity or an integer too
+    large for a float raises ValueError rather than being cast."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):  # exact for huge ints, False for NaN
         raise ValueError(f"expected a finite real number, got {value!r}")
     return float(value)
 
@@ -199,27 +199,25 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
 
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
     (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
-    module at every call. omp, gomp and asdn code a block in one call;
-    every other solver codes it one ``solvers.<name>`` call per column and
-    stacks the codes. admm_fixed and asdn solve through the dictionary's
-    ``gram_cache``, so the Gram is built at their first solve and only for
-    them, and later solvers over the same dictionary reuse it.
+    module at every call. sp, romp and samp code a block one call per
+    column and stack the codes; every other solver codes it in one call.
+    admm_fixed and asdn solve through the dictionary's ``gram_cache``, so
+    the Gram is built at their first solve and only for them, and later
+    solvers over the same dictionary reuse it.
     """
     kwargs = solver_kwargs(name, params)
     if name == "asdn":
         net = kwargs.get("net") or network.NetParams.default(**kwargs)
         return lambda x: network.forward(dictionary, x, net)[0]
-    if name in ("omp", "gomp"):
-        return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
     if name == "admm_fixed":
         kwargs = {"cfg": solvers.AdmmConfig(**kwargs)}
 
-    def per_column(x):
-        if x.ndim == 1:
-            return getattr(solvers, name)(dictionary, x, **kwargs)
-        return solvers.SparseCode.from_dense(
-            np.stack([per_column(column).coeffs for column in x.T], axis=1))
-    return per_column
+    def solve(x):
+        if x.ndim == 2 and name in ("sp", "romp", "samp"):  # they code one pixel
+            return solvers.SparseCode.from_dense(
+                np.stack([solve(column).coeffs for column in x.T], axis=1))
+        return getattr(solvers, name)(dictionary, x, **kwargs)
+    return solve
 
 
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,

@@ -1,10 +1,11 @@
 """Class-partitioned dictionary and shared regularized-solve machinery.
 
 The dictionary stacks training pixels as columns, grouped contiguously by
-class. Every l1-style solver repeatedly applies (D^T D + rho*I)^-1 for one
-fixed D, so each Dictionary owns one ``GramCache``, built on first use as
+class. The ADMM solvers repeatedly apply (D^T D + rho*I)^-1 for one fixed
+D, so each Dictionary owns one ``GramCache``, built on first use as
 ``Dictionary.gram_cache``: the Gram matrix and one SPD factorization per
 distinct rho, reused by every solve over D (Boyd et al. 2011, 4.2.4).
+FISTA needs only ``Dictionary.lipschitz``, also computed once per D.
 ``GramCache.solve`` takes one right-hand side (m,) or a block of them (m, n):
 a block reuses the factorization across all its columns in one triangular
 solve pair, which is how the unrolled network codes pixels in blocks.
@@ -68,6 +69,20 @@ class Dictionary:
         """This dictionary's GramCache, built on first use and kept for its
         life; the atoms must not be mutated after that first use."""
         return GramCache(self)
+
+    @cached_property
+    def lipschitz(self) -> float:
+        """Top eigenvalue of D^T D, FISTA's Lipschitz constant, by 100 power
+        iterations without the Gram, once per dictionary; 0 if D is zero."""
+        v = 1.0 + 0.001 * np.arange(self.n_atoms)  # deterministic, not axis-aligned
+        v /= np.linalg.norm(v)
+        for _ in range(100):
+            w = self.atoms.T @ (self.atoms @ v)
+            norm = np.linalg.norm(w)
+            if norm == 0.0:
+                return 0.0
+            v = w / norm
+        return float(norm)
 
 
 def assemble(samples: np.ndarray, labels) -> Dictionary:

@@ -4,8 +4,9 @@ Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. gomp codes a
 block of pixel columns at once, with batched refits (omp is gomp with one
 atom per step); romp grows one pixel's support in ``_grow``, the per-pixel
 form of the same loop; one expand-prune-refit step serves sp and samp.
-l1 family (weight lambda): fista, admm_fixed. ``admm_stage`` is the one
-scaled-form ADMM stage, shared by admm_fixed and the unrolled network.
+l1 family (weight lambda): fista, admm_fixed, each coding a block of pixel
+columns with per-column stop masks. ``admm_stage`` is the one scaled-form
+ADMM stage, shared by admm_fixed and the unrolled network.
 
 Conventions shared by every solver here, per pixel column of a block:
   * correlation ties break toward the lowest atom index;
@@ -376,63 +377,62 @@ def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
 # l1 family
 
 
-def _largest_gram_eigenvalue(atoms: np.ndarray, n_iters: int = 100) -> float:
-    """Power-iteration estimate of the top eigenvalue of D^T D."""
-    m = atoms.shape[1]
-    v = 1.0 + 0.001 * np.arange(m)  # deterministic, not axis-aligned
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(n_iters):
-        w = atoms.T @ (atoms @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = norm
-    return float(lam)
-
-
 def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
           max_iters: int = 1000, tol: float = 1e-8, callback=None) -> SparseCode:
-    """FISTA with function-value restart, so the lasso objective is
-    non-increasing. Step size 1/L with L the power-iteration estimate of the
-    top eigenvalue of D^T D; stops on |F_t - F_{t-1}| <= tol * max(1, F_{t-1}).
-    ``callback``, when given, sees callback(alpha, objective) per accepted step."""
+    """FISTA with function-value restart (Beck & Teboulle 2009; O'Donoghue &
+    Candes 2015), so each column's lasso objective F is non-increasing; step
+    1/L with L = ``dictionary.lipschitz`` (1 if L is 0). ``x`` is a pixel
+    (bands,), coded as a one-column block, or a block (bands, n). Each column
+    has its own momentum and restart, and stops on its own at
+    |F_t - F_{t-1}| <= tol * max(1, F_{t-1}) or when even a plain proximal
+    step cannot lower F. ``callback``, when given, sees callback(alpha, F)
+    once per iteration that accepts a step, for the columns that accepted
+    it: (n_atoms, k) and (k,), or (n_atoms,) and a float for a pixel."""
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     atoms = dictionary.atoms
-    lipschitz = _largest_gram_eigenvalue(atoms)
-    step = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    step = 1.0 / dictionary.lipschitz if dictionary.lipschitz > 0 else 1.0
+    xs = np.reshape(x, (len(x), -1))  # the still-running columns, indexed by cols
+    cols, coeffs = np.arange(xs.shape[1]), np.zeros((dictionary.n_atoms, xs.shape[1]))
+    alpha, y, t = coeffs.copy(), coeffs.copy(), np.ones(len(cols))
+    d_alpha, d_y = np.zeros_like(xs), np.zeros_like(xs)  # D alpha and D y
+    obj_prev = 0.5 * (xs ** 2).sum(axis=0)
 
-    alpha = np.zeros(dictionary.n_atoms)
-    y = alpha.copy()
-    t = 1.0
-    obj_prev = lasso_objective(dictionary, x, alpha, lam)
-
-    def prox_step(point):
-        grad = atoms.T @ (atoms @ point - x)
-        return soft_threshold(point - step * grad, lam * step)
+    def prox_step(point, d_point, xs):
+        """The proximal step c from ``point``, with D c and F(c)."""
+        c = soft_threshold(point - step * (atoms.T @ (d_point - xs)), lam * step)
+        dc = atoms @ c
+        return c, dc, 0.5 * ((xs - dc) ** 2).sum(axis=0) + lam * np.abs(c).sum(axis=0)
 
     for _ in range(max_iters):
-        candidate = prox_step(y)
-        obj = lasso_objective(dictionary, x, candidate, lam)
-        if obj > obj_prev:
+        candidate, d_candidate, obj = prox_step(y, d_y, xs)
+        worse = obj > obj_prev
+        if worse.any():
             # restart: kill the momentum, take a plain proximal step
-            t = 1.0
-            candidate = prox_step(alpha)
-            obj = lasso_objective(dictionary, x, candidate, lam)
-            if obj > obj_prev:
-                break  # cannot decrease at working precision
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = candidate + ((t - 1.0) / t_next) * (candidate - alpha)
-        alpha, t = candidate, t_next
-        if callback is not None:
-            callback(alpha, obj)
-        if abs(obj - obj_prev) <= tol * max(1.0, obj_prev):
-            obj_prev = obj
-            break
+            t[worse] = 1.0
+            candidate[:, worse], d_candidate[:, worse], obj[worse] = prox_step(
+                alpha[:, worse], d_alpha[:, worse], xs[:, worse])
+        stuck = obj > obj_prev  # cannot decrease at working precision
+        candidate[:, stuck] = alpha[:, stuck]
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = candidate + beta * (candidate - alpha)
+        d_y = d_candidate + beta * (d_candidate - d_alpha)
+        alpha, d_alpha, t = candidate, d_candidate, t_next
+        if callback is not None and not stuck.all():
+            go = ~stuck if np.ndim(x) > 1 else 0
+            callback(alpha[:, go], obj[go])
+        done = stuck | (np.abs(obj - obj_prev) <= tol * np.maximum(1.0, obj_prev))
         obj_prev = obj
-    return SparseCode.from_dense(alpha)
+        if done.any():
+            coeffs[:, cols[done]] = alpha[:, done]
+            keep = ~done
+            cols, xs, alpha, d_alpha, y, d_y, t, obj_prev = (
+                a[..., keep] for a in (cols, xs, alpha, d_alpha, y, d_y, t, obj_prev))
+            if cols.size == 0:
+                break
+    coeffs[:, cols] = alpha
+    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))
 
 
 def admm_stage(dictionary: Dictionary, dtx: np.ndarray, z: np.ndarray,
@@ -457,22 +457,29 @@ def admm_stage(dictionary: Dictionary, dtx: np.ndarray, z: np.ndarray,
 def admm_fixed(dictionary: Dictionary, x: np.ndarray, cfg: AdmmConfig,
                callback=None) -> SparseCode:
     """Scaled-form ADMM for the lasso with fixed (lam, rho, relax, tau): the
-    stage ``admm_stage`` repeated with eta = lam / rho. Stops at max_iters or
-    max(||alpha - z||, rho * ||z - z_prev||) <= tol. Returns z, which is
-    exactly sparse by construction. ``callback``, when given, is invoked as
-    callback(alpha, z, u) after every iteration.
-    """
-    dtx = dictionary.atoms.T @ x
-    eta = cfg.lam / cfg.rho
-    z = np.zeros(dictionary.n_atoms)
-    u = np.zeros(dictionary.n_atoms)
+    stage ``admm_stage`` repeated with eta = lam / rho over a pixel (bands,),
+    coded as a one-column block, or a block (bands, n). Each column stops on
+    its own at max_iters or max(||alpha - z||, rho * ||z - z_prev||) <= tol.
+    Returns z, which is exactly sparse by construction. ``callback``, when
+    given, sees callback(alpha, z, u) after every iteration for the columns
+    still running: (n_atoms, k) arrays, or (n_atoms,) vectors for a pixel."""
+    dtx = dictionary.atoms.T @ np.reshape(x, (len(x), -1))
+    eta, each = cfg.lam / cfg.rho, (slice(None) if np.ndim(x) > 1 else 0)
+    cols, coeffs = np.arange(dtx.shape[1]), np.zeros_like(dtx)
+    z, u = coeffs.copy(), coeffs.copy()
     for _ in range(cfg.max_iters):
+        if cols.size == 0:
+            break
         z_prev = z
         alpha, _, z, u = admm_stage(dictionary, dtx, z, u, cfg.rho, cfg.relax, eta, cfg.tau)
         if callback is not None:
-            callback(alpha, z, u)
-        primal = np.linalg.norm(alpha - z)
-        dual = cfg.rho * np.linalg.norm(z - z_prev)
-        if max(primal, dual) <= cfg.tol:
-            break
-    return SparseCode.from_dense(z)
+            callback(alpha[:, each], z[:, each], u[:, each])
+        primal = np.linalg.norm(alpha - z, axis=0)
+        dual = cfg.rho * np.linalg.norm(z - z_prev, axis=0)
+        done = np.maximum(primal, dual) <= cfg.tol
+        if done.any():
+            coeffs[:, cols[done]] = z[:, done]
+            keep = ~done
+            cols, dtx, z, u = cols[keep], dtx[:, keep], z[:, keep], u[:, keep]
+    coeffs[:, cols] = z
+    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))

@@ -1,5 +1,6 @@
-"""Differential tests of the blocked network and greedy paths against the
+"""Differential tests of the blocked network, greedy and l1 paths against the
 per-pixel reference paths, and the hooks the benchmark harness wraps."""
+import functools
 import inspect
 import math
 import threading
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srckit import dictionary, network, solvers
-from srckit.classify import classify_testset, make_solver, src_decide
+from srckit.classify import classify_testset, make_solver, src_decide, sweep
+from srckit.data import pixels_to_cube
 from srckit.dictionary import GramCache, assemble
 from srckit.network import (RHO_FLOOR, NetParams, TrainConfig, backward,
                             class_residuals, forward, one_hot, train)
@@ -231,6 +233,126 @@ def test_block_refit_falls_back_per_pixel_on_a_singular_sub_gram():
         assert np.array_equal(got[j], solvers._ls_on_support(atoms_s[j].T, x[j]))
 
 
+# Block l1 codes against one-column calls of the same solver. The columns
+# differ only by BLAS rounding (a product over a block against one over a
+# column), so each is held to 1e-9 of ||code|| + ||x||; a 3000-seed stress
+# run of these draws gave at most 1.7e-11 of ||code||. A stop decided at
+# working precision (tol 0) may come an iteration apart on the two paths,
+# where FISTA's iterates still move by about sqrt(eps): 1e-6 there.
+L1_TOL = 1e-9
+L1_TOL_AT_PRECISION = 1e-6
+
+
+def l1_block(rng, width):
+    """Test pixels scaled over three decades, with zero columns and repeats
+    of column 0: columns that stop at different iterations."""
+    x = pick(rng, width)[0] * 10.0 ** rng.uniform(-2.0, 1.0, width)
+    kind = rng.integers(0, 4, width)
+    x[:, kind == 2] = 0.0
+    x[:, kind == 3] = x[:, [0]]
+    return x
+
+
+def assert_columns_match(block, solve, x, rel=L1_TOL):
+    assert block.coeffs.shape == (D.n_atoms, x.shape[1])
+    for j in range(x.shape[1]):
+        want = solve(x[:, j]).coeffs
+        scale = np.linalg.norm(want) + np.linalg.norm(x[:, j])
+        assert np.linalg.norm(block.coeffs[:, j] - want) <= rel * scale, j
+
+
+@examples
+@given(width=widths, seed=seeds, lam=st.sampled_from([0.0, 1e-3, 0.01, 0.1, 1.0]),
+       tol=st.sampled_from([1e-8, 1e-4]))
+def test_fista_block_matches_one_column_calls(width, seed, lam, tol):
+    rng = np.random.default_rng(seed)
+    x = l1_block(rng, width)
+    max_iters = int(rng.integers(1, 150))
+    block = solvers.fista(D, x, lam, max_iters, tol)
+    assert_columns_match(block, lambda column: solvers.fista(D, column, lam, max_iters, tol), x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(width=widths, seed=seeds, lam=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+       rho=st.sampled_from([0.1, 1.0, 10.0]), tol=st.sampled_from([1e-8, 1e-4]))
+def test_admm_fixed_block_matches_one_column_calls(width, seed, lam, rho, tol):
+    rng = np.random.default_rng(seed)
+    x = l1_block(rng, width)
+    cfg = solvers.AdmmConfig(lam=lam, rho=rho, relax=float(rng.uniform(0.5, 1.8)),
+                             max_iters=int(rng.integers(1, 100)), tol=tol)
+    block = solvers.admm_fixed(D, x, cfg)
+    assert_columns_match(block, lambda column: solvers.admm_fixed(D, column, cfg), x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(width=widths, seed=seeds, solver=st.sampled_from(["fista", "admm_fixed"]))
+def test_classify_l1_matches_per_pixel_solver(width, seed, solver):
+    rng = np.random.default_rng(seed)
+    x = l1_block(rng, width)
+    params = {"lam": float(rng.choice([0.01, 0.1])), "max_iters": 60}
+    solve = make_solver(D, solver, params)
+    want = [src_decide(D, solve(x[:, j]), x[:, j]) for j in range(width)]
+    got = classify_testset(D, x, solver, params)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_l1_block_stops_each_column_on_its_own():
+    # a zero column stops after one step; the others run to their own stop
+    x = np.stack([PIXELS[:, 0], np.zeros(D.n_bands), 0.1 * PIXELS[:, 1], PIXELS[:, 2]], axis=1)
+    fista_widths, admm_widths = [], []
+    code = solvers.fista(D, x, 0.05, max_iters=2000,
+                         callback=lambda alpha, obj: fista_widths.append(obj.size))
+    assert_columns_match(code, lambda column: solvers.fista(D, column, 0.05, max_iters=2000), x)
+    cfg = solvers.AdmmConfig(lam=0.05, max_iters=2000, tol=1e-6)
+    code = solvers.admm_fixed(D, x, cfg, callback=lambda a, z, u: admm_widths.append(z.shape[1]))
+    assert_columns_match(code, lambda column: solvers.admm_fixed(D, column, cfg), x)
+    for seen, cap in ((fista_widths, 2000), (admm_widths, 2000)):
+        assert seen[:2] == [4, 3]
+        assert seen == sorted(seen, reverse=True)
+        assert len(set(seen)) == 4 and len(seen) < cap
+
+
+def test_fista_column_that_restarts_then_gets_stuck(monkeypatch):
+    """With tol 0 a column stops at an unchanged objective or when a restarted
+    step cannot lower it; a block of both kinds matches one-column calls."""
+    prox_calls = []
+    threshold = solvers.soft_threshold
+
+    def counted(v, eta):
+        prox_calls.append(1)
+        return threshold(v, eta)
+
+    monkeypatch.setattr(solvers, "soft_threshold", counted)
+    lam, cap = 0.1, 20000
+    exits = {}
+    for j in range(PIXELS.shape[1]):
+        prox_calls.clear()
+        history = []
+        solvers.fista(D, PIXELS[:, j], lam, cap, 0.0, lambda alpha, obj: history.append(obj))
+        assert 1 < len(history) < cap
+        assert all(isinstance(obj, float) for obj in history)
+        stuck = history[-1] < history[-2]  # else the tol exit, at an unchanged objective
+        # a stuck exit's last iteration takes a step and its restart and accepts neither
+        assert not stuck or len(prox_calls) > len(history) + 1
+        exits.setdefault(stuck, j)
+    assert set(exits) == {True, False}
+    x = PIXELS[:, [exits[True], exits[False]]]
+    code = solvers.fista(D, x, lam, cap, 0.0)
+    assert_columns_match(code, lambda column: solvers.fista(D, column, lam, cap, 0.0), x,
+                         L1_TOL_AT_PRECISION)
+
+
+def test_l1_all_zero_column_codes_to_zero():
+    x = np.stack([np.zeros(D.n_bands), PIXELS[:, 0]], axis=1)
+    assert not solvers.fista(D, x, 0.1).coeffs[:, 0].any()
+    assert not solvers.admm_fixed(D, x, solvers.AdmmConfig(lam=0.1)).coeffs[:, 0].any()
+    seen = []
+    one = solvers.fista(D, np.zeros(D.n_bands), 0.1, callback=lambda a, obj: seen.append(obj))
+    assert not one.coeffs.any() and one.support.size == 0
+    assert seen == [0.0]
+
+
 def test_classify_asdn_threads_bit_identical():
     net = random_net(np.random.default_rng(3))
     assert PIXELS.shape[1] > 2 * network.BLOCK_COLUMNS  # several blocks
@@ -326,6 +448,47 @@ class TestBenchmarkHooks:
         solvers.admm_fixed(fresh, PIXELS[:, 0], solvers.AdmmConfig(max_iters=5))
         train(fresh, PIXELS, LABELS, TrainConfig(epochs=1, init=NetParams.default(2)))
         assert len(builds) == 1
+
+    def test_classify_fista_reaches_fista_once_per_block(self, monkeypatch):
+        # the benchmark binds callback and max_iters by name and counts one
+        # iteration per callback call
+        signature = inspect.signature(solvers.fista)
+        original = solvers.fista
+        calls = []
+
+        def counted(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            steps = []
+            bound.arguments["callback"] = lambda alpha, objective: steps.append(1)
+            try:
+                return original(*bound.args, **bound.kwargs)
+            finally:
+                calls.append((len(steps), bound.arguments["max_iters"]))
+
+        monkeypatch.setattr(solvers, "fista", counted)
+        classify_testset(D, PIXELS, "fista", {"lam": 0.05, "max_iters": 40})
+        assert len(calls) == -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
+        assert all(1 <= steps <= cap for steps, cap in calls)
+
+    def test_lipschitz_computed_once_per_dictionary(self, monkeypatch):
+        runs = []
+        power_iteration = dictionary.Dictionary.lipschitz.func
+
+        def counted(self_):
+            runs.append(1)
+            return power_iteration(self_)
+
+        lipschitz = functools.cached_property(counted)
+        lipschitz.__set_name__(dictionary.Dictionary, "lipschitz")
+        monkeypatch.setattr(dictionary.Dictionary, "lipschitz", lipschitz)
+        data = subspace_classes(4, n_classes=3, dim=16, sub_dim=3, n_dict=8,
+                                n_train=20, n_test=30, noise=0.01)
+        cube = pixels_to_cube(np.hstack([data.dict_pixels, data.test_pixels]),
+                              np.concatenate([data.dict_labels, data.test_labels]))
+        sweep(cube, "fista", "lam", [0.01, 0.1, 1.0], runs=2, dict_frac=0.1,
+              train_frac=0.2, params={"max_iters": 20})
+        assert len(runs) == 2  # one per draw, for all three grid values
 
     def test_gram_cache_surface(self):
         assert list(inspect.signature(GramCache.solve).parameters) == ["self", "rho", "rhs"]

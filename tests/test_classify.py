@@ -308,6 +308,15 @@ def test_integer_parameters_are_not_truncated():
         check_sweep("omp", "k", None, [1.0, 2.5])
 
 
+def test_real_parameters_reject_integers_too_large_for_a_float():
+    assert solver_kwargs("fista", {"lam": 10**300}) == {"lam": 1e300}
+    for bad in (10**400, -10**400):
+        with pytest.raises(ValueError, match="'lam'"):
+            solver_kwargs("fista", {"lam": bad})
+    with pytest.raises(ValueError, match="finite"):
+        check_sweep("admm_fixed", "rho", None, [1.0, 10**400])
+
+
 def test_real_parameters_reject_booleans_strings_and_non_finite_values():
     assert solver_kwargs("fista", {"lam": np.float64(0.5), "tol": 1}) == {"lam": 0.5, "tol": 1.0}
     assert type(solver_kwargs("fista", {"tol": 1})["tol"]) is float

@@ -109,6 +109,7 @@ class TestExitCodes:
         ("train", {"learning_rate": "0.5"}),
         ("train", {"init_eta": float("nan")}),
         ("gradcheck", {"tol": float("inf")}),
+        ("train", {"init_eta": 10**400}),
     ])
     def test_badly_typed_config_value(self, capsys, bundle, tmp_path, command, config):
         """A config value of the wrong type is a config error found before

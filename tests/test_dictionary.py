@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from srckit.dictionary import Dictionary, GramCache, assemble
-from srckit.synthetic import random_orthonormal
+from srckit.solvers import fista, soft_threshold
+from srckit.synthetic import random_orthonormal, random_unit_dictionary
 
 
 def test_assemble_groups_by_class():
@@ -146,3 +147,33 @@ def test_dictionary_invariant_checks():
     with pytest.raises(ValueError, match="at least one atom"):
         Dictionary(atoms=np.ones((2, 2)), class_offsets=[0, 1, 1, 2],
                    labels_per_atom=[1, 3])
+
+
+def test_lipschitz_is_the_top_gram_eigenvalue():
+    # pixels that share a mean spectrum, as reflectances do, give D^T D a
+    # well-separated top eigenvalue; an orthonormal D has no gap, but every
+    # vector is an eigenvector
+    rng = np.random.default_rng(0)
+    for bands, atoms in ((16, 24), (103, 426)):
+        mean = 1.0 + 0.4 * np.sin(np.linspace(0.0, 6.0, bands))[:, None]
+        pixels = rng.uniform(0.7, 1.3, atoms) * (mean + 0.3 * rng.standard_normal((bands, atoms)))
+        d = assemble(pixels / np.linalg.norm(pixels, axis=0), rng.integers(1, 4, atoms))
+        top = np.linalg.eigvalsh(d.atoms.T @ d.atoms).max()
+        assert abs(d.lipschitz - top) <= 1e-10 * top
+    assert abs(assemble(random_orthonormal(3, 12), np.ones(12, int)).lipschitz - 1.0) <= 1e-10
+
+
+def test_lipschitz_zero_dictionary_and_fista_step_fallback():
+    zero = assemble(np.zeros((5, 4)), [1, 1, 2, 2])
+    assert zero.lipschitz == 0.0
+    assert not fista(zero, np.ones(5), 0.1).coeffs.any()
+    # a dictionary whose L reads 0 takes step 1: from zero, the first step is
+    # soft_threshold(D^T x, lam); this D has L < 1, so that step is accepted
+    d = random_unit_dictionary(2, 20, 10)
+    d = assemble(0.1 * d.atoms, d.labels_per_atom)
+    assert 0.0 < d.lipschitz < 1.0
+    d.lipschitz = 0.0
+    x = np.random.default_rng(2).standard_normal(20)
+    first = []
+    fista(d, x, 0.05, max_iters=1, callback=lambda alpha, obj: first.append(alpha))
+    np.testing.assert_allclose(first[0], soft_threshold(d.atoms.T @ x, 0.05), rtol=1e-12)
