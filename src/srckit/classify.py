@@ -202,8 +202,8 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
     module at every call. sp, romp and samp code a block one call per
     column and stack the codes; every other solver codes it in one call.
     admm_fixed and asdn solve through the dictionary's ``gram_cache``, so
-    the Gram is built at their first solve and only for them, and later
-    solvers over the same dictionary reuse it.
+    it is built at their first solve and only for them, and later solvers
+    over the same dictionary reuse it.
     """
     kwargs = solver_kwargs(name, params)
     if name == "asdn":
@@ -226,8 +226,8 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
 
     Pixels are coded in blocks of network.BLOCK_COLUMNS, one call of the
     ``make_solver`` callable and one ``src_decide`` per block, all on the
-    calling thread. Solvers that solve with the Gram use, and keep filling,
-    the dictionary's ``gram_cache``.
+    calling thread. Solvers that solve with (D^T D + rho*I) share the
+    dictionary's ``gram_cache``.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")

@@ -22,14 +22,14 @@ ADMM iterates exactly; the final node is that kernel's sparsity node alone.
 ``forward``, ``class_residuals`` and ``backward`` take one pixel (bands,) or
 a block of pixel columns (bands, n). Every stage is elementwise apart from
 its solve through the dictionary's ``gram_cache``, so a block costs one solve
-over all its columns per node in place of one per pixel. The per-pixel calls
+over all its columns per node in place of one per pixel, and that solve costs
+the same at any rho, however often training moves it. The per-pixel calls
 stay the reference: ``grad_check`` runs on them. ``train`` codes pixels, and
 ``classify.classify_testset`` codes them for every solver, in blocks of
-BLOCK_COLUMNS = 32. The width is
-bounded by memory, because a forward pass keeps the whole StageTrace of its
-block: evaluating 635 pixels over 426 atoms with 9 stages, 32 columns leave
-the peak resident memory where the per-pixel loop had it (125.5 MiB), while
-128 raise it by 5 %.
+BLOCK_COLUMNS = 32. The width is bounded by memory, because a forward pass
+keeps the whole StageTrace of its block: evaluating 635 pixels over 426
+atoms with 9 stages, 32 columns leave the peak resident memory where the
+per-pixel loop had it (125.5 MiB), while 128 raise it by 5 %.
 """
 from __future__ import annotations
 
@@ -433,8 +433,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
     order, so runs are bit-reproducible), applies params <- params - lr *
     mean grad, and projects onto the parameter floors. Returns (final params,
-    per-epoch mean loss). Deterministic given cfg.seed. Each step moves rho,
-    so it ends by clearing the factorizations of the dictionary's gram_cache.
+    per-epoch mean loss). Deterministic given cfg.seed. Each step moves rho;
+    the dictionary's gram_cache solves at any rho, so nothing is rebuilt.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = pixels.shape[1]
@@ -484,7 +484,6 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
             scale = 1.0 / len(batch)
             mean_grads = ParamGrads(d_rho * scale, d_eta * scale, d_tau * scale, 0.0)
             params = params.stepped(cfg.learning_rate, mean_grads)
-            dictionary.gram_cache.clear_factors()
         history[epoch] = epoch_loss / n
         if not math.isfinite(history[epoch]):
             raise TrainingDiverged(

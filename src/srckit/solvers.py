@@ -81,10 +81,11 @@ class AdmmConfig:
 
 
 def soft_threshold(v: np.ndarray, eta: float) -> np.ndarray:
-    """Entrywise shrinkage sign(v) * max(|v| - eta, 0), the prox of eta*||.||_1."""
+    """Entrywise shrinkage sign(v) * max(|v| - eta, 0), the prox of eta*||.||_1,
+    computed as v - clip(v, -eta, eta); its zeros are all +0.0."""
     if eta < 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
-    return np.sign(v) * np.maximum(np.abs(v) - eta, 0.0)
+    return v - np.clip(v, -eta, eta)
 
 
 def lasso_objective(dictionary: Dictionary, x: np.ndarray, coeffs: np.ndarray,
@@ -381,7 +382,8 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
           max_iters: int = 1000, tol: float = 1e-8, callback=None) -> SparseCode:
     """FISTA with function-value restart (Beck & Teboulle 2009; O'Donoghue &
     Candes 2015), so each column's lasso objective F is non-increasing; step
-    1/L with L = ``dictionary.lipschitz`` (1 if L is 0). ``x`` is a pixel
+    1/L with L = ``dictionary.lipschitz``, the exact top eigenvalue of D^T D
+    from one SVD of D (step 1 if L is 0). ``x`` is a pixel
     (bands,), coded as a one-column block, or a block (bands, n). Each column
     has its own momentum and restart, and stops on its own at
     |F_t - F_{t-1}| <= tol * max(1, F_{t-1}) or when even a plain proximal

@@ -1,14 +1,18 @@
 """Differential tests of the blocked network, greedy and l1 paths against the
 per-pixel reference paths, and the hooks the benchmark harness wraps."""
+import ast
 import functools
+import importlib
 import inspect
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from srckit import dictionary, network, solvers
 from srckit.classify import classify_testset, make_solver, src_decide, sweep
@@ -65,28 +69,54 @@ def test_solve_block_matches_columns(width, seed, rho):
             1e-13 * conditioning * np.linalg.norm(column)
 
 
-def test_refinement_takes_only_columns_above_their_own_target(monkeypatch):
-    widths = []
-    real = dictionary.cho_solve
+def cholesky_one_round(d, rho, rhs):
+    """The Cholesky solve with one refinement round the spectral kernel replaced."""
+    gram = d.atoms.T @ d.atoms
+    factor = cho_factor(gram + rho * np.eye(d.n_atoms), lower=False)
+    w = cho_solve(factor, rhs)
+    return w + cho_solve(factor, rhs - (gram @ w + rho * w))
 
-    def spy(factor, b, **kwargs):
-        widths.append(b.shape[1])
-        return real(factor, b, **kwargs)
 
-    monkeypatch.setattr(dictionary, "cho_solve", spy)
+TALL = assemble(np.random.default_rng(5).standard_normal((40, 24)), np.repeat([1, 2, 3], 8))
+ZERO = assemble(np.zeros((16, 24)), np.repeat([1, 2, 3], 8))
+
+
+@examples
+@given(d=st.sampled_from([D, TALL, ZERO]), width=widths, seed=seeds,
+       rho=st.sampled_from([RHO_FLOOR, 1e-3, 1.0, 30.0]))
+def test_spectral_solve_matches_cholesky_with_one_round(d, width, seed, rho):
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((d.n_atoms, width)) * 10.0 ** rng.uniform(-12, 6, width)
+    # at the floor a float64 residual is rounding noise as large as the
+    # residual itself, and it favours the method that refined with the same
+    # products; extended precision measures the residual each w really has
+    atoms, b = d.atoms.astype(np.longdouble), rhs.astype(np.longdouble)
+
+    def residuals(w):
+        w = w.astype(np.longdouble)
+        return np.linalg.norm((b - (atoms.T @ (atoms @ w) + rho * w)).astype(float), axis=0)
+
+    got = residuals(GramCache(d).solve(rho, rhs))
+    bound = np.maximum(1e-12 * np.linalg.norm(rhs, axis=0),
+                       4.0 * residuals(cholesky_one_round(d, rho, rhs)))
+    assert (got <= bound).all()
+
+
+def test_misses_count_columns_above_their_own_target():
     cache = GramCache(D)
+    assert cache.misses == 0
     rng = np.random.default_rng(1)
     big, small = rng.standard_normal((2, D.n_atoms))
     # at the floor every nonzero column misses 1e-12 of its own norm, however
     # small that norm is next to its neighbour's; a zero column meets it at once
     cache.solve(RHO_FLOOR, np.stack([big, 1e-12 * small], axis=1))
-    assert widths == [2, 2, 2, 2]
-    widths.clear()
+    assert cache.misses == 2
     cache.solve(RHO_FLOOR, np.stack([big, np.zeros(D.n_atoms)], axis=1))
-    assert widths == [2, 1, 1, 1]
-    widths.clear()
+    assert cache.misses == 3
     cache.solve(1.0, np.stack([big, 1e-12 * small], axis=1))
-    assert widths == [2]
+    assert cache.misses == 3
+    with pytest.raises(AttributeError):
+        cache.misses = 0
 
 
 def test_solve_rejects_non_finite_columns():
@@ -429,8 +459,9 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(module, "cho_factor",
                                 counting(module.__name__, module.cho_factor))
         classify_testset(D, PIXELS[:, :3], "asdn", {"n_stages": 1})
+        assert calls == set()  # the spectral solve factors nothing
         classify_testset(D, PIXELS[:, :3], "sp", {"k": 2})
-        assert calls == {"srckit.dictionary", "srckit.solvers"}
+        assert calls == {"srckit.solvers"}
 
     def test_gram_built_once_per_dictionary(self, monkeypatch):
         builds = []
@@ -495,4 +526,21 @@ class TestBenchmarkHooks:
         assert callable(GramCache.__init__)
         cache = GramCache(D)
         assert cache.gram.shape == (D.n_atoms, D.n_atoms)
+        np.testing.assert_array_equal(cache.gram, D.atoms.T @ D.atoms)
         assert callable(NetParams.stepped)
+        # every attribute the benchmark's child process wraps: a missing one
+        # would crash its traced runs
+        wrapped = [(dictionary, "cho_factor"), (solvers, "cho_factor"),
+                   (GramCache, "__init__"), (GramCache, "solve"), (NetParams, "stepped")]
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "child.py").read_text())
+        tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                  and node.targets[0].id in ("SETUP_FUNCTIONS", "TRACED_FUNCTIONS",
+                                             "PIXEL_ENTRY_POINTS")}
+        assert len(tables) == 3
+        for _, home, name in tables["SETUP_FUNCTIONS"] + tables["TRACED_FUNCTIONS"]:
+            wrapped.append((importlib.import_module("srckit." + home), name))
+        wrapped += [(importlib.import_module("srckit." + home), name)
+                    for home, name in tables["PIXEL_ENTRY_POINTS"]]
+        for owner, name in wrapped:
+            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"

@@ -3,7 +3,7 @@ import pytest
 
 from srckit.dictionary import Dictionary, GramCache, assemble
 from srckit.solvers import fista, soft_threshold
-from srckit.synthetic import random_orthonormal, random_unit_dictionary
+from srckit.synthetic import random_orthonormal, random_unit_dictionary, subspace_classes
 
 
 def test_assemble_groups_by_class():
@@ -118,10 +118,9 @@ class TestSolveRegularized:
         rhs = rng.standard_normal(25)
         warm = GramCache(d)
         first = warm.solve(0.7, rhs)
-        again = warm.solve(0.7, rhs)  # cached factorization
+        again = warm.solve(0.7, rhs)
         fresh = GramCache(d).solve(0.7, rhs)
         assert first.tobytes() == again.tobytes() == fresh.tobytes()
-        assert len(warm._factors) == 1
 
     def test_gram_symmetry(self):
         rng = np.random.default_rng(3)
@@ -129,15 +128,6 @@ class TestSolveRegularized:
         cache = GramCache(Dictionary(atoms=atoms, class_offsets=[0, 18],
                                      labels_per_atom=[1] * 18))
         assert np.abs(cache.gram - cache.gram.T).max() <= 1e-12
-
-    def test_clear_factors(self):
-        d = Dictionary(atoms=np.eye(4), class_offsets=[0, 4],
-                       labels_per_atom=[1] * 4)
-        cache = GramCache(d)
-        cache.solve(1.0, np.ones(4))
-        assert cache._factors
-        cache.clear_factors()
-        assert not cache._factors
 
 
 def test_dictionary_invariant_checks():
@@ -161,6 +151,16 @@ def test_lipschitz_is_the_top_gram_eigenvalue():
         top = np.linalg.eigvalsh(d.atoms.T @ d.atoms).max()
         assert abs(d.lipschitz - top) <= 1e-10 * top
     assert abs(assemble(random_orthonormal(3, 12), np.ones(12, int)).lipschitz - 1.0) <= 1e-10
+
+
+def test_lipschitz_is_exact_where_top_eigenvalues_lie_close():
+    # a power iteration read these 3.2 % and 3.7 % low
+    unit = random_unit_dictionary(2, 40, 80)
+    data = subspace_classes(1, n_classes=3, dim=16, sub_dim=3, n_dict=8,
+                            n_train=1, n_test=30, noise=0.02)
+    for d in (unit, assemble(data.dict_pixels, data.dict_labels)):
+        top = np.linalg.eigvalsh(d.atoms.T @ d.atoms)[-1]
+        assert abs(d.lipschitz - top) <= 1e-12 * top
 
 
 def test_lipschitz_zero_dictionary_and_fista_step_fallback():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srckit.dictionary import assemble
 from srckit.solvers import (AdmmConfig, admm_fixed, fista, lasso_kkt_violation,
@@ -34,6 +36,16 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(3), -0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20),
+           eta=st.one_of(st.just(0.0), st.floats(min_value=0.0, exclude_min=True,
+                                                 allow_infinity=False)))
+    def test_equals_sign_times_shrunk_magnitude(self, v, eta):
+        v = np.array(v)
+        got = soft_threshold(v, eta)
+        assert (got == np.sign(v) * np.maximum(np.abs(v) - eta, 0.0)).all()
+        assert not np.signbit(got[got == 0.0]).any()  # zeros are +0.0
 
 
 class TestFista:
