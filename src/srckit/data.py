@@ -37,21 +37,44 @@ class BundleFormatError(Exception):
 class SplitMix64:
     """Tiny 64-bit PRNG (splitmix-style) so shuffles reproduce across languages."""
 
+    _GAMMA = 0x9E3779B97F4A7C15
+
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + self._GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1FE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def draws(self, n: int) -> np.ndarray:
+        """The next ``n`` ``next_u64`` outputs as one uint64 array: the k-th
+        state is state + k * gamma mod 2^64, mixed as ``next_u64`` mixes it
+        (uint64 array arithmetic wraps mod 2^64); advances the state by n."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(self._GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * self._GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1FE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
     def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle; index draws by modulo of next_u64."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap item i
+        with item next_u64() % (i + 1). The n-1 draws come from one ``draws``
+        call, so the result and the stream after it equal the per-draw loop's."""
+        n = len(items)
+        if n < 2:
+            return
+        swaps = (self.draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        values = items.tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            values[i], values[j] = values[j], values[i]
+        items[:] = values
 
 
 @dataclass

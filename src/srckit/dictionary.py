@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor  # noqa: F401  unused; the benchmark's traced runs wrap this name
+from numpy.linalg import cholesky as cho_factor  # noqa: F401  unused; the benchmark's traced runs wrap this name
 
 
 @dataclass

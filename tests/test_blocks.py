@@ -261,6 +261,31 @@ def test_block_refit_falls_back_per_pixel_on_a_singular_sub_gram():
     got = solvers._ls_on_supports(atoms_s, x)
     for j in range(2):
         assert np.array_equal(got[j], solvers._ls_on_support(atoms_s[j].T, x[j]))
+    assert np.array_equal(got[1], np.linalg.lstsq(atoms_s[1].T, x[1], rcond=None)[0])
+    want = cholesky_refit(atoms_s[0].T, x[0])
+    assert np.linalg.norm(got[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def cholesky_refit(atoms_s, x):
+    """The scipy Cholesky refit with one refinement round that the numpy
+    kernel replaced: normal equations on the sub-Gram of atoms_s (bands, t)."""
+    gram, rhs = atoms_s.T @ atoms_s, atoms_s.T @ x
+    factor = cho_factor(gram, lower=False)
+    coef = cho_solve(factor, rhs)
+    return coef + cho_solve(factor, rhs - gram @ coef)
+
+
+@examples
+@given(size=st.integers(1, 10), seed=seeds)
+def test_refit_matches_cholesky_with_one_round(size, seed):
+    # TALL's sub-Grams of up to 10 atoms have condition numbers below 15; a
+    # 3000-seed run gave at most 8e-16 relative difference
+    rng = np.random.default_rng(seed)
+    atoms_s = TALL.atoms[:, np.sort(rng.choice(TALL.n_atoms, size=size, replace=False))]
+    x = rng.standard_normal(TALL.n_bands)
+    want = cholesky_refit(atoms_s, x)
+    got = solvers._ls_on_support(atoms_s, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # Block l1 codes against one-column calls of the same solver. The columns

@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,3 +596,14 @@ def test_help_returns_zero_and_lists_the_flags(capsys, command):
             invocation = re.split(r"\s{2,}", line.strip())[0]
             listed.update(part.split()[0] for part in invocation.split(", "))
     assert listed == {"-h", "--help", *HELP_FLAGS[command].split()}
+
+
+def test_import_leaves_scipy_out():
+    # importing scipy.linalg once took about half of every CLI run's fixed cost
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = "import sys, srckit, srckit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

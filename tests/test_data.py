@@ -19,6 +19,42 @@ def random_cube(seed, h=4, w=5, b=6, n_classes=3):
     return LabeledCube(data=data, labels=labels)
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class ReferenceSplitMix64:
+    """The per-draw generator and Fisher-Yates loop the vectorised
+    ``SplitMix64.shuffle`` must reproduce bit for bit."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1FE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.next_u64() % (i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def reference_split(cube, dict_frac, train_frac, seed):
+    """make_split's rule with the per-draw shuffle: (dict, train, test) per class."""
+    rng, parts = ReferenceSplitMix64(seed), {}
+    for c in range(1, cube.n_classes + 1):
+        ids = cube.class_ids(c).tolist()
+        rng.shuffle(ids)
+        n_dict = max(1, int(np.floor(dict_frac * len(ids) + 0.5)))
+        n_train = int(np.floor(train_frac * (len(ids) - n_dict) + 0.5))
+        parts[c] = (sorted(ids[:n_dict]), sorted(ids[n_dict:n_dict + n_train]),
+                    sorted(ids[n_dict + n_train:]))
+    return parts
+
+
 class TestSplitMix64:
     def test_pinned_stream(self):
         # splitmix64 with the state seeded directly (no pre-scrambling);
@@ -33,6 +69,26 @@ class TestSplitMix64:
         SplitMix64(42).shuffle(items)
         assert sorted(items.tolist()) == list(range(100))
         assert not np.array_equal(items, np.arange(100))
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 18649])
+    def test_shuffle_equals_per_draw_loop(self, seed, n):
+        got, want = np.arange(n) * 7 + 3, (np.arange(n) * 7 + 3).tolist()
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        rng.shuffle(got)
+        ref.shuffle(want)
+        assert got.tolist() == want
+        # the stream continues where the per-draw loop leaves it
+        assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_draws_equal_next_u64_calls(self, seed):
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        assert rng.draws(0).tolist() == []
+        got = rng.draws(1000)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [ref.next_u64() for _ in range(1000)]
+        assert rng.next_u64() == ref.next_u64()
 
 
 class TestBundleRoundTrip:
@@ -158,6 +214,15 @@ class TestMakeSplit:
         got = [len(split.dictionary_ids[c]) for c in range(1, 10)]
         assert got == expected
         assert sum(got) == 426
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+    def test_equals_per_draw_reference(self, seed):
+        cube = random_cube(seed % 97, h=9, w=11)
+        split = make_split(cube, 0.2, 0.3, seed=seed)
+        for c, (dict_ids, train_ids, test_ids) in reference_split(cube, 0.2, 0.3, seed).items():
+            assert split.dictionary_ids[c].tolist() == dict_ids
+            assert split.train_ids[c].tolist() == train_ids
+            assert split.test_ids[c].tolist() == test_ids
 
     def test_deterministic(self):
         cube = labeled_line_cube([40, 60])

@@ -194,3 +194,19 @@ def test_all_greedy_supports_within_bounds():
     assert omp(d, x, k).support.size <= k
     assert sp(d, x, k).support.size <= k
     assert gomp(d, x, k, s=2).support.size <= 2 * ((k + 1) // 2)
+
+
+@pytest.mark.parametrize("solve", [lambda d, x: romp(d, x, 1), lambda d, x: sp(d, x, 1),
+                                   lambda d, x: samp(d, x)], ids=["romp", "sp", "samp"])
+def test_duplicate_atom_tie_goes_to_lower_index(solve):
+    # atom 29 repeats atom 0; a gemv over 30 atoms puts column 29 in its
+    # unrolled tail and splits such ties by rounding in about one draw in five
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        atoms = rng.standard_normal((12, 30))
+        atoms /= np.linalg.norm(atoms, axis=0)
+        atoms[:, 29] = atoms[:, 0]
+        d = assemble(atoms, np.ones(30, dtype=int))
+        x = 3.0 * atoms[:, 0] + 1e-3 * atoms[:, 7]
+        support = solve(d, x).support.tolist()
+        assert 0 in support and 29 not in support, seed
