@@ -4,12 +4,12 @@ A test pixel is coded over the class-partitioned dictionary by any of the
 registered solvers, then assigned to the class whose sub-dictionary
 reconstructs it with the smallest residual. Every solver codes the test
 pixels in blocks of ``network.BLOCK_COLUMNS`` (32) columns, with one decision
-per block. omp, gomp, fista, admm_fixed and the unrolled network ``asdn``
-code a whole block in one call, each column stopping on its own; sp, romp
-and samp code its pixels one call each. All coding runs on the calling
-thread: the block and BLAS are the only parallelism. Reports carry the
-confusion matrix with overall accuracy, average (per-class) accuracy, and
-the chance-corrected kappa coefficient, all as fractions in [0, 1].
+per block. Every solver, the unrolled network ``asdn`` included, codes a
+whole block in one call, each column stopping on its own. All coding runs
+on the calling thread: the block and BLAS are the only parallelism.
+Reports carry the confusion matrix with overall accuracy, average
+(per-class) accuracy, and the chance-corrected kappa coefficient, all as
+fractions in [0, 1].
 """
 from __future__ import annotations
 
@@ -199,11 +199,10 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
 
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
     (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
-    module at every call. sp, romp and samp code a block one call per
-    column and stack the codes; every other solver codes it in one call.
-    admm_fixed and asdn solve through the dictionary's ``gram_cache``, so
-    it is built at their first solve and only for them, and later solvers
-    over the same dictionary reuse it.
+    module at every call, and codes a block in one call. admm_fixed and
+    asdn solve through the dictionary's ``gram_cache``, so it is built at
+    their first solve and only for them, and later solvers over the same
+    dictionary reuse it.
     """
     kwargs = solver_kwargs(name, params)
     if name == "asdn":
@@ -211,13 +210,7 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
         return lambda x: network.forward(dictionary, x, net)[0]
     if name == "admm_fixed":
         kwargs = {"cfg": solvers.AdmmConfig(**kwargs)}
-
-    def solve(x):
-        if x.ndim == 2 and name in ("sp", "romp", "samp"):  # they code one pixel
-            return solvers.SparseCode.from_dense(
-                np.stack([solve(column).coeffs for column in x.T], axis=1))
-        return getattr(solvers, name)(dictionary, x, **kwargs)
-    return solve
+    return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
 
 
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,

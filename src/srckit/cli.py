@@ -318,7 +318,8 @@ def _load_split(config: dict, cube) -> Split:
 
 def _check_split(split: Split, cube, path: Path) -> None:
     """A split file must index labeled cube pixels of the class it files them
-    under, and its dictionary, train and test sets must be pairwise disjoint."""
+    under, list each id at most once in each set, and its dictionary, train
+    and test sets must be pairwise disjoint."""
     labels = cube.labels.ravel()
     sets = {"dictionary": split.dictionary_ids, "train": split.train_ids,
             "test": split.test_ids}
@@ -335,6 +336,12 @@ def _check_split(split: Split, cube, path: Path) -> None:
                     f"{class_id} but its cube label is {labels[wrong[0]]}")
     flat = {"dictionary": split.dictionary_flat(), "train": split.train_flat(),
             "test": split.test_flat()}
+    for name, ids in flat.items():
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ConfigError(f"split file {path}: {name} id {repeated[0]} is listed "
+                              "more than once")
     for a, b in (("dictionary", "train"), ("dictionary", "test"), ("train", "test")):
         shared = np.intersect1d(flat[a], flat[b])
         if shared.size:

@@ -1,17 +1,20 @@
 """Baseline sparse solvers over a class-partitioned dictionary.
 
-Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. gomp codes a
-block of pixel columns at once, with batched refits (omp is gomp with one
-atom per step); romp grows one pixel's support in ``_grow``, the per-pixel
-form of the same loop; one expand-prune-refit step serves sp and samp.
+Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. All five run on
+one block kernel, ``_Block``: per-column support, least-squares
+coefficients, residual and stop, one correlation path (``picks``) and one
+refit path (``fit``, batched by support size). omp is gomp with one atom
+per step; romp adds a factor-2 window of its picks; sp and samp accept an
+expand-refit-prune-refit ``trial`` only where it lowers the residual.
 l1 family (weight lambda): fista, admm_fixed, each coding a block of pixel
 columns with per-column stop masks. ``admm_stage`` is the one scaled-form
 ADMM stage, shared by admm_fixed and the unrolled network.
 
-Conventions shared by every solver here, per pixel column of a block:
-  * correlation ties break toward the lowest atom index; one pixel's
-    correlations are summed over bands in one order for every atom
-    (``_correlations``), so duplicate atoms tie exactly;
+Every solver codes one pixel (bands,), as a one-column block, or a block of
+pixel columns (bands, n), whose code has coeffs (n_atoms, n). Conventions
+shared by every solver here, per pixel column of a block:
+  * correlation ties break toward the lowest atom index, and equal atoms
+    tie exactly (each takes its first copy's correlation, ``_first_copies``);
   * correlations at or below 1e-12 * ||x|| count as zero and are never
     selected (keeps exact-recovery supports free of numerical junk);
   * least-squares refits solve the normal equations on the selected
@@ -127,29 +130,17 @@ def _check_sparsity_level(dictionary: Dictionary, k: int) -> None:
         raise ValueError(f"sparsity level K={k} outside 1..{limit}")
 
 
-def _top_candidates(correlations: np.ndarray, how_many: int, floor: float,
-                    selected: np.ndarray) -> np.ndarray:
-    """Indices of up to ``how_many`` largest |correlations| above ``floor``,
-    skipping already-selected atoms; ties go to the lowest index."""
-    mags = np.abs(correlations).copy()
-    if selected.size:
-        mags[selected] = -1.0
-    order = np.argsort(-mags, kind="stable")
-    order = order[mags[order] > floor]
-    return order[:how_many]
-
-
-def _correlations(atoms: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """atoms^T r for one pixel, summed over bands in the same order for
-    every atom, so duplicate atoms tie exactly and the lowest index wins
-    (a gemv's blocking can split such ties by rounding)."""
-    return (atoms * r[:, None]).sum(axis=0)
-
-
-def _ls_on_support(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of one pixel on a small atom subset
-    (bands, t): the one-pixel case of ``_ls_on_supports``."""
-    return _ls_on_supports(atoms_s.T[None], x[None])[0]
+def _first_copies(atoms: np.ndarray):
+    """Each atom's lowest-indexed equal atom, or None if all atoms differ.
+    Products with the atoms can split equal atoms' correlations by rounding
+    (gemv, and the gemm R @ atoms at 103 x 426 do), so the greedy kernel
+    gives each atom its first copy's. The exact search runs only when two
+    keys, elementwise in two bands and so equal for equal atoms, are equal."""
+    key = np.sort(atoms[0] + math.pi * atoms[-1])
+    if (key[1:] != key[:-1]).all():
+        return None
+    _, first, inverse = np.unique(atoms, axis=1, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
 
 
 def _ls_on_supports(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -172,87 +163,142 @@ def _ls_on_supports(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef[:, :, 0]
 
 
-def _code_from_support(n_atoms: int, support: np.ndarray, coef: np.ndarray) -> SparseCode:
-    coeffs = np.zeros(n_atoms)
-    coeffs[support] = coef
-    return SparseCode.from_dense(coeffs)
+class _Block:
+    """The greedy kernel: per-column state of a code of a block of pixel
+    columns (Batch OMP, Rubinstein, Zibulevsky & Elad 2008). Pixel j's
+    support is support[j, :size[j]], in selection order for gomp and
+    ascending for the other solvers; the unused slots hold ``n_atoms``, past
+    every atom. coef[j, :size[j]] are its least-squares coefficients, and
+    residual[j] and norm[j] what they leave of the pixel. Every solver is a
+    loop of ``picks``, ``expand`` and ``fit`` over the columns still
+    running, each column stopping on its own; the Gram of the whole
+    dictionary is never built."""
 
+    def __init__(self, dictionary: Dictionary, x: np.ndarray, slots: int):
+        x = np.asarray(x, dtype=np.float64)
+        self.shape = x.shape[1:]
+        self.atoms, self.n_atoms = dictionary.atoms, dictionary.n_atoms
+        self.copies = _first_copies(self.atoms)
+        self.rows = np.ascontiguousarray(x.reshape(len(x), -1).T)  # one row per pixel
+        n = len(self.rows)
+        self.norm = np.linalg.norm(self.rows, axis=1)
+        self.floor = _CORR_FLOOR_REL * self.norm
+        self.support = np.full((n, slots), self.n_atoms)
+        self.coef = np.zeros((n, slots))
+        self.size = np.zeros(n, dtype=np.int64)
+        self.residual = self.rows.copy()
 
-def _grow(dictionary: Dictionary, x: np.ndarray, tol: float, n_steps: int,
-          select, sort: bool) -> SparseCode:
-    """Growth loop of gomp (hence omp) and romp: up to ``n_steps`` times, add
-    the atoms ``select(correlations, floor, support)`` picks (kept ascending
-    when ``sort``) and refit; stops early on residual <= tol or no picks."""
-    atoms = dictionary.atoms
-    floor = _CORR_FLOOR_REL * np.linalg.norm(x)
-    support = np.empty(0, dtype=np.int64)
-    coef = np.empty(0)
-    residual = x.astype(np.float64, copy=True)
-    for _ in range(n_steps):
-        if np.linalg.norm(residual) <= tol:
-            break
-        picks = select(_correlations(atoms, residual), floor, support)
-        if picks.size == 0:
-            break
-        support = np.concatenate([support, picks])
+    def picks(self, cols: np.ndarray, want) -> tuple:
+        """Up to ``want`` atoms (an int, or one count per column) for each
+        pixel of ``cols``, outside its support and above its floor, by
+        descending |correlation| with its residual: first-argmax passes, so
+        ties go to the lowest index. Returns (picks, valid, magnitudes), each
+        (len(cols), passes); valid is a prefix of each row."""
+        mags = np.zeros((len(cols), self.n_atoms + 1))  # a last column for unused slots
+        np.matmul(self.residual[cols], self.atoms, out=mags[:, :-1])
+        if self.copies is not None:
+            mags[:, :-1] = mags[:, self.copies]  # equal atoms tie exactly
+        np.abs(mags, out=mags)
+        each, passes = np.arange(len(cols)), int(np.max(want, initial=1))
+        mags[each[:, None], self.support[cols]] = -1.0
+        picks = np.empty((len(cols), passes), dtype=np.int64)
+        values = np.empty((len(cols), passes))
+        for q in range(passes):
+            picks[:, q] = mags.argmax(axis=1)
+            values[:, q] = mags[each, picks[:, q]]
+            mags[each, picks[:, q]] = -1.0
+        valid = values > self.floor[cols, None]
+        if np.ndim(want):
+            valid &= np.arange(passes) < want[:, None]
+        return picks, valid, values
+
+    def expand(self, cols: np.ndarray, picks: np.ndarray, count: np.ndarray,
+               sort: bool = True) -> tuple:
+        """The supports of ``cols`` with each pixel's first ``count`` picks
+        added, kept ascending when ``sort``: (support, size)."""
+        support, size = self.support[cols], self.size[cols]
+        row, q = np.nonzero(np.arange(picks.shape[1]) < count[:, None])
+        support[row, size[row] + q] = picks[row, q]
         if sort:
-            support = np.sort(support)
-        coef = _ls_on_support(atoms[:, support], x)
-        residual = x - atoms[:, support] @ coef
-    return _code_from_support(dictionary.n_atoms, support, coef)
+            support.sort(axis=1)
+        return support, size + count
 
+    def fit(self, cols: np.ndarray, support: np.ndarray, size: np.ndarray) -> tuple:
+        """Least squares of each pixel of ``cols`` on the first ``size`` atoms
+        of its ``support`` row, in one ``_ls_on_supports`` batch per support
+        size: (coef, residual, norm)."""
+        coef = np.zeros(support.shape)
+        residual = np.empty((len(cols), self.rows.shape[1]))
+        for t in set(size.tolist()):
+            group = np.flatnonzero(size == t)
+            atoms_s = self.atoms.T[support[group, :t]]  # (pixels, t, bands)
+            rows = self.rows[cols[group]]
+            coef[group, :t] = _ls_on_supports(atoms_s, rows)
+            residual[group] = rows - np.matmul(coef[group, None, :t], atoms_s)[:, 0]
+        return coef, residual, np.linalg.norm(residual, axis=1)
 
-def _expand_prune(atoms: np.ndarray, x: np.ndarray, residual: np.ndarray,
-                  support: np.ndarray, size: int, floor: float):
-    """Step of sp and samp: add the ``size`` atoms best correlated with the
-    residual, refit, prune to the ``size`` largest coefficients, refit.
-    Returns (support, coef, residual, residual norm), or None if nothing is
-    left to add."""
-    extra = _top_candidates(_correlations(atoms, residual), size, floor, support)
-    if extra.size == 0:
-        return None
-    candidate = np.sort(np.concatenate([support, extra]))
-    cand_coef = _ls_on_support(atoms[:, candidate], x)
-    keep = np.sort(candidate[np.argsort(-np.abs(cand_coef), kind="stable")[:size]])
-    coef = _ls_on_support(atoms[:, keep], x)
-    residual = x - atoms[:, keep] @ coef
-    return keep, coef, residual, np.linalg.norm(residual)
+    def keep(self, cols: np.ndarray, support, size, coef, residual, norm) -> None:
+        self.support[cols], self.size[cols], self.coef[cols] = support, size, coef
+        self.residual[cols], self.norm[cols] = residual, norm
+
+    def grow(self, cols: np.ndarray, picks: np.ndarray, count: np.ndarray,
+             sort: bool = True) -> None:
+        """Add each pixel's first ``count`` picks to its support and refit."""
+        support, size = self.expand(cols, picks, count, sort)
+        self.keep(cols, support, size, *self.fit(cols, support, size))
+
+    def trial(self, cols: np.ndarray, want) -> tuple:
+        """The step of sp and samp: add up to ``want`` atoms best correlated
+        with each residual, refit, prune to the ``want`` largest |coefficients|
+        (a stable sort's order), refit. Returns the pixels of ``cols`` that had
+        an atom to add and their trial (support, size, coef, residual, norm)."""
+        picks, valid, _ = self.picks(cols, want)
+        has = valid[:, 0]
+        cols, want = cols[has], (want[has] if np.ndim(want) else want)
+        support, size = self.expand(cols, picks[has], valid[has].sum(axis=1))
+        rank = np.empty_like(support)
+        order = np.argsort(-np.abs(self.fit(cols, support, size)[0]), axis=1, kind="stable")
+        np.put_along_axis(rank, order, np.arange(support.shape[1]), axis=1)
+        support[rank >= np.reshape(want, (-1, 1))] = self.n_atoms  # unused slots rank last
+        support.sort(axis=1)
+        size = np.minimum(size, want)
+        return (cols, support, size) + self.fit(cols, support, size)
+
+    def code(self) -> SparseCode:
+        pixel, slot = np.nonzero(np.arange(self.support.shape[1]) < self.size[:, None])
+        coeffs = np.zeros((self.n_atoms, len(self.rows)))
+        coeffs[self.support[pixel, slot], pixel] = self.coef[pixel, slot]
+        return SparseCode.from_dense(coeffs.reshape((self.n_atoms,) + self.shape))
 
 
 def omp(dictionary: Dictionary, x: np.ndarray, k: int,
         tol: float = GREEDY_TOL) -> SparseCode:
     """Orthogonal matching pursuit: grow the support one atom at a time by
     max correlation with the residual, refitting least squares each step.
-    This is gomp with one atom per iteration, so ``x`` may be one pixel
-    (bands,) or a block (bands, n)."""
+    This is gomp with one atom per iteration."""
     return gomp(dictionary, x, k, 1, tol)
 
 
 def sp(dictionary: Dictionary, x: np.ndarray, k: int, tol: float = GREEDY_TOL,
        max_iters: int = 100) -> SparseCode:
-    """Subspace pursuit: keep exactly K atoms, expand by the K best
-    correlations, prune back to the K largest refit coefficients; stop when
-    the residual norm stops decreasing."""
+    """Subspace pursuit (Dai & Milenkovic 2009): keep exactly K atoms, expand
+    by the K best correlations, prune back to the K largest refit
+    coefficients; a column stops when its residual norm stops decreasing,
+    at residual <= tol, or after ``max_iters`` trials. The first K atoms
+    are the K best correlated with the pixel, whatever tol says."""
     _check_sparsity_level(dictionary, k)
-    atoms = dictionary.atoms
-    floor = _CORR_FLOOR_REL * np.linalg.norm(x)
-    none = np.empty(0, dtype=np.int64)
-
-    support = np.sort(_top_candidates(_correlations(atoms, x), k, floor, none))
-    if support.size == 0:
-        return _code_from_support(dictionary.n_atoms, none, np.empty(0))
-    coef = _ls_on_support(atoms[:, support], x)
-    residual = x - atoms[:, support] @ coef
-    best_norm = np.linalg.norm(residual)
-
+    block = _Block(dictionary, x, 2 * k)
+    cols, *state = block.trial(np.arange(len(block.rows)), k)
+    block.keep(cols, *state)
     for _ in range(max_iters):
-        if best_norm <= tol:
+        cols = cols[block.norm[cols] > tol]
+        if cols.size == 0:
             break
-        trial = _expand_prune(atoms, x, residual, support, k, floor)
-        if trial is None or trial[3] >= best_norm:
-            break
-        support, coef, residual, best_norm = trial
-    return _code_from_support(dictionary.n_atoms, support, coef)
+        cols, *state = block.trial(cols, k)
+        better = state[-1] < block.norm[cols]
+        cols = cols[better]
+        block.keep(cols, *(a[better] for a in state))
+    return block.code()
 
 
 def romp(dictionary: Dictionary, x: np.ndarray, k: int,
@@ -261,41 +307,32 @@ def romp(dictionary: Dictionary, x: np.ndarray, k: int,
     keep the maximal-energy group whose magnitudes are within a factor 2,
     add the whole group, refit. Stops at |support| >= 2K or a tiny residual."""
     _check_sparsity_level(dictionary, k)
-
-    def select(correlations, floor, support):
-        if support.size >= 2 * k:
-            return support[:0]
-        picks = _top_candidates(correlations, k, floor, support)
-        mags = np.abs(correlations[picks])  # descending by construction
-        energy = np.concatenate(([0.0], np.cumsum(mags ** 2)))
-        best_span, best_energy = (0, 0), -1.0
-        for i in range(len(mags)):
-            j = i
-            while j + 1 < len(mags) and mags[i] <= 2.0 * mags[j + 1]:
-                j += 1
-            window_energy = energy[j + 1] - energy[i]
-            if window_energy > best_energy:
-                best_span, best_energy = (i, j + 1), window_energy
-        return picks[best_span[0]:best_span[1]]
-
-    # every step adds at least one atom, so 2K steps reach |support| >= 2K
-    return _grow(dictionary, x, tol, 2 * k, select, sort=True)
+    block = _Block(dictionary, x, 3 * k)  # a step from below 2K adds at most K
+    cols = np.arange(len(block.rows))
+    for _ in range(2 * k):  # every step adds at least one atom
+        cols = cols[(block.norm[cols] > tol) & (block.size[cols] < 2 * k)]
+        picks, valid, mags = block.picks(cols, k)  # mags descend along each row
+        keep = valid[:, 0]
+        cols, picks, valid, mags = cols[keep], picks[keep], valid[keep], mags[keep]
+        if cols.size == 0:
+            break
+        # the window from pick i ends before the first pick under half of it
+        end = ((2.0 * mags[:, None, :] >= mags[:, :, None]) & valid[:, None, :]).sum(axis=2)
+        energy = np.cumsum(np.pad(np.where(valid, mags ** 2, 0.0), ((0, 0), (1, 0))), axis=1)
+        window = np.where(valid, np.take_along_axis(energy, end, axis=1) - energy[:, :-1], -1.0)
+        start = window.argmax(axis=1)  # the first of equal windows
+        count = np.take_along_axis(end, start[:, None], axis=1)[:, 0] - start
+        shifted = np.minimum(start[:, None] + np.arange(k), k - 1)
+        block.grow(cols, np.take_along_axis(picks, shifted, axis=1), count)
+    return block.code()
 
 
 def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
          tol: float = GREEDY_TOL) -> SparseCode:
     """Generalized OMP: select ``s`` atoms per iteration by correlation
-    magnitude, refit, run ceil(K/s) iterations. s=1 is omp.
-
-    ``x`` is one pixel (bands,), coded as a one-column block, or a block of
-    pixel columns (bands, n), whose code has coeffs (n_atoms, n). Each step takes the correlations of every still-active pixel in one
-    product, picks each pixel's ``s`` strongest unselected atoms, and refits
-    every pixel in one batched solve on the stack of sub-Grams of its
-    selected atoms (Batch OMP, Rubinstein et al. 2008); the Gram of the
-    whole dictionary is never built. Each pixel stops on its own, as in
-    ``_grow``: at residual <= tol, with no pick above the floor, or after
-    ceil(K/s) steps.
-    """
+    magnitude, refit, run ceil(K/s) iterations. s=1 is omp. A column stops
+    at residual <= tol, with no pick above the floor, or after ceil(K/s)
+    steps; its support stays in selection order."""
     _check_sparsity_level(dictionary, k)
     if s < 1:
         raise ValueError(f"atoms-per-iteration S={s} must be >= 1")
@@ -303,80 +340,41 @@ def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
     if s * n_iters > dictionary.n_atoms:
         raise ValueError(
             f"S*iterations = {s * n_iters} exceeds dictionary size {dictionary.n_atoms}")
-    x = np.asarray(x, dtype=np.float64)
-    atoms, atoms_t = dictionary.atoms, dictionary.atoms.T
-    rows = np.ascontiguousarray(x.reshape(len(x), -1).T)  # one row per pixel
-    n = len(rows)
-    floor = _CORR_FLOOR_REL * np.linalg.norm(rows, axis=1)
-    chosen = np.zeros((n, dictionary.n_atoms), dtype=bool)
-    support = np.zeros((n, s * n_iters), dtype=np.int64)  # in selection order
-    coef = np.zeros((n, s * n_iters))
-    size = np.zeros(n, dtype=np.int64)
-    residual = rows.copy()
-    active = np.flatnonzero(np.linalg.norm(residual, axis=1) > tol)
+    block = _Block(dictionary, x, s * n_iters)
+    cols = np.arange(len(block.rows))
     for _ in range(n_iters):
-        mags = np.abs(residual[active] @ atoms)
-        mags[chosen[active]] = -1.0
-        # s first-argmax picks, each masked for the next: the order of a
-        # stable sort by descending magnitude, so ties go to the lowest index
-        each = np.arange(len(active))
-        picks = np.empty((len(active), s), dtype=np.int64)
-        valid = np.empty((len(active), s), dtype=bool)
-        for q in range(s):
-            picks[:, q] = mags.argmax(axis=1)
-            valid[:, q] = mags[each, picks[:, q]] > floor[active]  # a prefix of each row
-            mags[each, picks[:, q]] = -1.0
+        cols = cols[block.norm[cols] > tol]
+        picks, valid, _ = block.picks(cols, s)
         keep = valid[:, 0]
-        active, picks, valid = active[keep], picks[keep], valid[keep]
-        if active.size == 0:
+        cols = cols[keep]
+        if cols.size == 0:
             break
-        owner = np.broadcast_to(active[:, None], valid.shape)[valid]
-        support[owner, (size[active, None] + np.arange(s))[valid]] = picks[valid]
-        chosen[owner, picks[valid]] = True
-        size[active] += valid.sum(axis=1)
-        # a step may pick fewer than s atoms for some pixels: refit by size
-        for t in np.unique(size[active]):
-            group = active[size[active] == t]
-            atoms_s = atoms_t[support[group, :t]]  # (pixels, t, bands)
-            coef[group, :t] = _ls_on_supports(atoms_s, rows[group])
-            residual[group] = rows[group] - np.matmul(coef[group, None, :t], atoms_s)[:, 0]
-        active = active[np.linalg.norm(residual[active], axis=1) > tol]
-    coeffs = np.zeros((dictionary.n_atoms, n))
-    pixel, slot = np.nonzero(np.arange(support.shape[1]) < size[:, None])
-    coeffs[support[pixel, slot], pixel] = coef[pixel, slot]
-    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + x.shape[1:]))
+        block.grow(cols, picks[keep], valid[keep].sum(axis=1), sort=False)
+    return block.code()
 
 
 def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
          tol: float = GREEDY_TOL, max_iters: int = 1000) -> SparseCode:
     """Sparsity-adaptive matching pursuit: subspace pursuit at a growing
-    size estimate, bumped by ``step`` whenever the residual stalls. Needs no
-    sparsity level up front; stops at residual <= tol or support size
+    size estimate, bumped by ``step`` for a column whose trial does not
+    lower its residual. Needs no sparsity level up front; a column stops at
+    residual <= tol, with no atom left to add, or at size estimate above
     min(bands, atoms)/2."""
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    atoms = dictionary.atoms
     cap = min(dictionary.n_bands, dictionary.n_atoms) // 2
-    floor = _CORR_FLOOR_REL * np.linalg.norm(x)
-    support = np.empty(0, dtype=np.int64)
-    coef = np.empty(0)
-    residual = x.astype(np.float64, copy=True)
-    resid_norm = np.linalg.norm(residual)
-    size = step
+    block = _Block(dictionary, x, 2 * cap)
+    size = np.full(len(block.rows), step)
+    cols = np.arange(len(block.rows))
     for _ in range(max_iters):
-        if resid_norm <= tol or size > cap:
+        cols = cols[(block.norm[cols] > tol) & (size[cols] <= cap)]
+        if cols.size == 0:
             break
-        trial = _expand_prune(atoms, x, residual, support, size, floor)
-        if trial is None:
-            break  # residual orthogonal to every unselected atom
-        if trial[3] <= tol:
-            support, coef = trial[:2]
-            break
-        if trial[3] >= resid_norm:
-            size += step  # stage switch: residual stalled at this size
-        else:
-            support, coef, residual, resid_norm = trial
-    return _code_from_support(dictionary.n_atoms, support, coef)
+        cols, *state = block.trial(cols, size[cols])
+        better = state[-1] < block.norm[cols]
+        block.keep(cols[better], *(a[better] for a in state))
+        size[cols[~better]] += step  # stage switch: the residual stalled
+    return block.code()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+import greedy_reference as reference
 from srckit import dictionary, network, solvers
 from srckit.classify import classify_testset, make_solver, src_decide, sweep
 from srckit.data import pixels_to_cube
@@ -216,11 +217,11 @@ def test_gomp_block_matches_per_pixel_growth(width, s, seed):
     assert block.coeffs.shape == (D.n_atoms, width)
 
     def top_s(correlations, floor, support):
-        return solvers._top_candidates(correlations, s, floor, support)
+        return reference._top_candidates(correlations, s, floor, support)
 
     for j in range(width):
-        want = solvers._grow(D, x[:, j], solvers.GREEDY_TOL, math.ceil(k / s),
-                             top_s, sort=False)
+        want = reference._grow(D, x[:, j], solvers.GREEDY_TOL, math.ceil(k / s),
+                               top_s, sort=False)
         got = block.coeffs[:, j]
         # on an exact-sparse column, atoms picked beside the true ones get
         # roundoff-level coefficients that either path may round to zero
@@ -228,6 +229,44 @@ def test_gomp_block_matches_per_pixel_growth(width, s, seed):
         assert np.array_equal(np.flatnonzero(np.abs(got) > tiny),
                               np.flatnonzero(np.abs(want.coeffs) > tiny)), j
         assert np.linalg.norm(got - want.coeffs) <= tiny, j
+
+
+@pytest.mark.parametrize("solver", ["sp", "romp", "samp"])
+@examples
+@given(width=widths, seed=seeds)
+def test_greedy_block_matches_per_pixel_reference(solver, width, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    x = greedy_block(rng, width, k)
+    params = {"step": int(rng.integers(1, 4))} if solver == "samp" else {"k": k}
+    block = getattr(solvers, solver)(D, x, **params)
+    assert block.coeffs.shape == (D.n_atoms, width)
+    for j in range(width):
+        want = getattr(reference, solver)(D, x[:, j], **params).coeffs
+        got = block.coeffs[:, j]
+        assert np.array_equal(np.flatnonzero(got), np.flatnonzero(want)), j
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), j
+
+
+def test_block_sp_falls_back_to_lstsq_on_a_singular_sub_gram(monkeypatch):
+    # K = 5 over 6 bands: a trial's 10 candidate atoms have a singular
+    # sub-Gram, so its refit leaves the batched solve for lstsq
+    rng = np.random.default_rng(11)
+    atoms = rng.standard_normal((6, 12))
+    d = assemble(atoms / np.linalg.norm(atoms, axis=0), np.repeat([1, 2, 3], 4))
+    x = np.hstack([rng.standard_normal((6, 3)), d.atoms[:, :5] @ rng.uniform(1.0, 2.0, (5, 29))])
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    block = solvers.sp(d, x, 5)
+    assert calls
+    for j in range(x.shape[1]):
+        want = reference.sp(d, x[:, j], 5).coeffs
+        assert np.array_equal(block.coeffs[:, j], want), j
 
 
 @examples
@@ -260,7 +299,7 @@ def test_block_refit_falls_back_per_pixel_on_a_singular_sub_gram():
     x = PIXELS[:, :2].T
     got = solvers._ls_on_supports(atoms_s, x)
     for j in range(2):
-        assert np.array_equal(got[j], solvers._ls_on_support(atoms_s[j].T, x[j]))
+        assert np.array_equal(got[j], reference._ls_on_support(atoms_s[j].T, x[j]))
     assert np.array_equal(got[1], np.linalg.lstsq(atoms_s[1].T, x[1], rcond=None)[0])
     want = cholesky_refit(atoms_s[0].T, x[0])
     assert np.linalg.norm(got[0] - want) <= 1e-12 * np.linalg.norm(want)
@@ -284,7 +323,7 @@ def test_refit_matches_cholesky_with_one_round(size, seed):
     atoms_s = TALL.atoms[:, np.sort(rng.choice(TALL.n_atoms, size=size, replace=False))]
     x = rng.standard_normal(TALL.n_bands)
     want = cholesky_refit(atoms_s, x)
-    got = solvers._ls_on_support(atoms_s, x)
+    got = reference._ls_on_support(atoms_s, x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -432,6 +471,23 @@ def test_classify_codes_on_the_calling_thread(monkeypatch):
     classify_testset(D, PIXELS, "omp", {"k": 3})
     blocks = -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
     assert idents == [threading.get_ident()] * (2 * blocks)
+
+
+@pytest.mark.parametrize("solver, params", [
+    ("omp", {"k": 3}), ("gomp", {"k": 4, "s": 2}), ("sp", {"k": 3}), ("romp", {"k": 3}),
+    ("samp", {})])
+def test_classify_calls_each_greedy_solver_once_per_block(monkeypatch, solver, params):
+    widths_seen = []
+    original = getattr(solvers, solver)
+
+    def counted(dictionary_, x, **kwargs):
+        widths_seen.append(x.shape[1])
+        return original(dictionary_, x, **kwargs)
+
+    monkeypatch.setattr(solvers, solver, counted)
+    classify_testset(D, PIXELS, solver, params)
+    width, n = network.BLOCK_COLUMNS, PIXELS.shape[1]
+    assert widths_seen == [min(width, n - start) for start in range(0, n, width)]
 
 
 class TestBenchmarkHooks:

@@ -259,6 +259,16 @@ class TestSplitValidation:
         assert status == 3
         assert "outside" in err["message"]
 
+    def test_id_repeated_within_a_set(self, capsys, bundle, tmp_path):
+        def repeat(doc):
+            doc["test_ids"]["1"] = doc["test_ids"]["1"] + doc["test_ids"]["1"][:1]
+        path = self.write_split(tmp_path, repeat)
+        repeated = json.loads(path.read_text(encoding="utf-8"))["test_ids"]["1"][0]
+        status, err = self.eval_with(capsys, bundle, tmp_path, path)
+        assert status == 3
+        assert f"test id {repeated} is listed more than once" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_saved_split_is_accepted(self, capsys, bundle, tmp_path):
         status, _ = self.eval_with(capsys, bundle, tmp_path,
                                    self.write_split(tmp_path, lambda doc: None))

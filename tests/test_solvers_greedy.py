@@ -196,17 +196,38 @@ def test_all_greedy_supports_within_bounds():
     assert gomp(d, x, k, s=2).support.size <= 2 * ((k + 1) // 2)
 
 
-@pytest.mark.parametrize("solve", [lambda d, x: romp(d, x, 1), lambda d, x: sp(d, x, 1),
-                                   lambda d, x: samp(d, x)], ids=["romp", "sp", "samp"])
-def test_duplicate_atom_tie_goes_to_lower_index(solve):
-    # atom 29 repeats atom 0; a gemv over 30 atoms puts column 29 in its
-    # unrolled tail and splits such ties by rounding in about one draw in five
-    for seed in range(100):
+# (solver, copies of atom 0 at the end of the dictionary, how many of the
+# tied atoms it must pick): gomp's second pick of a step is a tie too
+TIED = {"omp": (lambda d, x: omp(d, x, 1), 1, 1),
+        "gomp": (lambda d, x: gomp(d, x, 2, s=2), 2, 2),
+        "romp": (lambda d, x: romp(d, x, 1), 1, 1),
+        "sp": (lambda d, x: sp(d, x, 1), 1, 1),
+        "samp": (lambda d, x: samp(d, x), 1, 1)}
+
+
+# one pixel at 12 x 30 is the plain case, drawn 100 times; the blocks and
+# the benchmark's 103 x 426 shape are drawn 10 times each
+TIE_CASES = [pytest.param(name, width, bands, n_atoms, 100, id=name)
+             if (bands, width) == (12, 1) else
+             pytest.param(name, width, bands, n_atoms, 10, id=f"{name}-{bands}x{n_atoms}-w{width}")
+             for bands, n_atoms in [(12, 30), (103, 426)] for width in [1, 2, 32] for name in TIED]
+
+
+@pytest.mark.parametrize("name, width, bands, n_atoms, draws", TIE_CASES)
+def test_duplicate_atom_tie_goes_to_lower_index(name, width, bands, n_atoms, draws):
+    # the last atoms repeat atom 0. A gemv, or the gemm x^T D, puts them in
+    # its unrolled tail and splits such ties by rounding: at 12 x 30 in
+    # about one draw in five, at 103 x 426 in most
+    solve, copies, picked = TIED[name]
+    tied = [0] + list(range(n_atoms - copies, n_atoms))
+    for seed in range(draws):
         rng = np.random.default_rng(seed)
-        atoms = rng.standard_normal((12, 30))
+        atoms = rng.standard_normal((bands, n_atoms))
         atoms /= np.linalg.norm(atoms, axis=0)
-        atoms[:, 29] = atoms[:, 0]
-        d = assemble(atoms, np.ones(30, dtype=int))
-        x = 3.0 * atoms[:, 0] + 1e-3 * atoms[:, 7]
-        support = solve(d, x).support.tolist()
-        assert 0 in support and 29 not in support, seed
+        atoms[:, tied[1:]] = atoms[:, [0]]
+        d = assemble(atoms, np.ones(n_atoms, dtype=int))
+        x = 3.0 * atoms[:, [0]] + 1e-3 * atoms[:, [7]] * np.linspace(1.0, 2.0, width)
+        code = solve(d, x if width > 1 else x[:, 0])
+        for j, column in enumerate(code.coeffs.reshape(n_atoms, -1).T):
+            assert (column[tied] != 0).tolist() == [True] * picked + [False] * (
+                copies + 1 - picked), (seed, j)
