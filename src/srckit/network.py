@@ -198,8 +198,7 @@ def forward(dictionary: Dictionary, x: np.ndarray,
 
     ``x`` is one pixel (bands,) or a block of pixel columns (bands, n).
     Returns the output coefficients alpha_{N+1} as a SparseCode, (n_atoms,)
-    or (n_atoms, n), whose ``support`` indexes the flattened coefficients,
-    and the full trace needed by backward().
+    or (n_atoms, n), and the full trace needed by backward().
     """
     if len(x) != dictionary.n_bands:
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")

@@ -292,6 +292,80 @@ def test_gomp_block_stops_each_column_on_its_own():
     assert not code.coeffs[:, 2].any()
 
 
+def test_gomp_falls_back_to_lstsq_where_a_schur_block_fails(monkeypatch):
+    # atom 23 is the normalised sum of atoms 3 and 11; a pixel close to their
+    # span takes all three in gomp's first step, where the Schur block (the
+    # three atoms' sub-Gram) fails cho_factor. That column then refits with
+    # lstsq on every step; its healthy neighbour keeps the bordered factor
+    rng = np.random.default_rng(0)
+    atoms = rng.standard_normal((16, 24))
+    atoms /= np.linalg.norm(atoms, axis=0)
+    atoms[:, 23] = atoms[:, 3] + atoms[:, 11]
+    atoms[:, 23] /= np.linalg.norm(atoms[:, 23])
+    d = assemble(atoms, np.repeat([1, 2, 3], 8))
+    x = np.stack([atoms[:, 3] + atoms[:, 11] + 0.05 * atoms[:, 5],
+                  rng.standard_normal(16)], axis=1)
+    refit, fit = [], solvers._Block.fit
+
+    def recorded(self_, cols, support, size):
+        refit.extend(cols.tolist())
+        return fit(self_, cols, support, size)
+
+    monkeypatch.setattr(solvers._Block, "fit", recorded)
+    block = solvers.gomp(d, x, 6, 3)
+    assert sorted(set(refit)) == [0]
+
+    def top_3(correlations, floor, support):
+        return reference._top_candidates(correlations, 3, floor, support)
+
+    wants = [reference._grow(d, x[:, j], solvers.GREEDY_TOL, 2, top_3, sort=False).coeffs
+             for j in range(2)]
+    assert {3, 11, 23} <= set(np.flatnonzero(wants[0]).tolist())
+    np.testing.assert_array_equal(block.coeffs[:, 0], wants[0])
+    assert np.array_equal(np.flatnonzero(block.coeffs[:, 1]), np.flatnonzero(wants[1]))
+    assert np.linalg.norm(block.coeffs[:, 1] - wants[1]) <= 1e-10 * np.linalg.norm(wants[1])
+
+
+@examples
+@given(width=st.integers(1, 8), s=st.sampled_from([1, 2, 3]), seed=seeds)
+def test_bordered_refit_meets_lstsq_as_the_rebuild_does(width, s, seed):
+    # supports of 1-10 TALL atoms grown s at a time (the last step may take
+    # fewer). W = L^-1 is bordered, not (D_S^T D_S)^-1, whose condition number
+    # is the square of W's
+    rng = np.random.default_rng(seed)
+    size = rng.integers(1, 11, width)
+    order = np.stack([rng.permutation(TALL.n_atoms)[:10] for _ in range(width)])
+    x = rng.standard_normal((TALL.n_bands, width))
+    block = solvers._Block(TALL, x, 10, bordered=True)
+    while (block.size < size).any():
+        cols = np.flatnonzero(block.size < size)
+        slots = np.minimum(block.size[cols, None] + np.arange(s), 9)
+        block.border(cols, np.take_along_axis(order[cols], slots, axis=1),
+                     np.minimum(s, size[cols] - block.size[cols]))
+        for j in cols:
+            atoms_s, t = TALL.atoms[:, order[j, :block.size[j]]], block.size[j]
+            want = np.linalg.lstsq(atoms_s, x[:, j], rcond=None)[0]
+            rebuilt = solvers._ls_on_supports(atoms_s.T[None], x[None, :, j])[0]
+            assert np.linalg.norm(block.coef[j, :t] - want) <= max(
+                1e-12 * np.linalg.norm(want), 4.0 * np.linalg.norm(rebuilt - want)), (j, t)
+    assert block.factored.all()
+
+
+def test_block_code_support_lists_atom_indices():
+    # one entry per nonzero of the (n_atoms, n) block, naming its atom
+    x = PIXELS[:, :12]
+    codes = [solvers.omp(D, x, 4), solvers.gomp(D, x, 4, 2), solvers.sp(D, x, 3),
+             solvers.fista(D, x, 0.05, max_iters=50), forward(D, x, NetParams.default(2))[0]]
+    for code in codes:
+        assert code.support.size == np.count_nonzero(code.coeffs) > 0
+        assert ((0 <= code.support) & (code.support < D.n_atoms)).all()
+        union = sorted(set().union(*(np.flatnonzero(column).tolist()
+                                     for column in code.coeffs.T)))
+        assert np.unique(code.support).tolist() == union
+    one = solvers.omp(D, x[:, 0], 4)
+    assert np.array_equal(one.support, np.flatnonzero(one.coeffs))
+
+
 def test_block_refit_falls_back_per_pixel_on_a_singular_sub_gram():
     # a zero atom makes the second sub-Gram singular, so cho_factor would
     # fail on it: the whole stack is refit as _ls_on_support refits a pixel
