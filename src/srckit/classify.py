@@ -120,10 +120,10 @@ def _net_params(net) -> "network.NetParams":
 
 
 # The keyword parameters each solver takes after (dictionary, x), and one type
-# for each name. Defaults live only in the solver signatures, AdmmConfig and
-# NetParams.default; "k" is the one parameter without a default. "asdn" is
-# network.forward with params "net" (a NetParams or its JSON document),
-# or else NetParams.default(n_stages).
+# for each name; their ranges are solvers.PARAM_RANGES. Defaults live only in
+# the solver signatures and NetParams.default; "k" is the one parameter
+# without a default. "asdn" is network.forward with params "net" (a NetParams
+# or its JSON document), or else NetParams.default(n_stages).
 SOLVER_PARAMS = {
     "omp": ("k", "tol"),
     "sp": ("k", "tol", "max_iters"),
@@ -167,8 +167,9 @@ def check_sweep(solver: str, parameter: str, params: dict | None, grid) -> None:
 def solver_kwargs(name: str, params: dict | None = None) -> dict:
     """The keyword arguments solver ``name`` takes from a parameter record,
     cast to their types. Keys set to None count as absent. An unknown
-    solver, a key the solver does not take, a value its type rejects, a
-    missing "k", or "n_stages" beside "net" raises ValueError naming it."""
+    solver, a key the solver does not take, a value its type or its range in
+    solvers.PARAM_RANGES rejects, a missing "k", or "n_stages" beside "net"
+    raises ValueError naming it."""
     if name not in SOLVER_PARAMS:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     params = canonical_params(params)
@@ -188,6 +189,7 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
         if params.get(key) is not None:
             try:
                 kwargs[key] = PARAM_TYPES[key](params[key])
+                solvers.check_ranges(**{key: kwargs[key]})
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"solver {name} parameter {key!r}: {exc}") from exc
     return kwargs
@@ -208,8 +210,6 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
     if name == "asdn":
         net = kwargs.get("net") or network.NetParams.default(**kwargs)
         return lambda x: network.forward(dictionary, x, net)[0]
-    if name == "admm_fixed":
-        kwargs = {"cfg": solvers.AdmmConfig(**kwargs)}
     return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
 
 

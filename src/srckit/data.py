@@ -310,9 +310,10 @@ def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):
     return spectra, flat_labels.astype(np.int64)
 
 
-def load_pixel_csv(path, normalize: bool = False):
+def load_pixel_csv(path):
     """Read a small pixel matrix from CSV: one pixel per row, bands as columns,
-    final column the integer class label. Returns (matrix bands x n, labels)."""
+    final column the integer class label. Returns (matrix bands x n, labels),
+    unscaled."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -337,11 +338,6 @@ def load_pixel_csv(path, normalize: bool = False):
     labels = np.array([l for _, l in rows], dtype=np.int64)
     if not np.isfinite(spectra).all():
         raise ValueError(f"{path}: non-finite values present")
-    if normalize:
-        norms = np.linalg.norm(spectra, axis=0)
-        if (norms == 0).any():
-            raise ValueError(f"{path}: zero-norm pixel row; cannot normalize")
-        spectra /= norms
     return spectra, labels
 
 

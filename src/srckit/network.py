@@ -40,12 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary
-from .solvers import SparseCode, admm_stage
+from .solvers import SparseCode, admm_stage, check_ranges
 
 RHO_FLOOR = 1e-6
 TAU_FLOOR = 1e-6
 ETA_FLOOR = 0.0
 BLOCK_COLUMNS = 32
+GRAD_ZERO_ATOL = 1e-12
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,8 +86,7 @@ class NetParams:
             raise ValueError("eta entries must be nonnegative")
         if (self.tau < TAU_FLOOR).any():
             raise ValueError(f"tau entries must be >= {TAU_FLOOR}")
-        if not 0.0 < self.relax <= 2.0:
-            raise ValueError(f"relax must lie in (0, 2], got {self.relax}")
+        check_ranges(relax=self.relax)
 
     @property
     def n_stages(self) -> int:
@@ -380,12 +380,11 @@ class GradCheckReport:
 
 
 def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
-               params: NetParams, step: float = 1e-6,
-               zero_atol: float = 1e-12) -> GradCheckReport:
+               params: NetParams, step: float = 1e-6) -> GradCheckReport:
     """Compare analytic gradients against central differences of the loss.
 
     Parameter pairs whose analytic and numeric gradients are both below
-    ``zero_atol`` are flagged as zero-gradient and excluded from
+    GRAD_ZERO_ATOL are flagged as zero-gradient and excluded from
     ``max_rel_error`` (a relative error is meaningless there).
     """
     if step <= 0:
@@ -408,7 +407,7 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
         for idx, g in enumerate(grads):
             fd = numeric(kind, idx)
             denom = max(abs(g), abs(fd))
-            if denom < zero_atol:
+            if denom < GRAD_ZERO_ATOL:
                 zero[idx] = True
             else:
                 rel[idx] = abs(g - fd) / denom

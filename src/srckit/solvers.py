@@ -11,9 +11,12 @@ l1 family (weight lambda): fista, admm_fixed, each coding a block of pixel
 columns with per-column stop masks. ``admm_stage`` is the one scaled-form
 ADMM stage, shared by admm_fixed and the unrolled network.
 
-Every solver codes one pixel (bands,), as a one-column block, or a block of
-pixel columns (bands, n), whose code has coeffs (n_atoms, n). Conventions
-shared by every solver here, per pixel column of a block:
+Every solver takes its parameters as keywords after (dictionary, x) and
+checks them before it codes, K against the dictionary and the rest against
+PARAM_RANGES (``check_ranges``). It codes one pixel (bands,), as a
+one-column block, or a block of pixel columns (bands, n), whose code has
+coeffs (n_atoms, n). Conventions shared by every solver here, per pixel
+column of a block:
   * correlation ties break toward the lowest atom index, and equal atoms
     tie exactly (each takes its first copy's correlation, ``_first_copies``);
   * correlations at or below 1e-12 * ||x|| count as zero and are never
@@ -65,34 +68,27 @@ class SparseCode:
         return cls(coeffs=coeffs, support=np.repeat(np.arange(len(coeffs)), counts))
 
 
-@dataclass
-class AdmmConfig:
-    """Fixed parameters for the scaled-form ADMM lasso iteration.
+# Each solver parameter's range as (what it is, the range, its test). K is not
+# here: its bound depends on the dictionary (_check_sparsity_level).
+PARAM_RANGES = {
+    "s": ("atoms per iteration S", "be >= 1", lambda v: v >= 1),
+    "step": ("size increment", "be >= 1", lambda v: v >= 1),
+    "max_iters": ("iteration cap", "be >= 1", lambda v: v >= 1),
+    "lam": ("l1 weight", "be >= 0", lambda v: v >= 0),
+    "tol": ("stopping tolerance", "be >= 0", lambda v: v >= 0),
+    "rho": ("penalty", "be > 0", lambda v: v > 0),
+    "tau": ("dual step rate", "be > 0", lambda v: v > 0),
+    "relax": ("relaxation scalar", "lie in (0, 2]", lambda v: 0 < v <= 2),
+}
 
-    ``lam`` is the l1 weight, ``rho`` the penalty, ``relax`` the relaxation
-    scalar in (0, 2], ``tau`` the dual step rate.
-    """
 
-    lam: float = 0.1
-    rho: float = 1.0
-    relax: float = 1.0
-    tau: float = 1.0
-    max_iters: int = 1000
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not 0.0 < self.relax <= 2.0:
-            raise ValueError(f"relax must lie in (0, 2], got {self.relax}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+def check_ranges(**params) -> None:
+    """Raise ValueError naming the first of ``params`` outside its range in
+    PARAM_RANGES; a name without a range there passes."""
+    for name, value in params.items():
+        if name in PARAM_RANGES and not PARAM_RANGES[name][2](value):
+            what, text, _ = PARAM_RANGES[name]
+            raise ValueError(f"{name} ({what}) must {text}, got {value!r}")
 
 
 def soft_threshold(v: np.ndarray, eta: float) -> np.ndarray:
@@ -375,6 +371,7 @@ def sp(dictionary: Dictionary, x: np.ndarray, k: int, tol: float = GREEDY_TOL,
     at residual <= tol, or after ``max_iters`` trials. The first K atoms
     are the K best correlated with the pixel, whatever tol says."""
     _check_sparsity_level(dictionary, k)
+    check_ranges(tol=tol, max_iters=max_iters)
     block = _Block(dictionary, x, 2 * k)
     cols, *state = block.trial(np.arange(len(block.rows)), k)
     block.keep(cols, *state)
@@ -395,6 +392,7 @@ def romp(dictionary: Dictionary, x: np.ndarray, k: int,
     keep the maximal-energy group whose magnitudes are within a factor 2,
     add the whole group, refit. Stops at |support| >= 2K or a tiny residual."""
     _check_sparsity_level(dictionary, k)
+    check_ranges(tol=tol)
     block = _Block(dictionary, x, 3 * k)  # a step from below 2K adds at most K
     cols = np.arange(len(block.rows))
     for _ in range(2 * k):  # every step adds at least one atom
@@ -424,8 +422,7 @@ def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
     step's picks (``_Block.border``) instead of refactoring its support;
     a column whose picks make its sub-Gram singular refits by lstsq."""
     _check_sparsity_level(dictionary, k)
-    if s < 1:
-        raise ValueError(f"atoms-per-iteration S={s} must be >= 1")
+    check_ranges(s=s, tol=tol)
     n_iters = math.ceil(k / s)
     if s * n_iters > dictionary.n_atoms:
         raise ValueError(
@@ -450,8 +447,7 @@ def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
     lower its residual. Needs no sparsity level up front; a column stops at
     residual <= tol, with no atom left to add, or at size estimate above
     min(bands, atoms)/2."""
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    check_ranges(step=step, tol=tol, max_iters=max_iters)
     cap = min(dictionary.n_bands, dictionary.n_atoms) // 2
     block = _Block(dictionary, x, 2 * cap)
     size = np.full(len(block.rows), step)
@@ -483,8 +479,7 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
     step cannot lower F. ``callback``, when given, sees callback(alpha, F)
     once per iteration that accepts a step, for the columns that accepted
     it: (n_atoms, k) and (k,), or (n_atoms,) and a float for a pixel."""
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_ranges(lam=lam, max_iters=max_iters, tol=tol)
     atoms = dictionary.atoms
     step = 1.0 / dictionary.lipschitz if dictionary.lipschitz > 0 else 1.0
     xs = np.reshape(x, (len(x), -1))  # the still-running columns, indexed by cols
@@ -549,29 +544,33 @@ def admm_stage(dictionary: Dictionary, dtx: np.ndarray, z: np.ndarray,
     return alpha, v, z_next, u + tau * (alpha - z_next)
 
 
-def admm_fixed(dictionary: Dictionary, x: np.ndarray, cfg: AdmmConfig,
-               callback=None) -> SparseCode:
-    """Scaled-form ADMM for the lasso with fixed (lam, rho, relax, tau): the
-    stage ``admm_stage`` repeated with eta = lam / rho over a pixel (bands,),
-    coded as a one-column block, or a block (bands, n). Each column stops on
-    its own at max_iters or max(||alpha - z||, rho * ||z - z_prev||) <= tol.
-    Returns z, which is exactly sparse by construction. ``callback``, when
-    given, sees callback(alpha, z, u) after every iteration for the columns
-    still running: (n_atoms, k) arrays, or (n_atoms,) vectors for a pixel."""
+def admm_fixed(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1, rho: float = 1.0,
+               relax: float = 1.0, tau: float = 1.0, max_iters: int = 1000,
+               tol: float = 1e-8, callback=None) -> SparseCode:
+    """Scaled-form ADMM for the lasso (Boyd et al. 2011) with fixed l1 weight
+    ``lam``, penalty ``rho``, relaxation scalar ``relax`` in (0, 2] and dual
+    step rate ``tau``: the stage ``admm_stage`` repeated with eta = lam / rho
+    over a pixel (bands,), coded as a one-column block, or a block (bands, n).
+    Each column stops on its own at max_iters or
+    max(||alpha - z||, rho * ||z - z_prev||) <= tol. Returns z, which is
+    exactly sparse by construction. ``callback``, when given, sees
+    callback(alpha, z, u) after every iteration for the columns still
+    running: (n_atoms, k) arrays, or (n_atoms,) vectors for a pixel."""
+    check_ranges(lam=lam, rho=rho, relax=relax, tau=tau, max_iters=max_iters, tol=tol)
     dtx = dictionary.atoms.T @ np.reshape(x, (len(x), -1))
-    eta, each = cfg.lam / cfg.rho, (slice(None) if np.ndim(x) > 1 else 0)
+    eta, each = lam / rho, (slice(None) if np.ndim(x) > 1 else 0)
     cols, coeffs = np.arange(dtx.shape[1]), np.zeros_like(dtx)
     z, u = coeffs.copy(), coeffs.copy()
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         if cols.size == 0:
             break
         z_prev = z
-        alpha, _, z, u = admm_stage(dictionary, dtx, z, u, cfg.rho, cfg.relax, eta, cfg.tau)
+        alpha, _, z, u = admm_stage(dictionary, dtx, z, u, rho, relax, eta, tau)
         if callback is not None:
             callback(alpha[:, each], z[:, each], u[:, each])
         primal = np.linalg.norm(alpha - z, axis=0)
-        dual = cfg.rho * np.linalg.norm(z - z_prev, axis=0)
-        done = np.maximum(primal, dual) <= cfg.tol
+        dual = rho * np.linalg.norm(z - z_prev, axis=0)
+        done = np.maximum(primal, dual) <= tol
         if done.any():
             coeffs[:, cols[done]] = z[:, done]
             keep = ~done

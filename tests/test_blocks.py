@@ -446,10 +446,10 @@ def test_fista_block_matches_one_column_calls(width, seed, lam, tol):
 def test_admm_fixed_block_matches_one_column_calls(width, seed, lam, rho, tol):
     rng = np.random.default_rng(seed)
     x = l1_block(rng, width)
-    cfg = solvers.AdmmConfig(lam=lam, rho=rho, relax=float(rng.uniform(0.5, 1.8)),
-                             max_iters=int(rng.integers(1, 100)), tol=tol)
-    block = solvers.admm_fixed(D, x, cfg)
-    assert_columns_match(block, lambda column: solvers.admm_fixed(D, column, cfg), x)
+    cfg = dict(lam=lam, rho=rho, relax=float(rng.uniform(0.5, 1.8)),
+               max_iters=int(rng.integers(1, 100)), tol=tol)
+    block = solvers.admm_fixed(D, x, **cfg)
+    assert_columns_match(block, lambda column: solvers.admm_fixed(D, column, **cfg), x)
 
 
 @settings(max_examples=15, deadline=None)
@@ -472,9 +472,9 @@ def test_l1_block_stops_each_column_on_its_own():
     code = solvers.fista(D, x, 0.05, max_iters=2000,
                          callback=lambda alpha, obj: fista_widths.append(obj.size))
     assert_columns_match(code, lambda column: solvers.fista(D, column, 0.05, max_iters=2000), x)
-    cfg = solvers.AdmmConfig(lam=0.05, max_iters=2000, tol=1e-6)
-    code = solvers.admm_fixed(D, x, cfg, callback=lambda a, z, u: admm_widths.append(z.shape[1]))
-    assert_columns_match(code, lambda column: solvers.admm_fixed(D, column, cfg), x)
+    cfg = dict(lam=0.05, max_iters=2000, tol=1e-6)
+    code = solvers.admm_fixed(D, x, **cfg, callback=lambda a, z, u: admm_widths.append(z.shape[1]))
+    assert_columns_match(code, lambda column: solvers.admm_fixed(D, column, **cfg), x)
     for seen, cap in ((fista_widths, 2000), (admm_widths, 2000)):
         assert seen[:2] == [4, 3]
         assert seen == sorted(seen, reverse=True)
@@ -514,7 +514,7 @@ def test_fista_column_that_restarts_then_gets_stuck(monkeypatch):
 def test_l1_all_zero_column_codes_to_zero():
     x = np.stack([np.zeros(D.n_bands), PIXELS[:, 0]], axis=1)
     assert not solvers.fista(D, x, 0.1).coeffs[:, 0].any()
-    assert not solvers.admm_fixed(D, x, solvers.AdmmConfig(lam=0.1)).coeffs[:, 0].any()
+    assert not solvers.admm_fixed(D, x, lam=0.1).coeffs[:, 0].any()
     seen = []
     one = solvers.fista(D, np.zeros(D.n_bands), 0.1, callback=lambda a, obj: seen.append(obj))
     assert not one.coeffs.any() and one.support.size == 0
@@ -631,7 +631,7 @@ class TestBenchmarkHooks:
         fresh = assemble(DATA.dict_pixels, DATA.dict_labels)
         classify_testset(fresh, PIXELS[:, :3], "asdn", {"n_stages": 2})
         classify_testset(fresh, PIXELS[:, :3], "asdn", {"n_stages": 3})
-        solvers.admm_fixed(fresh, PIXELS[:, 0], solvers.AdmmConfig(max_iters=5))
+        solvers.admm_fixed(fresh, PIXELS[:, 0], max_iters=5)
         train(fresh, PIXELS, LABELS, TrainConfig(epochs=1, init=NetParams.default(2)))
         assert len(builds) == 1
 

@@ -1,6 +1,5 @@
 """End-to-end tests of ``cli.run`` on a tiny bundle, plus the solver table it
 reads solver parameters through."""
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -143,6 +142,13 @@ class TestExitCodes:
         ("eval", ["--solver", "omp", "--K", 2, "--dict-frac", 1], "dict_frac"),
         ("sweep", ["--solver", "fista", "--param", "lam", "--grid", "0.1", "--runs", 0],
          "runs"),
+        ("eval", ["--solver", "fista", "--max-iters", 0], "max_iters"),
+        ("eval", ["--solver", "samp", "--max-iters", 0], "max_iters"),
+        ("eval", ["--solver", "omp", "--K", 2, "--tol", -1], "tol"),
+        ("eval", ["--solver", "admm_fixed", "--rho", 0], "rho"),
+        ("eval", ["--solver", "admm_fixed", "--relax", 2.5], "relax"),
+        ("eval", ["--solver", "admm_fixed", "--tau", 0], "tau"),
+        ("sweep", ["--solver", "fista", "--param", "max_iters", "--grid", "0:2"], "max_iters"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the
@@ -160,6 +166,33 @@ class TestExitCodes:
         status, err = run(capsys, "eval", "--config", config)
         assert status == 3
         assert err["kind"] == "config"
+
+    def test_config_file_holding_a_list(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        status, err = run(capsys, "eval", "--config", config)
+        assert (status, err["kind"]) == (3, "config")
+        assert "JSON object" in err["message"]
+
+    def test_missing_required_key(self, capsys, bundle, tmp_path):
+        out = tmp_path / "out"
+        status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--out", out)
+        assert (status, err["kind"]) == (3, "config")
+        assert "missing required key: solver" in err["message"]
+        assert not out.exists()
+
+
+def test_grid_ranges():
+    assert cli.parse_grid("1:3") == [1.0, 2.0, 3.0]
+    stepped = cli.parse_grid("0.1:0.3:0.1")
+    assert len(stepped) == 3
+    assert abs(stepped[-1] - 0.3) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["3:1", "0:1:0", "1:2:3:4", "0.5:2"])
+def test_bad_grid_is_config_error(text):
+    with pytest.raises(cli.ConfigError, match="bad grid"):
+        cli.parse_grid(text)
 
 
 def test_flag_overrides_config_key(capsys, bundle, tmp_path):
@@ -345,14 +378,26 @@ class TestSolverParameters:
         with pytest.raises(ValueError, match="numeric parameter 'net'"):
             sweep(tiny_cube(), "asdn", "net", [1], runs=1)
 
-    @pytest.mark.parametrize("name", ["omp", "sp", "romp", "gomp", "samp", "fista"])
+    @pytest.mark.parametrize("name", ["omp", "sp", "romp", "gomp", "samp", "fista",
+                                      "admm_fixed"])
     def test_table_lists_every_keyword(self, name):
         taken = set(inspect.signature(getattr(solvers, name)).parameters)
         assert set(SOLVER_PARAMS[name]) == taken - {"dictionary", "x", "callback"}
 
-    def test_admm_table_lists_every_config_field(self):
-        fields = {f.name for f in dataclasses.fields(solvers.AdmmConfig)}
-        assert set(SOLVER_PARAMS["admm_fixed"]) == fields
+    @pytest.mark.parametrize("name", [name for name in SOLVER_PARAMS if name != "asdn"])
+    def test_every_solver_checks_its_ranges(self, name):
+        """Called directly or through the table, each solver rejects a value
+        outside the range of every parameter it takes, naming it."""
+        bad = {"s": 0, "step": 0, "max_iters": 0, "lam": -1e-9, "tol": -1e-9,
+               "rho": 0.0, "tau": 0.0, "relax": 2.5}
+        assert set(bad) == set(solvers.PARAM_RANGES)
+        d = assemble(np.eye(4), [1, 1, 2, 2])
+        base = {"k": 2} if "k" in SOLVER_PARAMS[name] else {}
+        for key in set(SOLVER_PARAMS[name]) - {"k"}:
+            with pytest.raises(ValueError, match=key):
+                getattr(solvers, name)(d, np.ones(4), **base, **{key: bad[key]})
+            with pytest.raises(ValueError, match=repr(key)):
+                classify.solver_kwargs(name, {**base, key: bad[key]})
 
     @pytest.mark.parametrize("name, params", [
         ("omp", {"k": 2, "tol": 0.5}), ("sp", {"k": 2, "tol": 0.5, "max_iters": 3}),

@@ -135,7 +135,35 @@ class TestBundleRoundTrip:
         assert flat[(b * 2 + r) * 3 + c] == cube.data[r, c, b]
 
 
+def rewrite_header(change):
+    """A bundle corruption: ``change`` applied to the parsed header.json."""
+    def corrupt(root):
+        header = json.loads((root / "header.json").read_text())
+        change(header)
+        (root / "header.json").write_text(json.dumps(header))
+    return corrupt
+
+
 class TestBundleErrors:
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda root: (root / "header.json").write_text("{not json"), "header.json"),
+        (rewrite_header(lambda h: h.pop("height")), "height"),
+        (rewrite_header(lambda h: h.update(width=-1)), "width"),
+        (rewrite_header(lambda h: h.update(dtype="f32le")), "dtype"),
+        (rewrite_header(lambda h: h.update(label_dtype="i64le")), "label_dtype"),
+        (rewrite_header(lambda h: h.update(order="pixel-major")), "order"),
+        (rewrite_header(lambda h: h.update(height=0)), "header.json"),
+        (lambda root: (root / "labels.bin").write_bytes(
+            (root / "labels.bin").read_bytes()[:-4]), "labels.bin"),
+    ], ids=["header-not-json", "missing-extent", "negative-extent", "dtype",
+            "label-dtype", "order", "zero-extent", "short-labels"])
+    def test_format_check_names_its_field(self, tmp_path, corrupt, field):
+        save_bundle(random_cube(5), tmp_path / "b")
+        corrupt(tmp_path / "b")
+        with pytest.raises(BundleFormatError) as info:
+            load_bundle(tmp_path / "b")
+        assert info.value.field == field
+
     def test_missing_file(self, tmp_path):
         cube = random_cube(1)
         save_bundle(cube, tmp_path / "b")

@@ -10,7 +10,7 @@ from srckit.dictionary import assemble
 from srckit.network import (NetParams, TrainConfig, TrainingDiverged, backward,
                             class_residuals, forward, grad_check, kink_margin,
                             loss, mean_loss, one_hot, train)
-from srckit.solvers import AdmmConfig, admm_fixed, soft_threshold
+from srckit.solvers import admm_fixed, soft_threshold
 from srckit.synthetic import (gradcheck_instance, random_unit_dictionary,
                               subspace_classes)
 
@@ -100,9 +100,8 @@ class TestForward:
                                tau=np.full(n, tau), relax=relax)
             _, trace = forward(d, x, params)
             iterates = []
-            admm_fixed(d, x,
-                       AdmmConfig(lam=lam, rho=rho, relax=relax, tau=tau,
-                                  max_iters=n, tol=0.0),
+            admm_fixed(d, x, lam=lam, rho=rho, relax=relax, tau=tau,
+                       max_iters=n, tol=0.0,
                        callback=lambda a, z, u: iterates.append((a, z, u)))
             for k in range(n):
                 a, z, u = iterates[k]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srckit.dictionary import assemble
-from srckit.solvers import (AdmmConfig, admm_fixed, fista, lasso_kkt_violation,
+from srckit.solvers import (admm_fixed, fista, lasso_kkt_violation,
                             lasso_objective, soft_threshold)
 from srckit.synthetic import random_orthonormal, random_unit_dictionary
 
@@ -85,24 +85,22 @@ class TestFista:
 class TestAdmmFixed:
     def test_lam_zero_converges_to_least_squares(self):
         d, x = overdetermined_instance(11)
-        cfg = AdmmConfig(lam=0.0, rho=1.0, relax=1.0, tau=1.0,
-                         max_iters=2000, tol=1e-12)
-        code = admm_fixed(d, x, cfg)
+        code = admm_fixed(d, x, lam=0.0, rho=1.0, relax=1.0, tau=1.0,
+                          max_iters=2000, tol=1e-12)
         expected = np.linalg.lstsq(d.atoms, x, rcond=None)[0]
         assert np.abs(code.coeffs - expected).max() <= 1e-6
 
     def test_orthonormal_closed_form(self):
         d, x = orthonormal_instance(13)
         lam = 0.2
-        cfg = AdmmConfig(lam=lam, rho=1.0, relax=1.0, max_iters=2000, tol=1e-12)
-        code = admm_fixed(d, x, cfg)
+        code = admm_fixed(d, x, lam=lam, rho=1.0, relax=1.0, max_iters=2000, tol=1e-12)
         closed = soft_threshold(d.atoms.T @ x, lam)
         assert np.abs(code.coeffs - closed).max() <= 1e-6
 
     def test_returns_exactly_sparse_z(self):
         d = random_unit_dictionary(17, 30, 60)
         x = np.random.default_rng(17).standard_normal(30)
-        code = admm_fixed(d, x, AdmmConfig(lam=0.3))
+        code = admm_fixed(d, x, lam=0.3)
         assert (code.coeffs == 0.0).any()  # hard zeros, not tiny values
         assert np.array_equal(code.support, np.flatnonzero(code.coeffs))
 
@@ -112,7 +110,7 @@ class TestAdmmFixed:
             x = np.random.default_rng(1000 + seed).standard_normal(40)
             x /= np.linalg.norm(x)
             for lam in (0.01, 0.1):
-                a = admm_fixed(d, x, AdmmConfig(lam=lam, max_iters=5000, tol=1e-10))
+                a = admm_fixed(d, x, lam=lam, max_iters=5000, tol=1e-10)
                 f = fista(d, x, lam, max_iters=5000, tol=1e-12)
                 fa = lasso_objective(d, x, a.coeffs, lam)
                 ff = lasso_objective(d, x, f.coeffs, lam)
@@ -123,16 +121,15 @@ class TestAdmmFixed:
         x = np.random.default_rng(23).standard_normal(40)
         x /= np.linalg.norm(x)
         lam = 0.05
-        code = admm_fixed(d, x, AdmmConfig(lam=lam, max_iters=5000, tol=1e-10))
+        code = admm_fixed(d, x, lam=lam, max_iters=5000, tol=1e-10)
         assert lasso_kkt_violation(d, x, lam, code.coeffs) <= 1e-4
 
     def test_relaxation_reaches_same_solution(self):
         d = random_unit_dictionary(29, 30, 50)
         x = np.random.default_rng(29).standard_normal(30)
         lam = 0.1
-        plain = admm_fixed(d, x, AdmmConfig(lam=lam, max_iters=5000, tol=1e-12))
-        relaxed = admm_fixed(d, x, AdmmConfig(lam=lam, relax=1.6, max_iters=5000,
-                                              tol=1e-12))
+        plain = admm_fixed(d, x, lam=lam, max_iters=5000, tol=1e-12)
+        relaxed = admm_fixed(d, x, lam=lam, relax=1.6, max_iters=5000, tol=1e-12)
         fp = lasso_objective(d, x, plain.coeffs, lam)
         fr = lasso_objective(d, x, relaxed.coeffs, lam)
         assert abs(fp - fr) <= 1e-8 * max(1.0, abs(fp))
@@ -140,7 +137,7 @@ class TestAdmmFixed:
     def test_callback_sees_every_iteration(self):
         d, x = orthonormal_instance(31, n=10)
         seen = []
-        admm_fixed(d, x, AdmmConfig(lam=0.1, max_iters=7, tol=0.0),
+        admm_fixed(d, x, lam=0.1, max_iters=7, tol=0.0,
                    callback=lambda a, z, u: seen.append((a.copy(), z.copy(), u.copy())))
         assert len(seen) == 7
         # z is the soft-thresholded pre-activation at every iterate
@@ -150,21 +147,21 @@ class TestAdmmFixed:
     def test_deterministic(self):
         d = random_unit_dictionary(37, 25, 50)
         x = np.random.default_rng(37).standard_normal(25)
-        cfg = AdmmConfig(lam=0.1, max_iters=300)
-        one = admm_fixed(d, x, cfg)
-        two = admm_fixed(d, x, cfg)
+        one = admm_fixed(d, x, lam=0.1, max_iters=300)
+        two = admm_fixed(d, x, lam=0.1, max_iters=300)
         assert one.coeffs.tobytes() == two.coeffs.tobytes()
 
     def test_config_validation(self):
+        d, x = orthonormal_instance(41, n=5)
         with pytest.raises(ValueError, match="lam"):
-            AdmmConfig(lam=-1.0)
+            admm_fixed(d, x, lam=-1.0)
         with pytest.raises(ValueError, match="rho"):
-            AdmmConfig(rho=0.0)
+            admm_fixed(d, x, rho=0.0)
         with pytest.raises(ValueError, match="relax"):
-            AdmmConfig(relax=2.5)
+            admm_fixed(d, x, relax=2.5)
         with pytest.raises(ValueError, match="tau"):
-            AdmmConfig(tau=0.0)
+            admm_fixed(d, x, tau=0.0)
         with pytest.raises(ValueError, match="max_iters"):
-            AdmmConfig(max_iters=0)
+            admm_fixed(d, x, max_iters=0)
         with pytest.raises(ValueError, match="tol"):
-            AdmmConfig(tol=-1e-9)
+            admm_fixed(d, x, tol=-1e-9)
