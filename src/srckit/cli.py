@@ -10,10 +10,11 @@ checks each key its subcommand reads before it touches the output
 directory: a value of the wrong kind (a boolean or string for a number,
 NaN or infinity for a real, a fraction for an integer), a value out of
 range, or a missing required key is a config error. Solver parameters take
-their kinds from classify.PARAM_TYPES. Keys the subcommand does not read
-are accepted and ignored. Each run writes its outputs plus a manifest.json
-with the effective typed config (every key read, defaults filled in) and
-content hashes of the input files.
+their kinds from classify.PARAM_TYPES (and tol its range from solvers, as
+gradcheck reads it too). Keys the subcommand does not read are ignored.
+Each run writes its outputs plus a manifest.json with the effective typed
+config (every key read, defaults filled in) and content hashes of the
+input files.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 3 config error. Failures print a single-line JSON object to stderr.
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import synthetic
+from . import solvers, synthetic
 from .classify import (PARAM_TYPES, SOLVER_NAMES, ClassificationReport, canonical_params,
                        check_sweep, classify_testset, evaluate, integer, real,
                        solver_kwargs, sweep)
@@ -199,7 +200,7 @@ KEYS = {
     "tau": Key(("--tau",), PARAM_TYPES["tau"], dict.fromkeys(_CODE), help="dual step rate"),
     "max_iters": Key(("--max-iters",), PARAM_TYPES["max_iters"], dict.fromkeys(_CODE)),
     "tol": Key(("--tol",), PARAM_TYPES["tol"], {"eval": None, "sweep": None, "gradcheck": 1e-5},
-               help="solver tolerance; gradcheck: max acceptable relative error"),
+               solvers.PARAM_RANGES["tol"][1:], "solver tolerance; gradcheck: max relative error"),
     "n_stages": Key((), PARAM_TYPES["n_stages"], dict.fromkeys(_CODE)),
     "net": Key((), PARAM_TYPES["net"], dict.fromkeys(_CODE)),
     "solver_params": Key((), dict, dict.fromkeys(_CODE)),
@@ -507,11 +508,11 @@ def _cmd_gradcheck(config: dict) -> int:
     _write_json(outdir / "gradcheck.json", doc)
     _manifest(outdir, "gradcheck", config)
     tol = config["tol"]
-    print(json.dumps({"status": "ok", "max_rel_error": report.max_rel_error,
-                      "tol": tol}))
     if report.max_rel_error > tol:
         raise RuntimeError(
             f"gradient check failed: max relative error {report.max_rel_error} > {tol}")
+    print(json.dumps({"status": "ok", "max_rel_error": report.max_rel_error,
+                      "tol": tol}))
     return 0
 
 

@@ -26,10 +26,11 @@ over all its columns per node in place of one per pixel, and that solve costs
 the same at any rho, however often training moves it. The per-pixel calls
 stay the reference: ``grad_check`` runs on them. ``train`` codes pixels, and
 ``classify.classify_testset`` codes them for every solver, in blocks of
-BLOCK_COLUMNS = 32. The width is bounded by memory, because a forward pass
-keeps the whole StageTrace of its block: evaluating 635 pixels over 426
-atoms with 9 stages, 32 columns leave the peak resident memory where the
-per-pixel loop had it (125.5 MiB), while 128 raise it by 5 %.
+BLOCK_COLUMNS = 32. Evaluating 635 pixels over 426 atoms with 9 stages peaks
+at about 102 MiB resident with 32 columns and within 0.1 MiB of that with 128,
+though a forward pass keeps its block's whole StageTrace; the width is set by
+time: forward takes about 200 us a pixel at 32 and 240 at 64 or 128 (one
+BLAS thread of a 2-vCPU Xeon).
 """
 from __future__ import annotations
 

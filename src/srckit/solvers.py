@@ -68,8 +68,8 @@ class SparseCode:
         return cls(coeffs=coeffs, support=np.repeat(np.arange(len(coeffs)), counts))
 
 
-# Each solver parameter's range as (what it is, the range, its test). K is not
-# here: its bound depends on the dictionary (_check_sparsity_level).
+# Each solver parameter's range as (what it is, the range, its test). K's range
+# and samp's cap on step depend on the dictionary (_check_sparsity_level).
 PARAM_RANGES = {
     "s": ("atoms per iteration S", "be >= 1", lambda v: v >= 1),
     "step": ("size increment", "be >= 1", lambda v: v >= 1),
@@ -129,10 +129,12 @@ def lasso_kkt_violation(dictionary: Dictionary, x: np.ndarray, lam: float,
 # greedy family
 
 
-def _check_sparsity_level(dictionary: Dictionary, k: int) -> None:
-    limit = min(dictionary.n_bands, dictionary.n_atoms)
+def _check_sparsity_level(dictionary: Dictionary, k: int, what="sparsity level K", share=1):
+    """Raise ValueError unless 1 <= k <= min(bands, atoms) // share; return that bound."""
+    limit = min(dictionary.n_bands, dictionary.n_atoms) // share
     if not 1 <= k <= limit:
-        raise ValueError(f"sparsity level K={k} outside 1..{limit}")
+        raise ValueError(f"{what}={k} outside 1..{limit}")
+    return limit
 
 
 def _first_copies(atoms: np.ndarray):
@@ -446,9 +448,9 @@ def samp(dictionary: Dictionary, x: np.ndarray, step: int = 1,
     size estimate, bumped by ``step`` for a column whose trial does not
     lower its residual. Needs no sparsity level up front; a column stops at
     residual <= tol, with no atom left to add, or at size estimate above
-    min(bands, atoms)/2."""
+    min(bands, atoms) // 2, which ``step`` may not exceed."""
     check_ranges(step=step, tol=tol, max_iters=max_iters)
-    cap = min(dictionary.n_bands, dictionary.n_atoms) // 2
+    cap = _check_sparsity_level(dictionary, step, "size increment step", 2)
     block = _Block(dictionary, x, 2 * cap)
     size = np.full(len(block.rows), step)
     cols = np.arange(len(block.rows))

@@ -103,21 +103,42 @@ def test_spectral_solve_matches_cholesky_with_one_round(d, width, seed, rho):
     assert (got <= bound).all()
 
 
-def test_misses_count_columns_above_their_own_target():
+def test_columns_miss_their_own_target_only_at_the_floor():
     cache = GramCache(D)
-    assert cache.misses == 0
     rng = np.random.default_rng(1)
     big, small = rng.standard_normal((2, D.n_atoms))
+
+    def misses(rho, rhs):
+        """Per column: is the residual of the solve above 1e-12 of its own norm?"""
+        w = cache.solve(rho, rhs)
+        residual = rhs - (D.atoms.T @ (D.atoms @ w) + rho * w)
+        return (np.linalg.norm(residual, axis=0) > 1e-12 * np.linalg.norm(rhs, axis=0)).tolist()
+
     # at the floor every nonzero column misses 1e-12 of its own norm, however
     # small that norm is next to its neighbour's; a zero column meets it at once
-    cache.solve(RHO_FLOOR, np.stack([big, 1e-12 * small], axis=1))
-    assert cache.misses == 2
-    cache.solve(RHO_FLOOR, np.stack([big, np.zeros(D.n_atoms)], axis=1))
-    assert cache.misses == 3
-    cache.solve(1.0, np.stack([big, 1e-12 * small], axis=1))
-    assert cache.misses == 3
-    with pytest.raises(AttributeError):
-        cache.misses = 0
+    assert misses(RHO_FLOOR, np.stack([big, 1e-12 * small], axis=1)) == [True, True]
+    assert misses(RHO_FLOOR, np.stack([big, np.zeros(D.n_atoms)], axis=1)) == [True, False]
+    assert misses(1.0, np.stack([big, 1e-12 * small], axis=1)) == [False, False]
+
+
+def spectral_one_round(d, rho, rhs):
+    """The spectral apply of (D^T D + rho*I)^-1, then one refinement round
+    with the residual taken through D."""
+    s2, vt = d.spectrum
+
+    def inverse(b):
+        return b / rho - vt.T @ ((s2 / (rho * (s2 + rho)))[:, None] * (vt @ b))
+
+    w = inverse(rhs)
+    return w + inverse(rhs - (d.atoms.T @ (d.atoms @ w) + rho * w))
+
+
+@pytest.mark.parametrize("width", [1, 32])
+@pytest.mark.parametrize("rho", [RHO_FLOOR, 0.05, 1.0, 30.0])
+def test_solve_is_one_refinement_round(width, rho):
+    rng = np.random.default_rng(width)
+    rhs = rng.standard_normal((D.n_atoms, width)) * 10.0 ** rng.uniform(-12, 6, width)
+    assert np.array_equal(GramCache(D).solve(rho, rhs), spectral_one_round(D, rho, rhs))
 
 
 def test_solve_rejects_non_finite_columns():

@@ -149,6 +149,7 @@ class TestExitCodes:
         ("eval", ["--solver", "admm_fixed", "--relax", 2.5], "relax"),
         ("eval", ["--solver", "admm_fixed", "--tau", 0], "tau"),
         ("sweep", ["--solver", "fista", "--param", "max_iters", "--grid", "0:2"], "max_iters"),
+        ("gradcheck", ["--tol", -1], "tol"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the
@@ -566,6 +567,13 @@ class TestGradcheck:
         status, err = run(capsys, "gradcheck", "--tol", "1e-300", "--out", tmp_path)
         assert status == 1
         assert "gradient check failed" in err["message"]
+
+    def test_failing_check_prints_only_the_error(self, capsys, tmp_path):
+        assert cli.run(["gradcheck", "--tol", "0", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        lines = [json.loads(line) for line in (captured.out + captured.err).splitlines()]
+        assert [line["status"] for line in lines] == ["error"]
+        assert "gradient check failed" in lines[0]["message"]
 
 
 class TestReport:

@@ -3,7 +3,7 @@ import pytest
 
 from srckit.dictionary import assemble
 from srckit.solvers import gomp, omp, romp, samp, sp
-from srckit.synthetic import planted_instance, random_unit_dictionary
+from srckit.synthetic import planted_instance, random_unit_dictionary, subspace_classes
 
 
 def identity_dictionary(n=6):
@@ -179,6 +179,15 @@ class TestSamp:
     def test_step_validation(self):
         with pytest.raises(ValueError, match="step"):
             samp(identity_dictionary(), np.ones(6), step=0)
+
+    def test_step_above_half_the_rank_bound_is_rejected(self):
+        data = subspace_classes(0, n_classes=3, dim=12, sub_dim=3, n_dict=4,
+                                n_train=1, n_test=10, noise=0.05)
+        d = assemble(data.dict_pixels, data.dict_labels)
+        assert (d.n_bands, d.n_atoms) == (12, 12)
+        assert samp(d, data.test_pixels, step=6).support.size > 0
+        with pytest.raises(ValueError, match=r"step=7 outside 1\.\.6"):
+            samp(d, data.test_pixels, step=7)
 
     def test_support_cap(self):
         d = random_unit_dictionary(13, 24, 48)
