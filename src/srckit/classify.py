@@ -13,6 +13,7 @@ fractions in [0, 1].
 """
 from __future__ import annotations
 
+import inspect
 import numbers
 import sys
 import warnings
@@ -195,6 +196,21 @@ def solver_kwargs(name: str, params: dict | None = None) -> dict:
     return kwargs
 
 
+def check_fit(dictionary: Dictionary, name: str, params: dict | None = None) -> None:
+    """Raise solvers.SizeError unless solver ``name``'s size parameters fit
+    ``dictionary`` (solvers.check_sizes: K, gomp's S * iterations and
+    samp's step, each at its default when the record leaves it out): the
+    check the solver makes at its first block, made before any coding."""
+    kwargs = solver_kwargs(name, params)
+    if name == "asdn":
+        return
+    taken = {key: p.default for key, p in
+             inspect.signature(getattr(solvers, name)).parameters.items()}
+    taken.update(kwargs)
+    solvers.check_sizes(dictionary, **{key: taken[key] for key in ("k", "s", "step")
+                                       if key in taken})
+
+
 def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
     """Build a solver callable ``x -> SparseCode`` that codes one pixel
     (bands,) or a block of pixel columns (bands, n).
@@ -202,9 +218,10 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
     (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
     module at every call, and codes a block in one call. admm_fixed and
-    asdn solve through the dictionary's ``gram_cache``, so it is built at
-    their first solve and only for them, and later solvers over the same
-    dictionary reuse it.
+    asdn run their stages through the dictionary's ``gram_cache``, so it
+    (with the dictionary's SVD) is built at their first block and only for
+    them, and later solvers over the same dictionary reuse it. Parameters
+    whose bounds depend on the dictionary are checked by ``check_fit``.
     """
     kwargs = solver_kwargs(name, params)
     if name == "asdn":
@@ -280,7 +297,10 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
     (fresh dictionary each run, so no bias from a single random sampling);
     every grid value classifies the test pixels of every draw, and
     OA/AA/kappa are averaged over the draws. Standard deviations use ddof=1
-    when runs > 1.
+    when runs > 1. A failure names its grid value in a RuntimeError raised
+    from the cause. Each draw's dictionary is checked against every grid
+    value (``check_fit``) before that draw codes a pixel, so a value that
+    does not fit fails first, from a solvers.SizeError.
     """
     grid = np.asarray(list(grid), dtype=np.float64)
     if grid.size == 0:
@@ -301,10 +321,15 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
         dictionary = assemble(dict_pixels, dict_labels)
         test_pixels, test_labels = extract_pixels(
             cube, split.test_flat(), normalize)
-        for gi, value in enumerate(grid):
-            merged = {**base, param_name(parameter): float(value)}
+        merged = [{**base, param_name(parameter): float(value)} for value in grid]
+        for value, record in zip(grid, merged):
             try:
-                pred = classify_testset(dictionary, test_pixels, solver, merged)
+                check_fit(dictionary, solver, record)
+            except solvers.SizeError as exc:
+                raise RuntimeError(f"sweep failed at {parameter}={value}: {exc}") from exc
+        for gi, value in enumerate(grid):
+            try:
+                pred = classify_testset(dictionary, test_pixels, solver, merged[gi])
             except Exception as exc:
                 raise RuntimeError(
                     f"sweep failed at {parameter}={value}: {exc}") from exc

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import solvers, synthetic
 from .classify import (PARAM_TYPES, SOLVER_NAMES, ClassificationReport, canonical_params,
-                       check_sweep, classify_testset, evaluate, integer, real,
+                       check_fit, check_sweep, classify_testset, evaluate, integer, real,
                        solver_kwargs, sweep)
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
@@ -451,6 +451,7 @@ def _cmd_eval(config: dict) -> int:
     normalize = config["normalize"]
     dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
     dictionary = assemble(dict_pixels, dict_labels)
+    _checked(check_fit, dictionary, config["solver"], params)
     test_ids = split.test_flat()
     test_pixels, test_labels = extract_pixels(cube, test_ids, normalize)
     pred = classify_testset(dictionary, test_pixels, config["solver"], params)
@@ -472,12 +473,16 @@ def _cmd_sweep(config: dict) -> int:
     params = _solver_params(config)
     _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
     cube = _load_cube(config)
+    try:
+        result = sweep(cube, config["solver"], config["param"], config["grid"],
+                       runs=config["runs"], base_seed=config["base_seed"],
+                       dict_frac=config["dict_frac"], train_frac=config["train_frac"],
+                       normalize=config["normalize"], params=params)
+    except RuntimeError as exc:
+        if isinstance(exc.__cause__, solvers.SizeError):  # a grid value too large for the dictionary
+            raise ConfigError(str(exc)) from exc
+        raise
     outdir = _outdir(config)
-
-    result = sweep(cube, config["solver"], config["param"], config["grid"],
-                   runs=config["runs"], base_seed=config["base_seed"],
-                   dict_frac=config["dict_frac"], train_frac=config["train_frac"],
-                   normalize=config["normalize"], params=params)
     (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(outdir / "sweep.json", result.to_json())
     _manifest(outdir, "sweep", config, "bundle")

@@ -1,14 +1,16 @@
 """Class-partitioned dictionary and shared regularized-solve machinery.
 
 The dictionary stacks training pixels as columns, grouped contiguously by
-class. The ADMM solvers and the unrolled network apply (D^T D + rho*I)^-1
-for one D at many rho, so each Dictionary computes one thin SVD of D,
-``spectrum``, from which its ``gram_cache`` applies that inverse at any rho
-without a factorization (Boyd et al. 2011, 4.2.4). FISTA's ``lipschitz``
-is s_max^2. ``GramCache.solve`` takes one right-hand side (m,) or a block
-(m, n), which is how the unrolled network codes pixels in blocks, in six
-matrix products; it keeps no record of its own accuracy, which the tests
-and the benchmark's traced ``miss_frac`` check from outside.
+class. The ADMM solvers and the unrolled network apply
+M^-1 = (D^T D + rho*I)^-1 for one D at many rho, so each Dictionary computes
+one thin SVD of D, D = U diag(s) V^T (``spectrum``), and its ``gram_cache``
+applies that inverse from it at any rho without a factorization. Every
+ADMM stage's right-hand side is D^T x + rho*y, so the stage and its
+vector-Jacobian product are solved in the r = min(bands, atoms)
+dimensional band space (Boyd et al. 2011, 4.2.4) in two matrix products
+each. ``GramCache.solve``, the general six-product solve, which no stage
+calls, is the reference the tests hold them to. FISTA's ``lipschitz`` is
+s_max^2.
 """
 from __future__ import annotations
 
@@ -71,18 +73,17 @@ class Dictionary:
         return GramCache(self)
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s^2, V^T) of the thin SVD D = U diag(s) V^T, computed once per
-        dictionary: s^2 (r,) descending and V^T (r, n_atoms), r = min(bands,
-        n_atoms). The atoms must not be mutated after first use."""
-        _, s, vt = np.linalg.svd(self.atoms, full_matrices=False)
-        return s * s, vt
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, s, V^T) of the thin SVD D = U diag(s) V^T, the one SVD of this
+        dictionary: U (bands, r), s (r,) descending and V^T (r, n_atoms),
+        r = min(bands, n_atoms). The atoms must not be mutated after first use."""
+        return tuple(np.linalg.svd(self.atoms, full_matrices=False))
 
     @cached_property
     def lipschitz(self) -> float:
         """Top eigenvalue of D^T D, FISTA's Lipschitz constant: s_max^2 of
         ``spectrum``, exact to rounding; 0 if D is zero."""
-        return float(self.spectrum[0].max(initial=0.0))
+        return float(self.spectrum[1].max(initial=0.0) ** 2)
 
 
 def assemble(samples: np.ndarray, labels) -> Dictionary:
@@ -110,19 +111,42 @@ def assemble(samples: np.ndarray, labels) -> Dictionary:
                       labels_per_atom=sorted_labels)
 
 
+def _rows(scale: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``scale`` (r,) shaped to multiply the rows of ``like``, (r,) or (r, n)."""
+    return scale.reshape(scale.shape + (1,) * (like.ndim - 1))
+
+
 class GramCache:
-    """Solves (D^T D + rho*I) w = b at any rho from ``Dictionary.spectrum``,
+    """Applies M^-1 = (D^T D + rho*I)^-1 at any rho from ``Dictionary.spectrum``,
     reached through ``Dictionary.gram_cache``; it keeps no per-rho state.
-    A solve is six matrix products: two spectral applies (V^T, then V)
-    around one residual through D (D, then D^T); 0.49 ms for 32 columns of
-    a 103 x 426 D on one BLAS thread of a 2-vCPU Xeon. Each column's
-    residual stays within 1e-12 of its norm except at the rho floor on a
-    singular D^T D, where rounding alone exceeds that; the tests and the
-    benchmark's traced ``miss_frac`` check this from outside."""
+
+    An ADMM stage solves M w = D^T x + rho*y with y = z - u. With
+    D = U diag(s) V^T the answer is
+
+        w = y + V c,   c = s/(s^2 + rho) * (U^T x - s * V^T y)
+
+    (``stage``): the products V^T y and V c, once ``project`` has taken
+    U^T x for the block. Its reverse node needs rho M^-1 g =
+    g - V (s^2/(s^2 + rho) * V^T g) and dw/drho in the direction g, which
+    is -sum_k (V^T g)_k c_k / (s_k^2 + rho) (``stage_vjp``): again two
+    products. Neither form divides by rho, so neither amplifies rounding
+    at the rho floor, and neither needs a refinement round. Rounding in w
+    grows with |y| instead, as about eps * s_max^2 * |y|: the tests hold each
+    column's residual within 1e-12 of its norm from the rho floor to 30 for
+    y no larger than the code, as in the network, while admm_fixed at small
+    rho, whose scaled dual u grows to about 200 |w|, reaches 1e-12.
+
+    ``solve`` takes any right-hand side (m,) or (m, n) in six products: two
+    spectral applies around one residual through D. No stage calls it: it
+    is the reference the tests hold ``stage`` and ``stage_vjp`` to. For 32
+    columns of a 103 x 426 D on one BLAS thread of a 2-vCPU Xeon, ``stage``
+    took 0.24 ms, ``stage_vjp`` 0.20 ms and ``solve`` 0.71 ms.
+    """
 
     def __init__(self, dictionary: Dictionary):
         self._atoms = dictionary.atoms
-        self._s2, self._vt = dictionary.spectrum
+        self._u, self._s, self._vt = dictionary.spectrum
+        self._s2 = self._s * self._s
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -146,3 +170,25 @@ class GramCache:
         w = self._inverse(rho, block)
         w += self._inverse(rho, block - (self._atoms.T @ (self._atoms @ w) + rho * w))
         return w.reshape(rhs.shape)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """U^T x for pixels (bands,) or (bands, n): the data term of every
+        stage over them, taken once per block. A non-finite pixel raises
+        ValueError here, before any stage runs."""
+        return self._u.T @ np.asarray_chkfinite(x)
+
+    def stage(self, rho: float, utx: np.ndarray, y: np.ndarray):
+        """(w, c): w = (D^T D + rho*I)^-1 (D^T x + rho*y) = y + V c for
+        y (n_atoms,) or (n_atoms, n) and ``utx`` = project(x), with the
+        band-space coefficients c (r,) or (r, n) that ``stage_vjp`` reuses."""
+        c = _rows(self._s / (self._s2 + rho), y) * (utx - _rows(self._s, y) * (self._vt @ y))
+        return y + self._vt.T @ c, c
+
+    def stage_vjp(self, rho: float, g: np.ndarray, c: np.ndarray):
+        """The reverse node of the stage that returned ``c``, for the gradient
+        g of w: (rho M^-1 g, d), where rho M^-1 g is the gradient with respect
+        to y (M is symmetric) and d = g . dw/drho, summed over a block's
+        columns."""
+        vtg = self._vt @ g
+        rho_inv_g = g - self._vt.T @ (_rows(self._s2 / (self._s2 + rho), g) * vtg)
+        return rho_inv_g, -float(np.vdot(vtg / _rows(self._s2 + rho, g), c))

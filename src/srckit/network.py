@@ -21,16 +21,19 @@ ADMM iterates exactly; the final node is that kernel's sparsity node alone.
 
 ``forward``, ``class_residuals`` and ``backward`` take one pixel (bands,) or
 a block of pixel columns (bands, n). Every stage is elementwise apart from
-its solve through the dictionary's ``gram_cache``, so a block costs one solve
-over all its columns per node in place of one per pixel, and that solve costs
-the same at any rho, however often training moves it. The per-pixel calls
-stay the reference: ``grad_check`` runs on them. ``train`` codes pixels, and
-``classify.classify_testset`` codes them for every solver, in blocks of
-BLOCK_COLUMNS = 32. Evaluating 635 pixels over 426 atoms with 9 stages peaks
-at about 102 MiB resident with 32 columns and within 0.1 MiB of that with 128,
-though a forward pass keeps its block's whole StageTrace; the width is set by
-time: forward takes about 200 us a pixel at 32 and 240 at 64 or 128 (one
-BLAS thread of a 2-vCPU Xeon).
+its solve, ``GramCache.stage``, which works in the band space of the
+dictionary's one SVD: two products over the block's columns, from U^T x
+taken once per block, at the same cost at any rho, however often training
+moves it. Each stage keeps its band-space coefficients c in the trace, and
+its reverse node in ``backward`` is ``GramCache.stage_vjp`` on them, two more
+products. The per-pixel calls stay the reference: ``grad_check`` runs on
+them. ``train`` codes pixels, and ``classify.classify_testset`` codes them
+for every solver, in blocks of BLOCK_COLUMNS = 32. Evaluating 635 pixels over
+426 atoms with 9 stages peaks at about 102 MiB resident with 32 columns and
+within 0.1 MiB of that with 128, though a forward pass keeps its block's
+whole StageTrace; the width is set by time: forward takes about 90 us a
+pixel at 32 and 160-180 at 64 or 128 (one BLAS thread of a 2-vCPU Xeon,
+where the six-product ``GramCache.solve`` took 300 us a pixel at 32).
 """
 from __future__ import annotations
 
@@ -147,12 +150,15 @@ class StageTrace:
     ``alpha_seq`` holds alpha_1..alpha_{N+1}; ``z_seq`` and ``u_seq`` hold
     z_1..z_N and u_1..u_N; ``pre_activation_seq`` holds v_n = alpha_n + u_{n-1}.
     Each entry has the shape of the coded pixels: (n_atoms,) or (n_atoms, n).
+    ``c_seq`` holds each sparsity node's band-space coefficients c_1..c_{N+1}
+    (``GramCache.stage``), (r,) or (r, n) with r = min(bands, n_atoms).
     """
 
     alpha_seq: list
     z_seq: list
     u_seq: list
     pre_activation_seq: list
+    c_seq: list
 
 
 @dataclass
@@ -199,25 +205,28 @@ def forward(dictionary: Dictionary, x: np.ndarray,
 
     ``x`` is one pixel (bands,) or a block of pixel columns (bands, n).
     Returns the output coefficients alpha_{N+1} as a SparseCode, (n_atoms,)
-    or (n_atoms, n), and the full trace needed by backward().
+    or (n_atoms, n), and the full trace needed by backward(). A non-finite
+    pixel raises ValueError before the first stage.
     """
     if len(x) != dictionary.n_bands:
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")
-    dtx = dictionary.atoms.T @ x
-    z = np.zeros_like(dtx)
-    u = np.zeros_like(dtx)
-    alpha_seq, z_seq, u_seq, v_seq = [], [], [], []
+    utx = dictionary.gram_cache.project(x)
+    z = np.zeros((dictionary.n_atoms,) + np.shape(x)[1:])
+    u = z.copy()
+    alpha_seq, c_seq, z_seq, u_seq, v_seq = [], [], [], [], []
     for n in range(params.n_stages):
-        alpha, v, z, u = admm_stage(dictionary, dtx, z, u, params.rho[n], params.relax,
-                                    params.eta[n], params.tau[n])
+        alpha, c, v, z, u = admm_stage(dictionary, utx, z, u, params.rho[n], params.relax,
+                                       params.eta[n], params.tau[n])
         alpha_seq.append(alpha)
+        c_seq.append(c)
         v_seq.append(v)
         z_seq.append(z)
         u_seq.append(u)
-    alpha_seq.append(admm_stage(dictionary, dtx, z, u, params.rho[params.n_stages],
-                                params.relax)[0])
+    alpha, c, *_ = admm_stage(dictionary, utx, z, u, params.rho[params.n_stages], params.relax)
+    alpha_seq.append(alpha)
+    c_seq.append(c)
     trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
-                       pre_activation_seq=v_seq)
+                       pre_activation_seq=v_seq, c_seq=c_seq)
     return SparseCode.from_dense(alpha_seq[-1]), trace
 
 
@@ -273,17 +282,19 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     dE/dr_i = y_i - p_i with p = softmax(-r) (raising the true class's
     residual raises the loss), composed with dr_i/dalpha = -D_i^T (x - D_i a_i)
     on each class block. The soft-threshold derivative is taken as 0 exactly
-    at |v| = eta.
+    at |v| = eta. Each sparsity node's reverse step is
+    ``GramCache.stage_vjp`` on the c its forward stage kept, two products
+    over the block. A non-finite pixel or label raises ValueError.
     """
     n = params.n_stages
-    if len(trace.alpha_seq) != n + 1 or len(trace.z_seq) != n:
+    if len(trace.alpha_seq) != n + 1 or len(trace.z_seq) != n or len(trace.c_seq) != n + 1:
         raise ValueError("trace does not match params.n_stages")
     relax = params.relax
     alpha_out = trace.alpha_seq[n]
-    zeros = np.zeros_like(alpha_out)
+    x = np.asarray_chkfinite(x)
+    y = np.asarray_chkfinite(y, dtype=np.float64)
 
     residuals = class_residuals(dictionary, alpha_out, x)
-    y = np.asarray(y, dtype=np.float64)
     c = dictionary.n_classes
     # per-pixel losses summed in column order: a one-column block is bit-equal
     loss_value = sum(loss(r, t) for r, t in zip(residuals.reshape(c, -1).T,
@@ -300,20 +311,16 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     d_eta = np.zeros(n)
     d_tau = np.zeros(n)
 
-    def through_sparsity(idx, g_a, z_in, u_in, alpha_n):
+    def through_sparsity(idx, g_a):
         """VJP through alpha_idx; returns gradients w.r.t. (z_in, u_in)."""
-        rho = params.rho[idx]
-        h = dictionary.gram_cache.solve(rho, g_a)
-        # w2 = M^-1 (D^T x + rho (z_in - u_in)), recovered from the trace
-        w2 = (alpha_n - (1.0 - relax) * z_in) / relax
-        d_rho[idx] = relax * float(np.vdot(h, (z_in - u_in) - w2))
-        g_z_in = relax * rho * h + (1.0 - relax) * g_a
-        g_u_in = -relax * rho * h
+        rho_inv_g, d_w = dictionary.gram_cache.stage_vjp(params.rho[idx], g_a,
+                                                         trace.c_seq[idx])
+        d_rho[idx] = relax * d_w
+        g_z_in = relax * rho_inv_g + (1.0 - relax) * g_a
+        g_u_in = -relax * rho_inv_g
         return g_z_in, g_u_in
 
-    z_in = trace.z_seq[n - 1]
-    u_in = trace.u_seq[n - 1]
-    g_z, g_u = through_sparsity(n, g_alpha, z_in, u_in, alpha_out)
+    g_z, g_u = through_sparsity(n, g_alpha)
 
     for k in range(n - 1, -1, -1):
         # multiplier node: u_k = u_{k-1} + tau_k (alpha_k - z_k); g_u is complete
@@ -329,9 +336,7 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
         g_alpha_k = g_alpha_k + g_v  # complete dE/dalpha_k
         g_u_prev = g_u_prev + g_v
         # sparsity node feeding alpha_k
-        z_in = trace.z_seq[k - 1] if k > 0 else zeros
-        u_in = trace.u_seq[k - 1] if k > 0 else zeros
-        g_z, g_u = through_sparsity(k, g_alpha_k, z_in, u_in, trace.alpha_seq[k])
+        g_z, g_u = through_sparsity(k, g_alpha_k)
         g_u = g_u + g_u_prev
 
     return ParamGrads(d_rho=d_rho, d_eta=d_eta, d_tau=d_tau, loss_value=loss_value)
@@ -471,8 +476,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
                         d_tau += g.d_tau
                         batch_loss += g.loss_value
             except (ValueError, FloatingPointError) as exc:
-                # overflow or NaN raises under errstate; non-finite values
-                # that reach a solve surface as its input check's ValueError
+                # overflow or NaN raises under errstate; a non-finite pixel
+                # fails forward's entry check (GramCache.project), a ValueError
                 raise TrainingDiverged(
                     f"training loss became non-finite at epoch {epoch}: {exc}"
                 ) from exc

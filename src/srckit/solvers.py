@@ -69,7 +69,7 @@ class SparseCode:
 
 
 # Each solver parameter's range as (what it is, the range, its test). K's range
-# and samp's cap on step depend on the dictionary (_check_sparsity_level).
+# and samp's cap on step depend on the dictionary (check_sizes).
 PARAM_RANGES = {
     "s": ("atoms per iteration S", "be >= 1", lambda v: v >= 1),
     "step": ("size increment", "be >= 1", lambda v: v >= 1),
@@ -129,12 +129,31 @@ def lasso_kkt_violation(dictionary: Dictionary, x: np.ndarray, lam: float,
 # greedy family
 
 
+class SizeError(ValueError):
+    """A solver parameter that does not fit the dictionary's size."""
+
+
 def _check_sparsity_level(dictionary: Dictionary, k: int, what="sparsity level K", share=1):
-    """Raise ValueError unless 1 <= k <= min(bands, atoms) // share; return that bound."""
+    """Raise SizeError unless 1 <= k <= min(bands, atoms) // share; return that bound."""
     limit = min(dictionary.n_bands, dictionary.n_atoms) // share
     if not 1 <= k <= limit:
-        raise ValueError(f"{what}={k} outside 1..{limit}")
+        raise SizeError(f"{what}={k} outside 1..{limit}")
     return limit
+
+
+def check_sizes(dictionary: Dictionary, k: int | None = None, s: int = 1,
+                step: int | None = None) -> None:
+    """Raise SizeError unless the size parameters given fit ``dictionary``:
+    1 <= K <= min(bands, atoms), gomp's S * ceil(K/S) <= atoms and samp's
+    step at most min(bands, atoms) // 2. The greedy solvers check these
+    before they code; a caller holding the dictionary can check them first."""
+    if k is not None:
+        _check_sparsity_level(dictionary, k)
+        if s * math.ceil(k / s) > dictionary.n_atoms:
+            raise SizeError(f"S*iterations = {s * math.ceil(k / s)} exceeds "
+                            f"dictionary size {dictionary.n_atoms}")
+    if step is not None:
+        _check_sparsity_level(dictionary, step, "size increment step", 2)
 
 
 def _first_copies(atoms: np.ndarray):
@@ -372,7 +391,7 @@ def sp(dictionary: Dictionary, x: np.ndarray, k: int, tol: float = GREEDY_TOL,
     coefficients; a column stops when its residual norm stops decreasing,
     at residual <= tol, or after ``max_iters`` trials. The first K atoms
     are the K best correlated with the pixel, whatever tol says."""
-    _check_sparsity_level(dictionary, k)
+    check_sizes(dictionary, k)
     check_ranges(tol=tol, max_iters=max_iters)
     block = _Block(dictionary, x, 2 * k)
     cols, *state = block.trial(np.arange(len(block.rows)), k)
@@ -393,7 +412,7 @@ def romp(dictionary: Dictionary, x: np.ndarray, k: int,
     """Regularized OMP: per iteration take up to K strongest correlations,
     keep the maximal-energy group whose magnitudes are within a factor 2,
     add the whole group, refit. Stops at |support| >= 2K or a tiny residual."""
-    _check_sparsity_level(dictionary, k)
+    check_sizes(dictionary, k)
     check_ranges(tol=tol)
     block = _Block(dictionary, x, 3 * k)  # a step from below 2K adds at most K
     cols = np.arange(len(block.rows))
@@ -423,12 +442,9 @@ def gomp(dictionary: Dictionary, x: np.ndarray, k: int, s: int = 2,
     steps. Each refit borders the column's inverse Cholesky factor by the
     step's picks (``_Block.border``) instead of refactoring its support;
     a column whose picks make its sub-Gram singular refits by lstsq."""
-    _check_sparsity_level(dictionary, k)
     check_ranges(s=s, tol=tol)
+    check_sizes(dictionary, k, s)
     n_iters = math.ceil(k / s)
-    if s * n_iters > dictionary.n_atoms:
-        raise ValueError(
-            f"S*iterations = {s * n_iters} exceeds dictionary size {dictionary.n_atoms}")
     block = _Block(dictionary, x, s * n_iters, bordered=True)
     cols = np.arange(len(block.rows))
     for _ in range(n_iters):
@@ -527,23 +543,29 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
     return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))
 
 
-def admm_stage(dictionary: Dictionary, dtx: np.ndarray, z: np.ndarray,
+def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,
                u: np.ndarray, rho: float, relax: float, eta: float | None = None,
                tau: float | None = None):
     """One scaled-form ADMM lasso stage (Boyd et al. 2011, 3.1.1), the
-    kernel of admm_fixed and of every network stage; returns (alpha, v, z', u'):
+    kernel of admm_fixed and of every network stage; returns
+    (alpha, c, v, z', u'):
 
         alpha = relax * (D^T D + rho I)^-1 (D^T x + rho (z - u)) + (1 - relax) * z
         v = alpha + u,   z' = soft_threshold(v, eta),   u' = u + tau * (alpha - z')
 
-    With ``eta`` and ``tau`` None only alpha is computed (the network's final node).
+    The solve is ``GramCache.stage`` in band space, two products over the
+    block, from ``utx`` = ``dictionary.gram_cache.project(x)``, which a
+    caller takes once for all its stages; c is that solve's band-space
+    coefficients, which the network's backward pass reuses. With ``eta``
+    and ``tau`` None only alpha and c are computed (the network's final node).
     """
-    alpha = relax * dictionary.gram_cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
+    w, c = dictionary.gram_cache.stage(rho, utx, z - u)
+    alpha = relax * w + (1.0 - relax) * z
     if eta is None:
-        return alpha, None, None, None
+        return alpha, c, None, None, None
     v = alpha + u
     z_next = soft_threshold(v, eta)
-    return alpha, v, z_next, u + tau * (alpha - z_next)
+    return alpha, c, v, z_next, u + tau * (alpha - z_next)
 
 
 def admm_fixed(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1, rho: float = 1.0,
@@ -559,15 +581,15 @@ def admm_fixed(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1, rho: flo
     callback(alpha, z, u) after every iteration for the columns still
     running: (n_atoms, k) arrays, or (n_atoms,) vectors for a pixel."""
     check_ranges(lam=lam, rho=rho, relax=relax, tau=tau, max_iters=max_iters, tol=tol)
-    dtx = dictionary.atoms.T @ np.reshape(x, (len(x), -1))
+    utx = dictionary.gram_cache.project(np.reshape(x, (len(x), -1)))
     eta, each = lam / rho, (slice(None) if np.ndim(x) > 1 else 0)
-    cols, coeffs = np.arange(dtx.shape[1]), np.zeros_like(dtx)
+    cols, coeffs = np.arange(utx.shape[1]), np.zeros((dictionary.n_atoms, utx.shape[1]))
     z, u = coeffs.copy(), coeffs.copy()
     for _ in range(max_iters):
         if cols.size == 0:
             break
         z_prev = z
-        alpha, _, z, u = admm_stage(dictionary, dtx, z, u, rho, relax, eta, tau)
+        alpha, _, _, z, u = admm_stage(dictionary, utx, z, u, rho, relax, eta, tau)
         if callback is not None:
             callback(alpha[:, each], z[:, each], u[:, each])
         primal = np.linalg.norm(alpha - z, axis=0)
@@ -576,6 +598,6 @@ def admm_fixed(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1, rho: flo
         if done.any():
             coeffs[:, cols[done]] = z[:, done]
             keep = ~done
-            cols, dtx, z, u = cols[keep], dtx[:, keep], z[:, keep], u[:, keep]
+            cols, utx, z, u = cols[keep], utx[:, keep], z[:, keep], u[:, keep]
     coeffs[:, cols] = z
     return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))

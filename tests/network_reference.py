@@ -1,0 +1,126 @@
+"""The solve-based ADMM stage and its backward pass: the reference the
+band-space stage in ``srckit.solvers.admm_stage`` and ``srckit.network``'s
+``forward`` and ``backward`` are tested against.
+
+Each sparsity node applies (D^T D + rho I)^-1 through the general
+``GramCache.solve`` (six products and a refinement round) to the
+right-hand side D^T x + rho (z - u), and its reverse node solves the
+gradient the same way, recovering the forward solve from the trace.
+"""
+import numpy as np
+
+from srckit.network import ParamGrads, StageTrace, class_probabilities, class_residuals, loss
+from srckit.solvers import SparseCode, soft_threshold
+
+
+def admm_stage(dictionary, dtx, z, u, rho, relax, eta=None, tau=None):
+    """One scaled-form ADMM lasso stage; returns (alpha, v, z', u'):
+
+        alpha = relax * (D^T D + rho I)^-1 (D^T x + rho (z - u)) + (1 - relax) * z
+        v = alpha + u,   z' = soft_threshold(v, eta),   u' = u + tau * (alpha - z')
+
+    With ``eta`` and ``tau`` None only alpha is computed (the network's final node).
+    """
+    alpha = relax * dictionary.gram_cache.solve(rho, dtx + rho * (z - u)) + (1.0 - relax) * z
+    if eta is None:
+        return alpha, None, None, None
+    v = alpha + u
+    z_next = soft_threshold(v, eta)
+    return alpha, v, z_next, u + tau * (alpha - z_next)
+
+
+def forward(dictionary, x, params):
+    """The N unrolled stages plus the final sparsity node, each through
+    ``admm_stage``; returns (SparseCode, StageTrace) like network.forward,
+    with an empty ``c_seq``."""
+    dtx = dictionary.atoms.T @ x
+    z = np.zeros_like(dtx)
+    u = np.zeros_like(dtx)
+    alpha_seq, z_seq, u_seq, v_seq = [], [], [], []
+    for n in range(params.n_stages):
+        alpha, v, z, u = admm_stage(dictionary, dtx, z, u, params.rho[n], params.relax,
+                                    params.eta[n], params.tau[n])
+        alpha_seq.append(alpha)
+        v_seq.append(v)
+        z_seq.append(z)
+        u_seq.append(u)
+    alpha_seq.append(admm_stage(dictionary, dtx, z, u, params.rho[params.n_stages],
+                                params.relax)[0])
+    trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
+                       pre_activation_seq=v_seq, c_seq=[])
+    return SparseCode.from_dense(alpha_seq[-1]), trace
+
+
+def backward(dictionary, x, y, params, trace):
+    """Analytic gradients of the loss w.r.t. every (rho, eta, tau).
+
+    ``x`` is one pixel with one-hot ``y`` (n_classes,), or a block (bands, n)
+    with one-hot columns ``y`` (n_classes, n) and the trace of its forward
+    pass; a block's gradients and loss are the sums over its columns.
+    Reverse traversal of the stage graph. The loss seed is
+    dE/dr_i = y_i - p_i with p = softmax(-r) (raising the true class's
+    residual raises the loss), composed with dr_i/dalpha = -D_i^T (x - D_i a_i)
+    on each class block. The soft-threshold derivative is taken as 0 exactly
+    at |v| = eta. Each sparsity node's reverse step solves the gradient
+    through ``GramCache.solve`` and recovers its forward solve from alpha.
+    """
+    n = params.n_stages
+    if len(trace.alpha_seq) != n + 1 or len(trace.z_seq) != n:
+        raise ValueError("trace does not match params.n_stages")
+    relax = params.relax
+    alpha_out = trace.alpha_seq[n]
+    zeros = np.zeros_like(alpha_out)
+
+    residuals = class_residuals(dictionary, alpha_out, x)
+    y = np.asarray(y, dtype=np.float64)
+    c = dictionary.n_classes
+    # per-pixel losses summed in column order: a one-column block is bit-equal
+    loss_value = sum(loss(r, t) for r, t in zip(residuals.reshape(c, -1).T,
+                                                y.reshape(c, -1).T))
+    seed = y - class_probabilities(residuals)
+
+    g_alpha = np.zeros_like(alpha_out)
+    for i in range(1, dictionary.n_classes + 1):
+        sl = dictionary.class_slice(i)
+        block = dictionary.atoms[:, sl]
+        g_alpha[sl] = -seed[i - 1] * (block.T @ (x - block @ alpha_out[sl]))
+
+    d_rho = np.zeros(n + 1)
+    d_eta = np.zeros(n)
+    d_tau = np.zeros(n)
+
+    def through_sparsity(idx, g_a, z_in, u_in, alpha_n):
+        """VJP through alpha_idx; returns gradients w.r.t. (z_in, u_in)."""
+        rho = params.rho[idx]
+        h = dictionary.gram_cache.solve(rho, g_a)
+        # w2 = M^-1 (D^T x + rho (z_in - u_in)), recovered from the trace
+        w2 = (alpha_n - (1.0 - relax) * z_in) / relax
+        d_rho[idx] = relax * float(np.vdot(h, (z_in - u_in) - w2))
+        g_z_in = relax * rho * h + (1.0 - relax) * g_a
+        g_u_in = -relax * rho * h
+        return g_z_in, g_u_in
+
+    z_in = trace.z_seq[n - 1]
+    u_in = trace.u_seq[n - 1]
+    g_z, g_u = through_sparsity(n, g_alpha, z_in, u_in, alpha_out)
+
+    for k in range(n - 1, -1, -1):
+        # multiplier node: u_k = u_{k-1} + tau_k (alpha_k - z_k); g_u is complete
+        d_tau[k] = float(np.vdot(g_u, trace.alpha_seq[k] - trace.z_seq[k]))
+        g_alpha_k = params.tau[k] * g_u
+        g_z = g_z - params.tau[k] * g_u  # now the complete dE/dz_k
+        g_u_prev = g_u
+        # nonlinear node: z_k = soft_threshold(v_k, eta_k)
+        v = trace.pre_activation_seq[k]
+        mask = (np.abs(v) > params.eta[k]).astype(np.float64)
+        d_eta[k] = -float((g_z * np.sign(v) * mask).sum())
+        g_v = g_z * mask
+        g_alpha_k = g_alpha_k + g_v  # complete dE/dalpha_k
+        g_u_prev = g_u_prev + g_v
+        # sparsity node feeding alpha_k
+        z_in = trace.z_seq[k - 1] if k > 0 else zeros
+        u_in = trace.u_seq[k - 1] if k > 0 else zeros
+        g_z, g_u = through_sparsity(k, g_alpha_k, z_in, u_in, trace.alpha_seq[k])
+        g_u = g_u + g_u_prev
+
+    return ParamGrads(d_rho=d_rho, d_eta=d_eta, d_tau=d_tau, loss_value=loss_value)

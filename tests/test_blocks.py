@@ -124,7 +124,8 @@ def test_columns_miss_their_own_target_only_at_the_floor():
 def spectral_one_round(d, rho, rhs):
     """The spectral apply of (D^T D + rho*I)^-1, then one refinement round
     with the residual taken through D."""
-    s2, vt = d.spectrum
+    _, s, vt = d.spectrum
+    s2 = s * s
 
     def inverse(b):
         return b / rho - vt.T @ ((s2 / (rho * (s2 + rho)))[:, None] * (vt @ b))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from srckit.classify import (ClassificationReport, check_sweep, classify_testset,
+from srckit import solvers
+from srckit.classify import (ClassificationReport, check_fit, check_sweep, classify_testset,
                              evaluate, make_solver, solver_kwargs, src_decide, sweep)
 from srckit.data import LabeledCube, pixels_to_cube
 from srckit.dictionary import assemble
@@ -333,3 +334,17 @@ def test_network_document_without_a_field_names_net():
     del doc["eta"]
     with pytest.raises(ValueError, match="'net'"):
         solver_kwargs("asdn", {"net": doc})
+
+
+def test_check_fit_takes_the_solver_defaults():
+    # 4 bands, 3 atoms: K = 3 fits, but gomp's default S = 2 takes 2 * 2 = 4 atoms
+    d = assemble(np.eye(4)[:, :3], [1, 1, 2])
+    check_fit(d, "gomp", {"k": 3, "s": 1})
+    check_fit(d, "samp", {})
+    for call in (lambda: check_fit(d, "gomp", {"k": 3}), lambda: solvers.gomp(d, np.ones(4), 3)):
+        with pytest.raises(solvers.SizeError, match=r"S\*iterations = 4 exceeds"):
+            call()
+    with pytest.raises(solvers.SizeError, match="step=2 outside 1..1"):
+        check_fit(d, "samp", {"step": 2})
+    check_fit(d, "fista", {"lam": 0.1})
+    check_fit(d, "asdn", {"n_stages": 2})

@@ -72,10 +72,13 @@ class TestExitCodes:
         assert (status, err) == (0, None)
         assert 0.0 <= read_json(tmp_path / "report.json")["oa"] <= 1.0
 
-    def test_runtime_failure(self, capsys, bundle, tmp_path):
-        # K beyond min(bands, atoms) = 12 fails inside the solver
+    def test_runtime_failure(self, capsys, monkeypatch, bundle, tmp_path):
+        # a solver that fails while coding is the program's fault, not the config's
+        def failing(dictionary, x, **kwargs):
+            raise FloatingPointError("overflow encountered while coding")
+        monkeypatch.setattr(solvers, "omp", failing)
         status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "omp",
-                          "--K", 99, "--out", tmp_path)
+                          "--K", 2, "--out", tmp_path)
         assert status == 1
         assert err["kind"] == "runtime"
 
@@ -413,6 +416,29 @@ class TestSolverParameters:
         monkeypatch.setattr(solvers, name, lambda dictionary, x, **kw: seen.update(kw))
         solve(np.ones(4))
         assert seen == params
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("eval", ["--solver", "omp", "--K", 50], "sparsity level K=50 outside 1..12"),
+    ("eval", ["--solver", "omp", "--K", 99], "sparsity level K=99 outside 1..12"),
+    ("eval", ["--solver", "samp", "--step", 50], "size increment step=50 outside 1..6"),
+    ("eval", ["--solver", "gomp", "--K", 12, "--S", 5], "S*iterations = 15 exceeds"),
+    ("sweep", ["--solver", "omp", "--param", "k", "--grid", "1,50"], "K=50 outside"),
+    ("sweep", ["--solver", "samp", "--param", "step", "--grid", "1,50"], "step=50 outside"),
+])
+def test_size_beyond_the_dictionary_is_config_error(capsys, monkeypatch, bundle, tmp_path,
+                                                    command, argv, message):
+    # the tiny bundle's dictionary is 12 bands by 12 atoms; the bound is
+    # checked against it before any pixel is coded or any output written
+    def no_coding(*args, **kwargs):
+        raise AssertionError("a pixel was coded")
+    monkeypatch.setattr(classify, "classify_testset", no_coding)
+    monkeypatch.setattr(cli, "classify_testset", no_coding)
+    status, err = run(capsys, command, "--bundle", bundle, *DATA, *argv,
+                      "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert message in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergence_raises_in_pool_threads():
