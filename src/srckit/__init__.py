@@ -13,7 +13,7 @@ from .data import (BundleFormatError, LabeledCube, Split, SplitMix64,
                    pixels_to_cube, save_bundle)
 from .dictionary import Dictionary, GramCache, assemble
 from .network import (GradCheckReport, NetParams, ParamGrads, StageTrace,
-                      TrainConfig, TrainingDiverged, backward, class_residuals,
+                      TrainConfig, TrainingDiverged, asdn, backward, class_residuals,
                       forward, grad_check, loss, mean_loss, one_hot, train)
 from .solvers import (SparseCode, admm_fixed, fista, gomp, lasso_kkt_violation,
                       lasso_objective, omp, romp, samp, soft_threshold, sp)
@@ -24,7 +24,7 @@ __all__ = [
     "BundleFormatError", "ClassificationReport", "Dictionary", "GradCheckReport",
     "GramCache", "LabeledCube", "NetParams", "ParamGrads", "SparseCode", "Split",
     "SplitMix64", "StageTrace", "SweepResult", "TrainConfig", "TrainingDiverged",
-    "admm_fixed", "assemble", "backward", "class_residuals", "classify_testset",
+    "admm_fixed", "asdn", "assemble", "backward", "class_residuals", "classify_testset",
     "evaluate", "extract_pixels", "fista", "forward", "gomp", "grad_check",
     "lasso_kkt_violation", "lasso_objective", "load_bundle", "load_pixel_csv",
     "loss", "make_solver", "make_split", "mean_loss", "omp", "one_hot",

@@ -120,21 +120,18 @@ def _net_params(net) -> "network.NetParams":
     return net if isinstance(net, network.NetParams) else network.NetParams.from_json(net)
 
 
-# The keyword parameters each solver takes after (dictionary, x), and one type
-# for each name; their ranges are solvers.PARAM_RANGES. Defaults live only in
-# the solver signatures and NetParams.default; "k" is the one parameter
-# without a default. "asdn" is network.forward with params "net" (a NetParams
-# or its JSON document), or else NetParams.default(n_stages).
-SOLVER_PARAMS = {
-    "omp": ("k", "tol"),
-    "sp": ("k", "tol", "max_iters"),
-    "romp": ("k", "tol"),
-    "gomp": ("k", "s", "tol"),
-    "samp": ("step", "tol", "max_iters"),
-    "fista": ("lam", "max_iters", "tol"),
-    "admm_fixed": ("lam", "rho", "relax", "tau", "max_iters", "tol"),
-    "asdn": ("net", "n_stages"),
-}
+# The eight solvers share one call, <module>.<name>(dictionary, x, **params),
+# looked up on the module at each call. SOLVER_DEFAULTS holds, from each
+# signature read at import, the keyword parameters after (dictionary, x), with
+# their defaults ("callback" is a hook, not a parameter; "k" has no default).
+# PARAM_TYPES gives each parameter one type, solvers.PARAM_RANGES its range.
+SOLVER_MODULES = {**dict.fromkeys(("omp", "sp", "romp", "gomp", "samp", "fista",
+                                   "admm_fixed"), solvers), "asdn": network}
+SOLVER_DEFAULTS = {name: {key: p.default for key, p in
+                          list(inspect.signature(getattr(module, name)).parameters.items())[2:]
+                          if key != "callback"}
+                   for name, module in SOLVER_MODULES.items()}
+SOLVER_PARAMS = {name: tuple(defaults) for name, defaults in SOLVER_DEFAULTS.items()}
 PARAM_TYPES = {"k": integer, "s": integer, "step": integer, "max_iters": integer,
                "n_stages": integer,
                "lam": real, "rho": real, "relax": real, "tau": real, "tol": real,
@@ -202,11 +199,7 @@ def check_fit(dictionary: Dictionary, name: str, params: dict | None = None) -> 
     samp's step, each at its default when the record leaves it out): the
     check the solver makes at its first block, made before any coding."""
     kwargs = solver_kwargs(name, params)
-    if name == "asdn":
-        return
-    taken = {key: p.default for key, p in
-             inspect.signature(getattr(solvers, name)).parameters.items()}
-    taken.update(kwargs)
+    taken = {**SOLVER_DEFAULTS[name], **kwargs}
     solvers.check_sizes(dictionary, **{key: taken[key] for key in ("k", "s", "step")
                                        if key in taken})
 
@@ -216,18 +209,15 @@ def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
     (bands,) or a block of pixel columns (bands, n).
 
     ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
-    (see SOLVER_PARAMS and solver_kwargs). The solver is looked up on its
-    module at every call, and codes a block in one call. admm_fixed and
-    asdn run their stages through the dictionary's ``gram_cache``, so it
-    (with the dictionary's SVD) is built at their first block and only for
-    them, and later solvers over the same dictionary reuse it. Parameters
-    whose bounds depend on the dictionary are checked by ``check_fit``.
+    (see solver_kwargs). Every solver, the network included, is called the
+    same way and looked up on its module (SOLVER_MODULES) at every call.
+    admm_fixed and asdn run their stages through the dictionary's
+    ``gram_cache``, built with the dictionary's SVD at their first block and
+    reused by later solvers over the same dictionary. Parameters whose
+    bounds depend on the dictionary are checked by ``check_fit``.
     """
-    kwargs = solver_kwargs(name, params)
-    if name == "asdn":
-        net = kwargs.get("net") or network.NetParams.default(**kwargs)
-        return lambda x: network.forward(dictionary, x, net)[0]
-    return lambda x: getattr(solvers, name)(dictionary, x, **kwargs)
+    kwargs, module = solver_kwargs(name, params), SOLVER_MODULES[name]
+    return lambda x: getattr(module, name)(dictionary, x, **kwargs)
 
 
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,

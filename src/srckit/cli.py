@@ -38,7 +38,7 @@ from .classify import (PARAM_TYPES, SOLVER_NAMES, ClassificationReport, canonica
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
 from .dictionary import assemble
-from .network import NetParams, TrainConfig, grad_check, train
+from .network import DEFAULT_STAGES, NetParams, TrainConfig, grad_check, train
 
 _SUBCOMMANDS = ("ingest", "split", "train", "eval", "sweep", "gradcheck", "report")
 
@@ -180,7 +180,8 @@ KEYS = {
                      dict.fromkeys(("train", "eval", "sweep"), True)),
     "split_file": Key(("--split",), str, dict.fromkeys(("train", "eval")),
                       help="reuse a saved split.json instead of re-drawing"),
-    "stages": Key(("--stages",), integer, {"train": 9, "gradcheck": 5}, help="network depth N"),
+    "stages": Key(("--stages",), integer, {"train": DEFAULT_STAGES, "gradcheck": 5},
+                  help="network depth N"),
     "learning_rate": Key(("--lr",), real, {"train": 1e-2}),
     "epochs": Key(("--epochs",), integer, {"train": 50}),
     "batch_size": Key(("--batch-size",), integer, {"train": 32}),
@@ -380,9 +381,8 @@ def _cmd_ingest(config: dict) -> int:
         csv_path = Path(config["csv"])
         if not csv_path.is_file():
             raise ConfigError(f"csv file not found: {csv_path}")
+        cube = pixels_to_cube(*_checked(load_pixel_csv, csv_path))
         outdir = _outdir(config)
-        spectra, labels = load_pixel_csv(csv_path)
-        cube = pixels_to_cube(spectra, labels)
         save_bundle(cube, Path(config["bundle"]))
     else:
         cube = _load_cube(config)

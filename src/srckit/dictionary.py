@@ -44,6 +44,9 @@ class Dictionary:
             raise ValueError("class_offsets must start at 0 and end at n_atoms")
         if (np.diff(offs) < 1).any():
             raise ValueError("every class must own at least one atom")
+        owners = np.repeat(np.arange(1, len(offs)), np.diff(offs))  # each atom's class
+        if not np.array_equal(self.labels_per_atom, owners):
+            raise ValueError("labels_per_atom contradicts class_offsets")
 
     @property
     def n_bands(self) -> int:

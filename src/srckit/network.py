@@ -32,8 +32,8 @@ for every solver, in blocks of BLOCK_COLUMNS = 32. Evaluating 635 pixels over
 426 atoms with 9 stages peaks at about 102 MiB resident with 32 columns and
 within 0.1 MiB of that with 128, though a forward pass keeps its block's
 whole StageTrace; the width is set by time: forward takes about 90 us a
-pixel at 32 and 160-180 at 64 or 128 (one BLAS thread of a 2-vCPU Xeon,
-where the six-product ``GramCache.solve`` took 300 us a pixel at 32).
+pixel at 32 and 160-180 at 64 or 128 (one BLAS thread of a 2-vCPU Xeon).
+``asdn`` is the network as a solver, called as the baselines in ``solvers`` are.
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ RHO_FLOOR = 1e-6
 TAU_FLOOR = 1e-6
 ETA_FLOOR = 0.0
 BLOCK_COLUMNS = 32
+DEFAULT_STAGES = 9
 GRAD_ZERO_ATOL = 1e-12
 
 
@@ -97,7 +98,7 @@ class NetParams:
         return len(self.eta)
 
     @classmethod
-    def default(cls, n_stages: int = 9, rho: float = 1.0, eta: float = 0.1,
+    def default(cls, n_stages: int = DEFAULT_STAGES, rho: float = 1.0, eta: float = 0.1,
                 tau: float = 1.0, relax: float = 1.0) -> "NetParams":
         return cls(rho=np.full(n_stages + 1, rho), eta=np.full(n_stages, eta),
                    tau=np.full(n_stages, tau), relax=relax)
@@ -228,6 +229,14 @@ def forward(dictionary: Dictionary, x: np.ndarray,
     trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
                        pre_activation_seq=v_seq, c_seq=c_seq)
     return SparseCode.from_dense(alpha_seq[-1]), trace
+
+
+def asdn(dictionary: Dictionary, x: np.ndarray, net: NetParams | None = None,
+         n_stages: int = DEFAULT_STAGES) -> SparseCode:
+    """The network as a solver: forward's code for ``x`` under ``net``, or
+    without one under NetParams.default(n_stages)."""
+    check_ranges(n_stages=n_stages)
+    return forward(dictionary, x, NetParams.default(n_stages) if net is None else net)[0]
 
 
 def class_residuals(dictionary: Dictionary, code, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Baseline sparse solvers over a class-partitioned dictionary.
+"""Sparse solvers over a class-partitioned dictionary: eight solvers, one
+interface. Each is ``name(dictionary, x, **params) -> SparseCode``, with its
+parameters as keywords after (dictionary, x): the seven baselines here and
+the unrolled network, ``network.asdn``. ``classify`` reads each solver's
+parameters and defaults from these signatures, once, at import.
 
 Greedy family (sparsity-level K): omp, sp, romp, gomp, samp. All five run on
 one block kernel, ``_Block``: per-column support, least-squares
@@ -11,9 +15,9 @@ l1 family (weight lambda): fista, admm_fixed, each coding a block of pixel
 columns with per-column stop masks. ``admm_stage`` is the one scaled-form
 ADMM stage, shared by admm_fixed and the unrolled network.
 
-Every solver takes its parameters as keywords after (dictionary, x) and
-checks them before it codes, K against the dictionary and the rest against
-PARAM_RANGES (``check_ranges``). It codes one pixel (bands,), as a
+Every solver checks its parameters before it codes, K against the
+dictionary and the rest against PARAM_RANGES (``check_ranges``), which
+holds the network's depth too. It codes one pixel (bands,), as a
 one-column block, or a block of pixel columns (bands, n), whose code has
 coeffs (n_atoms, n). Conventions shared by every solver here, per pixel
 column of a block:
@@ -79,6 +83,7 @@ PARAM_RANGES = {
     "rho": ("penalty", "be > 0", lambda v: v > 0),
     "tau": ("dual step rate", "be > 0", lambda v: v > 0),
     "relax": ("relaxation scalar", "lie in (0, 2]", lambda v: 0 < v <= 2),
+    "n_stages": ("network depth", "be >= 1", lambda v: v >= 1),
 }
 
 

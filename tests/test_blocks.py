@@ -16,7 +16,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 import greedy_reference as reference
 from srckit import dictionary, network, solvers
-from srckit.classify import classify_testset, make_solver, src_decide, sweep
+from srckit.classify import (check_fit, classify_testset, make_solver, solver_kwargs,
+                             src_decide, sweep)
 from srckit.data import pixels_to_cube
 from srckit.dictionary import GramCache, assemble
 from srckit.network import (RHO_FLOOR, NetParams, TrainConfig, backward,
@@ -681,11 +682,11 @@ class TestBenchmarkHooks:
 
     def test_lipschitz_computed_once_per_dictionary(self, monkeypatch):
         runs = []
-        power_iteration = dictionary.Dictionary.lipschitz.func
+        top_eigenvalue = dictionary.Dictionary.lipschitz.func
 
         def counted(self_):
             runs.append(1)
-            return power_iteration(self_)
+            return top_eigenvalue(self_)
 
         lipschitz = functools.cached_property(counted)
         lipschitz.__set_name__(dictionary.Dictionary, "lipschitz")
@@ -721,3 +722,42 @@ class TestBenchmarkHooks:
                     for home, name in tables["PIXEL_ENTRY_POINTS"]]
         for owner, name in wrapped:
             assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+    def test_signature_less_wrappers_change_nothing(self, monkeypatch):
+        """Until the first coded pixel the benchmark replaces every pixel entry
+        point with a ``(*args, **kwargs)`` forwarder; the solver table, the
+        dictionary-size check and the coded labels must not change under it."""
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "child.py").read_text())
+        entry_points = next(ast.literal_eval(node.value) for node in tree.body
+                            if isinstance(node, ast.Assign)
+                            and getattr(node.targets[0], "id", None) == "PIXEL_ENTRY_POINTS")
+        three_atoms = assemble(np.eye(4)[:, :3], [1, 1, 2])
+        one_atom = assemble(np.eye(4)[:, :1], [1])
+        fits = [(three_atoms, "gomp", {"k": 3}), (one_atom, "samp", {}),
+                (three_atoms, "gomp", {"k": 3, "s": 1}), (three_atoms, "asdn", {})]
+        coded = [("omp", {"k": 3}), ("gomp", {"k": 4}), ("sp", {"k": 2}),
+                 ("romp", {"k": 2}), ("samp", {}), ("fista", {"lam": 0.05, "max_iters": 40}),
+                 ("admm_fixed", {"lam": 0.05, "max_iters": 40}), ("asdn", {"n_stages": 2})]
+
+        def outcomes():
+            out = []
+            for d, name, params in fits:
+                out.append(solver_kwargs(name, params))
+                try:
+                    check_fit(d, name, params)
+                    out.append(None)
+                except solvers.SizeError as exc:
+                    out.append(str(exc))
+            out += [classify_testset(D, PIXELS, name, params).tolist()
+                    for name, params in coded]
+            return out
+
+        unwrapped = outcomes()
+        assert unwrapped[1] == "S*iterations = 4 exceeds dictionary size 3"
+        assert unwrapped[3] == "size increment step=1 outside 1..0"
+        for home, name in entry_points:
+            owner = importlib.import_module("srckit." + home)
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *args, _fn=original, **kwargs: _fn(*args, **kwargs))
+        assert outcomes() == unwrapped

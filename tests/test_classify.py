@@ -231,6 +231,20 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="k=99"):
             sweep(cube, "omp", "k", [99], runs=1, dict_frac=0.1, train_frac=0.2)
 
+    def test_coding_failure_names_grid_value(self, monkeypatch):
+        def failing(dictionary, x, **kwargs):
+            raise FloatingPointError("overflow while coding")
+        monkeypatch.setattr(solvers, "fista", failing)
+        with pytest.raises(RuntimeError, match="sweep failed at lam=0.5: overflow") as info:
+            sweep(make_cube(), "fista", "lam", [0.5], runs=1, dict_frac=0.1, train_frac=0.2)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_empty_grid_and_no_runs(self):
+        with pytest.raises(ValueError, match="parameter grid is empty"):
+            sweep(make_cube(), "omp", "k", [], runs=1)
+        with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
+            sweep(make_cube(), "omp", "k", [2], runs=0)
+
     def test_csv_format(self):
         cube = make_cube()
         result = sweep(cube, "omp", "k", [2, 3], runs=2, dict_frac=0.1,

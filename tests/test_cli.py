@@ -82,6 +82,17 @@ class TestExitCodes:
         assert status == 1
         assert err["kind"] == "runtime"
 
+    def test_sweep_runtime_failure(self, capsys, monkeypatch, bundle, tmp_path):
+        def failing(dictionary, x, **kwargs):
+            raise FloatingPointError("overflow encountered while coding")
+        monkeypatch.setattr(solvers, "fista", failing)
+        status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "fista",
+                          "--param", "lam", "--grid", "0.1", "--runs", 1,
+                          "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (1, "runtime")
+        assert "sweep failed at lam=0.1: overflow encountered" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [[], ["eval", "--frobnicate"],
                                       ["eval", "--solver", "magic"]])
     def test_usage_error(self, capsys, argv):
@@ -388,20 +399,26 @@ class TestSolverParameters:
         taken = set(inspect.signature(getattr(solvers, name)).parameters)
         assert set(SOLVER_PARAMS[name]) == taken - {"dictionary", "x", "callback"}
 
-    @pytest.mark.parametrize("name", [name for name in SOLVER_PARAMS if name != "asdn"])
+    @pytest.mark.parametrize("name", SOLVER_PARAMS)
     def test_every_solver_checks_its_ranges(self, name):
         """Called directly or through the table, each solver rejects a value
         outside the range of every parameter it takes, naming it."""
         bad = {"s": 0, "step": 0, "max_iters": 0, "lam": -1e-9, "tol": -1e-9,
-               "rho": 0.0, "tau": 0.0, "relax": 2.5}
+               "rho": 0.0, "tau": 0.0, "relax": 2.5, "n_stages": 0}
         assert set(bad) == set(solvers.PARAM_RANGES)
         d = assemble(np.eye(4), [1, 1, 2, 2])
         base = {"k": 2} if "k" in SOLVER_PARAMS[name] else {}
-        for key in set(SOLVER_PARAMS[name]) - {"k"}:
+        solve = getattr(classify.SOLVER_MODULES[name], name)
+        for key in set(SOLVER_PARAMS[name]) & set(bad):  # "k" and "net" have no range
             with pytest.raises(ValueError, match=key):
-                getattr(solvers, name)(d, np.ones(4), **base, **{key: bad[key]})
+                solve(d, np.ones(4), **base, **{key: bad[key]})
             with pytest.raises(ValueError, match=repr(key)):
                 classify.solver_kwargs(name, {**base, key: bad[key]})
+
+    def test_every_parameter_has_a_type(self):
+        # a keyword added to a solver's signature reaches the CLI only with a type
+        taken = {key for keys in SOLVER_PARAMS.values() for key in keys}
+        assert taken <= set(classify.PARAM_TYPES)
 
     @pytest.mark.parametrize("name, params", [
         ("omp", {"k": 2, "tol": 0.5}), ("sp", {"k": 2, "tol": 0.5, "max_iters": 3}),
@@ -538,6 +555,25 @@ class TestNetWithStages:
         assert "'n_stages'" in err["message"]
 
 
+@pytest.mark.parametrize("command, config, argv", [
+    ("eval", {"n_stages": 0}, []),
+    ("eval", {"n_stages": -3}, []),
+    ("sweep", {}, ["--param", "n_stages", "--grid", "0,2"]),
+])
+def test_network_depth_below_one_is_config_error(capsys, monkeypatch, bundle, tmp_path,
+                                                 command, config, argv):
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("the bundle was read")
+    monkeypatch.setattr(cli, "load_bundle", no_bundle)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    status, err = run(capsys, command, "--config", path, "--bundle", bundle, *DATA,
+                      "--solver", "asdn", *argv, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert "n_stages (network depth) must be >= 1" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_split_json_is_one_line(capsys, bundle, trained, tmp_path):
     status, _ = run(capsys, "split", "--bundle", bundle, *DATA, "--seed", 3,
                     "--out", tmp_path)
@@ -573,6 +609,24 @@ class TestIngest:
         assert summary == read_json(tmp_path / "a" / "summary.json")
         assert (summary["bands"], summary["classes"]) == (12, 3)
         assert summary["class_counts"] == {"1": 20, "2": 20, "3": 20}
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,0.25,-1\n", "negative label -1"),
+        ("0.5,abc,1\n", "malformed row"),
+        ("0.5,0.25,1.5\n", "malformed row"),
+        ("\n,\n", "no pixel rows"),
+        ("0.5,nan,1\n", "non-finite values"),
+        ("0.5,0.25,1\n0.5,1\n", "inconsistent column counts"),
+        ("1\n", "at least one band column"),
+    ])
+    def test_malformed_csv(self, capsys, tmp_path, text, message):
+        (tmp_path / "pixels.csv").write_text(text, encoding="utf-8")
+        status, err = run(capsys, "ingest", "--csv", tmp_path / "pixels.csv",
+                          "--bundle", tmp_path / "bundle", "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert message in err["message"]
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "bundle").exists()
 
     def test_missing_csv(self, capsys, tmp_path):
         status, err = run(capsys, "ingest", "--csv", tmp_path / "missing.csv",
@@ -623,6 +677,13 @@ class TestReport:
         rows = (tmp_path / "classes.csv").read_text(encoding="utf-8").splitlines()
         assert rows == ["class,accuracy_percent,n", "1,50.0,2", "2,100.0,1",
                         "3,66.6666666667,3"]
+
+    def test_out_gets_a_manifest(self, capsys, report_path, tmp_path):
+        status, err = run(capsys, "report", "--report", report_path, "--out", tmp_path / "out")
+        assert (status, err) == (0, None)
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        assert manifest["command"] == "report"
+        assert manifest["inputs"] == {str(report_path): sha256(report_path)}
 
     def test_missing_report(self, capsys, tmp_path):
         status, err = run(capsys, "report", "--report", tmp_path / "missing.json")

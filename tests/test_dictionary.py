@@ -139,6 +139,23 @@ def test_dictionary_invariant_checks():
                    labels_per_atom=[1, 3])
 
 
+def test_offsets_and_assembly_checks():
+    with pytest.raises(ValueError, match="start at 0 and end at n_atoms"):
+        Dictionary(atoms=np.eye(3), class_offsets=[0, 2], labels_per_atom=[1, 1])
+    with pytest.raises(ValueError, match=r"samples \(3, 3\) do not match 2 labels"):
+        assemble(np.eye(3), [1, 2])
+    with pytest.raises(ValueError, match="cannot assemble an empty dictionary"):
+        assemble(np.zeros((3, 0)), [])
+    with pytest.raises(ValueError, match=r"class 3 outside 1..2"):
+        assemble(np.eye(2), [1, 2]).class_slice(3)
+
+
+@pytest.mark.parametrize("labels", [[7, 7, 7, 7], [1, 2, 1, 2], [1, 1, 2], [1, 1, 2, 2, 2]])
+def test_labels_per_atom_must_follow_the_offsets(labels):
+    with pytest.raises(ValueError, match="labels_per_atom contradicts class_offsets"):
+        Dictionary(atoms=np.eye(4), class_offsets=[0, 2, 4], labels_per_atom=labels)
+
+
 def test_lipschitz_is_the_top_gram_eigenvalue():
     # pixels that share a mean spectrum, as reflectances do, give D^T D a
     # well-separated top eigenvalue; an orthonormal D has no gap, but every

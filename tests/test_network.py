@@ -37,6 +37,16 @@ class TestNetParams:
         with pytest.raises(ValueError, match="nonnegative"):
             NetParams(rho=np.ones(2), eta=np.array([-0.1]), tau=np.ones(1))
 
+    def test_entries_and_document_checks(self):
+        with pytest.raises(ValueError, match="eta contains non-finite entries"):
+            NetParams(rho=np.ones(2), eta=np.array([np.nan]), tau=np.ones(1))
+        with pytest.raises(ValueError, match="tau entries must be >= 1e-06"):
+            NetParams(rho=np.ones(2), eta=np.array([0.1]), tau=np.zeros(1))
+        doc = NetParams.default(2).to_json()
+        doc["n_stages"] = 3
+        with pytest.raises(ValueError, match="n_stages field 3 contradicts array lengths"):
+            NetParams.from_json(doc)
+
     def test_json_round_trip_exact(self):
         rng = np.random.default_rng(4)
         p = NetParams(rho=1.0 + rng.random(6), eta=rng.random(5),
@@ -310,6 +320,22 @@ class TestTrain:
         d, px, lb = self.make_problem(6)
         with pytest.raises(ValueError, match="labels"):
             train(d, px, np.zeros_like(lb), TrainConfig(epochs=1))
+
+    def test_pixel_and_label_counts(self):
+        d, px, lb = self.make_problem(6)
+        with pytest.raises(ValueError, match="no training pixels"):
+            train(d, px[:, :0], lb[:0], TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=f"{len(lb)} pixels but {len(lb) - 1} labels"):
+            train(d, px, lb[:-1], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"learning_rate": -1e-3}, "learning_rate must be nonnegative"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+    ])
+    def test_config_validation(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**fields)
 
 
 def test_mean_loss_matches_manual():
