@@ -14,7 +14,9 @@ their kinds from classify.PARAM_TYPES (and tol its range from solvers, as
 gradcheck reads it too). Keys the subcommand does not read are ignored.
 Each run writes its outputs plus a manifest.json with the effective typed
 config (every key read, defaults filled in) and content hashes of the
-input files.
+input files. A bundle file's hash is that of the bytes the run read: the
+loaded cube carries it, so the bundle is read once. Train and eval drop
+the cube once the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 3 config error. Failures print a single-line JSON object to stderr.
@@ -37,7 +39,7 @@ from .classify import (PARAM_TYPES, SOLVER_NAMES, ClassificationReport, canonica
                        solver_kwargs, sweep)
 from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle, Split)
-from .dictionary import assemble
+from .dictionary import Dictionary, assemble
 from .network import DEFAULT_STAGES, NetParams, TrainConfig, grad_check, train
 
 _SUBCOMMANDS = ("ingest", "split", "train", "eval", "sweep", "gradcheck", "report")
@@ -69,17 +71,13 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _hash_inputs(paths) -> dict:
-    hashes = {}
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            for child in sorted(p.iterdir()):
-                if child.is_file():
-                    hashes[str(child)] = _file_sha256(child)
-        elif p.is_file():
-            hashes[str(p)] = _file_sha256(p)
-    return hashes
+def _hash_inputs(paths, digests) -> dict:
+    """SHA-256 of each file in ``paths`` and in each directory there, taken
+    from ``digests`` (str(path) -> hex) where it holds the file."""
+    files = []
+    for p in map(Path, paths):
+        files += sorted(c for c in p.iterdir() if c.is_file()) if p.is_dir() else [p]
+    return {str(f): digests.get(str(f)) or _file_sha256(f) for f in files if f.is_file()}
 
 
 def _write_json(path: Path, doc, indent: int | None = 2) -> None:
@@ -95,7 +93,7 @@ def _read_json(path: Path, what: str, parse=lambda doc: doc):
         raise ConfigError(f"{what} file not found: {path}")
     try:
         return parse(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} file {path} is malformed: {exc!r}") from exc
 
 
@@ -318,6 +316,34 @@ def _load_split(config: dict, cube) -> Split:
     return split
 
 
+class _Coding(NamedTuple):
+    """What train and eval keep of the cube: the split, its dictionary, the
+    pixels to code, and the cube's class count, grid size and file hashes."""
+
+    split: Split
+    dictionary: Dictionary
+    ids: np.ndarray
+    pixels: np.ndarray
+    labels: np.ndarray
+    n_classes: int
+    grid_size: int
+    digests: dict
+
+
+def _coding_inputs(config: dict, subset: str) -> _Coding:
+    """Load the bundle, take its split, assemble the dictionary and extract
+    the ``subset`` ("train" or "test") pixels. The cube is freed on return,
+    before any pixel is coded."""
+    cube = _load_cube(config)
+    split = _load_split(config, cube)
+    normalize = config["normalize"]
+    dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
+    ids = split.train_flat() if subset == "train" else split.test_flat()
+    pixels, labels = extract_pixels(cube, ids, normalize)
+    return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
+                   cube.height * cube.width, cube.digests)
+
+
 def _check_split(split: Split, cube, path: Path) -> None:
     """A split file must index labeled cube pixels of the class it files them
     under, list each id at most once in each set, and its dictionary, train
@@ -357,16 +383,18 @@ def _outdir(config: dict) -> Path:
     return out
 
 
-def _manifest(outdir: Path, command: str, config: dict, *inputs) -> None:
+def _manifest(outdir: Path, command: str, config: dict, *inputs, digests=None) -> None:
     """The typed config that ran, without unset keys, and the hash of every
-    file named by the ``inputs`` keys the config sets. With a saved split the
-    split-draw keys are left out: the split file's hash identifies it."""
+    file named by the ``inputs`` keys the config sets (``digests``: hashes
+    already taken, see _hash_inputs). With a saved split the split-draw keys
+    are left out: the split file's hash identifies it."""
     drawn = ("seed", "dict_frac", "train_frac") if config.get("split_file") else ()
     doc = {
         "command": command,
         "config": {k: v for k, v in sorted(config.items())
                    if v is not None and k not in drawn},
-        "inputs": _hash_inputs(config[key] for key in inputs if config.get(key)),
+        "inputs": _hash_inputs((config[key] for key in inputs if config.get(key)),
+                               digests or {}),
     }
     _write_json(outdir / "manifest.json", doc)
 
@@ -395,7 +423,8 @@ def _cmd_ingest(config: dict) -> int:
         "class_counts": counts,
     }
     _write_json(outdir / "summary.json", summary)
-    _manifest(outdir, "ingest", config, "csv" if config["csv"] else "bundle")
+    _manifest(outdir, "ingest", config, "csv" if config["csv"] else "bundle",
+              digests=cube.digests)
     print(json.dumps({"status": "ok", "summary": str(outdir / "summary.json")}))
     return 0
 
@@ -407,7 +436,7 @@ def _cmd_split(config: dict) -> int:
     split = make_split(cube, config["dict_frac"], config["train_frac"], config["seed"])
     # one line: indented, a split puts each of its many pixel ids on its own
     _write_json(outdir / "split.json", split.to_json(), indent=None)
-    _manifest(outdir, "split", config, "bundle")
+    _manifest(outdir, "split", config, "bundle", digests=cube.digests)
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
     print(json.dumps({"status": "ok", "per_class_sizes": sizes}))
@@ -423,20 +452,14 @@ def _cmd_train(config: dict) -> int:
     train_cfg = _checked(TrainConfig, learning_rate=config["learning_rate"],
                          epochs=config["epochs"], batch_size=config["batch_size"],
                          seed=config["train_seed"], init=init)
-    cube = _load_cube(config)
-    split = _load_split(config, cube)
+    coding = _coding_inputs(config, "train")
     outdir = _outdir(config)
-
-    normalize = config["normalize"]
-    dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
-    dictionary = assemble(dict_pixels, dict_labels)
-    train_pixels, train_labels = extract_pixels(cube, split.train_flat(), normalize)
-    params, history = train(dictionary, train_pixels, train_labels, train_cfg)
+    params, history = train(coding.dictionary, coding.pixels, coding.labels, train_cfg)
     params.save(outdir / "params.json")
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(outdir / "split.json", split.to_json(), indent=None)
-    _manifest(outdir, "train", config, "bundle", "split_file")
+    _write_json(outdir / "split.json", coding.split.to_json(), indent=None)
+    _manifest(outdir, "train", config, "bundle", "split_file", digests=coding.digests)
     print(json.dumps({"status": "ok", "final_mean_loss": float(history[-1]),
                       "params": str(outdir / "params.json")}))
     return 0
@@ -446,23 +469,18 @@ def _cmd_eval(config: dict) -> int:
     """classify the test split and write a report"""
     params = _solver_params(config)
     _checked(solver_kwargs, config["solver"], params)
-    cube = _load_cube(config)
-    split = _load_split(config, cube)
-    normalize = config["normalize"]
-    dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), normalize)
-    dictionary = assemble(dict_pixels, dict_labels)
-    _checked(check_fit, dictionary, config["solver"], params)
-    test_ids = split.test_flat()
-    test_pixels, test_labels = extract_pixels(cube, test_ids, normalize)
-    pred = classify_testset(dictionary, test_pixels, config["solver"], params)
+    coding = _coding_inputs(config, "test")
+    _checked(check_fit, coding.dictionary, config["solver"], params)
+    pred = classify_testset(coding.dictionary, coding.pixels, config["solver"], params)
 
     outdir = _outdir(config)
-    report = evaluate(pred, test_labels, cube.n_classes)
+    report = evaluate(pred, coding.labels, coding.n_classes)
     _write_json(outdir / "report.json", report.to_json())
-    grid = np.zeros(cube.height * cube.width, dtype="<i4")
-    grid[test_ids] = pred
+    grid = np.zeros(coding.grid_size, dtype="<i4")
+    grid[coding.ids] = pred
     (outdir / "labels_pred.bin").write_bytes(grid.tobytes())
-    _manifest(outdir, "eval", config, "bundle", "split_file", "net_params")
+    _manifest(outdir, "eval", config, "bundle", "split_file", "net_params",
+              digests=coding.digests)
     print(json.dumps({"status": "ok", "oa": report.oa, "aa": report.aa,
                       "kappa": report.kappa}))
     return 0
@@ -485,7 +503,7 @@ def _cmd_sweep(config: dict) -> int:
     outdir = _outdir(config)
     (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(outdir / "sweep.json", result.to_json())
-    _manifest(outdir, "sweep", config, "bundle")
+    _manifest(outdir, "sweep", config, "bundle", digests=cube.digests)
     print(json.dumps({"status": "ok", "rows": len(result.grid),
                       "csv": str(outdir / "sweep.csv")}))
     return 0

@@ -8,10 +8,17 @@ A cube lives on disk as a "bundle" directory::
     labels.bin    H*W int32 little-endian, row-major (r*W + c)
 
 Label 0 means "unlabeled"; classes are 1..C.
+
+A loaded cube keeps that band-major layout: ``load_bundle`` reads data.bin
+once, straight into one (bands, height, width) buffer, and ``LabeledCube.data``
+is a (height, width, bands) view of it, not a copy. The SHA-256 of each file
+is taken from the bytes already read and carried on the cube (``digests``),
+so a run's manifest does not read the bundle again.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -82,27 +89,46 @@ class LabeledCube:
     """A hyperspectral data block plus per-pixel integer class labels.
 
     ``data`` has shape (height, width, bands) float64; ``labels`` has shape
-    (height, width) int32 with 0 = unlabeled and 1..C = class ids.
+    (height, width) int32 with 0 = unlabeled and 1..C = class ids. Pixels are
+    stored band-major: ``data`` is always a transposed view of one C-contiguous
+    (bands, height, width) array (``band_major``). A ``data`` array in any
+    other layout is copied into that form once, here. ``digests`` maps each
+    file a cube was read from (as ``str`` of its path) to the SHA-256 hex of
+    the bytes read; it is empty for a cube built in memory.
     """
 
     data: np.ndarray
     labels: np.ndarray
+    digests: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.data.ndim != 3:
-            raise BundleFormatError("data", f"expected 3-D array, got {self.data.ndim}-D")
-        h, w, b = self.data.shape
+        if data.ndim != 3:
+            raise BundleFormatError("data", f"expected 3-D array, got {data.ndim}-D")
+        h, w, b = data.shape
         if b < 1 or h < 1 or w < 1:
-            raise BundleFormatError("data", f"degenerate extents {self.data.shape}")
+            raise BundleFormatError("data", f"degenerate extents {data.shape}")
         if self.labels.shape != (h, w):
             raise BundleFormatError(
                 "labels", f"shape {self.labels.shape} does not match data grid {(h, w)}")
-        if not np.isfinite(self.data).all():
+        # no copy when data is already a view of a band-major buffer
+        self.data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+        # One pass over the whole buffer, on purpose: freeing its 1/8-size
+        # bool temporary raises glibc's dynamic mmap and trim thresholds. At
+        # the default thresholds every coded block's ~100 KB temporaries grow
+        # the heap and are trimmed back, page-faulting afresh; checked plane
+        # by plane, coding got measurably slower. Reusing the coding buffers
+        # would remove the dependence.
+        if not np.isfinite(self.band_major).all():
             raise BundleFormatError("data", "non-finite values present")
         if (self.labels < 0).any():
             raise BundleFormatError("labels", "negative label present")
+
+    @property
+    def band_major(self) -> np.ndarray:
+        """The C-contiguous (bands, height, width) array ``data`` views."""
+        return self.data.transpose(2, 0, 1)
 
     @property
     def height(self) -> int:
@@ -139,8 +165,9 @@ def load_bundle(path) -> LabeledCube:
         if not p.is_file():
             raise FileNotFoundError(f"bundle file missing: {p}")
 
+    raw_header = header_path.read_bytes()
     try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
+        header = json.loads(raw_header.decode("utf-8"))
     except ValueError as exc:
         raise BundleFormatError("header.json", f"invalid JSON ({exc})") from exc
 
@@ -158,21 +185,26 @@ def load_bundle(path) -> LabeledCube:
         raise BundleFormatError("header.json", f"degenerate extents {(h, w, b)}")
 
     n_data_bytes = h * w * b * 8
-    raw = data_path.read_bytes()
-    if len(raw) != n_data_bytes:
+    size = data_path.stat().st_size
+    if size == n_data_bytes:
+        # band-major on disk and in memory: read straight into the cube's buffer
+        data = np.empty((b, h, w), dtype="<f8")
+        with open(data_path, "rb") as fh:
+            size = fh.readinto(data)  # short only if the file shrank since stat
+    if size != n_data_bytes:
         raise BundleFormatError(
-            "data.bin", f"expected {n_data_bytes} bytes for {b}x{h}x{w}, got {len(raw)}")
-    # band-major on disk: (bands, height, width) -> in-memory (height, width, bands)
-    data = np.frombuffer(raw, dtype="<f8").reshape(b, h, w).transpose(1, 2, 0).copy()
+            "data.bin", f"expected {n_data_bytes} bytes for {b}x{h}x{w}, got {size}")
 
     n_label_bytes = h * w * 4
-    raw = labels_path.read_bytes()
-    if len(raw) != n_label_bytes:
+    raw_labels = labels_path.read_bytes()
+    if len(raw_labels) != n_label_bytes:
         raise BundleFormatError(
-            "labels.bin", f"expected {n_label_bytes} bytes for {h}x{w}, got {len(raw)}")
-    labels = np.frombuffer(raw, dtype="<i4").reshape(h, w).copy()
+            "labels.bin", f"expected {n_label_bytes} bytes for {h}x{w}, got {len(raw_labels)}")
+    labels = np.frombuffer(raw_labels, dtype="<i4").reshape(h, w).copy()
 
-    cube = LabeledCube(data=data, labels=labels)
+    digests = {str(p): hashlib.sha256(raw).hexdigest() for p, raw in
+               ((header_path, raw_header), (data_path, data), (labels_path, raw_labels))}
+    cube = LabeledCube(data=data.transpose(1, 2, 0), labels=labels, digests=digests)
     if cube.n_classes != header["classes"]:
         raise BundleFormatError(
             "classes", f"header says {header['classes']}, labels.bin max is {cube.n_classes}")
@@ -193,8 +225,7 @@ def save_bundle(cube: LabeledCube, path) -> None:
         "order": "band-major",
     }
     (root / _HEADER_NAME).write_text(json.dumps(header, sort_keys=True), encoding="utf-8")
-    band_major = np.ascontiguousarray(cube.data.transpose(2, 0, 1), dtype="<f8")
-    (root / _DATA_NAME).write_bytes(band_major.tobytes())
+    (root / _DATA_NAME).write_bytes(cube.band_major.astype("<f8", copy=False))
     (root / _LABELS_NAME).write_bytes(
         np.ascontiguousarray(cube.labels, dtype="<i4").tobytes())
 
@@ -232,15 +263,20 @@ class Split:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Split":
-        def back(d):
-            return {int(c): np.asarray(v, dtype=np.int64) for c, v in d.items()}
+        """The inverse of ``to_json``. Every id and the seed must be a JSON
+        integer: a ValueError names any other value (a float, even an
+        integral one, a bool or a string) and where it sits."""
+        def integer(value, where):
+            if type(value) is not int:
+                raise ValueError(f"{where} {value!r} is not an integer")
+            return value
 
-        return cls(
-            dictionary_ids=back(doc["dictionary_ids"]),
-            train_ids=back(doc["train_ids"]),
-            test_ids=back(doc["test_ids"]),
-            seed=int(doc["seed"]),
-        )
+        def back(name):
+            return {int(c): np.array([integer(i, f"{name} id") for i in v], dtype=np.int64)
+                    for c, v in doc[name].items()}
+
+        return cls(dictionary_ids=back("dictionary_ids"), train_ids=back("train_ids"),
+                   test_ids=back("test_ids"), seed=integer(doc["seed"], "seed"))
 
 
 def _round_half_up(x: float) -> int:
@@ -300,7 +336,9 @@ def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):
     if (flat_labels == 0).any():
         bad = ids[flat_labels == 0][0]
         raise ValueError(f"pixel id {bad} is unlabeled")
-    spectra = cube.data.reshape(-1, cube.bands)[ids].T.astype(np.float64, copy=True)
+    # rows of the (pixels, bands) view of the band-major buffer, so that each
+    # column of the result is contiguous, as the solvers and norms expect
+    spectra = cube.band_major.reshape(cube.bands, -1).T[ids].T
     if normalize:
         norms = np.linalg.norm(spectra, axis=0)
         if (norms == 0).any():

@@ -1,7 +1,6 @@
 """End-to-end tests of ``cli.run`` on a tiny bundle, plus the solver table it
 reads solver parameters through."""
 import hashlib
-import inspect
 import json
 import os
 import re
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from srckit import classify, cli, solvers
-from srckit.classify import (SOLVER_PARAMS, classify_testset, evaluate,
+from srckit.classify import (SOLVER_NAMES, SOLVER_PARAMS, classify_testset, evaluate,
                              make_solver, sweep)
 from srckit.data import (Split, extract_pixels, load_bundle, make_split,
                          pixels_to_cube, save_bundle)
@@ -271,6 +270,56 @@ class TestManifestHashes:
         assert not (tmp_path / "out").exists()
 
 
+def disk_hashes(*paths):
+    """The manifest's inputs as hashing the files on disk gives them."""
+    files = [f for p in paths for f in (sorted(p.iterdir()) if p.is_dir() else [p])]
+    return {str(f): sha256(f) for f in files}
+
+
+class TestManifestDigests:
+    """A manifest takes the bundle's hashes from the bytes the run read; they
+    must equal hashing the files on disk, and the bundle is not read again."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        seen = []
+        file_sha256 = cli._file_sha256
+
+        def spy(path):
+            seen.append(Path(path).name)
+            return file_sha256(path)
+        monkeypatch.setattr(cli, "_file_sha256", spy)
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        ["split"], ["ingest"],
+        ["eval", "--solver", "omp", "--K", 2],
+        ["sweep", "--solver", "omp", "--param", "k", "--grid", "1,2", "--runs", 1],
+        ["train", "--stages", 1, "--epochs", 1],
+    ], ids=["split", "ingest", "eval", "sweep", "train"])
+    def test_bundle_hashes_equal_disk_hashes(self, capsys, hashed, bundle, tmp_path, argv):
+        status, _ = run(capsys, argv[0], "--bundle", bundle,
+                        *(DATA if argv[0] != "ingest" else []), *argv[1:], "--out", tmp_path)
+        assert status == 0
+        assert read_json(tmp_path / "manifest.json")["inputs"] == disk_hashes(bundle)
+        assert hashed == []
+
+    def test_saved_inputs_and_extra_bundle_files_are_hashed_from_disk(
+            self, capsys, hashed, bundle, trained, tmp_path):
+        copy = tmp_path / "bundle"
+        copy.mkdir()
+        for f in bundle.iterdir():
+            (copy / f.name).write_bytes(f.read_bytes())
+        (copy / "notes.txt").write_text("extra file\n", encoding="utf-8")
+        split_path, params_path = trained / "split.json", trained / "params.json"
+        status, _ = run(capsys, "eval", "--bundle", copy, *DATA, "--split", split_path,
+                        "--solver", "asdn", "--params", params_path, "--out", tmp_path / "out")
+        assert status == 0
+        inputs = read_json(tmp_path / "out" / "manifest.json")["inputs"]
+        assert inputs == disk_hashes(copy, split_path, params_path)
+        assert sorted(hashed) == ["notes.txt", "params.json", "split.json"]
+
+
 class TestSplitValidation:
     def write_split(self, tmp_path, edit):
         doc = make_split(tiny_cube(), 0.2, 0.25, 0).to_json()
@@ -316,6 +365,36 @@ class TestSplitValidation:
         assert status == 3
         assert f"test id {repeated} is listed more than once" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["test_ids"]["2"].__setitem__(0, doc["test_ids"]["2"][0] + 0.5),
+         r"test_ids id \d+\.5 is not an integer"),
+        (lambda doc: doc["dictionary_ids"]["1"].__setitem__(0, doc["dictionary_ids"]["1"][0] + 0.9),
+         r"dictionary_ids id \d+\.9 is not an integer"),
+        (lambda doc: doc["train_ids"]["3"].__setitem__(0, float(doc["train_ids"]["3"][0])),
+         r"train_ids id \d+\.0 is not an integer"),
+        (lambda doc: doc["train_ids"]["1"].__setitem__(0, True),
+         "train_ids id True is not an integer"),
+        (lambda doc: doc["test_ids"]["1"].__setitem__(0, str(doc["test_ids"]["1"][0])),
+         r"test_ids id '\d+' is not an integer"),
+        (lambda doc: doc.update(seed=0.5), "seed 0.5 is not an integer"),
+        (lambda doc: doc.update(seed=0.0), "seed 0.0 is not an integer"),
+        (lambda doc: doc.update(seed="0"), "seed '0' is not an integer"),
+        (lambda doc: doc.update(seed=False), "seed False is not an integer"),
+    ], ids=["fractional-test-id", "fractional-dictionary-id", "integral-float-id", "bool-id",
+            "string-id", "fractional-seed", "integral-float-seed", "string-seed", "bool-seed"])
+    def test_non_integer_value_is_config_error(self, capsys, bundle, tmp_path, edit, message):
+        status, err = self.eval_with(capsys, bundle, tmp_path, self.write_split(tmp_path, edit))
+        assert (status, err["kind"]) == (3, "config")
+        assert re.search(message, err["message"])
+        assert not (tmp_path / "out").exists()
+
+    def test_id_beyond_int64_is_config_error(self, capsys, bundle, tmp_path):
+        def huge(doc):
+            doc["test_ids"]["1"].append(2 ** 70)
+        status, err = self.eval_with(capsys, bundle, tmp_path, self.write_split(tmp_path, huge))
+        assert (status, err["kind"]) == (3, "config")
+        assert "OverflowError" in err["message"]
 
     def test_saved_split_is_accepted(self, capsys, bundle, tmp_path):
         status, _ = self.eval_with(capsys, bundle, tmp_path,
@@ -393,11 +472,22 @@ class TestSolverParameters:
         with pytest.raises(ValueError, match="numeric parameter 'net'"):
             sweep(tiny_cube(), "asdn", "net", [1], runs=1)
 
+    # written out, not read from the signatures SOLVER_PARAMS is derived from
+    PINNED = {"omp": ("k", "tol"), "sp": ("k", "tol", "max_iters"), "romp": ("k", "tol"),
+              "gomp": ("k", "s", "tol"), "samp": ("step", "tol", "max_iters"),
+              "fista": ("lam", "max_iters", "tol"),
+              "admm_fixed": ("lam", "rho", "relax", "tau", "max_iters", "tol"),
+              "asdn": ("net", "n_stages")}
+
+    def test_solver_names_are_pinned(self):
+        assert SOLVER_NAMES == ("omp", "sp", "romp", "gomp", "samp", "fista", "admm_fixed",
+                                "asdn")
+        assert tuple(self.PINNED) == SOLVER_NAMES
+
     @pytest.mark.parametrize("name", ["omp", "sp", "romp", "gomp", "samp", "fista",
-                                      "admm_fixed"])
+                                      "admm_fixed", "asdn"])
     def test_table_lists_every_keyword(self, name):
-        taken = set(inspect.signature(getattr(solvers, name)).parameters)
-        assert set(SOLVER_PARAMS[name]) == taken - {"dictionary", "x", "callback"}
+        assert SOLVER_PARAMS[name] == self.PINNED[name]
 
     @pytest.mark.parametrize("name", SOLVER_PARAMS)
     def test_every_solver_checks_its_ranges(self, name):

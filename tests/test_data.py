@@ -1,11 +1,16 @@
+import hashlib
+import io
 import json
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srckit import data as data_module
 from srckit.data import (BundleFormatError, LabeledCube, SplitMix64,
                          extract_pixels, load_bundle, load_pixel_csv,
                          make_split, pixels_to_cube, save_bundle)
@@ -207,6 +212,35 @@ class TestBundleErrors:
             LabeledCube(data=np.zeros((1, 1, 1)),
                         labels=np.array([[-1]], dtype=np.int32))
 
+    def test_short_read(self, tmp_path, monkeypatch):
+        # data.bin has the right size when checked but yields fewer bytes
+        save_bundle(random_cube(2), tmp_path / "b")
+        payload = (tmp_path / "b" / "data.bin").read_bytes()
+
+        def short_open(path, mode="r", *args, **kwargs):
+            assert Path(path).name == "data.bin" and mode == "rb"
+            return io.BytesIO(payload[:-8])
+        monkeypatch.setattr(data_module, "open", short_open, raising=False)
+        with pytest.raises(BundleFormatError, match="got 952") as info:
+            load_bundle(tmp_path / "b")
+        assert info.value.field == "data.bin"
+
+    def test_non_3d_data_rejected(self):
+        with pytest.raises(BundleFormatError, match="expected 3-D array, got 2-D") as info:
+            LabeledCube(data=np.zeros((2, 2)), labels=np.zeros((2, 2), dtype=np.int32))
+        assert info.value.field == "data"
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)])
+    def test_empty_grid_rejected(self, shape):
+        with pytest.raises(BundleFormatError, match="degenerate extents") as info:
+            LabeledCube(data=np.zeros(shape), labels=np.zeros(shape[:2], dtype=np.int32))
+        assert info.value.field == "data"
+
+    def test_label_grid_must_match_data(self):
+        with pytest.raises(BundleFormatError, match=r"does not match data grid \(2, 3\)") as info:
+            LabeledCube(data=np.zeros((2, 3, 4)), labels=np.zeros((3, 2), dtype=np.int32))
+        assert info.value.field == "labels"
+
 
 def labeled_line_cube(class_sizes):
     """A 1 x n cube whose labels are class_sizes[c] repeats of each class."""
@@ -278,6 +312,11 @@ class TestMakeSplit:
             union = np.concatenate(groups)
             assert len(union) == len(set(union.tolist())) == n
             assert set(union.tolist()) == set(cube.class_ids(c).tolist())
+
+    def test_unlabeled_cube_rejected(self):
+        cube = LabeledCube(data=np.ones((2, 2, 3)), labels=np.zeros((2, 2), dtype=np.int32))
+        with pytest.raises(ValueError, match="cube has no labeled pixels"):
+            make_split(cube)
 
     def test_empty_class_named(self):
         labels = np.array([[1, 1, 3, 3]], dtype=np.int32)  # class 2 missing
@@ -370,3 +409,90 @@ class TestPixelCsv:
         back, lab = extract_pixels(cube, [0, 1], normalize=False)
         assert np.array_equal(back, spectra)
         assert np.array_equal(lab, labels)
+
+
+def reference_extract(data, ids, normalize):
+    """extract_pixels as it was when cubes were stored (height, width, bands):
+    a row gather from the (height * width, bands) reshape of a pixel-major
+    array, then the columns scaled in place."""
+    b = data.shape[2]
+    spectra = data.reshape(-1, b)[ids].T.astype(np.float64, copy=True)
+    if normalize:
+        spectra /= np.linalg.norm(spectra, axis=0)
+    return spectra
+
+
+class TestBandMajorStorage:
+    """A loaded cube is one band-major buffer; the fast gather and the
+    carried digests are checked against the reference paths."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 7),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_extract_equals_row_gather(self, tmp_path_factory, h, w, b, seed, normalize):
+        cube = random_cube(seed, h, w, b, n_classes=2)
+        path = tmp_path_factory.mktemp("bundle") / "b"
+        save_bundle(cube, path)
+        loaded = load_bundle(path)
+        rng = np.random.default_rng(seed)
+        labeled = cube.labeled_ids()
+        ids = rng.choice(labeled, size=rng.integers(0, 2 * labeled.size + 1))
+        # the reference reads a plain (h, w, b) array, not the band-major view
+        plain = np.array(cube.data, order="C")
+        got, labels = extract_pixels(loaded, ids, normalize)
+        want = reference_extract(plain, ids, normalize)
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert labels.tolist() == cube.labels.ravel()[ids].tolist()
+
+    def test_digests_are_the_files_hashes(self, tmp_path):
+        save_bundle(random_cube(8, h=5, w=7, b=9), tmp_path / "b")
+        cube = load_bundle(tmp_path / "b")
+        files = sorted((tmp_path / "b").iterdir())
+        assert [p.name for p in files] == ["data.bin", "header.json", "labels.bin"]
+        assert cube.digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                for p in files}
+
+    def test_in_memory_cube_has_no_digests(self):
+        assert random_cube(1).digests == {}
+
+    def test_loaded_data_views_one_band_major_buffer(self, tmp_path):
+        h, w, b = 20, 30, 50
+        save_bundle(random_cube(9, h, w, b), tmp_path / "b")
+        tracemalloc.start()
+        try:
+            cube = load_bundle(tmp_path / "b")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the buffer, the finite check's 1/8-size bool array and the labels
+        assert peak < 1.5 * cube.data.nbytes
+        buffer = cube.data.base
+        assert buffer.shape == (b, h, w) and buffer.flags.c_contiguous
+        assert buffer.base is None  # it owns its memory: no copy was made from it
+        assert np.shares_memory(cube.data, buffer)
+        assert cube.band_major.flags.c_contiguous
+        assert (tmp_path / "b" / "data.bin").read_bytes() == buffer.tobytes()
+
+    def test_pixel_major_input_is_stored_band_major(self):
+        data = np.random.default_rng(0).standard_normal((3, 4, 5))
+        cube = LabeledCube(data=data, labels=np.ones((3, 4), dtype=np.int32))
+        assert cube.band_major.flags.c_contiguous
+        assert cube.band_major.base is cube.data.base
+        assert np.array_equal(cube.data, data)
+
+    def test_extract_and_save_copy_no_whole_cube(self, tmp_path):
+        h, w, b = 40, 50, 100  # 1.6 MB of pixels
+        cube = random_cube(10, h, w, b)
+        ids = cube.labeled_ids()[:20]
+        tracemalloc.start()
+        try:
+            extract_pixels(cube, ids)
+            extract_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            save_bundle(cube, tmp_path / "b")
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert extract_peak < cube.data.nbytes // 10
+        assert save_peak < cube.data.nbytes // 10
