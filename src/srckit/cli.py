@@ -124,6 +124,13 @@ def parse_grid(text: str):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
+def _record(value) -> dict:
+    """A solver_params record, a JSON object, under canonical parameter names."""
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return canonical_params(value)
+
+
 def _grid(value) -> list:
     """A sweep grid: grid text (see parse_grid) or a nonempty list of
     finite numbers."""
@@ -202,7 +209,7 @@ KEYS = {
                solvers.PARAM_RANGES["tol"][1:], "solver tolerance; gradcheck: max relative error"),
     "n_stages": Key((), PARAM_TYPES["n_stages"], dict.fromkeys(_CODE)),
     "net": Key((), PARAM_TYPES["net"], dict.fromkeys(_CODE)),
-    "solver_params": Key((), dict, dict.fromkeys(_CODE)),
+    "solver_params": Key((), _record, dict.fromkeys(_CODE)),
     # sweep has no --params: a trained network fixes n_stages, the only
     # parameter asdn could sweep
     "net_params": Key(("--params",), str, dict.fromkeys(_CODE),
@@ -269,12 +276,14 @@ def _typed(key: str, spec: Key, value, default):
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """The typed config of ``args.command``: the config file, every flag
-    given on top (flags win), then each key the subcommand reads checked
-    against KEYS, with its default where unset. Other keys are dropped."""
+    """The typed config of ``args.command``: the config file under canonical
+    parameter names ("lambda" is "lam"), every flag given on top (flags win),
+    then each key the subcommand reads checked against KEYS, with its default
+    where unset. Other keys are dropped."""
     given = _read_json(Path(args.config), "config") if args.config else {}
     if not isinstance(given, dict):
         raise ConfigError("config file must hold a JSON object")
+    given = canonical_params(given)
     given.update({key: value for key, value in vars(args).items() if value is not None})
     return {key: _typed(key, spec, given.get(key), spec.commands[args.command])
             for key, spec in KEYS.items() if args.command in spec.commands}
@@ -283,7 +292,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _solver_params(config: dict) -> dict:
     """The config's "solver_params" record, then every top-level solver
     parameter key on top, then the --params network file."""
-    params = canonical_params(config["solver_params"])
+    params = dict(config["solver_params"] or {})
     params.update({key: config[key] for key in PARAM_TYPES if config[key] is not None})
     if config["net_params"]:
         params["net"] = _read_json(Path(config["net_params"]), "network params",
@@ -516,18 +525,9 @@ def _cmd_gradcheck(config: dict) -> int:
         n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
     outdir = _outdir(config)
     report = grad_check(dictionary, x, y, params, step=config["fd_step"])
-    doc = {
-        "max_rel_error": report.max_rel_error,
-        "loss": report.loss_value,
-        "rho_rel_error": report.rho_rel_error.tolist(),
-        "eta_rel_error": report.eta_rel_error.tolist(),
-        "tau_rel_error": report.tau_rel_error.tolist(),
-        "zero_gradient": {
-            "rho": report.rho_zero.tolist(),
-            "eta": report.eta_zero.tolist(),
-            "tau": report.tau_zero.tolist(),
-        },
-    }
+    doc = {"max_rel_error": report.max_rel_error, "loss": report.loss_value,
+           "zero_gradient": {name: flags.tolist() for name, flags in report.zero.items()},
+           **{f"{name}_rel_error": rel.tolist() for name, rel in report.rel_error.items()}}
     _write_json(outdir / "gradcheck.json", doc)
     _manifest(outdir, "gradcheck", config)
     tol = config["tol"]

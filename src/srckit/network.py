@@ -28,9 +28,9 @@ moves it. Each stage keeps its band-space coefficients c in the trace, and
 its reverse node in ``backward`` is ``GramCache.stage_vjp`` on them, two more
 products. The per-pixel calls stay the reference: ``grad_check`` runs on
 them. ``train`` codes pixels, and ``classify.classify_testset`` codes them
-for every solver, in blocks of BLOCK_COLUMNS = 32. Evaluating 635 pixels over
-426 atoms with 9 stages peaks at about 102 MiB resident with 32 columns and
-within 0.1 MiB of that with 128, though a forward pass keeps its block's
+for every solver, in blocks of BLOCK_COLUMNS = 32. A CLI eval of 635 pixels
+over 426 atoms with 9 stages peaks at about 72 MiB resident with 32 columns
+and within 0.1 MiB of that with 128, though a forward pass keeps its block's
 whole StageTrace; the width is set by time: forward takes about 90 us a
 pixel at 32 and 160-180 at 64 or 128 (one BLAS thread of a 2-vCPU Xeon).
 ``asdn`` is the network as a solver, called as the baselines in ``solvers`` are.
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,9 @@ from .solvers import SparseCode, admm_stage, check_ranges
 RHO_FLOOR = 1e-6
 TAU_FLOOR = 1e-6
 ETA_FLOOR = 0.0
+# the learnable groups, in the order params.json and grad_check list them,
+# each with the floor a gradient step projects it onto
+FLOORS = {"rho": RHO_FLOOR, "eta": ETA_FLOOR, "tau": TAU_FLOOR}
 BLOCK_COLUMNS = 32
 DEFAULT_STAGES = 9
 GRAD_ZERO_ATOL = 1e-12
@@ -72,9 +76,8 @@ class NetParams:
     relax: float = 1.0
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        self.eta = np.asarray(self.eta, dtype=np.float64)
-        self.tau = np.asarray(self.tau, dtype=np.float64)
+        for name in FLOORS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n = len(self.eta)
         if n < 1:
             raise ValueError("network needs at least one stage")
@@ -82,15 +85,13 @@ class NetParams:
             raise ValueError(
                 f"shape mismatch: rho has {len(self.rho)} entries, eta {n}, "
                 f"tau {len(self.tau)}; want (n+1, n, n)")
-        for name, arr in (("rho", self.rho), ("eta", self.eta), ("tau", self.tau)):
-            if not np.isfinite(arr).all():
+        for name in FLOORS:
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} contains non-finite entries")
-        if (self.rho < RHO_FLOOR).any():
-            raise ValueError(f"rho entries must be >= {RHO_FLOOR}")
-        if (self.eta < ETA_FLOOR).any():
-            raise ValueError("eta entries must be nonnegative")
-        if (self.tau < TAU_FLOOR).any():
-            raise ValueError(f"tau entries must be >= {TAU_FLOOR}")
+        for name, floor in FLOORS.items():
+            if (getattr(self, name) < floor).any():
+                raise ValueError(f"{name} entries must be "
+                                 + (f">= {floor}" if floor else "nonnegative"))
         check_ranges(relax=self.relax)
 
     @property
@@ -104,34 +105,36 @@ class NetParams:
                    tau=np.full(n_stages, tau), relax=relax)
 
     def copy(self) -> "NetParams":
-        return NetParams(rho=self.rho.copy(), eta=self.eta.copy(),
-                         tau=self.tau.copy(), relax=self.relax)
+        return NetParams(**{name: getattr(self, name).copy() for name in FLOORS},
+                         relax=self.relax)
 
     def stepped(self, learning_rate: float, grads: "ParamGrads") -> "NetParams":
         """One projected gradient-descent step: p - lr * g, clamped to floors."""
-        return NetParams(
-            rho=np.maximum(self.rho - learning_rate * grads.d_rho, RHO_FLOOR),
-            eta=np.maximum(self.eta - learning_rate * grads.d_eta, ETA_FLOOR),
-            tau=np.maximum(self.tau - learning_rate * grads.d_tau, TAU_FLOOR),
-            relax=self.relax,
-        )
+        return NetParams(**{name: np.maximum(getattr(self, name) - learning_rate
+                                             * getattr(grads, "d_" + name), floor)
+                            for name, floor in FLOORS.items()}, relax=self.relax)
 
     def to_json(self) -> dict:
-        return {
-            "n_stages": self.n_stages,
-            "relax": self.relax,
-            "rho": self.rho.tolist(),
-            "eta": self.eta.tolist(),
-            "tau": self.tau.tolist(),
-        }
+        return {"n_stages": self.n_stages, "relax": self.relax,
+                **{name: getattr(self, name).tolist() for name in FLOORS}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetParams":
-        params = cls(rho=doc["rho"], eta=doc["eta"], tau=doc["tau"],
-                     relax=float(doc["relax"]))
-        if params.n_stages != doc.get("n_stages", params.n_stages):
-            raise ValueError(
-                f"n_stages field {doc['n_stages']} contradicts array lengths")
+        """The inverse of ``to_json``. relax and every group entry must be a
+        JSON number, and n_stages, which may be left out, a JSON integer: a
+        ValueError names any other value (a bool or a string) and its field."""
+        def number(value, where):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{where} {value!r} is not a number")
+            return value
+
+        params = cls(**{name: [number(v, f"{name} entry") for v in doc[name]]
+                        for name in FLOORS}, relax=float(number(doc["relax"], "relax")))
+        n_stages = doc.get("n_stages", params.n_stages)
+        if type(n_stages) is not int:
+            raise ValueError(f"n_stages {n_stages!r} is not an integer")
+        if params.n_stages != n_stages:
+            raise ValueError(f"n_stages field {n_stages} contradicts array lengths")
         return params
 
     def save(self, path) -> None:
@@ -378,20 +381,17 @@ def kink_margin(trace: StageTrace, params: NetParams) -> float:
 
 @dataclass
 class GradCheckReport:
-    """backward() vs central finite differences, per parameter."""
+    """backward() vs central finite differences, per parameter: each group
+    of FLOORS maps to its relative errors and its zero-gradient flags."""
 
-    rho_rel_error: np.ndarray
-    eta_rel_error: np.ndarray
-    tau_rel_error: np.ndarray
-    rho_zero: np.ndarray
-    eta_zero: np.ndarray
-    tau_zero: np.ndarray
+    rel_error: dict
+    zero: dict
     max_rel_error: float
     loss_value: float
 
     @property
     def all_zero_gradients(self) -> bool:
-        return bool(self.rho_zero.all() and self.eta_zero.all() and self.tau_zero.all())
+        return all(flags.all() for flags in self.zero.values())
 
 
 def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
@@ -407,36 +407,26 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     _, trace = forward(dictionary, x, params)
     analytic = backward(dictionary, x, y, params, trace)
 
-    def numeric(kind, idx):
-        plus = params.copy()
-        minus = params.copy()
-        getattr(plus, kind)[idx] += step
-        getattr(minus, kind)[idx] -= step
-        e_plus = pixel_loss(dictionary, x, y, plus)
-        e_minus = pixel_loss(dictionary, x, y, minus)
-        return (e_plus - e_minus) / (2.0 * step)
-
-    def compare(kind, grads):
-        rel = np.zeros(len(grads))
-        zero = np.zeros(len(grads), dtype=bool)
+    rel_error, zero = {}, {}
+    for name in FLOORS:
+        grads = getattr(analytic, "d_" + name)
+        rel = rel_error[name] = np.zeros(len(grads))
+        flags = zero[name] = np.zeros(len(grads), dtype=bool)
         for idx, g in enumerate(grads):
-            fd = numeric(kind, idx)
+            plus, minus = params.copy(), params.copy()
+            getattr(plus, name)[idx] += step
+            getattr(minus, name)[idx] -= step
+            fd = (pixel_loss(dictionary, x, y, plus)
+                  - pixel_loss(dictionary, x, y, minus)) / (2.0 * step)
             denom = max(abs(g), abs(fd))
             if denom < GRAD_ZERO_ATOL:
-                zero[idx] = True
+                flags[idx] = True
             else:
                 rel[idx] = abs(g - fd) / denom
-        return rel, zero
-
-    rho_rel, rho_zero = compare("rho", analytic.d_rho)
-    eta_rel, eta_zero = compare("eta", analytic.d_eta)
-    tau_rel, tau_zero = compare("tau", analytic.d_tau)
-    live = np.concatenate([rho_rel[~rho_zero], eta_rel[~eta_zero], tau_rel[~tau_zero]])
+    live = np.concatenate([rel_error[name][~zero[name]] for name in FLOORS])
     max_rel = float(live.max()) if live.size else 0.0
-    return GradCheckReport(
-        rho_rel_error=rho_rel, eta_rel_error=eta_rel, tau_rel_error=tau_rel,
-        rho_zero=rho_zero, eta_zero=eta_zero, tau_zero=tau_zero,
-        max_rel_error=max_rel, loss_value=analytic.loss_value)
+    return GradCheckReport(rel_error=rel_error, zero=zero, max_rel_error=max_rel,
+                           loss_value=analytic.loss_value)
 
 
 def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
@@ -469,9 +459,7 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            d_rho = np.zeros_like(params.rho)
-            d_eta = np.zeros_like(params.eta)
-            d_tau = np.zeros_like(params.tau)
+            sums = {name: np.zeros_like(getattr(params, name)) for name in FLOORS}
             batch_loss = 0.0
             try:
                 with np.errstate(over="raise", invalid="raise"):
@@ -480,9 +468,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
                         x = pixels[:, cols]
                         _, trace = forward(dictionary, x, params)
                         g = backward(dictionary, x, onehots[:, cols], params, trace)
-                        d_rho += g.d_rho
-                        d_eta += g.d_eta
-                        d_tau += g.d_tau
+                        for name, total in sums.items():
+                            total += getattr(g, "d_" + name)
                         batch_loss += g.loss_value
             except (ValueError, FloatingPointError) as exc:
                 # overflow or NaN raises under errstate; a non-finite pixel
@@ -495,7 +482,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
                     f"training loss became non-finite at epoch {epoch}")
             epoch_loss += batch_loss
             scale = 1.0 / len(batch)
-            mean_grads = ParamGrads(d_rho * scale, d_eta * scale, d_tau * scale, 0.0)
+            mean_grads = ParamGrads(**{"d_" + name: total * scale
+                                       for name, total in sums.items()}, loss_value=0.0)
             params = params.stepped(cfg.learning_rate, mean_grads)
         history[epoch] = epoch_loss / n
         if not math.isfinite(history[epoch]):

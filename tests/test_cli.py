@@ -126,6 +126,7 @@ class TestExitCodes:
         ("train", {"init_eta": float("nan")}),
         ("gradcheck", {"tol": float("inf")}),
         ("train", {"init_eta": 10**400}),
+        ("eval", {"solver_params": [["lambda", 5.0]]}),
     ])
     def test_badly_typed_config_value(self, capsys, bundle, tmp_path, command, config):
         """A config value of the wrong type is a config error found before
@@ -448,6 +449,29 @@ class TestSolverParameters:
         assert rows["oa_mean"] == [single_eval_oa(lam) for lam in grid]
         assert rows["oa_mean"][0] != single_eval_oa(5.0)  # the check can tell
 
+    def test_lambda_spellings_agree(self, capsys, bundle, tmp_path):
+        """A config file's "lambda" names lam as --lambda and a solver_params
+        record do: every spelling codes at lam 5 and the manifest says so."""
+        spellings = {"file_lambda": ({"lambda": 5.0}, []), "file_lam": ({"lam": 5.0}, []),
+                     "flag": ({}, ["--lambda", 5]),
+                     "record": ({"solver_params": {"lambda": 5.0}}, []),
+                     "default": ({}, [])}
+        reports = {}
+        for name, (config, flags) in spellings.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"solver": "fista", **config}), encoding="utf-8")
+            out = tmp_path / name
+            status, err = run(capsys, "eval", "--config", path, "--bundle", bundle, *DATA,
+                              *flags, "--out", out)
+            assert (status, err) == (0, None)
+            reports[name] = read_json(out / "report.json")
+            recorded = read_json(out / "manifest.json")["config"]
+            lam = {**recorded, **recorded.get("solver_params", {})}.get("lam")
+            assert lam == (None if name == "default" else 5.0)
+        default = reports.pop("default")
+        assert all(report == reports["flag"] for report in reports.values())
+        assert reports["flag"] != default  # the check can tell
+
     def test_missing_k_is_named(self, capsys, bundle, tmp_path):
         status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "omp",
                           "--out", tmp_path / "out")
@@ -732,6 +756,10 @@ class TestGradcheck:
         assert (status, err) == (0, None)
         doc = read_json(tmp_path / "gradcheck.json")
         assert 0.0 <= doc["max_rel_error"] <= 1e-5
+        assert sorted(doc) == ["eta_rel_error", "loss", "max_rel_error", "rho_rel_error",
+                               "tau_rel_error", "zero_gradient"]
+        assert sorted(doc["zero_gradient"]) == ["eta", "rho", "tau"]
+        assert [len(doc["rho_rel_error"]), len(doc["zero_gradient"]["tau"])] == [6, 5]
 
     def test_fails_above_tolerance(self, capsys, tmp_path):
         status, err = run(capsys, "gradcheck", "--tol", "1e-300", "--out", tmp_path)
@@ -797,6 +825,31 @@ class TestReport:
         assert str(report_path) in err["message"] and "confusion" in err["message"]
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("rho", ["1", "2", "3"], "rho entry '1'"),
+    ("tau", [True, 1.0], "tau entry True"),
+    ("relax", True, "relax True"),
+    ("relax", "1.5", "relax '1.5'"),
+    ("n_stages", 2.0, "n_stages 2.0"),
+    ("n_stages", "2", "n_stages '2'"),
+])
+@pytest.mark.parametrize("route", ["params", "net"])
+def test_network_field_that_is_not_a_json_number(capsys, bundle, trained, tmp_path,
+                                                  field, value, named, route):
+    """A --params file or a config "net" record whose group entry or relax is
+    not a JSON number, or whose n_stages is not a JSON integer, is a config
+    error."""
+    doc = {**read_json(trained / "params.json"), field: value}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc if route == "params" else {"net": doc}), encoding="utf-8")
+    flag = "--params" if route == "params" else "--config"
+    status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "asdn",
+                      flag, path, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert (named if route == "params" else "bad value for net") in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_params_file_without_eta(capsys, bundle, trained, tmp_path):
     doc = read_json(trained / "params.json")
     del doc["eta"]
@@ -836,6 +889,14 @@ def test_help_returns_zero_and_lists_the_flags(capsys, command):
             invocation = re.split(r"\s{2,}", line.strip())[0]
             listed.update(part.split()[0] for part in invocation.split(", "))
     assert listed == {"-h", "--help", *HELP_FLAGS[command].split()}
+
+
+@pytest.mark.parametrize("argv, status", [([], 2), (["split"], 3)])
+def test_main_exits_with_the_run_status(capsys, monkeypatch, argv, status):
+    monkeypatch.setattr(sys, "argv", ["srckit", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == status
 
 
 def test_import_leaves_scipy_out():

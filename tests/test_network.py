@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srckit import network
 from srckit.dictionary import assemble
-from srckit.network import (NetParams, TrainConfig, TrainingDiverged, backward,
-                            class_residuals, forward, grad_check, kink_margin,
-                            loss, mean_loss, one_hot, train)
-from srckit.solvers import admm_fixed, soft_threshold
+from srckit.network import (NetParams, ParamGrads, TrainConfig, TrainingDiverged,
+                            backward, class_residuals, forward, grad_check,
+                            kink_margin, loss, mean_loss, one_hot, train)
+from srckit.solvers import SparseCode, admm_fixed, soft_threshold
 from srckit.synthetic import (gradcheck_instance, random_unit_dictionary,
                               subspace_classes)
 
@@ -46,6 +47,18 @@ class TestNetParams:
         doc["n_stages"] = 3
         with pytest.raises(ValueError, match="n_stages field 3 contradicts array lengths"):
             NetParams.from_json(doc)
+        doc["n_stages"] = True  # an int to Python, but not a JSON integer
+        with pytest.raises(ValueError, match="n_stages True is not an integer"):
+            NetParams.from_json(doc)
+        doc = {**NetParams.default(1).to_json(), "eta": ["0.1"]}
+        with pytest.raises(ValueError, match="eta entry '0.1' is not a number"):
+            NetParams.from_json(doc)
+        doc["eta"] = [float("nan")]  # a number: the entry check names it
+        with pytest.raises(ValueError, match="eta contains non-finite entries"):
+            NetParams.from_json(doc)
+        del doc["n_stages"]
+        doc["eta"] = [1]
+        assert NetParams.from_json(doc).eta.tolist() == [1.0]
 
     def test_json_round_trip_exact(self):
         rng = np.random.default_rng(4)
@@ -63,6 +76,14 @@ class TestNetParams:
         p.save(tmp_path / "params.json")
         back = NetParams.load(tmp_path / "params.json")
         assert np.array_equal(back.eta, p.eta)
+        # params.json's key order and indentation are part of its format
+        NetParams(rho=[1.0, 2.0, 0.5], eta=[0.07, 0.0], tau=[1.0, 1.25],
+                  relax=1.5).save(tmp_path / "params.json")
+        assert (tmp_path / "params.json").read_text(encoding="utf-8") == (
+            '{\n  "n_stages": 2,\n  "relax": 1.5,\n'
+            '  "rho": [\n    1.0,\n    2.0,\n    0.5\n  ],\n'
+            '  "eta": [\n    0.07,\n    0.0\n  ],\n'
+            '  "tau": [\n    1.0,\n    1.25\n  ]\n}')
 
 
 class TestSoftThresholdProperties:
@@ -258,6 +279,26 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="step"):
             grad_check(d, x, y, params, step=0.0)
 
+    def test_no_kink_free_instance(self):
+        with pytest.raises(RuntimeError, match=r"no kink-free instance found in 2 draws \(seed 21\)"):
+            gradcheck_instance(21, n_stages=2, margin=1.0, max_draws=2)
+
+
+def test_subspaces_that_do_not_fit():
+    with pytest.raises(ValueError, match="subspaces do not fit"):
+        subspace_classes(0, n_classes=3, dim=8, sub_dim=3)
+
+
+def test_class_residuals_checks_the_code_length():
+    d = two_class_dictionary(22)
+    with pytest.raises(ValueError, match="code length 15 != 16 atoms"):
+        class_residuals(d, np.zeros(15), np.zeros(12))
+
+
+def test_sparse_code_rejects_non_finite_coefficients():
+    with pytest.raises(ValueError, match="non-finite coefficients"):
+        SparseCode(np.array([0.0, np.inf]), np.array([1]))
+
 
 class TestTrain:
     def make_problem(self, seed):
@@ -315,6 +356,23 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train(d, px, lb, cfg)
+
+    @pytest.mark.parametrize("loss_value, message", [
+        (math.inf, "training loss became non-finite at epoch 0"),
+        (1e308, "mean training loss became non-finite at epoch 0"),  # sums to inf
+    ])
+    def test_non_finite_loss_without_a_floating_point_error(self, monkeypatch,
+                                                            loss_value, message):
+        # the errstate guard catches every loss the network itself overflows,
+        # so a stub backward reaches the two checks on the loss sums
+        def stub(dictionary, x, y, params, trace):
+            n = params.n_stages
+            return ParamGrads(np.zeros(n + 1), np.zeros(n), np.zeros(n), loss_value)
+
+        monkeypatch.setattr(network, "backward", stub)
+        d, px, lb = self.make_problem(5)
+        with pytest.raises(TrainingDiverged, match=f"^{message}$"):
+            train(d, px, lb, TrainConfig(epochs=1, batch_size=12))
 
     def test_label_validation(self):
         d, px, lb = self.make_problem(6)

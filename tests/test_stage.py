@@ -198,7 +198,7 @@ class TestGradCheckShapes:
         d, *_ = gradcheck_instance(11, n_stages=3)
         x, y, params = kink_free(d, 11, rho=3.0 * RHO_FLOOR, relax=1.4, n_stages=3)
         report = grad_check(d, x, y, params, step=1e-8)
-        assert not report.rho_zero.all()
+        assert not report.zero["rho"].all()
         assert report.max_rel_error <= 1e-5
 
 
