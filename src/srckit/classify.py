@@ -9,7 +9,8 @@ whole block in one call, each column stopping on its own. All coding runs
 on the calling thread: the block and BLAS are the only parallelism.
 Reports carry the confusion matrix with overall accuracy, average
 (per-class) accuracy, and the chance-corrected kappa coefficient, all as
-fractions in [0, 1].
+fractions in [0, 1], named once in ``SCORES``. ``split_inputs`` draws the
+dictionary and the pixels to code from a split, for train, eval and sweep.
 """
 from __future__ import annotations
 
@@ -24,6 +25,20 @@ import numpy as np
 from . import network, solvers
 from .data import LabeledCube, extract_pixels, make_split
 from .dictionary import Dictionary, assemble
+
+SCORES = ("oa", "aa", "kappa")
+# SweepResult's score fields, in sweep.csv's column order
+SWEEP_COLUMNS = tuple(f"{name}_{stat}" for name in SCORES for stat in ("mean", "std"))
+
+
+def split_inputs(cube: LabeledCube, split, normalize: bool, subset: str = "test"):
+    """(dictionary, ids, pixels, labels): the split's dictionary, assembled
+    first, then the flat ids of its ``subset`` ("train" or "test") and their
+    pixels and labels."""
+    dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
+    ids = split.train_flat() if subset == "train" else split.test_flat()
+    return (dictionary, ids, *extract_pixels(cube, ids, normalize))
+
 
 def src_decide(dictionary: Dictionary, code, x: np.ndarray):
     """Class with the smallest reconstruction residual ||x - D_i a_i||;
@@ -45,21 +60,15 @@ class ClassificationReport:
     kappa: float
 
     def to_json(self) -> dict:
-        return {
-            "confusion": self.confusion.tolist(),
-            "per_class_acc": self.per_class_acc.tolist(),
-            "oa": self.oa,
-            "aa": self.aa,
-            "kappa": self.kappa,
-        }
+        return {"confusion": self.confusion.tolist(),
+                "per_class_acc": self.per_class_acc.tolist(),
+                **{name: getattr(self, name) for name in SCORES}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClassificationReport":
-        return cls(
-            confusion=np.asarray(doc["confusion"], dtype=np.int64),
-            per_class_acc=np.asarray(doc["per_class_acc"], dtype=np.float64),
-            oa=float(doc["oa"]), aa=float(doc["aa"]), kappa=float(doc["kappa"]),
-        )
+        return cls(confusion=np.asarray(doc["confusion"], dtype=np.int64),
+                   per_class_acc=np.asarray(doc["per_class_acc"], dtype=np.float64),
+                   **{name: float(doc[name]) for name in SCORES})
 
 
 def evaluate(pred, truth, n_classes: int) -> ClassificationReport:
@@ -252,28 +261,17 @@ class SweepResult:
     seeds: list
 
     def to_json(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "grid": self.grid.tolist(),
-            "oa_mean": self.oa_mean.tolist(),
-            "oa_std": self.oa_std.tolist(),
-            "aa_mean": self.aa_mean.tolist(),
-            "aa_std": self.aa_std.tolist(),
-            "kappa_mean": self.kappa_mean.tolist(),
-            "kappa_std": self.kappa_std.tolist(),
-            "seeds": list(self.seeds),
-        }
+        return {"parameter": self.parameter, "grid": self.grid.tolist(),
+                **{column: getattr(self, column).tolist() for column in SWEEP_COLUMNS},
+                "seeds": list(self.seeds)}
 
     def to_csv(self) -> str:
         """Plot-ready CSV, one row per grid value, metrics in percent."""
-        lines = ["value,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std"]
+        columns = [getattr(self, column) for column in SWEEP_COLUMNS]
+        lines = [",".join(("value", *SWEEP_COLUMNS))]
         for i, value in enumerate(self.grid):
-            cells = [repr(float(value))] + [
-                repr(round(100.0 * float(v), 10)) for v in (
-                    self.oa_mean[i], self.oa_std[i], self.aa_mean[i],
-                    self.aa_std[i], self.kappa_mean[i], self.kappa_std[i])
-            ]
-            lines.append(",".join(cells))
+            lines.append(",".join([repr(float(value))] + [
+                repr(round(100.0 * float(column[i]), 10)) for column in columns]))
         return "\n".join(lines) + "\n"
 
 
@@ -298,38 +296,29 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     check_sweep(solver, parameter, params, grid)
-    base = canonical_params(params)
+    records = [{**canonical_params(params), param_name(parameter): float(value)}
+               for value in grid]
     seeds = [base_seed + r for r in range(runs)]
 
-    oa = np.zeros((grid.size, runs))
-    aa = np.zeros((grid.size, runs))
-    kappa = np.zeros((grid.size, runs))
+    scores = {name: np.zeros((grid.size, runs)) for name in SCORES}
     for r, seed in enumerate(seeds):
         split = make_split(cube, dict_frac, train_frac, seed)
-        dict_pixels, dict_labels = extract_pixels(
-            cube, split.dictionary_flat(), normalize)
-        dictionary = assemble(dict_pixels, dict_labels)
-        test_pixels, test_labels = extract_pixels(
-            cube, split.test_flat(), normalize)
-        merged = [{**base, param_name(parameter): float(value)} for value in grid]
-        for value, record in zip(grid, merged):
+        dictionary, _, test_pixels, test_labels = split_inputs(cube, split, normalize)
+        for value, record in zip(grid, records):
             try:
                 check_fit(dictionary, solver, record)
             except solvers.SizeError as exc:
                 raise RuntimeError(f"sweep failed at {parameter}={value}: {exc}") from exc
-        for gi, value in enumerate(grid):
+        for gi, (value, record) in enumerate(zip(grid, records)):
             try:
-                pred = classify_testset(dictionary, test_pixels, solver, merged[gi])
+                pred = classify_testset(dictionary, test_pixels, solver, record)
             except Exception as exc:
-                raise RuntimeError(
-                    f"sweep failed at {parameter}={value}: {exc}") from exc
+                raise RuntimeError(f"sweep failed at {parameter}={value}: {exc}") from exc
             report = evaluate(pred, test_labels, cube.n_classes)
-            oa[gi, r], aa[gi, r], kappa[gi, r] = report.oa, report.aa, report.kappa
+            for name, values in scores.items():
+                values[gi, r] = getattr(report, name)
 
     ddof = 1 if runs > 1 else 0
-    return SweepResult(
-        parameter=parameter, grid=grid,
-        oa_mean=oa.mean(axis=1), oa_std=oa.std(axis=1, ddof=ddof),
-        aa_mean=aa.mean(axis=1), aa_std=aa.std(axis=1, ddof=ddof),
-        kappa_mean=kappa.mean(axis=1), kappa_std=kappa.std(axis=1, ddof=ddof),
-        seeds=seeds)
+    return SweepResult(parameter=parameter, grid=grid, seeds=seeds,
+                       **{f"{name}_mean": v.mean(axis=1) for name, v in scores.items()},
+                       **{f"{name}_std": v.std(axis=1, ddof=ddof) for name, v in scores.items()})

@@ -34,12 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers, synthetic
-from .classify import (PARAM_TYPES, SOLVER_NAMES, ClassificationReport, canonical_params,
-                       check_fit, check_sweep, classify_testset, evaluate, integer, real,
-                       solver_kwargs, sweep)
-from .data import (extract_pixels, load_bundle, load_pixel_csv, make_split,
-                   pixels_to_cube, save_bundle, Split)
-from .dictionary import Dictionary, assemble
+from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport,
+                       canonical_params, check_fit, check_sweep, classify_testset, evaluate,
+                       integer, real, solver_kwargs, split_inputs, sweep)
+from .data import load_bundle, load_pixel_csv, make_split, pixels_to_cube, save_bundle, Split
+from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, TrainConfig, grad_check, train
 
 _SUBCOMMANDS = ("ingest", "split", "train", "eval", "sweep", "gradcheck", "report")
@@ -222,7 +221,7 @@ KEYS = {
     "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}, ("be > 0", lambda v: v > 0.0)),
     "bands": Key(("--bands",), integer, {"gradcheck": 20}, _AT_LEAST_ONE),
     "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _AT_LEAST_ONE),
-    "n_classes": Key(("--classes",), integer, {"gradcheck": 2}, _AT_LEAST_ONE),
+    "n_classes": Key(("--classes",), integer, {"gradcheck": 2}, ("be >= 2", lambda v: v >= 2)),
     "report": Key(("--report",), str, {"report": REQUIRED}, help="path to a report.json"),
     "csv_out": Key(("--csv",), str, {"report": None}, help="also write per-class rows as CSV"),
 }
@@ -263,11 +262,11 @@ def _typed(key: str, spec: Key, value, default):
         valid = value in kind
     elif isinstance(kind, type):
         valid = isinstance(value, kind)
-    else:
+    else:  # a caster: its message says what is wrong, without the whole value
         try:
             value, valid = kind(value), True
-        except (KeyError, TypeError, ValueError):
-            valid = False
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from exc
     if not valid:
         raise ConfigError(f"bad value for {key}: {value!r}")
     if spec.check and not spec.check[1](value):
@@ -340,15 +339,15 @@ class _Coding(NamedTuple):
 
 
 def _coding_inputs(config: dict, subset: str) -> _Coding:
-    """Load the bundle, take its split, assemble the dictionary and extract
-    the ``subset`` ("train" or "test") pixels. The cube is freed on return,
-    before any pixel is coded."""
+    """Load the bundle, take its split and draw the dictionary and the
+    ``subset`` ("train" or "test") pixels (classify.split_inputs); an empty
+    subset is a config error. The cube is freed on return, before any pixel
+    is coded."""
     cube = _load_cube(config)
     split = _load_split(config, cube)
-    normalize = config["normalize"]
-    dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
-    ids = split.train_flat() if subset == "train" else split.test_flat()
-    pixels, labels = extract_pixels(cube, ids, normalize)
+    dictionary, ids, pixels, labels = split_inputs(cube, split, config["normalize"], subset)
+    if not ids.size:
+        raise ConfigError(f"the split's {subset} set is empty")
     return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
                    cube.height * cube.width, cube.digests)
 
@@ -490,8 +489,7 @@ def _cmd_eval(config: dict) -> int:
     (outdir / "labels_pred.bin").write_bytes(grid.tobytes())
     _manifest(outdir, "eval", config, "bundle", "split_file", "net_params",
               digests=coding.digests)
-    print(json.dumps({"status": "ok", "oa": report.oa, "aa": report.aa,
-                      "kappa": report.kappa}))
+    print(json.dumps({"status": "ok", **{name: getattr(report, name) for name in SCORES}}))
     return 0
 
 

@@ -50,16 +50,12 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + self._GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1FE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return int(self.draws(1)[0])
 
     def draws(self, n: int) -> np.ndarray:
-        """The next ``n`` ``next_u64`` outputs as one uint64 array: the k-th
-        state is state + k * gamma mod 2^64, mixed as ``next_u64`` mixes it
-        (uint64 array arithmetic wraps mod 2^64); advances the state by n."""
+        """The next ``n`` outputs as one uint64 array: the k-th state is
+        state + k * gamma mod 2^64, put through splitmix64's mix (uint64 array
+        arithmetic wraps mod 2^64); advances the state by n."""
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(self._GAMMA)
         z += np.uint64(self._state)
         self._state = (self._state + n * self._GAMMA) & _MASK64

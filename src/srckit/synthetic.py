@@ -95,7 +95,11 @@ def gradcheck_instance(seed: int, n_bands: int = 20, n_atoms: int = 40,
     never straddle the shrinkage kink.
 
     Returns (dictionary, x, y_onehot, params). Deterministic given seed.
+    With one class the softmax loss and every gradient are identically 0, so
+    ``n_classes`` below 2 raises ValueError.
     """
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be >= 2 for a nonzero loss, got {n_classes}")
     rng = np.random.default_rng(seed)
     per_class = n_atoms // n_classes
     labels = np.repeat(np.arange(1, n_classes + 1), per_class)

@@ -134,6 +134,7 @@ class TestEvaluate:
         back = ClassificationReport.from_json(report.to_json())
         assert np.array_equal(back.confusion, report.confusion)
         assert back.kappa == report.kappa
+        assert set(report.to_json()) == {"confusion", "per_class_acc", "oa", "aa", "kappa"}
 
 
 class TestClassifyTestset:
@@ -255,6 +256,9 @@ class TestSweep:
         first = lines[1].split(",")
         assert float(first[0]) == 2.0
         assert 0.0 <= float(first[1]) <= 100.0  # percent scale
+        fields = (result.oa_mean, result.oa_std, result.aa_mean, result.aa_std,
+                  result.kappa_mean, result.kappa_std)
+        assert first[1:] == [repr(round(100.0 * float(field[0]), 10)) for field in fields]
 
     def test_draws_each_split_once(self, monkeypatch):
         from srckit import classify, dictionary
@@ -286,6 +290,8 @@ class TestSweep:
         doc = result.to_json()
         assert doc["parameter"] == "k"
         assert len(doc["grid"]) == 1
+        assert set(doc) == {"parameter", "grid", "oa_mean", "oa_std", "aa_mean", "aa_std",
+                            "kappa_mean", "kappa_std", "seeds"}
 
 
 def test_gram_built_only_for_solvers_that_solve_with_it(monkeypatch):

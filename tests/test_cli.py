@@ -164,6 +164,9 @@ class TestExitCodes:
         ("eval", ["--solver", "admm_fixed", "--tau", 0], "tau"),
         ("sweep", ["--solver", "fista", "--param", "max_iters", "--grid", "0:2"], "max_iters"),
         ("gradcheck", ["--tol", -1], "tol"),
+        ("train", ["--train-frac", 0, "--epochs", 1], "train set is empty"),
+        ("eval", ["--solver", "omp", "--K", 1, "--train-frac", 0.999], "test set is empty"),
+        ("gradcheck", ["--classes", 1], "n_classes"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the
@@ -846,7 +849,9 @@ def test_network_field_that_is_not_a_json_number(capsys, bundle, trained, tmp_pa
     status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "asdn",
                       flag, path, "--out", tmp_path / "out")
     assert (status, err["kind"]) == (3, "config")
-    assert (named if route == "params" else "bad value for net") in err["message"]
+    assert named in err["message"]
+    if route == "net":
+        assert "bad value for net" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

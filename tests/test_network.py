@@ -269,6 +269,11 @@ class TestGradCheck:
         assert report.all_zero_gradients
         assert report.max_rel_error == 0.0
 
+    def test_one_class_instance_is_rejected(self):
+        # one class: the loss and every gradient are 0, so the check checks nothing
+        with pytest.raises(ValueError, match="n_classes must be >= 2"):
+            gradcheck_instance(0, n_classes=1)
+
     def test_kink_margin_reported(self):
         d, x, y, params = gradcheck_instance(19, n_stages=3, margin=1e-4)
         _, trace = forward(d, x, params)
