@@ -12,9 +12,9 @@ from .data import (BundleFormatError, LabeledCube, Split, SplitMix64,
                    extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle)
 from .dictionary import Dictionary, GramCache, assemble
-from .network import (GradCheckReport, NetParams, ParamGrads, StageTrace,
-                      TrainConfig, TrainingDiverged, asdn, backward, class_residuals,
-                      forward, grad_check, loss, mean_loss, one_hot, train)
+from .network import (GradCheckReport, NetParams, StageTrace, TrainingDiverged, asdn,
+                      backward, class_residuals, forward, grad_check, loss, mean_loss,
+                      one_hot, train)
 from .solvers import (SparseCode, admm_fixed, fista, gomp, lasso_kkt_violation,
                       lasso_objective, omp, romp, samp, soft_threshold, sp)
 
@@ -22,12 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BundleFormatError", "ClassificationReport", "Dictionary", "GradCheckReport",
-    "GramCache", "LabeledCube", "NetParams", "ParamGrads", "SparseCode", "Split",
-    "SplitMix64", "StageTrace", "SweepResult", "TrainConfig", "TrainingDiverged",
-    "admm_fixed", "asdn", "assemble", "backward", "class_residuals", "classify_testset",
-    "evaluate", "extract_pixels", "fista", "forward", "gomp", "grad_check",
-    "lasso_kkt_violation", "lasso_objective", "load_bundle", "load_pixel_csv",
-    "loss", "make_solver", "make_split", "mean_loss", "omp", "one_hot",
-    "pixels_to_cube", "romp", "samp", "save_bundle", "soft_threshold", "sp",
-    "src_decide", "sweep", "train",
+    "GramCache", "LabeledCube", "NetParams", "SparseCode", "Split", "SplitMix64",
+    "StageTrace", "SweepResult", "TrainingDiverged", "admm_fixed", "asdn", "assemble",
+    "backward", "class_residuals", "classify_testset", "evaluate", "extract_pixels",
+    "fista", "forward", "gomp", "grad_check", "lasso_kkt_violation", "lasso_objective",
+    "load_bundle", "load_pixel_csv", "loss", "make_solver", "make_split", "mean_loss",
+    "omp", "one_hot", "pixels_to_cube", "romp", "samp", "save_bundle", "soft_threshold",
+    "sp", "src_decide", "sweep", "train",
 ]

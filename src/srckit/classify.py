@@ -34,9 +34,12 @@ SWEEP_COLUMNS = tuple(f"{name}_{stat}" for name in SCORES for stat in ("mean", "
 def split_inputs(cube: LabeledCube, split, normalize: bool, subset: str = "test"):
     """(dictionary, ids, pixels, labels): the split's dictionary, assembled
     first, then the flat ids of its ``subset`` ("train" or "test") and their
-    pixels and labels."""
-    dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
+    pixels and labels. An empty subset raises ValueError before any pixel is
+    extracted."""
     ids = split.train_flat() if subset == "train" else split.test_flat()
+    if not ids.size:
+        raise ValueError(f"the split's {subset} set is empty")
+    dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
     return (dictionary, ids, *extract_pixels(cube, ids, normalize))
 
 
@@ -285,8 +288,10 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
     (fresh dictionary each run, so no bias from a single random sampling);
     every grid value classifies the test pixels of every draw, and
     OA/AA/kappa are averaged over the draws. Standard deviations use ddof=1
-    when runs > 1. A failure names its grid value in a RuntimeError raised
-    from the cause. Each draw's dictionary is checked against every grid
+    when runs > 1. A draw with an empty test set raises ValueError (the
+    set's size does not depend on the seed, so the first draw does); a
+    failure while coding names its grid value in a RuntimeError raised from
+    the cause. Each draw's dictionary is checked against every grid
     value (``check_fit``) before that draw codes a pixel, so a value that
     does not fit fails first, from a solvers.SizeError.
     """

@@ -39,7 +39,7 @@ from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport,
                        integer, real, solver_kwargs, split_inputs, sweep)
 from .data import load_bundle, load_pixel_csv, make_split, pixels_to_cube, save_bundle, Split
 from .dictionary import Dictionary
-from .network import DEFAULT_STAGES, NetParams, TrainConfig, grad_check, train
+from .network import DEFAULT_STAGES, NetParams, grad_check, train
 
 _SUBCOMMANDS = ("ingest", "split", "train", "eval", "sweep", "gradcheck", "report")
 
@@ -186,9 +186,9 @@ KEYS = {
                       help="reuse a saved split.json instead of re-drawing"),
     "stages": Key(("--stages",), integer, {"train": DEFAULT_STAGES, "gradcheck": 5},
                   help="network depth N"),
-    "learning_rate": Key(("--lr",), real, {"train": 1e-2}),
-    "epochs": Key(("--epochs",), integer, {"train": 50}),
-    "batch_size": Key(("--batch-size",), integer, {"train": 32}),
+    "learning_rate": Key(("--lr",), real, {"train": 1e-2}, ("be nonnegative", lambda v: v >= 0.0)),
+    "epochs": Key(("--epochs",), integer, {"train": 50}, _AT_LEAST_ONE),
+    "batch_size": Key(("--batch-size",), integer, {"train": 32}, _AT_LEAST_ONE),
     "train_seed": Key(("--train-seed",), integer, {"train": None}),  # None: the split seed
     "init_eta": Key(("--init-eta",), real, {"train": 0.1}),
     "init_rho": Key(("--init-rho",), real, {"train": 1.0}),
@@ -345,22 +345,28 @@ def _coding_inputs(config: dict, subset: str) -> _Coding:
     is coded."""
     cube = _load_cube(config)
     split = _load_split(config, cube)
-    dictionary, ids, pixels, labels = split_inputs(cube, split, config["normalize"], subset)
-    if not ids.size:
-        raise ConfigError(f"the split's {subset} set is empty")
+    dictionary, ids, pixels, labels = _checked(split_inputs, cube, split, config["normalize"],
+                                               subset)
     return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
                    cube.height * cube.width, cube.digests)
 
 
 def _check_split(split: Split, cube, path: Path) -> None:
-    """A split file must index labeled cube pixels of the class it files them
-    under, list each id at most once in each set, and its dictionary, train
-    and test sets must be pairwise disjoint."""
+    """A split file must file ids under the cube's classes 1..C only, give
+    every class at least one dictionary id, index labeled cube pixels of the
+    class it files them under, list each id at most once in each set, and
+    its dictionary, train and test sets must be pairwise disjoint."""
     labels = cube.labels.ravel()
     sets = {"dictionary": split.dictionary_ids, "train": split.train_ids,
             "test": split.test_ids}
+    for c in range(1, cube.n_classes + 1):
+        if not len(split.dictionary_ids.get(c, ())):
+            raise ConfigError(f"split file {path}: class {c} has no dictionary ids")
     for name, groups in sets.items():
         for class_id, ids in groups.items():
+            if not 1 <= class_id <= cube.n_classes:
+                raise ConfigError(f"split file {path}: {name} class {class_id} lies "
+                                  f"outside 1..{cube.n_classes}")
             outside = ids[(ids < 0) | (ids >= labels.size)]
             if outside.size:
                 raise ConfigError(f"split file {path}: {name} id {outside[0]} lies "
@@ -457,12 +463,12 @@ def _cmd_train(config: dict) -> int:
         config["train_seed"] = config["seed"]
     init = _checked(NetParams.default, config["stages"], rho=config["init_rho"],
                     eta=config["init_eta"], tau=config["init_tau"])
-    train_cfg = _checked(TrainConfig, learning_rate=config["learning_rate"],
-                         epochs=config["epochs"], batch_size=config["batch_size"],
-                         seed=config["train_seed"], init=init)
     coding = _coding_inputs(config, "train")
     outdir = _outdir(config)
-    params, history = train(coding.dictionary, coding.pixels, coding.labels, train_cfg)
+    params, history = train(coding.dictionary, coding.pixels, coding.labels,
+                            learning_rate=config["learning_rate"], epochs=config["epochs"],
+                            batch_size=config["batch_size"], seed=config["train_seed"],
+                            init=init)
     params.save(outdir / "params.json")
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -499,10 +505,10 @@ def _cmd_sweep(config: dict) -> int:
     _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
     cube = _load_cube(config)
     try:
-        result = sweep(cube, config["solver"], config["param"], config["grid"],
-                       runs=config["runs"], base_seed=config["base_seed"],
-                       dict_frac=config["dict_frac"], train_frac=config["train_frac"],
-                       normalize=config["normalize"], params=params)
+        result = _checked(sweep, cube, config["solver"], config["param"], config["grid"],
+                          runs=config["runs"], base_seed=config["base_seed"],
+                          dict_frac=config["dict_frac"], train_frac=config["train_frac"],
+                          normalize=config["normalize"], params=params)
     except RuntimeError as exc:
         if isinstance(exc.__cause__, solvers.SizeError):  # a grid value too large for the dictionary
             raise ConfigError(str(exc)) from exc
@@ -518,9 +524,12 @@ def _cmd_sweep(config: dict) -> int:
 
 def _cmd_gradcheck(config: dict) -> int:
     """analytic vs finite-difference gradients"""
-    dictionary, x, y, params = _checked(
-        synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
-        n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
+    try:
+        dictionary, x, y, params = _checked(
+            synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
+            n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
+    except RuntimeError as exc:  # these sizes give no usable instance
+        raise ConfigError(str(exc)) from exc
     outdir = _outdir(config)
     report = grad_check(dictionary, x, y, params, step=config["fd_step"])
     doc = {"max_rel_error": report.max_rel_error, "loss": report.loss_value,

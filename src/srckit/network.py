@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +108,11 @@ class NetParams:
         return NetParams(**{name: getattr(self, name).copy() for name in FLOORS},
                          relax=self.relax)
 
-    def stepped(self, learning_rate: float, grads: "ParamGrads") -> "NetParams":
-        """One projected gradient-descent step: p - lr * g, clamped to floors."""
-        return NetParams(**{name: np.maximum(getattr(self, name) - learning_rate
-                                             * getattr(grads, "d_" + name), floor)
+    def stepped(self, learning_rate: float, grads: dict) -> "NetParams":
+        """One projected gradient-descent step: p - lr * g, clamped to floors.
+        ``grads`` maps each group of FLOORS to its gradient."""
+        return NetParams(**{name: np.maximum(getattr(self, name) - learning_rate * grads[name],
+                                             floor)
                             for name, floor in FLOORS.items()}, relax=self.relax)
 
     def to_json(self) -> dict:
@@ -163,36 +164,6 @@ class StageTrace:
     u_seq: list
     pre_activation_seq: list
     c_seq: list
-
-
-@dataclass
-class ParamGrads:
-    """Loss gradients for every stage parameter, plus the loss itself; for a
-    block of pixels, the sums over its columns."""
-
-    d_rho: np.ndarray
-    d_eta: np.ndarray
-    d_tau: np.ndarray
-    loss_value: float
-
-
-@dataclass
-class TrainConfig:
-    """Projected minibatch gradient-descent settings."""
-
-    learning_rate: float = 1e-2
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 0
-    init: NetParams = field(default_factory=NetParams.default)
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def one_hot(label: int, n_classes: int) -> np.ndarray:
@@ -284,8 +255,10 @@ def loss(residuals: np.ndarray, y: np.ndarray) -> float:
 
 
 def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
-             params: NetParams, trace: StageTrace) -> ParamGrads:
-    """Analytic gradients of the loss w.r.t. every (rho, eta, tau).
+             params: NetParams, trace: StageTrace) -> tuple[dict, float]:
+    """Analytic gradients of the loss w.r.t. every (rho, eta, tau), and the
+    loss: (grads, loss), where grads maps each group of FLOORS to an array
+    shaped like it in ``params``.
 
     ``x`` is one pixel with one-hot ``y`` (n_classes,), or a block (bands, n)
     with one-hot columns ``y`` (n_classes, n) and the trace of its forward
@@ -319,15 +292,13 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
         block = dictionary.atoms[:, sl]
         g_alpha[sl] = -seed[i - 1] * (block.T @ (x - block @ alpha_out[sl]))
 
-    d_rho = np.zeros(n + 1)
-    d_eta = np.zeros(n)
-    d_tau = np.zeros(n)
+    grads = {name: np.zeros_like(getattr(params, name)) for name in FLOORS}
 
     def through_sparsity(idx, g_a):
         """VJP through alpha_idx; returns gradients w.r.t. (z_in, u_in)."""
         rho_inv_g, d_w = dictionary.gram_cache.stage_vjp(params.rho[idx], g_a,
                                                          trace.c_seq[idx])
-        d_rho[idx] = relax * d_w
+        grads["rho"][idx] = relax * d_w
         g_z_in = relax * rho_inv_g + (1.0 - relax) * g_a
         g_u_in = -relax * rho_inv_g
         return g_z_in, g_u_in
@@ -336,14 +307,14 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
 
     for k in range(n - 1, -1, -1):
         # multiplier node: u_k = u_{k-1} + tau_k (alpha_k - z_k); g_u is complete
-        d_tau[k] = float(np.vdot(g_u, trace.alpha_seq[k] - trace.z_seq[k]))
+        grads["tau"][k] = float(np.vdot(g_u, trace.alpha_seq[k] - trace.z_seq[k]))
         g_alpha_k = params.tau[k] * g_u
         g_z = g_z - params.tau[k] * g_u  # now the complete dE/dz_k
         g_u_prev = g_u
         # nonlinear node: z_k = soft_threshold(v_k, eta_k)
         v = trace.pre_activation_seq[k]
         mask = (np.abs(v) > params.eta[k]).astype(np.float64)
-        d_eta[k] = -float((g_z * np.sign(v) * mask).sum())
+        grads["eta"][k] = -float((g_z * np.sign(v) * mask).sum())
         g_v = g_z * mask
         g_alpha_k = g_alpha_k + g_v  # complete dE/dalpha_k
         g_u_prev = g_u_prev + g_v
@@ -351,7 +322,7 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
         g_z, g_u = through_sparsity(k, g_alpha_k)
         g_u = g_u + g_u_prev
 
-    return ParamGrads(d_rho=d_rho, d_eta=d_eta, d_tau=d_tau, loss_value=loss_value)
+    return grads, loss_value
 
 
 def pixel_loss(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
@@ -405,11 +376,11 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     _, trace = forward(dictionary, x, params)
-    analytic = backward(dictionary, x, y, params, trace)
+    analytic, loss_value = backward(dictionary, x, y, params, trace)
 
     rel_error, zero = {}, {}
     for name in FLOORS:
-        grads = getattr(analytic, "d_" + name)
+        grads = analytic[name]
         rel = rel_error[name] = np.zeros(len(grads))
         flags = zero[name] = np.zeros(len(grads), dtype=bool)
         for idx, g in enumerate(grads):
@@ -426,19 +397,28 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     live = np.concatenate([rel_error[name][~zero[name]] for name in FLOORS])
     max_rel = float(live.max()) if live.size else 0.0
     return GradCheckReport(rel_error=rel_error, zero=zero, max_rel_error=max_rel,
-                           loss_value=analytic.loss_value)
+                           loss_value=loss_value)
 
 
-def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
-    """Projected minibatch gradient descent over the stage parameters.
+def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
+          learning_rate: float = 1e-2, epochs: int = 50, batch_size: int = 32,
+          seed: int = 0, init: NetParams | None = None):
+    """Projected minibatch gradient descent over the stage parameters, from
+    ``init`` (None: NetParams.default()).
 
     Each step runs its minibatch through forward and backward in blocks of at
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
-    order, so runs are bit-reproducible), applies params <- params - lr *
-    mean grad, and projects onto the parameter floors. Returns (final params,
-    per-epoch mean loss). Deterministic given cfg.seed. Each step moves rho;
-    the dictionary's gram_cache solves at any rho, so nothing is rebuilt.
+    order, so runs are bit-reproducible), and takes one ``NetParams.stepped``
+    on the mean gradient. Returns (final params, per-epoch mean loss).
+    Deterministic given ``seed``. Each step moves rho; the dictionary's
+    gram_cache solves at any rho, so nothing is rebuilt.
     """
+    if learning_rate < 0:
+        raise ValueError(f"learning_rate must be nonnegative, got {learning_rate}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     labels = np.asarray(labels, dtype=np.int64)
     n = pixels.shape[1]
     if n == 0:
@@ -451,14 +431,14 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
     onehots = np.zeros((c, n))
     onehots[labels - 1, np.arange(n)] = 1.0
 
-    params = cfg.init.copy()
-    rng = np.random.default_rng(cfg.seed)
-    history = np.zeros(cfg.epochs)
-    for epoch in range(cfg.epochs):
+    params = (NetParams.default() if init is None else init).copy()
+    rng = np.random.default_rng(seed)
+    history = np.zeros(epochs)
+    for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
             sums = {name: np.zeros_like(getattr(params, name)) for name in FLOORS}
             batch_loss = 0.0
             try:
@@ -467,10 +447,11 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
                         cols = batch[b:b + BLOCK_COLUMNS]
                         x = pixels[:, cols]
                         _, trace = forward(dictionary, x, params)
-                        g = backward(dictionary, x, onehots[:, cols], params, trace)
+                        grads, block_loss = backward(dictionary, x, onehots[:, cols],
+                                                     params, trace)
                         for name, total in sums.items():
-                            total += getattr(g, "d_" + name)
-                        batch_loss += g.loss_value
+                            total += grads[name]
+                        batch_loss += block_loss
             except (ValueError, FloatingPointError) as exc:
                 # overflow or NaN raises under errstate; a non-finite pixel
                 # fails forward's entry check (GramCache.project), a ValueError
@@ -482,9 +463,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, cfg: TrainConfig):
                     f"training loss became non-finite at epoch {epoch}")
             epoch_loss += batch_loss
             scale = 1.0 / len(batch)
-            mean_grads = ParamGrads(**{"d_" + name: total * scale
-                                       for name, total in sums.items()}, loss_value=0.0)
-            params = params.stepped(cfg.learning_rate, mean_grads)
+            params = params.stepped(learning_rate, {name: total * scale
+                                                    for name, total in sums.items()})
         history[epoch] = epoch_loss / n
         if not math.isfinite(history[epoch]):
             raise TrainingDiverged(

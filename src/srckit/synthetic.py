@@ -91,12 +91,16 @@ def gradcheck_instance(seed: int, n_bands: int = 20, n_atoms: int = 40,
                        n_classes: int = 2, n_stages: int = 5,
                        margin: float = 1e-4, max_draws: int = 200):
     """A kink-free gradient-check instance: every pre-activation entry sits
-    at least ``margin`` away from its stage threshold, so central differences
-    never straddle the shrinkage kink.
+    more than ``margin`` away from its stage threshold, so central differences
+    never straddle the shrinkage kink, and the class residuals spread by more
+    than ``margin``, so the loss is not flat.
 
     Returns (dictionary, x, y_onehot, params). Deterministic given seed.
     With one class the softmax loss and every gradient are identically 0, so
-    ``n_classes`` below 2 raises ValueError.
+    ``n_classes`` below 2 raises ValueError. With one band and classes of
+    equal size the residuals tie at every draw (the loss is ln C and every
+    gradient is rounding noise); when no draw of ``max_draws`` qualifies,
+    RuntimeError.
     """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2 for a nonzero loss, got {n_classes}")
@@ -119,8 +123,10 @@ def gradcheck_instance(seed: int, n_bands: int = 20, n_atoms: int = 40,
         x = dictionary.atoms[:, sl] @ weights
         x /= np.linalg.norm(x)
         x += 0.05 * rng.standard_normal(n_bands)
-        _, trace = network.forward(dictionary, x, params)
-        if network.kink_margin(trace, params) > margin:
+        code, trace = network.forward(dictionary, x, params)
+        spread = np.ptp(network.class_residuals(dictionary, code, x))
+        if network.kink_margin(trace, params) > margin and spread > margin:
             y = network.one_hot(true_class, n_classes)
             return dictionary, x, y, params
-    raise RuntimeError(f"no kink-free instance found in {max_draws} draws (seed {seed})")
+    raise RuntimeError(f"no kink-free instance found in {max_draws} draws (seed {seed}) "
+                       f"whose class residuals spread by more than {margin}")

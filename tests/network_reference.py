@@ -9,7 +9,7 @@ gradient the same way, recovering the forward solve from the trace.
 """
 import numpy as np
 
-from srckit.network import ParamGrads, StageTrace, class_probabilities, class_residuals, loss
+from srckit.network import StageTrace, class_probabilities, class_residuals, loss
 from srckit.solvers import SparseCode, soft_threshold
 
 
@@ -123,4 +123,4 @@ def backward(dictionary, x, y, params, trace):
         g_z, g_u = through_sparsity(k, g_alpha_k, z_in, u_in, trace.alpha_seq[k])
         g_u = g_u + g_u_prev
 
-    return ParamGrads(d_rho=d_rho, d_eta=d_eta, d_tau=d_tau, loss_value=loss_value)
+    return {"rho": d_rho, "eta": d_eta, "tau": d_tau}, loss_value

@@ -20,7 +20,7 @@ from srckit.classify import (check_fit, classify_testset, make_solver, solver_kw
                              src_decide, sweep)
 from srckit.data import pixels_to_cube
 from srckit.dictionary import GramCache, assemble
-from srckit.network import (RHO_FLOOR, NetParams, TrainConfig, backward,
+from srckit.network import (FLOORS, RHO_FLOOR, NetParams, backward,
                             class_residuals, forward, one_hot, train)
 from srckit.synthetic import subspace_classes
 
@@ -188,18 +188,18 @@ def test_backward_block_is_sum_of_pixels(width, seed):
     x, labels = pick(rng, width)
     y = np.stack([one_hot(int(label), D.n_classes) for label in labels], axis=1)
     _, trace = forward(D, x, net)
-    block = backward(D, x, y, net, trace)
+    block, block_loss = backward(D, x, y, net, trace)
     pixels = []
     for j in range(width):
         _, one_trace = forward(D, x[:, j], net)
         pixels.append(backward(D, x[:, j], y[:, j], net, one_trace))
-    for name in ("d_rho", "d_eta", "d_tau"):
-        terms = np.array([getattr(g, name) for g in pixels])
+    for name in FLOORS:
+        terms = np.array([grads[name] for grads, _ in pixels])
         # relative to the summed magnitudes, since the terms may cancel
         scale = np.abs(terms).sum(axis=0) + 1e-300
-        assert (np.abs(getattr(block, name) - terms.sum(axis=0)) <= 1e-10 * scale).all(), name
-    losses = [g.loss_value for g in pixels]
-    assert block.loss_value == pytest.approx(sum(losses), rel=1e-10)
+        assert (np.abs(block[name] - terms.sum(axis=0)) <= 1e-10 * scale).all(), name
+    losses = [loss_value for _, loss_value in pixels]
+    assert block_loss == pytest.approx(sum(losses), rel=1e-10)
 
 
 @examples
@@ -618,8 +618,7 @@ class TestBenchmarkHooks:
             return stepped(self_, learning_rate, grads)
 
         monkeypatch.setattr(NetParams, "stepped", counted_step)
-        cfg = TrainConfig(epochs=2, batch_size=40, init=NetParams.default(2, eta=0.01))
-        train(D, PIXELS, LABELS, cfg)
+        train(D, PIXELS, LABELS, epochs=2, batch_size=40, init=NetParams.default(2, eta=0.01))
         assert sum(seen) == 2 * PIXELS.shape[1]
         assert max(seen) == network.BLOCK_COLUMNS  # a batch of 40 runs as 32 + 8
         assert len(steps) == 2 * 3
@@ -655,7 +654,7 @@ class TestBenchmarkHooks:
         classify_testset(fresh, PIXELS[:, :3], "asdn", {"n_stages": 2})
         classify_testset(fresh, PIXELS[:, :3], "asdn", {"n_stages": 3})
         solvers.admm_fixed(fresh, PIXELS[:, 0], max_iters=5)
-        train(fresh, PIXELS, LABELS, TrainConfig(epochs=1, init=NetParams.default(2)))
+        train(fresh, PIXELS, LABELS, epochs=1, init=NetParams.default(2))
         assert len(builds) == 1
 
     def test_classify_fista_reaches_fista_once_per_block(self, monkeypatch):

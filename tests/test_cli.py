@@ -1,6 +1,8 @@
 """End-to-end tests of ``cli.run`` on a tiny bundle, plus the solver table it
 reads solver parameters through."""
+import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -11,14 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import srckit
 from srckit import classify, cli, solvers
 from srckit.classify import (SOLVER_NAMES, SOLVER_PARAMS, classify_testset, evaluate,
                              make_solver, sweep)
-from srckit.data import (Split, extract_pixels, load_bundle, make_split,
+from srckit.data import (LabeledCube, Split, extract_pixels, load_bundle, make_split,
                          pixels_to_cube, save_bundle)
 from srckit.dictionary import assemble
-from srckit.network import NetParams, TrainConfig, TrainingDiverged, train
-from srckit.synthetic import subspace_classes
+from srckit.network import NetParams, TrainingDiverged, grad_check, train
+from srckit.synthetic import gradcheck_instance, subspace_classes
 
 # 20 pixels per class: 4 dictionary atoms, 4 train and 12 test pixels each
 DATA = ["--dict-frac", "0.2", "--train-frac", "0.25"]
@@ -167,6 +170,11 @@ class TestExitCodes:
         ("train", ["--train-frac", 0, "--epochs", 1], "train set is empty"),
         ("eval", ["--solver", "omp", "--K", 1, "--train-frac", 0.999], "test set is empty"),
         ("gradcheck", ["--classes", 1], "n_classes"),
+        ("sweep", ["--solver", "fista", "--param", "lam", "--grid", "0.1", "--runs", 1,
+                   "--train-frac", 0.999], "the split's test set is empty"),
+        ("train", ["--lr", -1], "learning_rate must be nonnegative, got -1.0"),
+        ("train", ["--batch-size", 0], "batch_size must be >= 1, got 0"),
+        ("gradcheck", ["--bands", 1, "--atoms", 2, "--classes", 2], "class residuals"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the
@@ -400,6 +408,33 @@ class TestSplitValidation:
         assert (status, err["kind"]) == (3, "config")
         assert "OverflowError" in err["message"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["dictionary_ids"].pop("3"), "class 3 has no dictionary ids"),
+        (lambda doc: doc["dictionary_ids"].pop("2"), "class 2 has no dictionary ids"),
+        (lambda doc: doc.update(dictionary_ids={}), "class 1 has no dictionary ids"),
+        (lambda doc: doc["train_ids"].update({"4": []}), "train class 4 lies outside 1..3"),
+    ], ids=["class-3-without-atoms", "class-2-without-atoms", "no-atoms", "class-beyond-cube"])
+    def test_class_fault_is_config_error(self, capsys, bundle, tmp_path, edit, message):
+        status, err = self.eval_with(capsys, bundle, tmp_path, self.write_split(tmp_path, edit))
+        assert (status, err["kind"]) == (3, "config")
+        assert message in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_unlabeled_pixel_under_class_zero(self, capsys, tmp_path):
+        cube = tiny_cube()
+        labels = cube.labels.copy()
+        labels.flat[59] = 0
+        cube = LabeledCube(cube.data, labels)
+        save_bundle(cube, tmp_path / "bundle")
+        doc = make_split(cube, 0.2, 0.25, 0).to_json()
+        doc["test_ids"]["0"] = [59]
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, err = self.eval_with(capsys, tmp_path / "bundle", tmp_path, path)
+        assert (status, err["kind"]) == (3, "config")
+        assert "test class 0 lies outside 1..3" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_saved_split_is_accepted(self, capsys, bundle, tmp_path):
         status, _ = self.eval_with(capsys, bundle, tmp_path,
                                    self.write_split(tmp_path, lambda doc: None))
@@ -581,9 +616,8 @@ def test_divergence_raises_in_pool_threads():
     d = assemble(data.dict_pixels, data.dict_labels)
     px = data.train_pixels.copy()
     px[:, 0] = 1e200
-    cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
     with pytest.raises(TrainingDiverged, match="epoch 0"):
-        train(d, px, data.train_labels, cfg)
+        train(d, px, data.train_labels, learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
 
 
 def test_misplaced_solver_flag_is_config_error(capsys, bundle, tmp_path):
@@ -913,3 +947,45 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_exactly_the_names_it_binds():
+    tree = ast.parse(Path(srckit.__file__).read_text(encoding="utf-8"))
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets}
+    assert sorted(srckit.__all__) == sorted(name for name in bound if not name.startswith("_"))
+    assert [name for name in srckit.__all__ if not hasattr(srckit, name)] == []
+
+
+# (key, command or None for every command that reads it, function, parameter);
+# train_seed is left out: the CLI's None means "the split seed"
+LIBRARY_DEFAULTS = [
+    ("learning_rate", None, train, "learning_rate"),
+    ("epochs", None, train, "epochs"),
+    ("batch_size", None, train, "batch_size"),
+    ("init_rho", None, NetParams.default, "rho"),
+    ("init_eta", None, NetParams.default, "eta"),
+    ("init_tau", None, NetParams.default, "tau"),
+    ("stages", "train", NetParams.default, "n_stages"),
+    ("bands", None, gradcheck_instance, "n_bands"),
+    ("atoms", None, gradcheck_instance, "n_atoms"),
+    ("n_classes", None, gradcheck_instance, "n_classes"),
+    ("stages", "gradcheck", gradcheck_instance, "n_stages"),
+    ("fd_step", None, grad_check, "step"),
+    ("dict_frac", None, make_split, "dict_frac"),
+    ("train_frac", None, make_split, "train_frac"),
+    ("dict_frac", None, sweep, "dict_frac"),
+    ("train_frac", None, sweep, "train_frac"),
+    ("runs", None, sweep, "runs"),
+    ("base_seed", None, sweep, "base_seed"),
+]
+
+
+@pytest.mark.parametrize("key, command, function, parameter", LIBRARY_DEFAULTS)
+def test_cli_default_equals_the_library_default(key, command, function, parameter):
+    default = inspect.signature(function).parameters[parameter].default
+    commands = cli.KEYS[key].commands
+    taken = [commands[command]] if command else list(commands.values())
+    assert taken and all(value == default for value in taken), (key, commands, default)

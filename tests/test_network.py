@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from srckit import network
 from srckit.dictionary import assemble
-from srckit.network import (NetParams, ParamGrads, TrainConfig, TrainingDiverged,
-                            backward, class_residuals, forward, grad_check,
-                            kink_margin, loss, mean_loss, one_hot, train)
+from srckit.network import (FLOORS, NetParams, TrainingDiverged, backward, class_residuals,
+                            forward, grad_check, kink_margin, loss, mean_loss, one_hot,
+                            train)
 from srckit.solvers import SparseCode, admm_fixed, soft_threshold
 from srckit.synthetic import (gradcheck_instance, random_unit_dictionary,
                               subspace_classes)
@@ -212,16 +212,16 @@ class TestBackward:
         # way the analytic gradient says (sign sanity for the loss seed)
         d, x, y, params = gradcheck_instance(3, n_stages=3)
         _, trace = forward(d, x, params)
-        grads = backward(d, x, y, params, trace)
+        grads, loss_value = backward(d, x, y, params, trace)
         eps = 1e-7
         for idx in range(len(params.rho)):
             plus = params.copy()
             plus.rho[idx] += eps
             _, t2 = forward(d, x, plus)
-            g2 = backward(d, x, y, plus, t2)
-            fd = (g2.loss_value - grads.loss_value) / eps
-            if abs(grads.d_rho[idx]) > 1e-8:
-                assert np.sign(fd) == np.sign(grads.d_rho[idx])
+            _, loss_plus = backward(d, x, y, plus, t2)
+            fd = (loss_plus - loss_value) / eps
+            if abs(grads["rho"][idx]) > 1e-8:
+                assert np.sign(fd) == np.sign(grads["rho"][idx])
 
     def test_matches_central_differences(self):
         for seed in range(4):
@@ -244,8 +244,8 @@ class TestBackward:
         params.eta[0] = 50.0  # every entry thresholded to zero at stage 1
         _, trace = forward(d, x, params)
         assert not trace.z_seq[0].any()
-        grads = backward(d, x, one_hot(1, 2), params, trace)
-        assert grads.d_eta[0] == 0.0
+        grads, _ = backward(d, x, one_hot(1, 2), params, trace)
+        assert grads["eta"][0] == 0.0
 
     def test_trace_params_mismatch(self):
         d = two_class_dictionary(13)
@@ -288,6 +288,12 @@ class TestGradCheck:
         with pytest.raises(RuntimeError, match=r"no kink-free instance found in 2 draws \(seed 21\)"):
             gradcheck_instance(21, n_stages=2, margin=1.0, max_draws=2)
 
+    def test_tied_class_residuals_are_rejected(self):
+        # one band and one atom per class: both classes reconstruct x alike at
+        # every draw, so the loss is a flat ln 2 and every gradient is noise
+        with pytest.raises(RuntimeError, match="class residuals spread by more than"):
+            gradcheck_instance(0, n_bands=1, n_atoms=2, n_classes=2)
+
 
 def test_subspaces_that_do_not_fit():
     with pytest.raises(ValueError, match="subspaces do not fit"):
@@ -315,9 +321,8 @@ class TestTrain:
     def test_zero_learning_rate_is_identity(self):
         d, px, lb = self.make_problem(0)
         init = NetParams.default(3, eta=0.2)
-        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=4, seed=1,
-                          init=init)
-        params, history = train(d, px, lb, cfg)
+        params, history = train(d, px, lb, learning_rate=0.0, epochs=3, batch_size=4,
+                                seed=1, init=init)
         assert np.array_equal(params.rho, init.rho)
         assert np.array_equal(params.eta, init.eta)
         assert np.array_equal(params.tau, init.tau)
@@ -326,30 +331,28 @@ class TestTrain:
     def test_loss_decreases_with_poor_init(self):
         d, px, lb = self.make_problem(1)
         init = NetParams.default(3, eta=0.9)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=12, batch_size=8, seed=2,
-                          init=init)
-        params, history = train(d, px, lb, cfg)
+        params, history = train(d, px, lb, learning_rate=1e-2, epochs=12, batch_size=8,
+                                seed=2, init=init)
         assert mean_loss(d, px, lb, params) < mean_loss(d, px, lb, init)
 
     def test_seed_determinism(self):
         d, px, lb = self.make_problem(2)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=4, batch_size=4, seed=7)
-        _, h1 = train(d, px, lb, cfg)
-        _, h2 = train(d, px, lb, cfg)
+        cfg = dict(learning_rate=1e-2, epochs=4, batch_size=4, seed=7)
+        _, h1 = train(d, px, lb, **cfg)
+        _, h2 = train(d, px, lb, **cfg)
         assert h1.tobytes() == h2.tobytes()
 
     def test_threaded_matches_serial_bitwise(self):
         d, px, lb = self.make_problem(3)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=5, seed=4)
-        p1, h1 = train(d, px, lb, cfg)
-        p2, h2 = train(d, px, lb, cfg)
+        cfg = dict(learning_rate=1e-2, epochs=2, batch_size=5, seed=4)
+        p1, h1 = train(d, px, lb, **cfg)
+        p2, h2 = train(d, px, lb, **cfg)
         assert h1.tobytes() == h2.tobytes()
         assert p1.rho.tobytes() == p2.rho.tobytes()
 
     def test_projection_floors_hold(self):
         d, px, lb = self.make_problem(4)
-        cfg = TrainConfig(learning_rate=50.0, epochs=2, batch_size=6, seed=5)
-        params, _ = train(d, px, lb, cfg)
+        params, _ = train(d, px, lb, learning_rate=50.0, epochs=2, batch_size=6, seed=5)
         assert (params.rho >= 1e-6).all()
         assert (params.eta >= 0.0).all()
         assert (params.tau >= 1e-6).all()
@@ -358,9 +361,8 @@ class TestTrain:
         d, px, lb = self.make_problem(5)
         px = px.copy()
         px[:, 0] = 1e200  # forces an overflowing residual
-        cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
         with pytest.raises(TrainingDiverged, match="epoch 0"):
-            train(d, px, lb, cfg)
+            train(d, px, lb, learning_rate=1e-2, epochs=2, batch_size=4, seed=6)
 
     @pytest.mark.parametrize("loss_value, message", [
         (math.inf, "training loss became non-finite at epoch 0"),
@@ -371,25 +373,24 @@ class TestTrain:
         # the errstate guard catches every loss the network itself overflows,
         # so a stub backward reaches the two checks on the loss sums
         def stub(dictionary, x, y, params, trace):
-            n = params.n_stages
-            return ParamGrads(np.zeros(n + 1), np.zeros(n), np.zeros(n), loss_value)
+            return {name: np.zeros_like(getattr(params, name)) for name in FLOORS}, loss_value
 
         monkeypatch.setattr(network, "backward", stub)
         d, px, lb = self.make_problem(5)
         with pytest.raises(TrainingDiverged, match=f"^{message}$"):
-            train(d, px, lb, TrainConfig(epochs=1, batch_size=12))
+            train(d, px, lb, epochs=1, batch_size=12)
 
     def test_label_validation(self):
         d, px, lb = self.make_problem(6)
         with pytest.raises(ValueError, match="labels"):
-            train(d, px, np.zeros_like(lb), TrainConfig(epochs=1))
+            train(d, px, np.zeros_like(lb), epochs=1)
 
     def test_pixel_and_label_counts(self):
         d, px, lb = self.make_problem(6)
         with pytest.raises(ValueError, match="no training pixels"):
-            train(d, px[:, :0], lb[:0], TrainConfig(epochs=1))
+            train(d, px[:, :0], lb[:0], epochs=1)
         with pytest.raises(ValueError, match=f"{len(lb)} pixels but {len(lb) - 1} labels"):
-            train(d, px, lb[:-1], TrainConfig(epochs=1))
+            train(d, px, lb[:-1], epochs=1)
 
     @pytest.mark.parametrize("fields, message", [
         ({"learning_rate": -1e-3}, "learning_rate must be nonnegative"),
@@ -397,8 +398,9 @@ class TestTrain:
         ({"batch_size": 0}, "batch_size must be >= 1"),
     ])
     def test_config_validation(self, fields, message):
+        d, px, lb = self.make_problem(6)
         with pytest.raises(ValueError, match=message):
-            TrainConfig(**fields)
+            train(d, px, lb, **fields)
 
 
 def test_mean_loss_matches_manual():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import network_reference as reference
 from srckit import solvers
 from srckit.dictionary import assemble
-from srckit.network import (RHO_FLOOR, NetParams, TrainConfig, TrainingDiverged, backward,
+from srckit.network import (FLOORS, RHO_FLOOR, NetParams, TrainingDiverged, backward,
                             forward, grad_check, kink_margin, one_hot, train)
 from srckit.synthetic import gradcheck_instance, subspace_classes
 
@@ -137,8 +137,9 @@ def test_backward_matches_reference(d, width, seed, floor):
     assert np.linalg.norm(got - want) <= 1e-12 * conditioning * np.linalg.norm(want)
 
 
-def gradient(grads):
-    return np.concatenate([grads.d_rho, grads.d_eta, grads.d_tau, [grads.loss_value]])
+def gradient(result):
+    grads, loss_value = result
+    return np.concatenate([grads[name] for name in FLOORS] + [[loss_value]])
 
 
 def test_benchmark_shaped_training_step_matches_reference():
@@ -235,4 +236,4 @@ class TestNonFinitePixels:
     def test_train(self, bad):
         labels = np.array([1, 2, 3])
         with pytest.raises(TrainingDiverged, match="epoch 0"):
-            train(self.d, bad, labels, TrainConfig(epochs=1, init=NetParams.default(2)))
+            train(self.d, bad, labels, epochs=1, init=NetParams.default(2))
