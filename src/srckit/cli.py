@@ -166,6 +166,7 @@ _DRAW = ("split", "train", "eval", "sweep")  # read a bundle and draw a split
 _CODE = ("eval", "sweep")  # classify with a solver
 _FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
 _AT_LEAST_ONE = ("be >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)  # a seed: np.random.default_rng takes any int >= 0
 
 KEYS = {
     "out": Key(("--out",), str, {**dict.fromkeys(_SUBCOMMANDS, REQUIRED), "report": None},
@@ -179,7 +180,7 @@ KEYS = {
     "train_frac": Key(("--train-frac",), real, dict.fromkeys(_DRAW, 1.0 / 11.0),
                       ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
     "seed": Key(("--seed",), integer, dict.fromkeys(("split", "train", "eval", "gradcheck"), 0),
-                help="split seed"),
+                _NON_NEGATIVE, help="split seed"),
     "normalize": Key(("--normalize", "--no-normalize"), bool,
                      dict.fromkeys(("train", "eval", "sweep"), True)),
     "split_file": Key(("--split",), str, dict.fromkeys(("train", "eval")),
@@ -189,7 +190,8 @@ KEYS = {
     "learning_rate": Key(("--lr",), real, {"train": 1e-2}, ("be nonnegative", lambda v: v >= 0.0)),
     "epochs": Key(("--epochs",), integer, {"train": 50}, _AT_LEAST_ONE),
     "batch_size": Key(("--batch-size",), integer, {"train": 32}, _AT_LEAST_ONE),
-    "train_seed": Key(("--train-seed",), integer, {"train": None}),  # None: the split seed
+    "train_seed": Key(("--train-seed",), integer, {"train": None},  # None: the split seed
+                      _NON_NEGATIVE),
     "init_eta": Key(("--init-eta",), real, {"train": 0.1}),
     "init_rho": Key(("--init-rho",), real, {"train": 1.0}),
     "init_tau": Key(("--init-tau",), real, {"train": 1.0}),
@@ -217,7 +219,7 @@ KEYS = {
                  help="solver parameter to sweep (e.g. k, lam, rho)"),
     "grid": Key(("--grid",), _grid, {"sweep": REQUIRED}, help="a:b | a:b:s | comma list"),
     "runs": Key(("--runs",), integer, {"sweep": 5}, _AT_LEAST_ONE),
-    "base_seed": Key(("--base-seed",), integer, {"sweep": 0}),
+    "base_seed": Key(("--base-seed",), integer, {"sweep": 0}, _NON_NEGATIVE),
     "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}, ("be > 0", lambda v: v > 0.0)),
     "bands": Key(("--bands",), integer, {"gradcheck": 20}, _AT_LEAST_ONE),
     "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _AT_LEAST_ONE),

@@ -28,12 +28,12 @@ moves it. Each stage keeps its band-space coefficients c in the trace, and
 its reverse node in ``backward`` is ``GramCache.stage_vjp`` on them, two more
 products. The per-pixel calls stay the reference: ``grad_check`` runs on
 them. ``train`` codes pixels, and ``classify.classify_testset`` codes them
-for every solver, in blocks of BLOCK_COLUMNS = 32. A CLI eval of 635 pixels
-over 426 atoms with 9 stages peaks at about 72 MiB resident with 32 columns
-and within 0.1 MiB of that with 128, though a forward pass keeps its block's
-whole StageTrace; the width is set by time: forward takes about 90 us a
-pixel at 32 and 160-180 at 64 or 128 (one BLAS thread of a 2-vCPU Xeon).
-``asdn`` is the network as a solver, called as the baselines in ``solvers`` are.
+for every solver, in blocks of BLOCK_COLUMNS = 32. ``asdn`` is the network
+as a solver, called as the baselines in ``solvers`` are, and keeps no trace.
+In a CLI eval of 635 pixels over 426 atoms with 9 stages (one BLAS thread of
+a 2-vCPU Xeon) its forward pass takes about 60 us a pixel at 32, 64 or 128
+columns, where forward with its trace takes 65 at 32 and 100-110 at 64 or
+128, which sets the width; the run peaks at 72.2 MiB resident at each width.
 """
 from __future__ import annotations
 
@@ -152,18 +152,19 @@ class NetParams:
 class StageTrace:
     """Cached node values from one forward pass, consumed by backward().
 
-    ``alpha_seq`` holds alpha_1..alpha_{N+1}; ``z_seq`` and ``u_seq`` hold
-    z_1..z_N and u_1..u_N; ``pre_activation_seq`` holds v_n = alpha_n + u_{n-1}.
-    Each entry has the shape of the coded pixels: (n_atoms,) or (n_atoms, n).
-    ``c_seq`` holds each sparsity node's band-space coefficients c_1..c_{N+1}
-    (``GramCache.stage``), (r,) or (r, n) with r = min(bands, n_atoms).
+    Each field stacks one node's values over the stages, each entry shaped
+    like the coded pixels, (n_atoms,) or (n_atoms, n): ``alpha_seq`` holds
+    alpha_1..alpha_{N+1}, and ``z_seq``, ``u_seq`` and ``pre_activation_seq``
+    hold z_1..z_N, u_1..u_N and v_n = alpha_n + u_{n-1}. ``c_seq`` holds each
+    sparsity node's band-space coefficients c_1..c_{N+1} (``GramCache.stage``),
+    (N+1, r) or (N+1, r, n) with r = min(bands, n_atoms).
     """
 
-    alpha_seq: list
-    z_seq: list
-    u_seq: list
-    pre_activation_seq: list
-    c_seq: list
+    alpha_seq: np.ndarray
+    z_seq: np.ndarray
+    u_seq: np.ndarray
+    pre_activation_seq: np.ndarray
+    c_seq: np.ndarray
 
 
 def one_hot(label: int, n_classes: int) -> np.ndarray:
@@ -174,43 +175,47 @@ def one_hot(label: int, n_classes: int) -> np.ndarray:
     return y
 
 
-def forward(dictionary: Dictionary, x: np.ndarray,
-            params: NetParams) -> tuple[SparseCode, StageTrace]:
+def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
+            keep_trace: bool = True) -> tuple[SparseCode, StageTrace | None]:
     """Run the N unrolled stages plus the final sparsity node.
 
     ``x`` is one pixel (bands,) or a block of pixel columns (bands, n).
     Returns the output coefficients alpha_{N+1} as a SparseCode, (n_atoms,)
-    or (n_atoms, n), and the full trace needed by backward(). A non-finite
-    pixel raises ValueError before the first stage.
+    or (n_atoms, n), and the full trace needed by backward(), or None with
+    ``keep_trace`` False. The stages write into arrays allocated once per
+    call: the trace's stacks, or without a trace one slot per node, with z
+    and u alternating between two. A non-finite pixel raises ValueError
+    before the first stage.
     """
     if len(x) != dictionary.n_bands:
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")
     utx = dictionary.gram_cache.project(x)
-    z = np.zeros((dictionary.n_atoms,) + np.shape(x)[1:])
-    u = z.copy()
-    alpha_seq, c_seq, z_seq, u_seq, v_seq = [], [], [], [], []
-    for n in range(params.n_stages):
-        alpha, c, v, z, u = admm_stage(dictionary, utx, z, u, params.rho[n], params.relax,
-                                       params.eta[n], params.tau[n])
-        alpha_seq.append(alpha)
-        c_seq.append(c)
-        v_seq.append(v)
-        z_seq.append(z)
-        u_seq.append(u)
-    alpha, c, *_ = admm_stage(dictionary, utx, z, u, params.rho[params.n_stages], params.relax)
-    alpha_seq.append(alpha)
-    c_seq.append(c)
-    trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
-                       pre_activation_seq=v_seq, c_seq=c_seq)
-    return SparseCode.from_dense(alpha_seq[-1]), trace
+    n, shape = params.n_stages, (dictionary.n_atoms,) + np.shape(x)[1:]
+    # node k writes alpha, c and v in slot k % nodes and reads z_k and u_k
+    # from slot k % slots, where slot 0 holds z_0 = u_0 = 0
+    nodes, slots = (n + 1, n + 1) if keep_trace else (1, 2)
+    alpha, v, z, u = (np.empty((count,) + shape) for count in (nodes, nodes, slots, slots))
+    c = np.empty((nodes,) + utx.shape)
+    z[0] = u[0] = 0.0
+    for k in range(n):
+        i, j, s = k % slots, (k + 1) % slots, k % nodes
+        admm_stage(dictionary, utx, z[i], u[i], params.rho[k], params.relax, params.eta[k],
+                   params.tau[k], out=(alpha[s], c[s], v[s], z[j], u[j]))
+    # the final node's v is scratch
+    admm_stage(dictionary, utx, z[n % slots], u[n % slots], params.rho[n], params.relax,
+               out=(alpha[-1], c[-1], v[-1], None, None))
+    trace = StageTrace(alpha_seq=alpha, z_seq=z[1:], u_seq=u[1:], pre_activation_seq=v[:n],
+                       c_seq=c) if keep_trace else None
+    return SparseCode.from_dense(alpha[-1]), trace
 
 
 def asdn(dictionary: Dictionary, x: np.ndarray, net: NetParams | None = None,
          n_stages: int = DEFAULT_STAGES) -> SparseCode:
     """The network as a solver: forward's code for ``x`` under ``net``, or
-    without one under NetParams.default(n_stages)."""
+    without one under NetParams.default(n_stages), run without a trace."""
     check_ranges(n_stages=n_stages)
-    return forward(dictionary, x, NetParams.default(n_stages) if net is None else net)[0]
+    return forward(dictionary, x, NetParams.default(n_stages) if net is None else net,
+                   keep_trace=False)[0]
 
 
 def class_residuals(dictionary: Dictionary, code, x: np.ndarray) -> np.ndarray:
@@ -293,41 +298,45 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
         g_alpha[sl] = -seed[i - 1] * (block.T @ (x - block @ alpha_out[sl]))
 
     grads = {name: np.zeros_like(getattr(params, name)) for name in FLOORS}
+    # work buffers shared by every stage: g_alpha is also through_sparsity's scratch
+    g_z, g_u, g_u_prev, work = (np.empty_like(alpha_out) for _ in range(4))
+    mask = np.empty(alpha_out.shape, dtype=bool)
 
-    def through_sparsity(idx, g_a):
-        """VJP through alpha_idx; returns gradients w.r.t. (z_in, u_in)."""
-        rho_inv_g, d_w = dictionary.gram_cache.stage_vjp(params.rho[idx], g_a,
-                                                         trace.c_seq[idx])
-        grads["rho"][idx] = relax * d_w
-        g_z_in = relax * rho_inv_g + (1.0 - relax) * g_a
-        g_u_in = -relax * rho_inv_g
-        return g_z_in, g_u_in
+    def through_sparsity(idx):
+        """VJP through alpha_idx: dE/d(z_in, u_in) into (g_z, g_u) from g_alpha."""
+        grads["rho"][idx] = relax * dictionary.gram_cache.stage_vjp(
+            params.rho[idx], g_alpha, trace.c_seq[idx], out=g_z)[1]
+        np.multiply(g_z, -relax, out=g_u)
+        if relax != 1.0:
+            np.add(np.multiply(g_z, relax, out=g_z),
+                   np.multiply(g_alpha, 1.0 - relax, out=g_alpha), out=g_z)
 
-    g_z, g_u = through_sparsity(n, g_alpha)
+    through_sparsity(n)
 
     for k in range(n - 1, -1, -1):
         # multiplier node: u_k = u_{k-1} + tau_k (alpha_k - z_k); g_u is complete
-        grads["tau"][k] = float(np.vdot(g_u, trace.alpha_seq[k] - trace.z_seq[k]))
-        g_alpha_k = params.tau[k] * g_u
-        g_z = g_z - params.tau[k] * g_u  # now the complete dE/dz_k
-        g_u_prev = g_u
+        grads["tau"][k] = float(np.vdot(g_u, np.subtract(trace.alpha_seq[k], trace.z_seq[k],
+                                                         out=work)))
+        np.multiply(g_u, params.tau[k], out=g_alpha)
+        g_z -= g_alpha  # now the complete dE/dz_k
         # nonlinear node: z_k = soft_threshold(v_k, eta_k)
         v = trace.pre_activation_seq[k]
-        mask = (np.abs(v) > params.eta[k]).astype(np.float64)
-        grads["eta"][k] = -float((g_z * np.sign(v) * mask).sum())
-        g_v = g_z * mask
-        g_alpha_k = g_alpha_k + g_v  # complete dE/dalpha_k
-        g_u_prev = g_u_prev + g_v
+        np.greater(np.abs(v, out=work), params.eta[k], out=mask)
+        np.multiply(np.sign(v, out=work), g_z, out=work)
+        grads["eta"][k] = -float(np.multiply(work, mask, out=work).sum())
+        g_v = np.multiply(g_z, mask, out=work)
+        g_alpha += g_v  # complete dE/dalpha_k
+        np.add(g_u, g_v, out=g_u_prev)
         # sparsity node feeding alpha_k
-        g_z, g_u = through_sparsity(k, g_alpha_k)
-        g_u = g_u + g_u_prev
+        through_sparsity(k)
+        g_u += g_u_prev
 
     return grads, loss_value
 
 
 def pixel_loss(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
                params: NetParams) -> float:
-    code, _ = forward(dictionary, x, params)
+    code, _ = forward(dictionary, x, params, keep_trace=False)
     return loss(class_residuals(dictionary, code, x), y)
 
 

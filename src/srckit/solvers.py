@@ -96,12 +96,13 @@ def check_ranges(**params) -> None:
             raise ValueError(f"{name} ({what}) must {text}, got {value!r}")
 
 
-def soft_threshold(v: np.ndarray, eta: float) -> np.ndarray:
+def soft_threshold(v: np.ndarray, eta: float, out=None) -> np.ndarray:
     """Entrywise shrinkage sign(v) * max(|v| - eta, 0), the prox of eta*||.||_1,
-    computed as v - clip(v, -eta, eta); its zeros are all +0.0."""
+    computed as v - clip(v, -eta, eta), into ``out`` when given (not v); its
+    zeros are all +0.0."""
     if eta < 0:
         raise ValueError(f"threshold must be nonnegative, got {eta}")
-    return v - np.clip(v, -eta, eta)
+    return np.subtract(v, np.clip(v, -eta, eta, out=out), out=out)
 
 
 def lasso_objective(dictionary: Dictionary, x: np.ndarray, coeffs: np.ndarray,
@@ -550,7 +551,7 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
 
 def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,
                u: np.ndarray, rho: float, relax: float, eta: float | None = None,
-               tau: float | None = None):
+               tau: float | None = None, out=None):
     """One scaled-form ADMM lasso stage (Boyd et al. 2011, 3.1.1), the
     kernel of admm_fixed and of every network stage; returns
     (alpha, c, v, z', u'):
@@ -563,14 +564,25 @@ def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,
     caller takes once for all its stages; c is that solve's band-space
     coefficients, which the network's backward pass reuses. With ``eta``
     and ``tau`` None only alpha and c are computed (the network's final node).
+
+    ``out``, when given, is the arrays (alpha, c, v, z', u') to write, each
+    shaped as its result; none may alias another, z, u or utx. v first holds
+    z - u and the relax blend's (1 - relax) z, so the final node needs it as
+    scratch; its z' and u' may be None. At relax = 1 the blend is skipped.
     """
-    w, c = dictionary.gram_cache.stage(rho, utx, z - u)
-    alpha = relax * w + (1.0 - relax) * z
+    if out is None:  # fresh arrays: a caller may keep every result
+        out = [np.empty(np.shape(a)) for a in (z, utx, z, z, z)]
+    alpha, c, v, z_next, u_next = out
+    dictionary.gram_cache.stage(rho, utx, np.subtract(z, u, out=v), out=(alpha, c))
+    if relax != 1.0:
+        alpha *= relax
+        alpha += np.multiply(z, 1.0 - relax, out=v)
     if eta is None:
         return alpha, c, None, None, None
-    v = alpha + u
-    z_next = soft_threshold(v, eta)
-    return alpha, c, v, z_next, u + tau * (alpha - z_next)
+    np.add(alpha, u, out=v)
+    soft_threshold(v, eta, out=z_next)
+    np.add(u, np.multiply(np.subtract(alpha, z_next, out=u_next), tau, out=u_next), out=u_next)
+    return alpha, c, v, z_next, u_next
 
 
 def admm_fixed(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1, rho: float = 1.0,

@@ -595,9 +595,9 @@ class TestBenchmarkHooks:
         seen = []
         original = network.forward
 
-        def counted(dictionary_, x, params):
+        def counted(dictionary_, x, params, **kwargs):
             seen.append(1 if np.ndim(x) == 1 else x.shape[1])
-            return original(dictionary_, x, params)
+            return original(dictionary_, x, params, **kwargs)
 
         monkeypatch.setattr(network, "forward", counted)
         return seen

@@ -175,6 +175,13 @@ class TestExitCodes:
         ("train", ["--lr", -1], "learning_rate must be nonnegative, got -1.0"),
         ("train", ["--batch-size", 0], "batch_size must be >= 1, got 0"),
         ("gradcheck", ["--bands", 1, "--atoms", 2, "--classes", 2], "class residuals"),
+        ("train", ["--seed", -1], "seed must be >= 0, got -1"),
+        ("train", ["--train-seed", -1], "train_seed must be >= 0, got -1"),
+        ("eval", ["--solver", "omp", "--K", 2, "--seed", -1], "seed must be >= 0, got -1"),
+        ("split", ["--seed", -1], "seed must be >= 0, got -1"),
+        ("sweep", ["--solver", "fista", "--param", "lam", "--grid", "0.1", "--runs", 1,
+                   "--base-seed", -1], "base_seed must be >= 0, got -1"),
+        ("gradcheck", ["--seed", -1], "seed must be >= 0, got -1"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the

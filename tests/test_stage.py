@@ -4,6 +4,8 @@ through ``network.backward``) against the solve-based reference in
 ``network_reference``, plus gradient checks on the dictionary shapes the
 band-space forms treat differently."""
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import network_reference as reference
 from srckit import solvers
 from srckit.dictionary import assemble
-from srckit.network import (FLOORS, RHO_FLOOR, NetParams, TrainingDiverged, backward,
+from srckit.network import (FLOORS, RHO_FLOOR, NetParams, TrainingDiverged, asdn, backward,
                             forward, grad_check, kink_margin, one_hot, train)
 from srckit.synthetic import gradcheck_instance, subspace_classes
 
@@ -237,3 +239,109 @@ class TestNonFinitePixels:
         labels = np.array([1, 2, 3])
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train(self.d, bad, labels, epochs=1, init=NetParams.default(2))
+
+
+def garbage_like(a):
+    return None if a is None else np.full(np.shape(a), np.nan)
+
+
+@examples
+@given(d=dictionaries, rho=rhos, width=st.sampled_from([None, 32]),
+       relax=st.sampled_from([0.5, 1.0, 1.7]), final=st.booleans(), seed=seeds)
+def test_stage_into_buffers_equals_allocating_stage(d, rho, width, relax, final, seed):
+    """admm_stage(out=...) fills NaN buffers with the bytes of the allocating
+    call, and both equal the stage written one allocating expression a node
+    (at relax 1 the skipped blend may flip the sign of an exact zero)."""
+    rng = np.random.default_rng(seed)
+    utx = d.gram_cache.project(pixels(d, rng, width))
+    z, u = codes(d, rng, width)
+    eta, tau = (None, None) if final else (rng.uniform(0.0, 0.1), rng.uniform(0.5, 1.5))
+    want = solvers.admm_stage(d, utx, z, u, rho, relax, eta, tau)
+    out = [garbage_like(a) for a in want]
+    out[2] = np.full(np.shape(z), np.nan)  # the final node's v is scratch
+    got = solvers.admm_stage(d, utx, z, u, rho, relax, eta, tau, out=out)
+    assert all(g is o for g, o in zip(got[:2] + got[3:], out[:2] + out[3:]))
+    for new, old in zip(got, want):
+        assert (new is None and old is None) or new.tobytes() == old.tobytes()
+
+    w, c = d.gram_cache.stage(rho, utx, z - u)
+    bufs = garbage_like(w), garbage_like(c)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(d.gram_cache.stage(rho, utx, z - u, out=bufs), (w, c)))
+    alpha = relax * w + (1.0 - relax) * z
+    textbook = [alpha, c]
+    if not final:
+        v = alpha + u
+        z_next = solvers.soft_threshold(v, eta)
+        textbook += [v, z_next, u + tau * (alpha - z_next)]
+    for new, old in zip(got, textbook):
+        np.testing.assert_array_equal(new, old)
+
+
+@examples
+@given(d=dictionaries, width=widths, seed=seeds, relax=st.sampled_from([0.5, 1.0, 1.7]))
+def test_forward_without_trace_and_backward_on_stacked_trace(d, width, seed, relax):
+    rng = np.random.default_rng(seed)
+    x = pixels(d, rng, width)
+    params = replace(random_net(rng), relax=relax)
+    code, trace = forward(d, x, params)
+    bare, none = forward(d, x, params, keep_trace=False)
+    assert none is None
+    assert bare.coeffs.tobytes() == code.coeffs.tobytes()
+    assert bare.support.tobytes() == code.support.tobytes()
+    stages, shape = params.n_stages, code.coeffs.shape
+    assert trace.alpha_seq.shape == (stages + 1,) + shape
+    assert trace.z_seq.shape == trace.u_seq.shape == trace.pre_activation_seq.shape == \
+        (stages,) + shape
+    assert trace.c_seq.shape == (stages + 1, min(d.atoms.shape)) + shape[1:]
+
+    labels = rng.integers(1, d.n_classes + 1, width or 1)
+    y = np.stack([one_hot(int(label), d.n_classes) for label in labels], axis=1)
+    y = y[:, 0] if width is None else y
+    got = gradient(backward(d, x, y, params, trace))
+    want = gradient(reference.backward(d, x, y, params, trace))
+    conditioning = 1.0 + d.lipschitz / params.rho.min()
+    assert np.linalg.norm(got - want) <= 1e-12 * conditioning * np.linalg.norm(want)
+
+
+def test_a_second_pass_leaves_the_first_untouched():
+    rng = np.random.default_rng(4)
+    x1, x2 = pixels(PAVIA, rng, 32), pixels(PAVIA, rng, 32)
+    y = np.stack([one_hot(int(c), 9) for c in rng.integers(1, 10, 32)], axis=1)
+    params = NetParams(rho=rng.uniform(0.05, 0.2, 6), eta=np.full(5, 0.01),
+                       tau=rng.uniform(0.9, 1.1, 5), relax=1.3)
+    code, trace = forward(PAVIA, x1, params)
+    bare = asdn(PAVIA, x1, params)
+    fields = ("alpha_seq", "z_seq", "u_seq", "pre_activation_seq", "c_seq")
+    before = [getattr(trace, f).tobytes() for f in fields] + \
+        [code.coeffs.tobytes(), bare.coeffs.tobytes()]
+    backward(PAVIA, x1, y, params, trace)
+    forward(PAVIA, x2, params)
+    asdn(PAVIA, x2, params)
+    backward(PAVIA, x2, y, params, forward(PAVIA, x2, params)[1])
+    after = [getattr(trace, f).tobytes() for f in fields] + \
+        [code.coeffs.tobytes(), bare.coeffs.tobytes()]
+    assert after == before
+
+
+def test_asdn_working_memory_does_not_grow_with_depth():
+    """asdn keeps no trace, so its peak traced allocation over one block is
+    the same at any depth, within two block arrays."""
+    x = pixels(PAVIA, np.random.default_rng(6), 32)
+    block = PAVIA.n_atoms * x.shape[1] * 8
+
+    def peak(n_stages):
+        asdn(PAVIA, x, n_stages=n_stages)  # the spectrum, built once, is not counted
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            asdn(PAVIA, x, n_stages=n_stages)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    assert peak(20) <= peak(2) + 2 * block
