@@ -2,11 +2,14 @@
 
 A test pixel is coded over the class-partitioned dictionary by any of the
 registered solvers, then assigned to the class whose sub-dictionary
-reconstructs it with the smallest residual. Every solver codes the test
-pixels in blocks of ``network.BLOCK_COLUMNS`` (32) columns, with one decision
-per block. Every solver, the unrolled network ``asdn`` included, codes a
-whole block in one call, each column stopping on its own. All coding runs
-on the calling thread: the block and BLAS are the only parallelism.
+reconstructs it with the smallest residual. Every solver, the unrolled
+network ``asdn`` included, codes a test set in ceil(n / BLOCK_COLUMNS)
+near-equal blocks of at most BLOCK_COLUMNS = 256 columns, one call and one
+decision per block, each column stopping on its own. Wide blocks spread
+each step's fixed cost over more pixels, and near-equal ones leave no
+narrow tail (69 pixels make one block, and 300 two of 150). Training keeps
+``network.BLOCK_COLUMNS`` = 32. All coding runs on the calling thread: the
+block and BLAS are the only parallelism.
 Reports carry the confusion matrix with overall accuracy, average
 (per-class) accuracy, and the chance-corrected kappa coefficient, all as
 fractions in [0, 1], named once in ``SCORES``. ``split_inputs`` draws the
@@ -27,6 +30,12 @@ from .data import LabeledCube, extract_pixels, make_split
 from .dictionary import Dictionary, assemble
 
 SCORES = ("oa", "aa", "kappa")
+# The widest block classify_testset codes in one solver call. On 512 pixels
+# of a 103 x 426 dictionary (one BLAS thread of a 2-vCPU Xeon) omp took 144,
+# 101, 77 and 67 us a pixel in blocks of 32, 64, 128 and 256, asdn 110, 88,
+# 78 and 73, and fista (100 iterations) 1155, 917, 856 and 867. Training
+# codes its batches in network.BLOCK_COLUMNS = 32, where forward keeps a trace.
+BLOCK_COLUMNS = 256
 # SweepResult's score fields, in sweep.csv's column order
 SWEEP_COLUMNS = tuple(f"{name}_{stat}" for name in SCORES for stat in ("mean", "std"))
 
@@ -236,16 +245,15 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
                      params: dict | None = None) -> np.ndarray:
     """Code every pixel column and apply the residual decision rule.
 
-    Pixels are coded in blocks of network.BLOCK_COLUMNS, one call of the
-    ``make_solver`` callable and one ``src_decide`` per block, all on the
-    calling thread. Solvers that solve with (D^T D + rho*I) share the
-    dictionary's ``gram_cache``.
+    Pixels are coded in ceil(n / BLOCK_COLUMNS) near-equal blocks (their
+    widths differ by at most one), one call of the ``make_solver`` callable
+    and one ``src_decide`` per block, all on the calling thread. Solvers
+    that solve with (D^T D + rho*I) share the dictionary's ``gram_cache``.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
     solve = make_solver(dictionary, solver, params)
-    width = network.BLOCK_COLUMNS
-    blocks = [pixels[:, start:start + width] for start in range(0, pixels.shape[1], width)]
+    blocks = np.array_split(pixels, -(-pixels.shape[1] // BLOCK_COLUMNS), axis=1)
     return np.concatenate([src_decide(dictionary, solve(x), x) for x in blocks]).astype(np.int64)
 
 

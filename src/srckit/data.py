@@ -112,10 +112,12 @@ class LabeledCube:
         self.data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
         # One pass over the whole buffer, on purpose: freeing its 1/8-size
         # bool temporary raises glibc's dynamic mmap and trim thresholds. At
-        # the default thresholds every coded block's ~100 KB temporaries grow
-        # the heap and are trimmed back, page-faulting afresh; checked plane
-        # by plane, coding got measurably slower. Reusing the coding buffers
-        # would remove the dependence.
+        # the default thresholds a coded block's temporaries are mapped (over
+        # 128 KiB) or grow the heap and are trimmed back, page-faulting afresh
+        # each step; checked plane by plane, coding got measurably slower.
+        # fista and the network reuse their buffers, but the greedy kernel
+        # _Block still allocates per step, and in 256-column blocks many of
+        # its temporaries pass 128 KiB: chunking the check waits on it.
         if not np.isfinite(self.band_major).all():
             raise BundleFormatError("data", "non-finite values present")
         if (self.labels < 0).any():

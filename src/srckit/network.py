@@ -27,13 +27,15 @@ taken once per block, at the same cost at any rho, however often training
 moves it. Each stage keeps its band-space coefficients c in the trace, and
 its reverse node in ``backward`` is ``GramCache.stage_vjp`` on them, two more
 products. The per-pixel calls stay the reference: ``grad_check`` runs on
-them. ``train`` codes pixels, and ``classify.classify_testset`` codes them
-for every solver, in blocks of BLOCK_COLUMNS = 32. ``asdn`` is the network
-as a solver, called as the baselines in ``solvers`` are, and keeps no trace.
-In a CLI eval of 635 pixels over 426 atoms with 9 stages (one BLAS thread of
-a 2-vCPU Xeon) its forward pass takes about 60 us a pixel at 32, 64 or 128
-columns, where forward with its trace takes 65 at 32 and 100-110 at 64 or
-128, which sets the width; the run peaks at 72.2 MiB resident at each width.
+them. ``train`` codes its batches in blocks of BLOCK_COLUMNS = 32 pixels;
+``classify.classify_testset`` codes test sets in its own, wider blocks.
+``asdn`` is the network as a solver, called as the baselines in ``solvers``
+are, and keeps no trace. In a CLI eval of 635 pixels over 426 atoms with 9
+stages (one BLAS thread of a 2-vCPU Xeon) its forward pass takes about
+60 us a pixel at 32, 64 or 128 columns, where forward with its trace, as
+train runs it, takes 65 at 32 and 100-110 at 64 or 128: so training stays
+at 32 while the untraced test blocks widen; the run peaks at 72.2 MiB
+resident at each width.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ ETA_FLOOR = 0.0
 # the learnable groups, in the order params.json and grad_check list them,
 # each with the floor a gradient step projects it onto
 FLOORS = {"rho": RHO_FLOOR, "eta": ETA_FLOOR, "tau": TAU_FLOOR}
-BLOCK_COLUMNS = 32
+BLOCK_COLUMNS = 32  # train's block: forward with its trace is slower at 64-128 columns
 DEFAULT_STAGES = 9
 GRAD_ZERO_ATOL = 1e-12
 

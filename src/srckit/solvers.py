@@ -12,8 +12,9 @@ rebuilds each support, batched by size, for the rest. omp is gomp with one
 atom per step; romp adds a factor-2 window of its picks; sp and samp accept an
 expand-refit-prune-refit ``trial`` only where it lowers the residual.
 l1 family (weight lambda): fista, admm_fixed, each coding a block of pixel
-columns with per-column stop masks. ``admm_stage`` is the one scaled-form
-ADMM stage, shared by admm_fixed and the unrolled network.
+columns with per-column stop masks. fista is one in-place kernel over a row
+per pixel, as ``_Block`` is. ``admm_stage`` is the one scaled-form ADMM
+stage, shared by admm_fixed and the unrolled network.
 
 Every solver checks its parameters before it codes, K against the
 dictionary and the rest against PARAM_RANGES (``check_ranges``), which
@@ -106,29 +107,29 @@ def soft_threshold(v: np.ndarray, eta: float, out=None) -> np.ndarray:
 
 
 def lasso_objective(dictionary: Dictionary, x: np.ndarray, coeffs: np.ndarray,
-                    lam: float) -> float:
-    """0.5 * ||x - D a||^2 + lam * ||a||_1."""
+                    lam: float):
+    """0.5 * ||x - D a||^2 + lam * ||a||_1: a float for a pixel (bands,) and
+    its code (n_atoms,), one value per column for a block (bands, n) and its
+    code (n_atoms, n)."""
     r = x - dictionary.atoms @ coeffs
-    return 0.5 * float(r @ r) + lam * float(np.abs(coeffs).sum())
+    value = 0.5 * np.einsum("i...,i...->...", r, r) + lam * np.abs(coeffs).sum(axis=0)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def lasso_kkt_violation(dictionary: Dictionary, x: np.ndarray, lam: float,
-                        coeffs: np.ndarray) -> float:
-    """Max stationarity violation of the lasso optimality conditions at ``coeffs``.
+                        coeffs: np.ndarray):
+    """Max stationarity violation of the lasso optimality conditions at
+    ``coeffs``: a float for a pixel, one value per column for a block (as
+    ``lasso_objective``).
 
     On the support: | d_j^T (x - D a) - lam * sign(a_j) |.
     Off the support: max(| d_j^T (x - D a) | - lam, 0).
     """
     g = dictionary.atoms.T @ (x - dictionary.atoms @ coeffs)
     on = coeffs != 0
-    viol_on = np.abs(g[on] - lam * np.sign(coeffs[on]))
-    viol_off = np.maximum(np.abs(g[~on]) - lam, 0.0)
-    worst = 0.0
-    if viol_on.size:
-        worst = max(worst, float(viol_on.max()))
-    if viol_off.size:
-        worst = max(worst, float(viol_off.max()))
-    return worst
+    violation = np.where(on, np.abs(g - lam * np.sign(coeffs)), np.maximum(np.abs(g) - lam, 0.0))
+    worst = violation.max(axis=0, initial=0.0)
+    return float(worst) if np.ndim(worst) == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,7 @@ class _Block:
         self.coef = np.zeros((n, slots))
         self.size = np.zeros(n, dtype=np.int64)
         self.residual = self.rows.copy()
+        self.mags = np.empty((n, self.n_atoms + 1))  # picks' work, a last column for unused slots
         if bordered:
             # W = L^-1 has D_S's condition number; (D_S^T D_S)^-1 has its square
             self.inverse = np.zeros((n, slots, slots))
@@ -253,7 +255,8 @@ class _Block:
         descending |correlation| with its residual: first-argmax passes, so
         ties go to the lowest index. Returns (picks, valid, magnitudes), each
         (len(cols), passes); valid is a prefix of each row."""
-        mags = np.zeros((len(cols), self.n_atoms + 1))  # a last column for unused slots
+        mags = self.mags[:len(cols)]
+        mags[:, -1] = 0.0
         np.matmul(self.residual[cols], self.atoms, out=mags[:, :-1])
         if self.copies is not None:
             mags[:, :-1] = mags[:, self.copies]  # equal atoms tie exactly
@@ -502,51 +505,78 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
     |F_t - F_{t-1}| <= tol * max(1, F_{t-1}) or when even a plain proximal
     step cannot lower F. ``callback``, when given, sees callback(alpha, F)
     once per iteration that accepts a step, for the columns that accepted
-    it: (n_atoms, k) and (k,), or (n_atoms,) and a float for a pixel."""
-    check_ranges(lam=lam, max_iters=max_iters, tol=tol)
-    atoms = dictionary.atoms
-    step = 1.0 / dictionary.lipschitz if dictionary.lipschitz > 0 else 1.0
-    xs = np.reshape(x, (len(x), -1))  # the still-running columns, indexed by cols
-    cols, coeffs = np.arange(xs.shape[1]), np.zeros((dictionary.n_atoms, xs.shape[1]))
-    alpha, y, t = coeffs.copy(), coeffs.copy(), np.ones(len(cols))
-    d_alpha, d_y = np.zeros_like(xs), np.zeros_like(xs)  # D alpha and D y
-    obj_prev = 0.5 * (xs ** 2).sum(axis=0)
+    it: (n_atoms, k) and (k,), or (n_atoms,) and a float for a pixel; these
+    are copies, which later iterations leave alone.
 
-    def prox_step(point, d_point, xs):
-        """The proximal step c from ``point``, with D c and F(c)."""
-        c = soft_threshold(point - step * (atoms.T @ (d_point - xs)), lam * step)
-        dc = atoms @ c
-        return c, dc, 0.5 * ((xs - dc) ** 2).sum(axis=0) + lam * np.abs(c).sum(axis=0)
+    The kernel works in place on one row per pixel, as ``_Block`` does.
+    Every array is allocated once per call: alpha and the candidate, and
+    their images under D, ping-pong between two buffers; y, D y and one
+    work array of each shape are updated in place. The running pixels are
+    the leading rows of each buffer, compacted when some stop, and only a
+    restart or a stuck step indexes rows. Its products and row sums round
+    differently from the column-major loop kept in ``tests/l1_reference.py``:
+    on 69 pixels of a 103-band, 426-atom Pavia-shaped bundle the codes agree
+    to 4e-13 relative at a 300-iteration cap."""
+    check_ranges(lam=lam, max_iters=max_iters, tol=tol)
+    atoms, n_atoms = dictionary.atoms, dictionary.n_atoms
+    step = 1.0 / dictionary.lipschitz if dictionary.lipschitz > 0 else 1.0
+    xs = np.array(np.reshape(x, (len(x), -1)).T, dtype=np.float64, order="C")  # a row per pixel
+    n, bands = xs.shape
+    coeffs = np.zeros((n_atoms, n))
+    alpha, y = np.zeros((n, n_atoms)), np.zeros((n, n_atoms))
+    cand, work_a = np.empty((n, n_atoms)), np.empty((n, n_atoms))
+    d_alpha, d_y = np.zeros_like(xs), np.zeros_like(xs)
+    d_cand, work_b = np.empty_like(xs), np.empty_like(xs)
+    cols, t, obj_prev = np.arange(n), np.ones(n), 0.5 * np.square(xs).sum(axis=1)
+
+    def prox_step(point, d_point, xs, c, dc, work_a, work_b):
+        """The proximal step from ``point`` into c, with D c into dc; returns F(c)."""
+        np.matmul(np.subtract(d_point, xs, out=work_b), atoms, out=work_a)
+        np.subtract(point, np.multiply(work_a, step, out=work_a), out=work_a)
+        soft_threshold(work_a, lam * step, out=c)
+        np.matmul(c, atoms.T, out=dc)
+        np.subtract(xs, dc, out=work_b)
+        return 0.5 * np.square(work_b, out=work_b).sum(axis=1) + \
+            lam * np.abs(c, out=work_a).sum(axis=1)
 
     for _ in range(max_iters):
-        candidate, d_candidate, obj = prox_step(y, d_y, xs)
+        k = len(cols)  # the running pixels' rows of every buffer
+        a, c, da, dc, yk, dyk, xk = (
+            buf[:k] for buf in (alpha, cand, d_alpha, d_cand, y, d_y, xs))
+        obj = prox_step(yk, dyk, xk, c, dc, work_a[:k], work_b[:k])
         worse = obj > obj_prev
         if worse.any():
             # restart: kill the momentum, take a plain proximal step
             t[worse] = 1.0
-            candidate[:, worse], d_candidate[:, worse], obj[worse] = prox_step(
-                alpha[:, worse], d_alpha[:, worse], xs[:, worse])
+            rows = np.flatnonzero(worse)
+            c_r, dc_r = np.empty((len(rows), n_atoms)), np.empty((len(rows), bands))
+            obj[rows] = prox_step(a[rows], da[rows], xk[rows], c_r, dc_r,
+                                  work_a[:len(rows)], work_b[:len(rows)])
+            c[rows], dc[rows] = c_r, dc_r
         stuck = obj > obj_prev  # cannot decrease at working precision
-        candidate[:, stuck] = alpha[:, stuck]
+        if stuck.any():
+            c[stuck] = a[stuck]
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y = candidate + beta * (candidate - alpha)
-        d_y = d_candidate + beta * (d_candidate - d_alpha)
-        alpha, d_alpha, t = candidate, d_candidate, t_next
+        beta = ((t - 1.0) / t_next)[:, None]
+        np.add(c, np.multiply(np.subtract(c, a, out=yk), beta, out=yk), out=yk)
+        np.add(dc, np.multiply(np.subtract(dc, da, out=dyk), beta, out=dyk), out=dyk)
+        alpha, cand, d_alpha, d_cand, t = cand, alpha, d_cand, d_alpha, t_next
         if callback is not None and not stuck.all():
-            go = ~stuck if np.ndim(x) > 1 else 0
-            callback(alpha[:, go], obj[go])
+            go = ~stuck
+            kept, objs = c[go].T, obj[go]  # copies: the buffers are reused
+            callback(*((kept, objs) if np.ndim(x) > 1 else (kept[:, 0], objs[0])))
         done = stuck | (np.abs(obj - obj_prev) <= tol * np.maximum(1.0, obj_prev))
         obj_prev = obj
         if done.any():
-            coeffs[:, cols[done]] = alpha[:, done]
+            coeffs[:, cols[done]] = c[done].T
             keep = ~done
-            cols, xs, alpha, d_alpha, y, d_y, t, obj_prev = (
-                a[..., keep] for a in (cols, xs, alpha, d_alpha, y, d_y, t, obj_prev))
+            for buf in (alpha, d_alpha, y, d_y, xs):
+                buf[:keep.sum()] = buf[:k][keep]
+            cols, t, obj_prev = cols[keep], t[keep], obj_prev[keep]
             if cols.size == 0:
                 break
-    coeffs[:, cols] = alpha
-    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))
+    coeffs[:, cols] = alpha[:len(cols)].T
+    return SparseCode.from_dense(coeffs.reshape((n_atoms,) + np.shape(x)[1:]))
 
 
 def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 import greedy_reference as reference
-from srckit import dictionary, network, solvers
+from srckit import classify, dictionary, network, solvers
 from srckit.classify import (check_fit, classify_testset, make_solver, solver_kwargs,
                              src_decide, sweep)
 from srckit.data import pixels_to_cube
@@ -510,9 +510,9 @@ def test_fista_column_that_restarts_then_gets_stuck(monkeypatch):
     prox_calls = []
     threshold = solvers.soft_threshold
 
-    def counted(v, eta):
+    def counted(v, eta, **kwargs):
         prox_calls.append(1)
-        return threshold(v, eta)
+        return threshold(v, eta, **kwargs)
 
     monkeypatch.setattr(solvers, "soft_threshold", counted)
     lam, cap = 0.1, 20000
@@ -552,6 +552,17 @@ def test_classify_asdn_threads_bit_identical():
     assert serial.tobytes() == threaded.tobytes()
 
 
+def block_widths(n):
+    """The widths classify_testset codes n pixels in: ceil(n / W) blocks
+    for W = classify.BLOCK_COLUMNS, the first n % blocks one column wider."""
+    blocks = -(-n // classify.BLOCK_COLUMNS)
+    return [n // blocks + (i < n % blocks) for i in range(blocks)]
+
+
+# PIXELS' 90 columns make one block at the module's width and three at 32
+BLOCK_WIDTHS = (classify.BLOCK_COLUMNS, 32)
+
+
 def test_classify_codes_on_the_calling_thread(monkeypatch):
     idents = []
 
@@ -564,10 +575,13 @@ def test_classify_codes_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(network, "forward", on_thread(network.forward))
     monkeypatch.setattr(solvers, "omp", on_thread(solvers.omp))
     net = random_net(np.random.default_rng(3))
-    classify_testset(D, PIXELS, "asdn", {"net": net})
-    classify_testset(D, PIXELS, "omp", {"k": 3})
-    blocks = -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
-    assert idents == [threading.get_ident()] * (2 * blocks)
+    for width in BLOCK_WIDTHS:
+        monkeypatch.setattr(classify, "BLOCK_COLUMNS", width)
+        idents.clear()
+        classify_testset(D, PIXELS, "asdn", {"net": net})
+        classify_testset(D, PIXELS, "omp", {"k": 3})
+        blocks = len(block_widths(PIXELS.shape[1]))
+        assert idents == [threading.get_ident()] * (2 * blocks)
 
 
 @pytest.mark.parametrize("solver, params", [
@@ -582,9 +596,26 @@ def test_classify_calls_each_greedy_solver_once_per_block(monkeypatch, solver, p
         return original(dictionary_, x, **kwargs)
 
     monkeypatch.setattr(solvers, solver, counted)
-    classify_testset(D, PIXELS, solver, params)
-    width, n = network.BLOCK_COLUMNS, PIXELS.shape[1]
-    assert widths_seen == [min(width, n - start) for start in range(0, n, width)]
+    for width in BLOCK_WIDTHS:
+        monkeypatch.setattr(classify, "BLOCK_COLUMNS", width)
+        widths_seen.clear()
+        classify_testset(D, PIXELS, solver, params)
+        assert widths_seen == block_widths(PIXELS.shape[1])
+
+
+def test_classify_labels_do_not_depend_on_the_block_width(monkeypatch):
+    # 300 pixels: two blocks of 150 at the module's width, ten of 30 at 32
+    data = subspace_classes(8, n_classes=3, dim=16, sub_dim=3, n_dict=8,
+                            n_train=1, n_test=100, noise=0.02)
+    d = assemble(data.dict_pixels, data.dict_labels)
+    runs = [("omp", {"k": 3}), ("fista", {"lam": 0.05, "max_iters": 100}),
+            ("asdn", {"net": random_net(np.random.default_rng(4))})]
+    labels = []
+    for width in BLOCK_WIDTHS:
+        monkeypatch.setattr(classify, "BLOCK_COLUMNS", width)
+        labels.append([classify_testset(d, data.test_pixels, solver, params).tolist()
+                       for solver, params in runs])
+    assert labels[0] == labels[1]
 
 
 class TestBenchmarkHooks:
@@ -604,9 +635,12 @@ class TestBenchmarkHooks:
 
     def test_classify_asdn_reaches_forward(self, monkeypatch):
         seen = self.counting_forward(monkeypatch)
-        classify_testset(D, PIXELS, "asdn", {"n_stages": 2})
-        assert sum(seen) == PIXELS.shape[1]
-        assert max(seen) == network.BLOCK_COLUMNS
+        for width in BLOCK_WIDTHS:
+            monkeypatch.setattr(classify, "BLOCK_COLUMNS", width)
+            seen.clear()
+            classify_testset(D, PIXELS, "asdn", {"n_stages": 2})
+            assert sum(seen) == PIXELS.shape[1]
+            assert seen == block_widths(PIXELS.shape[1])
 
     def test_train_reaches_forward_and_stepped(self, monkeypatch):
         seen = self.counting_forward(monkeypatch)
@@ -675,9 +709,12 @@ class TestBenchmarkHooks:
                 calls.append((len(steps), bound.arguments["max_iters"]))
 
         monkeypatch.setattr(solvers, "fista", counted)
-        classify_testset(D, PIXELS, "fista", {"lam": 0.05, "max_iters": 40})
-        assert len(calls) == -(-PIXELS.shape[1] // network.BLOCK_COLUMNS)
-        assert all(1 <= steps <= cap for steps, cap in calls)
+        for width in BLOCK_WIDTHS:
+            monkeypatch.setattr(classify, "BLOCK_COLUMNS", width)
+            calls.clear()
+            classify_testset(D, PIXELS, "fista", {"lam": 0.05, "max_iters": 40})
+            assert len(calls) == len(block_widths(PIXELS.shape[1]))
+            assert all(1 <= steps <= cap for steps, cap in calls)
 
     def test_lipschitz_computed_once_per_dictionary(self, monkeypatch):
         runs = []

@@ -165,3 +165,42 @@ class TestAdmmFixed:
             admm_fixed(d, x, max_iters=0)
         with pytest.raises(ValueError, match="tol"):
             admm_fixed(d, x, tol=-1e-9)
+
+
+class TestLassoOracles:
+    """``lasso_objective`` and ``lasso_kkt_violation`` take a block's code
+    (n_atoms, n) and return one value per column: the per-column values,
+    up to the rounding of a block product against a column's."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12),
+           lam=st.sampled_from([0.0, 0.01, 0.3]))
+    def test_block_values_match_column_calls(self, seed, width, lam):
+        rng = np.random.default_rng(seed)
+        d = random_unit_dictionary(seed % 97, 20, 35)
+        x = rng.standard_normal((20, width))
+        coeffs = rng.standard_normal((35, width)) * (rng.random((35, width)) < 0.3)
+        coeffs[:, 0] = 0.0  # a zero code: every atom off the support
+        objective = lasso_objective(d, x, coeffs, lam)
+        kkt = lasso_kkt_violation(d, x, lam, coeffs)
+        assert objective.shape == kkt.shape == (width,)
+        for j in range(width):
+            one = lasso_objective(d, x[:, j], coeffs[:, j], lam)
+            assert isinstance(one, float)
+            assert objective[j] == pytest.approx(one, rel=1e-13, abs=1e-13)
+            one = lasso_kkt_violation(d, x[:, j], lam, coeffs[:, j])
+            assert isinstance(one, float)
+            assert kkt[j] == pytest.approx(one, rel=1e-12, abs=1e-12)
+
+    def test_pixel_values_follow_their_definitions(self):
+        d = random_unit_dictionary(3, 20, 35)
+        rng = np.random.default_rng(3)
+        x, a, lam = rng.standard_normal(20), rng.standard_normal(35), 0.2
+        a[::3] = 0.0
+        r = x - d.atoms @ a
+        assert lasso_objective(d, x, a, lam) == pytest.approx(
+            0.5 * r @ r + lam * np.abs(a).sum(), rel=1e-14)
+        g, on = d.atoms.T @ r, a != 0
+        want = max(np.abs(g[on] - lam * np.sign(a[on])).max(),
+                   np.maximum(np.abs(g[~on]) - lam, 0.0).max())
+        assert lasso_kkt_violation(d, x, lam, a) == want
