@@ -87,11 +87,11 @@ class NetParams:
             raise ValueError(
                 f"shape mismatch: rho has {len(self.rho)} entries, eta {n}, "
                 f"tau {len(self.tau)}; want (n+1, n, n)")
-        for name in FLOORS:
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} contains non-finite entries")
         for name, floor in FLOORS.items():
-            if (getattr(self, name) < floor).any():
+            values = getattr(self, name)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} contains non-finite entries")
+            if (values < floor).any():
                 raise ValueError(f"{name} entries must be "
                                  + (f">= {floor}" if floor else "nonnegative"))
         check_ranges(relax=self.relax)
@@ -169,12 +169,16 @@ class StageTrace:
     c_seq: np.ndarray
 
 
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    if not 1 <= label <= n_classes:
-        raise ValueError(f"label {label} outside 1..{n_classes}")
-    y = np.zeros(n_classes)
-    y[label - 1] = 1.0
-    return y
+def one_hot(labels, n_classes: int) -> np.ndarray:
+    """One-hot targets for integer labels in 1..n_classes: (n_classes,) for
+    one label, (n_classes, n) with one column per label for n labels."""
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    outside = labels[(labels < 1) | (labels > n_classes)]
+    if outside.size:
+        raise ValueError(f"labels outside 1..{n_classes}: {outside[0]}")
+    return np.equal.outer(np.arange(1, n_classes + 1), labels).astype(np.float64)
 
 
 def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
@@ -238,27 +242,24 @@ def class_residuals(dictionary: Dictionary, code, x: np.ndarray) -> np.ndarray:
     return residuals
 
 
-def _log_sum_exp_neg(residuals: np.ndarray) -> float:
-    neg = -residuals
-    shift = neg.max()
-    return float(shift + math.log(np.exp(neg - shift).sum()))
+def loss(residuals: np.ndarray, y: np.ndarray):
+    """Softmax cross-entropy over negated residuals and its gradient, (E, dE/dr).
 
-
-def class_probabilities(residuals: np.ndarray) -> np.ndarray:
-    """softmax(-residuals): small residual means high class probability.
-    On (n_classes, n) residuals each column is one pixel's softmax."""
-    neg = -np.asarray(residuals, dtype=np.float64)
-    neg -= neg.max(axis=0)
-    p = np.exp(neg)
-    return p / p.sum(axis=0)
-
-
-def loss(residuals: np.ndarray, y: np.ndarray) -> float:
-    """Softmax cross-entropy over negated residuals: for one-hot y at class t,
-    E = r_t + log sum_j exp(-r_j). Max-shifted for stability; always >= 0."""
+    For one-hot y at class t, E = r_t + log sum_j exp(-r_j) >= 0, and
+    dE/dr = y - softmax(-r): a small residual means a high class probability,
+    and raising the true class's residual raises the loss. Both are shifted
+    by min r for stability. One pixel's (n_classes,) residuals give E as a
+    float; a block's (n_classes, n) give one E per column, and dE/dr is
+    shaped like the residuals.
+    """
     residuals = np.asarray(residuals, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return float(residuals @ y) + _log_sum_exp_neg(residuals)
+    low = residuals.min(axis=0)
+    p = np.exp(low - residuals)
+    total = p.sum(axis=0)
+    p /= total
+    e = (residuals * y).sum(axis=0) + (np.log(total) - low)
+    return (float(e) if residuals.ndim == 1 else e), y - p
 
 
 def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
@@ -270,9 +271,8 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     ``x`` is one pixel with one-hot ``y`` (n_classes,), or a block (bands, n)
     with one-hot columns ``y`` (n_classes, n) and the trace of its forward
     pass; a block's gradients and loss are the sums over its columns.
-    Reverse traversal of the stage graph. The loss seed is
-    dE/dr_i = y_i - p_i with p = softmax(-r) (raising the true class's
-    residual raises the loss), composed with dr_i/dalpha = -D_i^T (x - D_i a_i)
+    Reverse traversal of the stage graph, seeded by the dE/dr that ``loss``
+    returns with the losses, composed with dr_i/dalpha = -D_i^T (x - D_i a_i)
     on each class block. The soft-threshold derivative is taken as 0 exactly
     at |v| = eta. Each sparsity node's reverse step is
     ``GramCache.stage_vjp`` on the c its forward stage kept, two products
@@ -286,12 +286,8 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     x = np.asarray_chkfinite(x)
     y = np.asarray_chkfinite(y, dtype=np.float64)
 
-    residuals = class_residuals(dictionary, alpha_out, x)
-    c = dictionary.n_classes
-    # per-pixel losses summed in column order: a one-column block is bit-equal
-    loss_value = sum(loss(r, t) for r, t in zip(residuals.reshape(c, -1).T,
-                                                y.reshape(c, -1).T))
-    seed = y - class_probabilities(residuals)
+    losses, seed = loss(class_residuals(dictionary, alpha_out, x), y)
+    loss_value = float(np.sum(losses))
 
     g_alpha = np.zeros_like(alpha_out)
     for i in range(1, dictionary.n_classes + 1):
@@ -336,18 +332,14 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     return grads, loss_value
 
 
-def pixel_loss(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
-               params: NetParams) -> float:
-    code, _ = forward(dictionary, x, params, keep_trace=False)
-    return loss(class_residuals(dictionary, code, x), y)
-
-
 def mean_loss(dictionary: Dictionary, pixels: np.ndarray, labels,
               params: NetParams) -> float:
-    """Mean per-pixel loss of the network at fixed parameters."""
-    c = dictionary.n_classes
-    return sum(pixel_loss(dictionary, pixels[:, j], one_hot(int(label), c), params)
-               for j, label in enumerate(labels)) / len(labels)
+    """Mean per-pixel loss of the network at fixed parameters, over the
+    (bands, n) ``pixels`` coded as one block."""
+    code, _ = forward(dictionary, pixels, params, keep_trace=False)
+    losses, _ = loss(class_residuals(dictionary, code, pixels),
+                     one_hot(labels, dictionary.n_classes))
+    return float(losses.mean())
 
 
 def kink_margin(trace: StageTrace, params: NetParams) -> float:
@@ -389,6 +381,10 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     _, trace = forward(dictionary, x, params)
     analytic, loss_value = backward(dictionary, x, y, params, trace)
 
+    def loss_at(net):
+        code, _ = forward(dictionary, x, net, keep_trace=False)
+        return loss(class_residuals(dictionary, code, x), y)[0]
+
     rel_error, zero = {}, {}
     for name in FLOORS:
         grads = analytic[name]
@@ -398,8 +394,7 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
             plus, minus = params.copy(), params.copy()
             getattr(plus, name)[idx] += step
             getattr(minus, name)[idx] -= step
-            fd = (pixel_loss(dictionary, x, y, plus)
-                  - pixel_loss(dictionary, x, y, minus)) / (2.0 * step)
+            fd = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
             denom = max(abs(g), abs(fd))
             if denom < GRAD_ZERO_ATOL:
                 flags[idx] = True
@@ -436,11 +431,7 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
         raise ValueError("no training pixels")
     if len(labels) != n:
         raise ValueError(f"{n} pixels but {len(labels)} labels")
-    c = dictionary.n_classes
-    if labels.min() < 1 or labels.max() > c:
-        raise ValueError(f"labels outside 1..{c}")
-    onehots = np.zeros((c, n))
-    onehots[labels - 1, np.arange(n)] = 1.0
+    onehots = one_hot(labels, dictionary.n_classes)
 
     params = (NetParams.default() if init is None else init).copy()
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ gradient the same way, recovering the forward solve from the trace.
 """
 import numpy as np
 
-from srckit.network import StageTrace, class_probabilities, class_residuals, loss
+from srckit.network import StageTrace, class_residuals, loss
 from srckit.solvers import SparseCode, soft_threshold
 
 
@@ -57,9 +57,9 @@ def backward(dictionary, x, y, params, trace):
     ``x`` is one pixel with one-hot ``y`` (n_classes,), or a block (bands, n)
     with one-hot columns ``y`` (n_classes, n) and the trace of its forward
     pass; a block's gradients and loss are the sums over its columns.
-    Reverse traversal of the stage graph. The loss seed is
-    dE/dr_i = y_i - p_i with p = softmax(-r) (raising the true class's
-    residual raises the loss), composed with dr_i/dalpha = -D_i^T (x - D_i a_i)
+    Reverse traversal of the stage graph. The loss and its seed
+    dE/dr_i = y_i - p_i with p = softmax(-r) come from ``srckit.network.loss``,
+    the seed composed with dr_i/dalpha = -D_i^T (x - D_i a_i)
     on each class block. The soft-threshold derivative is taken as 0 exactly
     at |v| = eta. Each sparsity node's reverse step solves the gradient
     through ``GramCache.solve`` and recovers its forward solve from alpha.
@@ -71,13 +71,8 @@ def backward(dictionary, x, y, params, trace):
     alpha_out = trace.alpha_seq[n]
     zeros = np.zeros_like(alpha_out)
 
-    residuals = class_residuals(dictionary, alpha_out, x)
-    y = np.asarray(y, dtype=np.float64)
-    c = dictionary.n_classes
-    # per-pixel losses summed in column order: a one-column block is bit-equal
-    loss_value = sum(loss(r, t) for r, t in zip(residuals.reshape(c, -1).T,
-                                                y.reshape(c, -1).T))
-    seed = y - class_probabilities(residuals)
+    losses, seed = loss(class_residuals(dictionary, alpha_out, x), y)
+    loss_value = float(np.sum(losses))
 
     g_alpha = np.zeros_like(alpha_out)
     for i in range(1, dictionary.n_classes + 1):

@@ -544,14 +544,6 @@ def test_l1_all_zero_column_codes_to_zero():
     assert seen == [0.0]
 
 
-def test_classify_asdn_threads_bit_identical():
-    net = random_net(np.random.default_rng(3))
-    assert PIXELS.shape[1] > 2 * network.BLOCK_COLUMNS  # several blocks
-    serial = classify_testset(D, PIXELS, "asdn", {"net": net})
-    threaded = classify_testset(D, PIXELS, "asdn", {"net": net})
-    assert serial.tobytes() == threaded.tobytes()
-
-
 def block_widths(n):
     """The widths classify_testset codes n pixels in: ceil(n / W) blocks
     for W = classify.BLOCK_COLUMNS, the first n % blocks one column wider."""

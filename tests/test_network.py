@@ -184,11 +184,11 @@ class TestResidualsAndLoss:
             assert r[i - 1] == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_residuals_give_log_c(self):
-        assert loss(np.zeros(2), one_hot(1, 2)) == pytest.approx(math.log(2.0))
+        assert loss(np.zeros(2), one_hot(1, 2))[0] == pytest.approx(math.log(2.0))
 
     def test_worked_example(self):
         expected = math.log(1.0 + math.exp(-2.0))
-        assert loss(np.array([1.0, 3.0]), one_hot(1, 2)) == pytest.approx(
+        assert loss(np.array([1.0, 3.0]), one_hot(1, 2))[0] == pytest.approx(
             expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -197,13 +197,60 @@ class TestResidualsAndLoss:
     def test_shift_invariance(self, residuals, shift):
         r = np.asarray(residuals)
         y = one_hot(1, len(r))
-        assert loss(r + shift, y) == pytest.approx(loss(r, y), abs=1e-12)
+        assert loss(r + shift, y)[0] == pytest.approx(loss(r, y)[0], abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             r = rng.uniform(-5, 5, size=4)
-            assert loss(r, one_hot(int(rng.integers(1, 5)), 4)) >= 0.0
+            assert loss(r, one_hot(int(rng.integers(1, 5)), 4))[0] >= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.5, 5.0, 40.0]))
+    def test_block_columns_match_one_pixel_calls(self, c, n, seed, scale):
+        # a block sums each column's exponentials in another order than one
+        # pixel does (C >= 8); over 30 000 random blocks of 1-16 classes the
+        # largest gap was 4 eps * max(1, max |r|) in E and 4 eps in dE/dr
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-scale, scale, (c, n))
+        y = one_hot(rng.integers(1, c + 1, n), c)
+        losses, seed_block = loss(r, y)
+        assert losses.shape == (n,) and seed_block.shape == (c, n)
+        eps = np.finfo(np.float64).eps
+        for j in range(n):
+            e, g = loss(r[:, j], y[:, j])
+            assert isinstance(e, float) and g.shape == (c,)
+            assert abs(losses[j] - e) <= 8 * eps * max(1.0, np.abs(r[:, j]).max())
+            assert np.abs(seed_block[:, j] - g).max() <= 8 * eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_gradient_matches_central_differences(self, c, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-5.0, 5.0, c)
+        y = one_hot(int(rng.integers(1, c + 1)), c)
+        _, grad = loss(r, y)
+        step = 1e-5
+        for i in range(c):
+            plus, minus = r.copy(), r.copy()
+            plus[i] += step
+            minus[i] -= step
+            fd = (loss(plus, y)[0] - loss(minus, y)[0]) / (2 * step)
+            assert grad[i] == pytest.approx(fd, abs=1e-8)
+        # each column of dE/dr = y - softmax(-r) sums to zero
+        assert abs(grad.sum()) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 8), st.floats(-50, 50))
+    def test_equal_residuals_give_log_c(self, c, n, value):
+        labels = np.arange(n) % c + 1
+        losses, grad = loss(np.full((c, n), value), one_hot(labels, c))
+        assert losses == pytest.approx(np.full(n, math.log(c)), abs=1e-13)
+        assert grad == pytest.approx(one_hot(labels, c) - 1.0 / c, abs=1e-15)
+        e, g = loss(np.full(c, value), one_hot(1, c))
+        assert e == pytest.approx(math.log(c), abs=1e-13)
+        assert g == pytest.approx(one_hot(1, c) - 1.0 / c, abs=1e-15)
 
 
 class TestBackward:
@@ -384,6 +431,8 @@ class TestTrain:
         d, px, lb = self.make_problem(6)
         with pytest.raises(ValueError, match="labels"):
             train(d, px, np.zeros_like(lb), epochs=1)
+        with pytest.raises(ValueError, match="labels outside 1..2"):
+            train(d, px, np.where(np.arange(len(lb)) == 3, d.n_classes + 1, lb), epochs=1)
 
     def test_pixel_and_label_counts(self):
         d, px, lb = self.make_problem(6)
@@ -412,7 +461,7 @@ def test_mean_loss_matches_manual():
     manual = []
     for j, label in enumerate(lb):
         code, _ = forward(d, px[:, j], params)
-        manual.append(loss(class_residuals(d, code, px[:, j]), one_hot(label, 2)))
+        manual.append(loss(class_residuals(d, code, px[:, j]), one_hot(label, 2))[0])
     assert mean_loss(d, px, lb, params) == pytest.approx(np.mean(manual), rel=1e-12)
 
 
@@ -422,3 +471,15 @@ def test_one_hot_validation():
         one_hot(0, 3)
     with pytest.raises(ValueError):
         one_hot(4, 3)
+    # an array of labels gives one column per label
+    assert one_hot([2, 1, 3, 2], 3).tolist() == [[0.0, 1.0, 0.0, 0.0],
+                                                [1.0, 0.0, 0.0, 1.0],
+                                                [0.0, 0.0, 1.0, 0.0]]
+    assert one_hot(np.array([1, 2], dtype=np.int32), 2).dtype == np.float64
+    assert one_hot(np.zeros(0, dtype=np.int64), 3).shape == (3, 0)
+    for bad in ([1, 0, 2], [3, 4], np.array([[1], [5]])):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            one_hot(bad, 3)
+    for bad in (1.5, [1.0, 2.0], [True, False]):
+        with pytest.raises(ValueError, match="integers"):
+            one_hot(bad, 3)
