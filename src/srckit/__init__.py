@@ -7,7 +7,7 @@ seeded parameter sweeps, and a config-driven CLI. The benchmark harness
 lives outside the package, in ``perfbench/``.
 """
 from .classify import (ClassificationReport, SweepResult, classify_testset,
-                       evaluate, make_solver, src_decide, sweep)
+                       evaluate, src_decide, sweep)
 from .data import (BundleFormatError, LabeledCube, Split, SplitMix64,
                    extract_pixels, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle)
@@ -26,7 +26,7 @@ __all__ = [
     "StageTrace", "SweepResult", "TrainingDiverged", "admm_fixed", "asdn", "assemble",
     "backward", "class_residuals", "classify_testset", "evaluate", "extract_pixels",
     "fista", "forward", "gomp", "grad_check", "lasso_kkt_violation", "lasso_objective",
-    "load_bundle", "load_pixel_csv", "loss", "make_solver", "make_split", "mean_loss",
+    "load_bundle", "load_pixel_csv", "loss", "make_split", "mean_loss",
     "omp", "one_hot", "pixels_to_cube", "romp", "samp", "save_bundle", "soft_threshold",
     "sp", "src_decide", "sweep", "train",
 ]

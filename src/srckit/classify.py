@@ -225,36 +225,25 @@ def check_fit(dictionary: Dictionary, name: str, params: dict | None = None) -> 
                                        if key in taken})
 
 
-def make_solver(dictionary: Dictionary, name: str, params: dict | None = None):
-    """Build a solver callable ``x -> SparseCode`` that codes one pixel
-    (bands,) or a block of pixel columns (bands, n).
-
-    ``name`` is one of SOLVER_NAMES and ``params`` its parameter record
-    (see solver_kwargs). Every solver, the network included, is called the
-    same way and looked up on its module (SOLVER_MODULES) at every call.
-    admm_fixed and asdn run their stages through the dictionary's
-    ``gram_cache``, built with the dictionary's SVD at their first block and
-    reused by later solvers over the same dictionary. Parameters whose
-    bounds depend on the dictionary are checked by ``check_fit``.
-    """
-    kwargs, module = solver_kwargs(name, params), SOLVER_MODULES[name]
-    return lambda x: getattr(module, name)(dictionary, x, **kwargs)
-
-
 def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
                      params: dict | None = None) -> np.ndarray:
     """Code every pixel column and apply the residual decision rule.
 
-    Pixels are coded in ceil(n / BLOCK_COLUMNS) near-equal blocks (their
-    widths differ by at most one), one call of the ``make_solver`` callable
-    and one ``src_decide`` per block, all on the calling thread. Solvers
-    that solve with (D^T D + rho*I) share the dictionary's ``gram_cache``.
+    ``params``, the record of ``solver`` (one of SOLVER_NAMES), is resolved
+    once by ``solver_kwargs``; bounds that depend on the dictionary are
+    ``check_fit``'s. Pixels are coded in ceil(n / BLOCK_COLUMNS) near-equal
+    blocks (widths differ by at most one) on the calling thread, with one
+    call of the solver, looked up on its module at every block, and one
+    ``src_decide`` per block. admm_fixed and asdn share the dictionary's
+    ``gram_cache``, built at their first block.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
-    solve = make_solver(dictionary, solver, params)
+    kwargs, module = solver_kwargs(solver, params), SOLVER_MODULES[solver]
     blocks = np.array_split(pixels, -(-pixels.shape[1] // BLOCK_COLUMNS), axis=1)
-    return np.concatenate([src_decide(dictionary, solve(x), x) for x in blocks]).astype(np.int64)
+    codes = (getattr(module, solver)(dictionary, x, **kwargs) for x in blocks)
+    return np.concatenate([src_decide(dictionary, code, x)
+                           for code, x in zip(codes, blocks)]).astype(np.int64)
 
 
 @dataclass
@@ -301,7 +290,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
     failure while coding names its grid value in a RuntimeError raised from
     the cause. Each draw's dictionary is checked against every grid
     value (``check_fit``) before that draw codes a pixel, so a value that
-    does not fit fails first, from a solvers.SizeError.
+    does not fit fails first, with a solvers.SizeError that names it.
     """
     grid = np.asarray(list(grid), dtype=np.float64)
     if grid.size == 0:
@@ -321,7 +310,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
             try:
                 check_fit(dictionary, solver, record)
             except solvers.SizeError as exc:
-                raise RuntimeError(f"sweep failed at {parameter}={value}: {exc}") from exc
+                raise solvers.SizeError(f"sweep failed at {parameter}={value}: {exc}") from exc
         for gi, (value, record) in enumerate(zip(grid, records)):
             try:
                 pred = classify_testset(dictionary, test_pixels, solver, record)

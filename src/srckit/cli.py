@@ -19,7 +19,11 @@ loaded cube carries it, so the bundle is read once. Train and eval drop
 the cube once the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
-3 config error. Failures print a single-line JSON object to stderr.
+3 config error. Failures print a single-line JSON object to stderr. A
+config error is any input value or file found bad before --out exists: a
+key, a missing or malformed bundle, split, params, CSV or report file, or
+a ValueError the library raises on its inputs (one rule, ``_checked``), so
+a bundle that loads but leaves a class without pixels is one too.
 """
 from __future__ import annotations
 
@@ -96,9 +100,14 @@ def _read_json(path: Path, what: str, parse=lambda doc: doc):
         raise ConfigError(f"{what} file {path} is malformed: {exc!r}") from exc
 
 
+GRID_CAP = 10_000
+
+
 def parse_grid(text: str):
     """Grid syntax: "a:b" inclusive integer range, "a:b:s" stepped real
-    range, or a comma list of numbers."""
+    range, or a comma list of numbers. A stepped range needs finite bounds
+    and step, and a range may hold at most GRID_CAP = 10000 values: its
+    count is checked before any value is built."""
     text = text.strip()
     try:
         if "," in text:
@@ -109,17 +118,26 @@ def parse_grid(text: str):
                 lo, hi = int(parts[0]), int(parts[1])
                 if hi < lo:
                     raise ValueError(f"empty range {text!r}")
+                if hi - lo >= GRID_CAP:
+                    raise ValueError(f"the range holds more than {GRID_CAP} values")
                 return [float(v) for v in range(lo, hi + 1)]
             if len(parts) == 3:
                 lo, hi, step = (float(p) for p in parts)
+                for name, value in (("lower bound", lo), ("upper bound", hi), ("step", step)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"the {name} must be finite, got {value}")
                 if step <= 0:
                     raise ValueError(f"step must be positive in {text!r}")
-                count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-                values = [lo + i * step for i in range(count)]
+                if hi < lo:
+                    raise ValueError(f"empty range {text!r}")
+                steps = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
+                if steps >= GRID_CAP:
+                    raise ValueError(f"the range holds more than {GRID_CAP} values")
+                values = [lo + i * step for i in range(math.floor(steps) + 1)]
                 return [v for v in values if v <= hi + 1e-12]
             raise ValueError(f"too many ':' in {text!r}")
         return [float(text)]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a float() of an int beyond float range
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
@@ -302,11 +320,11 @@ def _solver_params(config: dict) -> dict:
 
 
 def _checked(check, *args, **kwargs):
-    """Call a validator or constructor from the library; its ValueError is
-    a config error."""
+    """Call a validator, constructor or reader from the library; its
+    ValueError, or a FileNotFoundError for an input file, is a config error."""
     try:
         return check(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -314,12 +332,13 @@ def _load_cube(config: dict):
     bundle = Path(config["bundle"])
     if not bundle.is_dir():
         raise ConfigError(f"bundle directory not found: {bundle}")
-    return load_bundle(bundle)
+    return _checked(load_bundle, bundle)
 
 
 def _load_split(config: dict, cube) -> Split:
-    if not config["split_file"]:
-        return make_split(cube, config["dict_frac"], config["train_frac"], config["seed"])
+    if not config.get("split_file"):
+        return _checked(make_split, cube, config["dict_frac"], config["train_frac"],
+                        config["seed"])
     path = Path(config["split_file"])
     split = _read_json(path, "split", Split.from_json)
     _check_split(split, cube, path)
@@ -448,8 +467,8 @@ def _cmd_ingest(config: dict) -> int:
 def _cmd_split(config: dict) -> int:
     """draw and save a dictionary/train/test split"""
     cube = _load_cube(config)
+    split = _load_split(config, cube)
     outdir = _outdir(config)
-    split = make_split(cube, config["dict_frac"], config["train_frac"], config["seed"])
     # one line: indented, a split puts each of its many pixel ids on its own
     _write_json(outdir / "split.json", split.to_json(), indent=None)
     _manifest(outdir, "split", config, "bundle", digests=cube.digests)
@@ -506,15 +525,10 @@ def _cmd_sweep(config: dict) -> int:
     params = _solver_params(config)
     _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
     cube = _load_cube(config)
-    try:
-        result = _checked(sweep, cube, config["solver"], config["param"], config["grid"],
-                          runs=config["runs"], base_seed=config["base_seed"],
-                          dict_frac=config["dict_frac"], train_frac=config["train_frac"],
-                          normalize=config["normalize"], params=params)
-    except RuntimeError as exc:
-        if isinstance(exc.__cause__, solvers.SizeError):  # a grid value too large for the dictionary
-            raise ConfigError(str(exc)) from exc
-        raise
+    result = _checked(sweep, cube, config["solver"], config["param"], config["grid"],
+                      runs=config["runs"], base_seed=config["base_seed"],
+                      dict_frac=config["dict_frac"], train_frac=config["train_frac"],
+                      normalize=config["normalize"], params=params)
     outdir = _outdir(config)
     (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_json(outdir / "sweep.json", result.to_json())
@@ -526,12 +540,9 @@ def _cmd_sweep(config: dict) -> int:
 
 def _cmd_gradcheck(config: dict) -> int:
     """analytic vs finite-difference gradients"""
-    try:
-        dictionary, x, y, params = _checked(
-            synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
-            n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
-    except RuntimeError as exc:  # these sizes give no usable instance
-        raise ConfigError(str(exc)) from exc
+    dictionary, x, y, params = _checked(
+        synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
+        n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
     outdir = _outdir(config)
     report = grad_check(dictionary, x, y, params, step=config["fd_step"])
     doc = {"max_rel_error": report.max_rel_error, "loss": report.loss_value,

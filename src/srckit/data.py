@@ -33,7 +33,7 @@ _LABELS_NAME = "labels.bin"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-class BundleFormatError(Exception):
+class BundleFormatError(ValueError):
     """A bundle file is malformed; ``field`` names the offending piece."""
 
     def __init__(self, field_name: str, message: str):

@@ -212,7 +212,7 @@ def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
                out=(alpha[-1], c[-1], v[-1], None, None))
     trace = StageTrace(alpha_seq=alpha, z_seq=z[1:], u_seq=u[1:], pre_activation_seq=v[:n],
                        c_seq=c) if keep_trace else None
-    return SparseCode.from_dense(alpha[-1]), trace
+    return SparseCode(alpha[-1]), trace
 
 
 def asdn(dictionary: Dictionary, x: np.ndarray, net: NetParams | None = None,

@@ -49,28 +49,23 @@ _CORR_FLOOR_REL = 1e-12
 
 @dataclass
 class SparseCode:
-    """A coefficient vector plus the index set of its exact nonzeros.
+    """A coefficient vector, or a block of them (n_atoms, n).
 
-    ``support`` holds the atom index (first axis) of every nonzero: for a
-    pixel, its support; for a block (n_atoms, n), one entry per nonzero of
-    every column, so its size is the block's nonzero count and its unique
-    values the union of the columns' supports."""
+    ``support``, derived from ``coeffs`` when read, holds the atom index
+    (first axis) of every exact nonzero: for a pixel, its support; for a
+    block, one entry per nonzero of every column, so its size is the block's
+    nonzero count and its unique values the union of the columns' supports."""
 
     coeffs: np.ndarray
-    support: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        self.support = np.asarray(self.support, dtype=np.int64)
         if not np.isfinite(self.coeffs).all():
             raise ValueError("sparse code contains non-finite coefficients")
 
-    @classmethod
-    def from_dense(cls, coeffs: np.ndarray) -> "SparseCode":
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        # np.nonzero(coeffs)[0], from a count per atom: a few times faster
-        counts = np.count_nonzero(coeffs.reshape(len(coeffs), -1), axis=1)
-        return cls(coeffs=coeffs, support=np.repeat(np.arange(len(coeffs)), counts))
+    @property
+    def support(self) -> np.ndarray:
+        return np.nonzero(self.coeffs)[0]
 
 
 # Each solver parameter's range as (what it is, the range, its test). K's range
@@ -381,7 +376,7 @@ class _Block:
         pixel, slot = np.nonzero(np.arange(self.support.shape[1]) < self.size[:, None])
         coeffs = np.zeros((self.n_atoms, len(self.rows)))
         coeffs[self.support[pixel, slot], pixel] = self.coef[pixel, slot]
-        return SparseCode.from_dense(coeffs.reshape((self.n_atoms,) + self.shape))
+        return SparseCode(coeffs.reshape((self.n_atoms,) + self.shape))
 
 
 def omp(dictionary: Dictionary, x: np.ndarray, k: int,
@@ -576,7 +571,7 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
             if cols.size == 0:
                 break
     coeffs[:, cols] = alpha[:len(cols)].T
-    return SparseCode.from_dense(coeffs.reshape((n_atoms,) + np.shape(x)[1:]))
+    return SparseCode(coeffs.reshape((n_atoms,) + np.shape(x)[1:]))
 
 
 def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,
@@ -647,4 +642,4 @@ def admm_fixed(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1, rho: flo
             keep = ~done
             cols, utx, z, u = cols[keep], utx[:, keep], z[:, keep], u[:, keep]
     coeffs[:, cols] = z
-    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))
+    return SparseCode(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))

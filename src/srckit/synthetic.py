@@ -100,7 +100,7 @@ def gradcheck_instance(seed: int, n_bands: int = 20, n_atoms: int = 40,
     ``n_classes`` below 2 raises ValueError. With one band and classes of
     equal size the residuals tie at every draw (the loss is ln C and every
     gradient is rounding noise); when no draw of ``max_draws`` qualifies,
-    RuntimeError.
+    ValueError too.
     """
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2 for a nonzero loss, got {n_classes}")
@@ -128,5 +128,5 @@ def gradcheck_instance(seed: int, n_bands: int = 20, n_atoms: int = 40,
         if network.kink_margin(trace, params) > margin and spread > margin:
             y = network.one_hot(true_class, n_classes)
             return dictionary, x, y, params
-    raise RuntimeError(f"no kink-free instance found in {max_draws} draws (seed {seed}) "
-                       f"whose class residuals spread by more than {margin}")
+    raise ValueError(f"no kink-free instance found in {max_draws} draws (seed {seed}) "
+                     f"whose class residuals spread by more than {margin}")

@@ -37,7 +37,7 @@ def _ls_on_support(atoms_s, x):
 def _code_from_support(n_atoms, support, coef):
     coeffs = np.zeros(n_atoms)
     coeffs[support] = coef
-    return SparseCode.from_dense(coeffs)
+    return SparseCode(coeffs)
 
 
 def _grow(dictionary, x, tol, n_steps, select, sort):

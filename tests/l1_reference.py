@@ -66,4 +66,4 @@ def fista(dictionary: Dictionary, x: np.ndarray, lam: float = 0.1,
             if cols.size == 0:
                 break
     coeffs[:, cols] = alpha
-    return SparseCode.from_dense(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))
+    return SparseCode(coeffs.reshape((dictionary.n_atoms,) + np.shape(x)[1:]))

@@ -48,7 +48,7 @@ def forward(dictionary, x, params):
                                 params.relax)[0])
     trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
                        pre_activation_seq=v_seq, c_seq=[])
-    return SparseCode.from_dense(alpha_seq[-1]), trace
+    return SparseCode(alpha_seq[-1]), trace
 
 
 def backward(dictionary, x, y, params, trace):

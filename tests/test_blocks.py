@@ -1,10 +1,15 @@
 """Differential tests of the blocked network, greedy and l1 paths against the
 per-pixel reference paths, and the hooks the benchmark harness wraps."""
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -12,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_factor, cho_solve
 
 import greedy_reference as reference
 from srckit import classify, dictionary, network, solvers
-from srckit.classify import (check_fit, classify_testset, make_solver, solver_kwargs,
-                             src_decide, sweep)
-from srckit.data import pixels_to_cube
+from srckit.classify import check_fit, classify_testset, solver_kwargs, src_decide, sweep
+from srckit.data import pixels_to_cube, save_bundle
 from srckit.dictionary import GramCache, assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, backward,
                             class_residuals, forward, one_hot, train)
@@ -208,8 +213,7 @@ def test_classify_asdn_matches_per_pixel_solver(width, seed):
     rng = np.random.default_rng(seed)
     net = random_net(rng)
     x, _ = pick(rng, width)
-    solve = make_solver(D, "asdn", {"net": net})
-    want = [src_decide(D, solve(x[:, j]), x[:, j]) for j in range(width)]
+    want = [src_decide(D, network.asdn(D, x[:, j], net=net), x[:, j]) for j in range(width)]
     got = classify_testset(D, x, "asdn", {"net": net})
     assert got.dtype == np.int64
     assert got.tolist() == want
@@ -298,8 +302,7 @@ def test_classify_omp_matches_per_pixel_solver(width, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 9))
     x = greedy_block(rng, width, k)
-    solve = make_solver(D, "omp", {"k": k})
-    want = [src_decide(D, solve(x[:, j]), x[:, j]) for j in range(width)]
+    want = [src_decide(D, solvers.omp(D, x[:, j], k), x[:, j]) for j in range(width)]
     got = classify_testset(D, x, "omp", {"k": k})
     assert got.dtype == np.int64
     assert got.tolist() == want
@@ -387,6 +390,21 @@ def test_block_code_support_lists_atom_indices():
         assert np.unique(code.support).tolist() == union
     one = solvers.omp(D, x[:, 0], 4)
     assert np.array_equal(one.support, np.flatnonzero(one.coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                         elements=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))),
+       where=st.integers(0, 11))
+def test_a_code_has_one_representation(coeffs, where):
+    # a pixel (n_atoms,) or a block (n_atoms, n): the support is read off
+    # the coefficients, so the two can never disagree
+    assert [field.name for field in dataclasses.fields(solvers.SparseCode)] == ["coeffs"]
+    code = solvers.SparseCode(coeffs)
+    assert np.array_equal(code.support, np.nonzero(coeffs)[0])
+    atom = where % len(coeffs)
+    code.coeffs[atom] = 0.0 if code.coeffs[atom].any() else 1.5
+    assert np.array_equal(code.support, np.nonzero(code.coeffs)[0])
 
 
 def test_block_refit_falls_back_per_pixel_on_a_singular_sub_gram():
@@ -481,8 +499,8 @@ def test_classify_l1_matches_per_pixel_solver(width, seed, solver):
     rng = np.random.default_rng(seed)
     x = l1_block(rng, width)
     params = {"lam": float(rng.choice([0.01, 0.1])), "max_iters": 60}
-    solve = make_solver(D, solver, params)
-    want = [src_decide(D, solve(x[:, j]), x[:, j]) for j in range(width)]
+    solve = getattr(solvers, solver)
+    want = [src_decide(D, solve(D, x[:, j], **params), x[:, j]) for j in range(width)]
     got = classify_testset(D, x, solver, params)
     assert got.dtype == np.int64
     assert got.tolist() == want
@@ -750,6 +768,53 @@ class TestBenchmarkHooks:
                     for home, name in tables["PIXEL_ENTRY_POINTS"]]
         for owner, name in wrapped:
             assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+
+    def test_traced_child_runs(self, tmp_path):
+        """perfbench/child.py --trace 1 runs each workload's command shape on
+        a tiny bundle: its wrappers, its first-pixel marker and its hooks
+        (the omp support read off each block's code, fista's iteration
+        count) all see the calls classify makes."""
+        root = Path(__file__).parents[1]
+        data = subspace_classes(0, n_classes=3, dim=12, sub_dim=3, n_dict=4,
+                                n_train=6, n_test=10, noise=0.05)
+        save_bundle(pixels_to_cube(
+            np.hstack([data.dict_pixels, data.train_pixels, data.test_pixels]),
+            np.concatenate([data.dict_labels, data.train_labels, data.test_labels])),
+            tmp_path / "bundle")
+        NetParams.default(2, eta=0.01).save(tmp_path / "params.json")
+        common = ["--bundle", str(tmp_path / "bundle"), "--dict-frac", "0.2",
+                  "--train-frac", "0.25"]
+        shapes = {
+            "eval-omp": (["eval", *common, "--solver", "omp", "--K", "2"],
+                         "solvers.omp", "solvers.omp.support"),
+            "eval-asdn": (["eval", *common, "--solver", "asdn",
+                           "--params", str(tmp_path / "params.json")],
+                          "network.forward", "data.load_bundle.bytes"),
+            "train": (["train", *common, "--stages", "2", "--epochs", "1", "--batch-size", "6",
+                       "--init-eta", "0.01"], "network.stepped", "data.load_bundle.bytes"),
+            "sweep-fista": (["sweep", *common, "--solver", "fista", "--param", "lam",
+                             "--grid", "0.01,0.1", "--runs", "1", "--max-iters", "20"],
+                            "solvers.fista", "solvers.fista.iters"),
+        }
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        setup = {"cli.run", "data.load_bundle", "data.make_split", "data.extract_pixels",
+                 "dictionary.assemble", "bench.first_pixel"}
+        for name, (argv, span, value) in shapes.items():
+            report = tmp_path / f"{name}.json"
+            done = subprocess.run(
+                [sys.executable, str(root / "perfbench" / "child.py"), "--trace", "1",
+                 "--report", str(report), "--", *argv, "--out", str(tmp_path / name)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, (name, done.stderr)
+            doc = json.loads(report.read_text(encoding="utf-8"))
+            spans = [entry[0] for entry in doc["spans"]]
+            assert doc["status"] == 0 and setup | {span} <= set(spans), name
+            assert doc["values"][value] and all(v > 0 for v in doc["values"][value]), name
+        support = json.loads((tmp_path / "eval-omp.json").read_text())["values"]
+        # one support count per omp block: 36 test px make one block
+        assert len(support["solvers.omp.support"]) == 1
+        assert 0 < support["solvers.omp.support"][0] <= 2 * 36
 
     def test_signature_less_wrappers_change_nothing(self, monkeypatch):
         """Until the first coded pixel the benchmark replaces every pixel entry

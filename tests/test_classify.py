@@ -3,7 +3,7 @@ import pytest
 
 from srckit import solvers
 from srckit.classify import (ClassificationReport, check_fit, check_sweep, classify_testset,
-                             evaluate, make_solver, solver_kwargs, src_decide, sweep)
+                             evaluate, solver_kwargs, src_decide, sweep)
 from srckit.data import LabeledCube, pixels_to_cube
 from srckit.dictionary import assemble
 from srckit.network import NetParams
@@ -36,15 +36,14 @@ class TestSrcDecide:
                                 n_train=1, n_test=1, noise=0.0)
         d = assemble(data.dict_pixels, data.dict_labels)
         x = data.test_pixels[:, 1]  # a class-2 pixel
-        solver = make_solver(d, "omp", {"k": 3})
-        assert src_decide(d, solver(x), x) == 2
+        assert src_decide(d, solvers.omp(d, x, 3), x) == 2
 
     def test_tie_breaks_to_lowest_class(self):
         # identical sub-dictionaries and a zero code: all residuals equal
         atoms = np.tile(np.eye(3), (1, 2))
         d = assemble(atoms, [1, 1, 1, 2, 2, 2])
         x = np.array([1.0, 0.0, 0.0])
-        code = SparseCode.from_dense(np.zeros(6))
+        code = SparseCode(np.zeros(6))
         assert src_decide(d, code, x) == 1
 
     def test_scale_invariance(self):
@@ -52,16 +51,14 @@ class TestSrcDecide:
                                 n_train=1, n_test=3, noise=0.01)
         d = assemble(data.dict_pixels, data.dict_labels)
         x = data.test_pixels[:, 0]
-        solver = make_solver(d, "omp", {"k": 3})
-        code = solver(x)
-        scaled = SparseCode.from_dense(code.coeffs * 4.5)
+        code = solvers.omp(d, x, 3)
+        scaled = SparseCode(code.coeffs * 4.5)
         assert src_decide(d, code, x) == src_decide(d, scaled, 4.5 * x)
 
     def test_matches_projection_oracle(self):
         data = subspace_classes(2, n_classes=3, dim=30, sub_dim=4, n_dict=6,
                                 n_train=1, n_test=34, noise=0.01)
         d = assemble(data.dict_pixels, data.dict_labels)
-        solver = make_solver(d, "omp", {"k": 4})
         for j in range(100):
             x = data.test_pixels[:, j % data.test_pixels.shape[1]]
             residuals = []
@@ -69,7 +66,7 @@ class TestSrcDecide:
                 sub = d.sub_dictionary(c)
                 coef = np.linalg.lstsq(sub, x, rcond=None)[0]
                 residuals.append(np.linalg.norm(x - sub @ coef))
-            assert src_decide(d, solver(x), x) == int(np.argmin(residuals)) + 1
+            assert src_decide(d, solvers.omp(d, x, 4), x) == int(np.argmin(residuals)) + 1
 
 
 class TestEvaluate:
@@ -229,7 +226,7 @@ class TestSweep:
 
     def test_error_names_grid_value(self):
         cube = make_cube()
-        with pytest.raises(RuntimeError, match="k=99"):
+        with pytest.raises(solvers.SizeError, match="k=99"):
             sweep(cube, "omp", "k", [99], runs=1, dict_frac=0.1, train_frac=0.2)
 
     def test_coding_failure_names_grid_value(self, monkeypatch):
@@ -315,7 +312,7 @@ def test_asdn_net_with_n_stages_raises():
                             n_train=1, n_test=1, noise=0.01)
     d = assemble(data.dict_pixels, data.dict_labels)
     with pytest.raises(ValueError, match="'n_stages'"):
-        make_solver(d, "asdn", {"net": NetParams.default(9), "n_stages": 1})
+        classify_testset(d, data.test_pixels, "asdn", {"net": NetParams.default(9), "n_stages": 1})
 
 
 def test_integer_parameters_are_not_truncated():

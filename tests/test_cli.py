@@ -15,8 +15,7 @@ import pytest
 
 import srckit
 from srckit import classify, cli, solvers
-from srckit.classify import (SOLVER_NAMES, SOLVER_PARAMS, classify_testset, evaluate,
-                             make_solver, sweep)
+from srckit.classify import SOLVER_NAMES, SOLVER_PARAMS, classify_testset, evaluate, sweep
 from srckit.data import (LabeledCube, Split, extract_pixels, load_bundle, make_split,
                          pixels_to_cube, save_bundle)
 from srckit.dictionary import assemble
@@ -226,6 +225,68 @@ def test_grid_ranges():
 def test_bad_grid_is_config_error(text):
     with pytest.raises(cli.ConfigError, match="bad grid"):
         cli.parse_grid(text)
+
+
+@pytest.mark.parametrize("text", ["0:1:1e-300", "0:1000000000", "-1e308:1e308:1",
+                                  "1:10001", "0:1:0.0001", f"0:{10 ** 400}"])
+def test_huge_grid_range_is_rejected_before_it_is_built(text):
+    with pytest.raises(cli.ConfigError, match=f"more than {cli.GRID_CAP} values"):
+        cli.parse_grid(text)
+
+
+def test_grid_range_at_the_cap_is_built():
+    assert len(cli.parse_grid("1:10000")) == cli.GRID_CAP == 10000
+    assert len(cli.parse_grid("0:0.9999:0.0001")) == cli.GRID_CAP
+
+
+@pytest.mark.parametrize("grid, named", [
+    ("1:inf:1", "upper bound"), ("1:1e400:1", "upper bound"), ("-inf:1:1", "lower bound"),
+    ("nan:1:1", "lower bound"), ("0.1:0.2:inf", "step"),
+])
+def test_non_finite_grid_range_is_config_error(capsys, bundle, tmp_path, grid, named):
+    status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "fista",
+                      "--param", "lam", f"--grid={grid}", "--runs", 1, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert f"the {named} must be finite" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# every subcommand that reads a bundle, with the flags it needs to run
+BUNDLE_COMMANDS = {
+    "ingest": [],
+    "split": DATA,
+    "train": [*DATA, "--stages", 2, "--epochs", 1],
+    "eval": [*DATA, "--solver", "omp", "--K", 2],
+    "sweep": [*DATA, "--solver", "omp", "--param", "k", "--grid", "1,2", "--runs", 1],
+}
+
+
+def skip_class_2(path):
+    # labels 1 and 3 only: the header's 3 classes still match the largest label
+    labels = np.fromfile(path / "labels.bin", dtype="<i4")
+    np.where(labels == 2, 3, labels).astype("<i4").tofile(path / "labels.bin")
+
+
+BUNDLE_FAULTS = {
+    "class 2 has no labeled pixels": skip_class_2,
+    "data.bin: expected": lambda path: (path / "data.bin").write_bytes(
+        (path / "data.bin").read_bytes()[:-8]),
+    "bundle file missing": lambda path: (path / "labels.bin").unlink(),
+}
+
+
+@pytest.mark.parametrize("command, message", [
+    (command, message) for command in BUNDLE_COMMANDS for message in BUNDLE_FAULTS
+    # ingest validates the bundle's format; its summary counts each class
+    if (command, message) != ("ingest", "class 2 has no labeled pixels")])
+def test_bad_bundle_is_config_error(capsys, tmp_path, command, message):
+    save_bundle(tiny_cube(), tmp_path / "bundle")
+    BUNDLE_FAULTS[message](tmp_path / "bundle")
+    status, err = run(capsys, command, "--bundle", tmp_path / "bundle",
+                      *BUNDLE_COMMANDS[command], "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert message in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_overrides_config_key(capsys, bundle, tmp_path):
@@ -587,10 +648,13 @@ class TestSolverParameters:
     def test_every_parameter_reaches_the_solver(self, monkeypatch, name, params):
         seen = {}
         d = assemble(np.eye(4), [1, 1, 2, 2])
-        solve = make_solver(d, name, params)
-        # looked up at call time, so a replacement made afterwards is called
-        monkeypatch.setattr(solvers, name, lambda dictionary, x, **kw: seen.update(kw))
-        solve(np.ones(4))
+
+        def record(dictionary, x, **kw):
+            seen.update(kw)
+            return solvers.SparseCode(np.zeros((d.n_atoms, x.shape[1])))
+        # looked up on the module at each block, so the replacement is called
+        monkeypatch.setattr(solvers, name, record)
+        classify_testset(d, np.ones((4, 1)), name, params)
         assert seen == params
 
 
