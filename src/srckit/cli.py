@@ -12,18 +12,24 @@ NaN or infinity for a real, a fraction for an integer), a value out of
 range, or a missing required key is a config error. Solver parameters take
 their kinds from classify.PARAM_TYPES (and tol its range from solvers, as
 gradcheck reads it too). Keys the subcommand does not read are ignored.
-Each run writes its outputs plus a manifest.json with the effective typed
-config (every key read, defaults filled in) and content hashes of the
-input files. A bundle file's hash is that of the bytes the run read: the
-loaded cube carries it, so the bundle is read once. Train and eval drop
-the cube once the dictionary and the pixels to code are extracted.
+A subcommand does its work first. Only when that succeeds does one call,
+``_write_run``, make --out and write the outputs and then, last,
+manifest.json: the effective typed config (every key read, defaults filled
+in) and content hashes of the input files. So a manifest marks a complete
+run, and exit 1 and exit 3 both leave no --out; the one exception is a
+failed gradcheck, which writes its errors and manifest, then exits 1. A
+bundle file's hash is that of the bytes the run read: the loaded cube
+carries it, so the bundle is read once. Train and eval drop the cube once
+the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
-3 config error. Failures print a single-line JSON object to stderr. A
-config error is any input value or file found bad before --out exists: a
-key, a missing or malformed bundle, split, params, CSV or report file, or
-a ValueError the library raises on its inputs (one rule, ``_checked``), so
-a bundle that loads but leaves a class without pixels is one too.
+3 config error. ``run`` prints one JSON line: a handler's summary to
+stdout (report prints its own text), or a failure to stderr. A config
+error is any input value or file found bad: a key, a missing or malformed
+bundle, split, params, CSV or report file, or a ValueError the library
+raises on its inputs (one rule, ``_checked``), so a bundle that loads but
+leaves a class without pixels, or a split seed outside [0, 2**64), is one
+too.
 """
 from __future__ import annotations
 
@@ -41,7 +47,8 @@ from . import solvers, synthetic
 from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport,
                        canonical_params, check_fit, check_sweep, classify_testset, evaluate,
                        integer, real, solver_kwargs, split_inputs, sweep)
-from .data import load_bundle, load_pixel_csv, make_split, pixels_to_cube, save_bundle, Split
+from .data import (Split, class_counts, load_bundle, load_pixel_csv, make_split,
+                   pixels_to_cube, save_bundle)
 from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, grad_check, train
 
@@ -83,10 +90,9 @@ def _hash_inputs(paths, digests) -> dict:
     return {str(f): digests.get(str(f)) or _file_sha256(f) for f in files if f.is_file()}
 
 
-def _write_json(path: Path, doc, indent: int | None = 2) -> None:
+def _json_text(doc, indent: int | None = 2) -> str:
     # a config "net" document is recorded as the network it parsed to
-    path.write_text(json.dumps(doc, indent=indent, sort_keys=True,
-                               default=NetParams.to_json) + "\n", encoding="utf-8")
+    return json.dumps(doc, indent=indent, sort_keys=True, default=NetParams.to_json) + "\n"
 
 
 def _read_json(path: Path, what: str, parse=lambda doc: doc):
@@ -412,17 +418,17 @@ def _check_split(split: Split, cube, path: Path) -> None:
                               f"{a} and {b} sets")
 
 
-def _outdir(config: dict) -> Path:
+def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -> Path:
+    """The one place --out is made. Writes ``files`` (name -> text or bytes)
+    into it, then manifest.json: the typed config that ran, without unset
+    keys, and the hash of every file named by the ``inputs`` keys the config
+    sets (``digests``: hashes already taken, see _hash_inputs). With a saved
+    split the split-draw keys are left out: the split file's hash identifies
+    it. Returns --out."""
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(outdir: Path, command: str, config: dict, *inputs, digests=None) -> None:
-    """The typed config that ran, without unset keys, and the hash of every
-    file named by the ``inputs`` keys the config sets (``digests``: hashes
-    already taken, see _hash_inputs). With a saved split the split-draw keys
-    are left out: the split file's hash identifies it."""
+    for name, content in files.items():
+        (out / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     drawn = ("seed", "dict_frac", "train_frac") if config.get("split_file") else ()
     doc = {
         "command": command,
@@ -431,76 +437,68 @@ def _manifest(outdir: Path, command: str, config: dict, *inputs, digests=None) -
         "inputs": _hash_inputs((config[key] for key in inputs if config.get(key)),
                                digests or {}),
     }
-    _write_json(outdir / "manifest.json", doc)
+    (out / "manifest.json").write_text(_json_text(doc), encoding="utf-8")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
-def _cmd_ingest(config: dict) -> int:
+def _cmd_ingest(config: dict) -> dict:
     """convert a pixel CSV to a bundle, or validate one"""
     if config["csv"]:
         csv_path = Path(config["csv"])
         if not csv_path.is_file():
             raise ConfigError(f"csv file not found: {csv_path}")
         cube = pixels_to_cube(*_checked(load_pixel_csv, csv_path))
-        outdir = _outdir(config)
-        save_bundle(cube, Path(config["bundle"]))
     else:
         cube = _load_cube(config)
-        outdir = _outdir(config)
-    counts = {int(c): int((cube.labels == c).sum())
-              for c in range(1, cube.n_classes + 1)}
+    counts = _checked(class_counts, cube)  # as make_split checks it, before any write
+    if config["csv"]:
+        save_bundle(cube, Path(config["bundle"]))
     summary = {
         "height": cube.height, "width": cube.width, "bands": cube.bands,
-        "classes": cube.n_classes, "labeled_pixels": int((cube.labels > 0).sum()),
-        "class_counts": counts,
+        "classes": cube.n_classes, "labeled_pixels": int(counts.sum()),
+        "class_counts": {c: int(n) for c, n in enumerate(counts, start=1)},
     }
-    _write_json(outdir / "summary.json", summary)
-    _manifest(outdir, "ingest", config, "csv" if config["csv"] else "bundle",
-              digests=cube.digests)
-    print(json.dumps({"status": "ok", "summary": str(outdir / "summary.json")}))
-    return 0
+    out = _write_run("ingest", config, {"summary.json": _json_text(summary)},
+                     "csv" if config["csv"] else "bundle", digests=cube.digests)
+    return {"summary": str(out / "summary.json")}
 
 
-def _cmd_split(config: dict) -> int:
+def _cmd_split(config: dict) -> dict:
     """draw and save a dictionary/train/test split"""
     cube = _load_cube(config)
     split = _load_split(config, cube)
-    outdir = _outdir(config)
     # one line: indented, a split puts each of its many pixel ids on its own
-    _write_json(outdir / "split.json", split.to_json(), indent=None)
-    _manifest(outdir, "split", config, "bundle", digests=cube.digests)
+    _write_run("split", config, {"split.json": _json_text(split.to_json(), indent=None)},
+               "bundle", digests=cube.digests)
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
-    print(json.dumps({"status": "ok", "per_class_sizes": sizes}))
-    return 0
+    return {"per_class_sizes": sizes}
 
 
-def _cmd_train(config: dict) -> int:
+def _cmd_train(config: dict) -> dict:
     """train the unrolled network on the train split"""
     if config["train_seed"] is None:
         config["train_seed"] = config["seed"]
     init = _checked(NetParams.default, config["stages"], rho=config["init_rho"],
                     eta=config["init_eta"], tau=config["init_tau"])
     coding = _coding_inputs(config, "train")
-    outdir = _outdir(config)
     params, history = train(coding.dictionary, coding.pixels, coding.labels,
                             learning_rate=config["learning_rate"], epochs=config["epochs"],
                             batch_size=config["batch_size"], seed=config["train_seed"],
                             init=init)
-    params.save(outdir / "params.json")
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
-    (outdir / "train_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(outdir / "split.json", coding.split.to_json(), indent=None)
-    _manifest(outdir, "train", config, "bundle", "split_file", digests=coding.digests)
-    print(json.dumps({"status": "ok", "final_mean_loss": float(history[-1]),
-                      "params": str(outdir / "params.json")}))
-    return 0
+    out = _write_run("train", config, {
+        "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
+        "split.json": _json_text(coding.split.to_json(), indent=None),
+    }, "bundle", "split_file", digests=coding.digests)
+    return {"final_mean_loss": float(history[-1]), "params": str(out / "params.json")}
 
 
-def _cmd_eval(config: dict) -> int:
+def _cmd_eval(config: dict) -> dict:
     """classify the test split and write a report"""
     params = _solver_params(config)
     _checked(solver_kwargs, config["solver"], params)
@@ -508,19 +506,16 @@ def _cmd_eval(config: dict) -> int:
     _checked(check_fit, coding.dictionary, config["solver"], params)
     pred = classify_testset(coding.dictionary, coding.pixels, config["solver"], params)
 
-    outdir = _outdir(config)
     report = evaluate(pred, coding.labels, coding.n_classes)
-    _write_json(outdir / "report.json", report.to_json())
     grid = np.zeros(coding.grid_size, dtype="<i4")
     grid[coding.ids] = pred
-    (outdir / "labels_pred.bin").write_bytes(grid.tobytes())
-    _manifest(outdir, "eval", config, "bundle", "split_file", "net_params",
-              digests=coding.digests)
-    print(json.dumps({"status": "ok", **{name: getattr(report, name) for name in SCORES}}))
-    return 0
+    _write_run("eval", config, {"report.json": _json_text(report.to_json()),
+                                "labels_pred.bin": grid.tobytes()},
+               "bundle", "split_file", "net_params", digests=coding.digests)
+    return {name: getattr(report, name) for name in SCORES}
 
 
-def _cmd_sweep(config: dict) -> int:
+def _cmd_sweep(config: dict) -> dict:
     """accuracy across a solver-parameter grid"""
     params = _solver_params(config)
     _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
@@ -529,37 +524,31 @@ def _cmd_sweep(config: dict) -> int:
                       runs=config["runs"], base_seed=config["base_seed"],
                       dict_frac=config["dict_frac"], train_frac=config["train_frac"],
                       normalize=config["normalize"], params=params)
-    outdir = _outdir(config)
-    (outdir / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
-    _write_json(outdir / "sweep.json", result.to_json())
-    _manifest(outdir, "sweep", config, "bundle", digests=cube.digests)
-    print(json.dumps({"status": "ok", "rows": len(result.grid),
-                      "csv": str(outdir / "sweep.csv")}))
-    return 0
+    out = _write_run("sweep", config, {"sweep.csv": result.to_csv(),
+                                       "sweep.json": _json_text(result.to_json())},
+                     "bundle", digests=cube.digests)
+    return {"rows": len(result.grid), "csv": str(out / "sweep.csv")}
 
 
-def _cmd_gradcheck(config: dict) -> int:
+def _cmd_gradcheck(config: dict) -> dict:
     """analytic vs finite-difference gradients"""
     dictionary, x, y, params = _checked(
         synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
         n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
-    outdir = _outdir(config)
     report = grad_check(dictionary, x, y, params, step=config["fd_step"])
     doc = {"max_rel_error": report.max_rel_error, "loss": report.loss_value,
            "zero_gradient": {name: flags.tolist() for name, flags in report.zero.items()},
            **{f"{name}_rel_error": rel.tolist() for name, rel in report.rel_error.items()}}
-    _write_json(outdir / "gradcheck.json", doc)
-    _manifest(outdir, "gradcheck", config)
+    # written also when the check fails: the errors are what a failure shows
+    _write_run("gradcheck", config, {"gradcheck.json": _json_text(doc)})
     tol = config["tol"]
     if report.max_rel_error > tol:
         raise RuntimeError(
             f"gradient check failed: max relative error {report.max_rel_error} > {tol}")
-    print(json.dumps({"status": "ok", "max_rel_error": report.max_rel_error,
-                      "tol": tol}))
-    return 0
+    return {"max_rel_error": report.max_rel_error, "tol": tol}
 
 
-def _cmd_report(config: dict) -> int:
+def _cmd_report(config: dict) -> None:
     """summarize a saved report.json"""
     report = _read_json(Path(config["report"]), "report", ClassificationReport.from_json)
     confusion, accuracies = report.confusion, report.per_class_acc.tolist()
@@ -575,9 +564,7 @@ def _cmd_report(config: dict) -> int:
             lines.append(f"{i},{repr(round(100.0 * acc, 10))},{int(confusion[i - 1].sum())}")
         Path(config["csv_out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if config["out"]:
-        outdir = _outdir(config)
-        _manifest(outdir, "report", config, "report")
-    return 0
+        _write_run("report", config, {}, "report")
 
 
 _HANDLERS = {
@@ -604,13 +591,16 @@ def run(argv) -> int:
         _emit_error("usage", f"expected a subcommand: {', '.join(_SUBCOMMANDS)}")
         return 2
     try:
-        return _HANDLERS[args.command](_merge_config(args))
+        summary = _HANDLERS[args.command](_merge_config(args))
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return 3
     except Exception as exc:
         _emit_error("runtime", f"{type(exc).__name__}: {exc}")
         return 1
+    if summary is not None:  # report prints its own text
+        print(json.dumps({"status": "ok", **summary}))
+    return 0
 
 
 def main() -> None:

@@ -281,6 +281,18 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def class_counts(cube: LabeledCube) -> np.ndarray:
+    """The labeled pixel count of each class 1..C. A cube without labeled
+    pixels, or with a class that has none, is a ValueError: no split can be
+    drawn from it."""
+    counts = np.bincount(cube.labels.ravel(), minlength=cube.n_classes + 1)[1:]
+    if not counts.size:
+        raise ValueError("cube has no labeled pixels")
+    if not counts.all():
+        raise ValueError(f"class {np.argmin(counts) + 1} has no labeled pixels")
+    return counts
+
+
 def make_split(cube: LabeledCube, dict_frac: float = 0.01,
                train_frac: float = 1.0 / 11.0, seed: int = 0) -> Split:
     """Partition each class's labeled pixels into dictionary / train / test.
@@ -296,20 +308,17 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
         raise ValueError(f"dict_frac must lie in (0, 1), got {dict_frac}")
     if not 0.0 <= train_frac < 1.0:
         raise ValueError(f"train_frac must lie in [0, 1), got {train_frac}")
-    n_classes = cube.n_classes
-    if n_classes < 1:
-        raise ValueError("cube has no labeled pixels")
+    if not 0 <= seed <= _MASK64:  # SplitMix64 would alias it to seed mod 2**64
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    class_counts(cube)
 
     rng = SplitMix64(seed)
     dict_ids: dict[int, np.ndarray] = {}
     train_ids: dict[int, np.ndarray] = {}
     test_ids: dict[int, np.ndarray] = {}
-    for c in range(1, n_classes + 1):
+    for c in range(1, cube.n_classes + 1):
         ids = cube.class_ids(c)
         n = len(ids)
-        if n == 0:
-            raise ValueError(f"class {c} has no labeled pixels")
-        ids = ids.copy()
         rng.shuffle(ids)
         n_dict = max(1, _round_half_up(dict_frac * n))
         n_train = _round_half_up(train_frac * (n - n_dict))

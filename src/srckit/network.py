@@ -140,14 +140,9 @@ class NetParams:
             raise ValueError(f"n_stages field {n_stages} contradicts array lengths")
         return params
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "NetParams":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+    def to_text(self) -> str:
+        """The params.json text: ``to_json`` indented by 2, keys unsorted."""
+        return json.dumps(self.to_json(), indent=2)
 
 
 @dataclass

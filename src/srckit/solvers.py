@@ -184,17 +184,19 @@ def _ls_on_supports(atoms_s: np.ndarray, x: np.ndarray) -> np.ndarray:
     pixel j's t selected atoms as rows and x (n, bands) the pixels; returns
     (n, t) coefficients from one batched solve of the normal equations plus
     one refinement step. ``cho_factor`` checks that every sub-Gram is
-    positive definite; if one is not, a one-pixel stack takes lstsq (the
-    minimum-norm solution) and a larger stack is refit pixel by pixel."""
+    positive definite; if one is not, or the solve still finds one singular
+    (Cholesky can pass a sub-Gram with condition number near 1e16), a
+    one-pixel stack takes lstsq (the minimum-norm solution) and a larger
+    stack is refit pixel by pixel."""
     g = atoms_s @ atoms_s.transpose(0, 2, 1)
     b = atoms_s @ x[:, :, None]
     try:
         cho_factor(g)
+        coef = np.linalg.solve(g, b)
     except np.linalg.LinAlgError:
         if len(x) == 1:
             return np.linalg.lstsq(atoms_s[0].T, x[0], rcond=None)[0][None]
         return np.concatenate([_ls_on_supports(a[None], row[None]) for a, row in zip(atoms_s, x)])
-    coef = np.linalg.solve(g, b)
     coef += np.linalg.solve(g, b - g @ coef)
     return coef[:, :, 0]
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_factor, cho_solve
@@ -261,6 +261,7 @@ def test_gomp_block_matches_per_pixel_growth(width, s, seed):
 @pytest.mark.parametrize("solver", ["sp", "romp", "samp"])
 @examples
 @given(width=widths, seed=seeds)
+@example(width=15, seed=1124)  # romp: a sub-Gram that Cholesky passes and solve finds singular
 def test_greedy_block_matches_per_pixel_reference(solver, width, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 9))
@@ -781,7 +782,8 @@ class TestBenchmarkHooks:
             np.hstack([data.dict_pixels, data.train_pixels, data.test_pixels]),
             np.concatenate([data.dict_labels, data.train_labels, data.test_labels])),
             tmp_path / "bundle")
-        NetParams.default(2, eta=0.01).save(tmp_path / "params.json")
+        (tmp_path / "params.json").write_text(NetParams.default(2, eta=0.01).to_text(),
+                                              encoding="utf-8")
         common = ["--bundle", str(tmp_path / "bundle"), "--dict-frac", "0.2",
                   "--train-frac", "0.25"]
         shapes = {

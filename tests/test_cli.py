@@ -181,6 +181,10 @@ class TestExitCodes:
         ("sweep", ["--solver", "fista", "--param", "lam", "--grid", "0.1", "--runs", 1,
                    "--base-seed", -1], "base_seed must be >= 0, got -1"),
         ("gradcheck", ["--seed", -1], "seed must be >= 0, got -1"),
+        # SplitMix64 would alias a split seed to seed mod 2**64
+        ("split", ["--seed", 2**64], f"seed must lie in [0, 2**64), got {2**64}"),
+        ("sweep", ["--solver", "omp", "--param", "k", "--grid", "1", "--runs", 2,
+                   "--base-seed", 2**64 - 1], f"seed must lie in [0, 2**64), got {2**64}"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the
@@ -267,8 +271,17 @@ def skip_class_2(path):
     np.where(labels == 2, 3, labels).astype("<i4").tofile(path / "labels.bin")
 
 
+def unlabel_all(path):
+    # header classes 0 matches the largest label, so the bundle loads
+    labels = np.fromfile(path / "labels.bin", dtype="<i4")
+    np.zeros_like(labels).tofile(path / "labels.bin")
+    header = read_json(path / "header.json")
+    (path / "header.json").write_text(json.dumps({**header, "classes": 0}), encoding="utf-8")
+
+
 BUNDLE_FAULTS = {
     "class 2 has no labeled pixels": skip_class_2,
+    "cube has no labeled pixels": unlabel_all,
     "data.bin: expected": lambda path: (path / "data.bin").write_bytes(
         (path / "data.bin").read_bytes()[:-8]),
     "bundle file missing": lambda path: (path / "labels.bin").unlink(),
@@ -276,9 +289,7 @@ BUNDLE_FAULTS = {
 
 
 @pytest.mark.parametrize("command, message", [
-    (command, message) for command in BUNDLE_COMMANDS for message in BUNDLE_FAULTS
-    # ingest validates the bundle's format; its summary counts each class
-    if (command, message) != ("ingest", "class 2 has no labeled pixels")])
+    (command, message) for command in BUNDLE_COMMANDS for message in BUNDLE_FAULTS])
 def test_bad_bundle_is_config_error(capsys, tmp_path, command, message):
     save_bundle(tiny_cube(), tmp_path / "bundle")
     BUNDLE_FAULTS[message](tmp_path / "bundle")
@@ -316,7 +327,7 @@ def test_train_eval_round_trip(capsys, bundle, trained, tmp_path):
     dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), True)
     test_pixels, test_labels = extract_pixels(cube, split.test_flat(), True)
     pred = classify_testset(assemble(dict_pixels, dict_labels), test_pixels, "asdn",
-                            {"net": NetParams.load(params_path)})
+                            {"net": NetParams.from_json(read_json(params_path))})
     expected = evaluate(pred, test_labels, cube.n_classes)
     assert read_json(tmp_path / "report.json") == expected.to_json()
 
@@ -850,6 +861,19 @@ class TestIngest:
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "bundle").exists()
 
+    def test_csv_whose_labels_skip_a_class(self, capsys, tmp_path):
+        # a bundle no split can be drawn from is refused before it is written
+        write_pixel_csv(tmp_path / "pixels.csv")
+        rows = (tmp_path / "pixels.csv").read_text(encoding="utf-8").splitlines()
+        rows = [row[:-2] + ",3" if row.endswith(",2") else row for row in rows]
+        (tmp_path / "pixels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        status, err = run(capsys, "ingest", "--csv", tmp_path / "pixels.csv",
+                          "--bundle", tmp_path / "bundle", "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert "class 2 has no labeled pixels" in err["message"]
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "bundle").exists()
+
     def test_missing_csv(self, capsys, tmp_path):
         status, err = run(capsys, "ingest", "--csv", tmp_path / "missing.csv",
                           "--bundle", tmp_path / "bundle", "--out", tmp_path / "out")
@@ -873,6 +897,9 @@ class TestGradcheck:
         status, err = run(capsys, "gradcheck", "--tol", "1e-300", "--out", tmp_path)
         assert status == 1
         assert "gradient check failed" in err["message"]
+        # the one write on a failure: the errors show why the check failed
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["gradcheck.json",
+                                                                   "manifest.json"]
 
     def test_failing_check_prints_only_the_error(self, capsys, tmp_path):
         assert cli.run(["gradcheck", "--tol", "0", "--out", str(tmp_path)]) == 1
@@ -880,6 +907,81 @@ class TestGradcheck:
         lines = [json.loads(line) for line in (captured.out + captured.err).splitlines()]
         assert [line["status"] for line in lines] == ["error"]
         assert "gradient check failed" in lines[0]["message"]
+
+
+def run_ok(capsys, *argv):
+    """One CLI run that must succeed: exit 0, nothing on stderr, and exactly
+    one JSON line on stdout, with "status" "ok"."""
+    status = cli.run([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["status"] == "ok"
+
+
+# every run shape on the tiny bundle; {params} is the trained fixture's network
+RUN_SHAPES = {
+    "split": ["split", "--bundle", "{bundle}", *DATA, "--seed", 3],
+    "train": ["train", "--bundle", "{bundle}", *DATA, "--stages", 2, "--epochs", 1,
+              "--batch-size", 6, "--init-eta", 0.01],
+    "eval-omp": ["eval", "--bundle", "{bundle}", *DATA, "--solver", "omp", "--K", 2],
+    "eval-asdn": ["eval", "--bundle", "{bundle}", *DATA, "--solver", "asdn",
+                  "--params", "{params}"],
+    "eval-fista": ["eval", "--bundle", "{bundle}", *DATA, "--solver", "fista",
+                   "--lam", 0.05, "--max-iters", 50],
+    "sweep": ["sweep", "--bundle", "{bundle}", *DATA, "--solver", "omp", "--param", "k",
+              "--grid", "1,2", "--runs", 2],
+    "gradcheck": ["gradcheck"],
+    "ingest": ["ingest", "--bundle", "{bundle}"],
+}
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES)
+def test_run_replays_from_its_manifest(capsys, bundle, trained, tmp_path, shape):
+    """A run's manifest config, given back as --config, reproduces every
+    output byte for byte and the same manifest apart from "out"."""
+    argv = [str(a).format(bundle=bundle, params=trained / "params.json")
+            for a in RUN_SHAPES[shape]]
+    first, again = tmp_path / "first", tmp_path / "again"
+    run_ok(capsys, *argv, "--out", first)
+    manifest = read_json(first / "manifest.json")
+    (tmp_path / "config.json").write_text(json.dumps(manifest["config"]), encoding="utf-8")
+    run_ok(capsys, argv[0], "--config", tmp_path / "config.json", "--out", again)
+
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    replayed = read_json(again / "manifest.json")
+    assert (manifest["config"].pop("out"), replayed["config"].pop("out")) == (str(first),
+                                                                             str(again))
+    assert replayed == manifest
+
+
+class TestNoOutAfterAFailure:
+    def test_diverged_training(self, capsys, tmp_path):
+        # one training pixel of 1e200, kept raw: its residual overflows
+        cube = tiny_cube()
+        data = cube.data.copy()
+        data.reshape(-1, cube.bands)[make_split(cube, 0.2, 0.25, 3).train_flat()[0]] = 1e200
+        save_bundle(LabeledCube(data=data, labels=cube.labels), tmp_path / "bundle")
+        status, err = run(capsys, "train", "--bundle", tmp_path / "bundle", *DATA, "--seed", 3,
+                          "--no-normalize", "--stages", 2, "--epochs", 1, "--batch-size", 6,
+                          "--init-eta", 0.01, "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (1, "runtime")
+        assert err["message"].startswith(f"{TrainingDiverged.__name__}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_grad_check(self, capsys, monkeypatch, tmp_path):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("overflow encountered in the forward pass")
+        monkeypatch.setattr(cli, "grad_check", failing)
+        status, err = run(capsys, "gradcheck", "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (1, "runtime")
+        assert "overflow encountered in the forward pass" in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestReport:

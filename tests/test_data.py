@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srckit import data as data_module
-from srckit.data import (BundleFormatError, LabeledCube, SplitMix64,
+from srckit.data import (BundleFormatError, LabeledCube, SplitMix64, class_counts,
                          extract_pixels, load_bundle, load_pixel_csv,
                          make_split, pixels_to_cube, save_bundle)
 
@@ -323,6 +323,19 @@ class TestMakeSplit:
         cube = LabeledCube(data=np.zeros((1, 4, 2)), labels=labels)
         with pytest.raises(ValueError, match="class 2"):
             make_split(cube, 0.25, 0.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_splitmix64_state_rejected(self, seed):
+        # SplitMix64 keeps seed mod 2**64: -1 would draw seed 2**64 - 1's split
+        cube = labeled_line_cube([30, 20])
+        with pytest.raises(ValueError, match=f"seed must lie in \\[0, 2\\*\\*64\\), got {seed}"):
+            make_split(cube, 0.1, 0.2, seed=seed)
+
+    def test_class_counts(self):
+        assert class_counts(labeled_line_cube([3, 1, 5])).tolist() == [3, 1, 5]
+        labels = np.array([[0, 2, 2, 0]], dtype=np.int32)  # class 1 missing
+        with pytest.raises(ValueError, match="class 1 has no labeled pixels"):
+            class_counts(LabeledCube(data=np.zeros((1, 4, 2)), labels=labels))
 
     def test_bad_fractions(self):
         cube = labeled_line_cube([10])

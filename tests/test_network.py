@@ -71,15 +71,13 @@ class TestNetParams:
         assert np.array_equal(back.tau, p.tau)
         assert back.relax == p.relax
 
-    def test_save_load(self, tmp_path):
+    def test_save_load(self):
         p = NetParams.default(3, eta=0.07)
-        p.save(tmp_path / "params.json")
-        back = NetParams.load(tmp_path / "params.json")
+        back = NetParams.from_json(json.loads(p.to_text()))
         assert np.array_equal(back.eta, p.eta)
         # params.json's key order and indentation are part of its format
-        NetParams(rho=[1.0, 2.0, 0.5], eta=[0.07, 0.0], tau=[1.0, 1.25],
-                  relax=1.5).save(tmp_path / "params.json")
-        assert (tmp_path / "params.json").read_text(encoding="utf-8") == (
+        assert NetParams(rho=[1.0, 2.0, 0.5], eta=[0.07, 0.0], tau=[1.0, 1.25],
+                         relax=1.5).to_text() == (
             '{\n  "n_stages": 2,\n  "relax": 1.5,\n'
             '  "rho": [\n    1.0,\n    2.0,\n    0.5\n  ],\n'
             '  "eta": [\n    0.07,\n    0.0\n  ],\n'
