@@ -13,10 +13,8 @@ from .data import (BundleFormatError, LabeledCube, Split, SplitMix64,
                    pixels_to_cube, save_bundle)
 from .dictionary import Dictionary, GramCache, assemble
 from .network import (GradCheckReport, NetParams, StageTrace, TrainingDiverged, asdn,
-                      backward, class_residuals, forward, grad_check, loss, mean_loss,
-                      one_hot, train)
-from .solvers import (SparseCode, admm_fixed, fista, gomp, lasso_kkt_violation,
-                      lasso_objective, omp, romp, samp, soft_threshold, sp)
+                      backward, class_residuals, forward, grad_check, loss, one_hot, train)
+from .solvers import SparseCode, admm_fixed, fista, gomp, omp, romp, samp, soft_threshold, sp
 
 __version__ = "0.1.0"
 
@@ -25,8 +23,7 @@ __all__ = [
     "GramCache", "LabeledCube", "NetParams", "SparseCode", "Split", "SplitMix64",
     "StageTrace", "SweepResult", "TrainingDiverged", "admm_fixed", "asdn", "assemble",
     "backward", "class_residuals", "classify_testset", "evaluate", "extract_pixels",
-    "fista", "forward", "gomp", "grad_check", "lasso_kkt_violation", "lasso_objective",
-    "load_bundle", "load_pixel_csv", "loss", "make_split", "mean_loss",
-    "omp", "one_hot", "pixels_to_cube", "romp", "samp", "save_bundle", "soft_threshold",
-    "sp", "src_decide", "sweep", "train",
+    "fista", "forward", "gomp", "grad_check", "load_bundle", "load_pixel_csv", "loss",
+    "make_split", "omp", "one_hot", "pixels_to_cube", "romp", "samp", "save_bundle",
+    "soft_threshold", "sp", "src_decide", "sweep", "train",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network, solvers
-from .data import LabeledCube, extract_pixels, make_split
+from .data import LabeledCube, check_seed, extract_pixels, make_split
 from .dictionary import Dictionary, assemble
 
 SCORES = ("oa", "aa", "kappa")
@@ -282,7 +282,8 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
     """Classification accuracy across a solver-parameter grid.
 
     The split is drawn ``runs`` times with seeds base_seed..base_seed+runs-1
-    (fresh dictionary each run, so no bias from a single random sampling);
+    (fresh dictionary each run, so no bias from a single random sampling;
+    a last seed past 2**64 - 1 is a ValueError before the first draw);
     every grid value classifies the test pixels of every draw, and
     OA/AA/kappa are averaged over the draws. Standard deviations use ddof=1
     when runs > 1. A draw with an empty test set raises ValueError (the
@@ -297,6 +298,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
         raise ValueError("parameter grid is empty")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    check_seed(base_seed + runs - 1)
     check_sweep(solver, parameter, params, grid)
     records = [{**canonical_params(params), param_name(parameter): float(value)}
                for value in grid]

@@ -17,9 +17,11 @@ A subcommand does its work first. Only when that succeeds does one call,
 manifest.json: the effective typed config (every key read, defaults filled
 in) and content hashes of the input files. So a manifest marks a complete
 run, and exit 1 and exit 3 both leave no --out; the one exception is a
-failed gradcheck, which writes its errors and manifest, then exits 1. A
-bundle file's hash is that of the bytes the run read: the loaded cube
-carries it, so the bundle is read once. Train and eval drop the cube once
+failed gradcheck, which writes its errors and manifest, then exits 1. Every
+input hash is taken before anything is written, so --out may be an input's
+directory. A bundle's hashes are those of the bytes the run read: the
+loaded cube carries them, so the bundle is read once, and only its three
+files are listed. Train and eval drop the cube once
 the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
@@ -79,15 +81,6 @@ def _file_sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _hash_inputs(paths, digests) -> dict:
-    """SHA-256 of each file in ``paths`` and in each directory there, taken
-    from ``digests`` (str(path) -> hex) where it holds the file."""
-    files = []
-    for p in map(Path, paths):
-        files += sorted(c for c in p.iterdir() if c.is_file()) if p.is_dir() else [p]
-    return {str(f): digests.get(str(f)) or _file_sha256(f) for f in files if f.is_file()}
 
 
 def _json_text(doc, indent: int | None = 2) -> str:
@@ -419,12 +412,15 @@ def _check_split(split: Split, cube, path: Path) -> None:
 
 
 def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -> Path:
-    """The one place --out is made. Writes ``files`` (name -> text or bytes)
-    into it, then manifest.json: the typed config that ran, without unset
-    keys, and the hash of every file named by the ``inputs`` keys the config
-    sets (``digests``: hashes already taken, see _hash_inputs). With a saved
-    split the split-draw keys are left out: the split file's hash identifies
-    it. Returns --out."""
+    """The one place --out is made. First hashes each file named by the
+    ``inputs`` keys the config sets, so that no hash follows a write;
+    ``digests`` (str(path) -> hex) holds those taken as files were read, such
+    as a loaded cube's. Then writes ``files`` (name -> text or bytes) into
+    --out, then manifest.json: the typed config that ran, without unset keys,
+    and all those hashes. With a saved split the split-draw keys are left
+    out: the split file's hash identifies it. Returns --out."""
+    hashes = {**(digests or {}), **{str(Path(config[key])): _file_sha256(Path(config[key]))
+                                    for key in inputs if config.get(key)}}
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
@@ -434,8 +430,7 @@ def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -
         "command": command,
         "config": {k: v for k, v in sorted(config.items())
                    if v is not None and k not in drawn},
-        "inputs": _hash_inputs((config[key] for key in inputs if config.get(key)),
-                               digests or {}),
+        "inputs": hashes,
     }
     (out / "manifest.json").write_text(_json_text(doc), encoding="utf-8")
     return out
@@ -452,6 +447,7 @@ def _cmd_ingest(config: dict) -> dict:
         if not csv_path.is_file():
             raise ConfigError(f"csv file not found: {csv_path}")
         cube = pixels_to_cube(*_checked(load_pixel_csv, csv_path))
+        cube.digests[str(csv_path)] = _file_sha256(csv_path)  # before save_bundle writes
     else:
         cube = _load_cube(config)
     counts = _checked(class_counts, cube)  # as make_split checks it, before any write
@@ -463,7 +459,7 @@ def _cmd_ingest(config: dict) -> dict:
         "class_counts": {c: int(n) for c, n in enumerate(counts, start=1)},
     }
     out = _write_run("ingest", config, {"summary.json": _json_text(summary)},
-                     "csv" if config["csv"] else "bundle", digests=cube.digests)
+                     digests=cube.digests)
     return {"summary": str(out / "summary.json")}
 
 
@@ -473,7 +469,7 @@ def _cmd_split(config: dict) -> dict:
     split = _load_split(config, cube)
     # one line: indented, a split puts each of its many pixel ids on its own
     _write_run("split", config, {"split.json": _json_text(split.to_json(), indent=None)},
-               "bundle", digests=cube.digests)
+               digests=cube.digests)
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
     return {"per_class_sizes": sizes}
@@ -494,7 +490,7 @@ def _cmd_train(config: dict) -> dict:
     out = _write_run("train", config, {
         "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
         "split.json": _json_text(coding.split.to_json(), indent=None),
-    }, "bundle", "split_file", digests=coding.digests)
+    }, "split_file", digests=coding.digests)
     return {"final_mean_loss": float(history[-1]), "params": str(out / "params.json")}
 
 
@@ -511,7 +507,7 @@ def _cmd_eval(config: dict) -> dict:
     grid[coding.ids] = pred
     _write_run("eval", config, {"report.json": _json_text(report.to_json()),
                                 "labels_pred.bin": grid.tobytes()},
-               "bundle", "split_file", "net_params", digests=coding.digests)
+               "split_file", "net_params", digests=coding.digests)
     return {name: getattr(report, name) for name in SCORES}
 
 
@@ -526,7 +522,7 @@ def _cmd_sweep(config: dict) -> dict:
                       normalize=config["normalize"], params=params)
     out = _write_run("sweep", config, {"sweep.csv": result.to_csv(),
                                        "sweep.json": _json_text(result.to_json())},
-                     "bundle", digests=cube.digests)
+                     digests=cube.digests)
     return {"rows": len(result.grid), "csv": str(out / "sweep.csv")}
 
 
@@ -550,7 +546,9 @@ def _cmd_gradcheck(config: dict) -> dict:
 
 def _cmd_report(config: dict) -> None:
     """summarize a saved report.json"""
-    report = _read_json(Path(config["report"]), "report", ClassificationReport.from_json)
+    path = Path(config["report"])
+    report = _read_json(path, "report", ClassificationReport.from_json)
+    digests = {str(path): _file_sha256(path)}  # before --csv can overwrite it
     confusion, accuracies = report.confusion, report.per_class_acc.tolist()
     print(f"classes: {confusion.shape[0]}  samples: {int(confusion.sum())}")
     for i, acc in enumerate(accuracies, start=1):
@@ -564,7 +562,7 @@ def _cmd_report(config: dict) -> None:
             lines.append(f"{i},{repr(round(100.0 * acc, 10))},{int(confusion[i - 1].sum())}")
         Path(config["csv_out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if config["out"]:
-        _write_run("report", config, {}, "report")
+        _write_run("report", config, {}, digests=digests)
 
 
 _HANDLERS = {

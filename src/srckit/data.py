@@ -49,9 +49,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        return int(self.draws(1)[0])
-
     def draws(self, n: int) -> np.ndarray:
         """The next ``n`` outputs as one uint64 array: the k-th state is
         state + k * gamma mod 2^64, put through splitmix64's mix (uint64 array
@@ -68,8 +65,9 @@ class SplitMix64:
 
     def shuffle(self, items: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap item i
-        with item next_u64() % (i + 1). The n-1 draws come from one ``draws``
-        call, so the result and the stream after it equal the per-draw loop's."""
+        with item d % (i + 1), d the generator's next output. The n-1 draws
+        come from one ``draws`` call, so the result and the stream after it
+        equal the per-draw loop's."""
         n = len(items)
         if n < 2:
             return
@@ -144,10 +142,6 @@ class LabeledCube:
     def n_classes(self) -> int:
         return int(self.labels.max(initial=0))
 
-    def labeled_ids(self) -> np.ndarray:
-        """Flat row-major indices (r*width + c) of all labeled pixels."""
-        return np.flatnonzero(self.labels.ravel() > 0)
-
     def class_ids(self, class_id: int) -> np.ndarray:
         """Flat indices of pixels labeled ``class_id``, ascending."""
         return np.flatnonzero(self.labels.ravel() == class_id)
@@ -172,7 +166,7 @@ def load_bundle(path) -> LabeledCube:
     for key in ("height", "width", "bands", "classes"):
         if key not in header:
             raise BundleFormatError(key, "missing from header.json")
-        if not isinstance(header[key], int) or header[key] < 0:
+        if type(header[key]) is not int or header[key] < 0:  # bool is an int subclass
             raise BundleFormatError(key, f"expected nonnegative integer, got {header[key]!r}")
     for key, expected in (("dtype", "f64le"), ("label_dtype", "i32le"), ("order", "band-major")):
         if header.get(key) != expected:
@@ -293,6 +287,13 @@ def class_counts(cube: LabeledCube) -> np.ndarray:
     return counts
 
 
+def check_seed(seed: int) -> None:
+    """A split seed outside [0, 2**64) is a ValueError: SplitMix64 would
+    alias it to seed mod 2**64, another seed's split."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def make_split(cube: LabeledCube, dict_frac: float = 0.01,
                train_frac: float = 1.0 / 11.0, seed: int = 0) -> Split:
     """Partition each class's labeled pixels into dictionary / train / test.
@@ -308,8 +309,7 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
         raise ValueError(f"dict_frac must lie in (0, 1), got {dict_frac}")
     if not 0.0 <= train_frac < 1.0:
         raise ValueError(f"train_frac must lie in [0, 1), got {train_frac}")
-    if not 0 <= seed <= _MASK64:  # SplitMix64 would alias it to seed mod 2**64
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    check_seed(seed)
     class_counts(cube)
 
     rng = SplitMix64(seed)

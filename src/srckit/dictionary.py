@@ -65,10 +65,6 @@ class Dictionary:
             raise ValueError(f"class {class_id} outside 1..{self.n_classes}")
         return slice(int(self.class_offsets[class_id - 1]), int(self.class_offsets[class_id]))
 
-    def sub_dictionary(self, class_id: int) -> np.ndarray:
-        """Columns belonging to ``class_id`` (a view, do not mutate)."""
-        return self.atoms[:, self.class_slice(class_id)]
-
     @cached_property
     def gram_cache(self) -> "GramCache":
         """This dictionary's GramCache, built on first use and kept for its

@@ -327,16 +327,6 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     return grads, loss_value
 
 
-def mean_loss(dictionary: Dictionary, pixels: np.ndarray, labels,
-              params: NetParams) -> float:
-    """Mean per-pixel loss of the network at fixed parameters, over the
-    (bands, n) ``pixels`` coded as one block."""
-    code, _ = forward(dictionary, pixels, params, keep_trace=False)
-    losses, _ = loss(class_residuals(dictionary, code, pixels),
-                     one_hot(labels, dictionary.n_classes))
-    return float(losses.mean())
-
-
 def kink_margin(trace: StageTrace, params: NetParams) -> float:
     """Smallest distance of any pre-activation entry to its stage threshold.
 
@@ -357,10 +347,6 @@ class GradCheckReport:
     zero: dict
     max_rel_error: float
     loss_value: float
-
-    @property
-    def all_zero_gradients(self) -> bool:
-        return all(flags.all() for flags in self.zero.values())
 
 
 def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,

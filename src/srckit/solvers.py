@@ -101,32 +101,6 @@ def soft_threshold(v: np.ndarray, eta: float, out=None) -> np.ndarray:
     return np.subtract(v, np.clip(v, -eta, eta, out=out), out=out)
 
 
-def lasso_objective(dictionary: Dictionary, x: np.ndarray, coeffs: np.ndarray,
-                    lam: float):
-    """0.5 * ||x - D a||^2 + lam * ||a||_1: a float for a pixel (bands,) and
-    its code (n_atoms,), one value per column for a block (bands, n) and its
-    code (n_atoms, n)."""
-    r = x - dictionary.atoms @ coeffs
-    value = 0.5 * np.einsum("i...,i...->...", r, r) + lam * np.abs(coeffs).sum(axis=0)
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def lasso_kkt_violation(dictionary: Dictionary, x: np.ndarray, lam: float,
-                        coeffs: np.ndarray):
-    """Max stationarity violation of the lasso optimality conditions at
-    ``coeffs``: a float for a pixel, one value per column for a block (as
-    ``lasso_objective``).
-
-    On the support: | d_j^T (x - D a) - lam * sign(a_j) |.
-    Off the support: max(| d_j^T (x - D a) | - lam, 0).
-    """
-    g = dictionary.atoms.T @ (x - dictionary.atoms @ coeffs)
-    on = coeffs != 0
-    violation = np.where(on, np.abs(g - lam * np.sign(coeffs)), np.maximum(np.abs(g) - lam, 0.0))
-    worst = violation.max(axis=0, initial=0.0)
-    return float(worst) if np.ndim(worst) == 0 else worst
-
-
 # ---------------------------------------------------------------------------
 # greedy family
 

@@ -9,7 +9,8 @@ gradient the same way, recovering the forward solve from the trace.
 """
 import numpy as np
 
-from srckit.network import StageTrace, class_residuals, loss
+from srckit import network
+from srckit.network import StageTrace, class_residuals, loss, one_hot
 from srckit.solvers import SparseCode, soft_threshold
 
 
@@ -119,3 +120,13 @@ def backward(dictionary, x, y, params, trace):
         g_u = g_u + g_u_prev
 
     return {"rho": d_rho, "eta": d_eta, "tau": d_tau}, loss_value
+
+
+def mean_loss(dictionary, pixels, labels, params) -> float:
+    """Mean per-pixel loss of ``srckit.network.forward`` (not this module's
+    ``forward``) at fixed parameters, over the (bands, n) ``pixels`` coded as
+    one block."""
+    code, _ = network.forward(dictionary, pixels, params, keep_trace=False)
+    losses, _ = loss(class_residuals(dictionary, code, pixels),
+                     one_hot(labels, dictionary.n_classes))
+    return float(losses.mean())

@@ -27,7 +27,7 @@ from srckit.data import pixels_to_cube, save_bundle
 from srckit.dictionary import GramCache, assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, backward,
                             class_residuals, forward, one_hot, train)
-from srckit.synthetic import subspace_classes
+from synthetic_problems import subspace_classes
 
 # 24 atoms over 16 bands: D^T D is singular, so the rho floor is stiff
 DATA = subspace_classes(7, n_classes=3, dim=16, sub_dim=3, n_dict=8,

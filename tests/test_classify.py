@@ -8,7 +8,7 @@ from srckit.data import LabeledCube, pixels_to_cube
 from srckit.dictionary import assemble
 from srckit.network import NetParams
 from srckit.solvers import SparseCode
-from srckit.synthetic import subspace_classes
+from synthetic_problems import subspace_classes
 
 
 def brute_force_kappa(confusion):
@@ -63,7 +63,7 @@ class TestSrcDecide:
             x = data.test_pixels[:, j % data.test_pixels.shape[1]]
             residuals = []
             for c in range(1, 4):
-                sub = d.sub_dictionary(c)
+                sub = d.atoms[:, d.class_slice(c)]
                 coef = np.linalg.lstsq(sub, x, rcond=None)[0]
                 residuals.append(np.linalg.norm(x - sub @ coef))
             assert src_decide(d, solvers.omp(d, x, 4), x) == int(np.argmin(residuals)) + 1

@@ -20,7 +20,8 @@ from srckit.data import (LabeledCube, Split, extract_pixels, load_bundle, make_s
                          pixels_to_cube, save_bundle)
 from srckit.dictionary import assemble
 from srckit.network import NetParams, TrainingDiverged, grad_check, train
-from srckit.synthetic import gradcheck_instance, subspace_classes
+from srckit.synthetic import gradcheck_instance
+from synthetic_problems import subspace_classes
 
 # 20 pixels per class: 4 dictionary atoms, 4 train and 12 test pixels each
 DATA = ["--dict-frac", "0.2", "--train-frac", "0.25"]
@@ -196,6 +197,22 @@ class TestExitCodes:
         assert named in err["message"]
         assert not out.exists()
 
+    def test_sweep_checks_its_last_seed_before_coding(self, capsys, monkeypatch, bundle,
+                                                      tmp_path):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return classify_testset(*args, **kwargs)
+        monkeypatch.setattr(classify, "classify_testset", counted)
+        status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "omp",
+                          "--param", "k", "--grid", "1,2", "--runs", 2,
+                          "--base-seed", 2**64 - 1, "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert f"seed must lie in [0, 2**64), got {2**64}" in err["message"]
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_file(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json", encoding="utf-8")
@@ -279,9 +296,16 @@ def unlabel_all(path):
     (path / "header.json").write_text(json.dumps({**header, "classes": 0}), encoding="utf-8")
 
 
+def boolean_height(path):
+    # JSON true is a Python bool, which is an int
+    header = read_json(path / "header.json")
+    (path / "header.json").write_text(json.dumps({**header, "height": True}), encoding="utf-8")
+
+
 BUNDLE_FAULTS = {
     "class 2 has no labeled pixels": skip_class_2,
     "cube has no labeled pixels": unlabel_all,
+    "height: expected nonnegative integer, got True": boolean_height,
     "data.bin: expected": lambda path: (path / "data.bin").write_bytes(
         (path / "data.bin").read_bytes()[:-8]),
     "bundle file missing": lambda path: (path / "labels.bin").unlink(),
@@ -361,6 +385,11 @@ class TestManifestHashes:
         assert not (tmp_path / "out").exists()
 
 
+def bundle_files(path):
+    """A bundle's three files, the only ones a run reads from it."""
+    return [path / name for name in ("data.bin", "header.json", "labels.bin")]
+
+
 def disk_hashes(*paths):
     """The manifest's inputs as hashing the files on disk gives them."""
     files = [f for p in paths for f in (sorted(p.iterdir()) if p.is_dir() else [p])]
@@ -395,7 +424,7 @@ class TestManifestDigests:
         assert read_json(tmp_path / "manifest.json")["inputs"] == disk_hashes(bundle)
         assert hashed == []
 
-    def test_saved_inputs_and_extra_bundle_files_are_hashed_from_disk(
+    def test_saved_inputs_are_hashed_from_disk_and_other_bundle_files_are_not_inputs(
             self, capsys, hashed, bundle, trained, tmp_path):
         copy = tmp_path / "bundle"
         copy.mkdir()
@@ -407,8 +436,46 @@ class TestManifestDigests:
                         "--solver", "asdn", "--params", params_path, "--out", tmp_path / "out")
         assert status == 0
         inputs = read_json(tmp_path / "out" / "manifest.json")["inputs"]
-        assert inputs == disk_hashes(copy, split_path, params_path)
-        assert sorted(hashed) == ["notes.txt", "params.json", "split.json"]
+        assert inputs == disk_hashes(*bundle_files(copy), split_path, params_path)
+        assert sorted(hashed) == ["params.json", "split.json"]
+
+    def test_ingest_into_its_bundle_lists_only_what_it_read(self, capsys, tmp_path):
+        # a second run finds the first's summary.json and manifest.json in --out
+        save_bundle(tiny_cube(), tmp_path)
+        want = disk_hashes(*bundle_files(tmp_path))
+        manifests = []
+        for _ in range(2):
+            status, _ = run(capsys, "ingest", "--bundle", tmp_path, "--out", tmp_path)
+            assert status == 0
+            manifests.append((tmp_path / "manifest.json").read_bytes())
+            assert json.loads(manifests[-1])["inputs"] == want
+        assert manifests[0] == manifests[1]
+
+    def test_train_into_its_split_directory_hashes_the_split_it_read(
+            self, capsys, bundle, trained, tmp_path):
+        # stored with other formatting than train's, so the first run rewrites it
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(read_json(trained / "split.json"), indent=1),
+                              encoding="utf-8")
+        manifests = []
+        for _ in range(3):
+            read = sha256(split_path)
+            status, _ = run(capsys, "train", "--bundle", bundle, *DATA, "--split", split_path,
+                            "--stages", 1, "--epochs", 1, "--out", tmp_path)
+            assert status == 0
+            manifests.append((tmp_path / "manifest.json").read_bytes())
+            assert json.loads(manifests[-1])["inputs"][str(split_path)] == read
+        assert manifests[0] != manifests[1] == manifests[2]
+
+    def test_report_hashes_the_report_before_csv_overwrites_it(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(evaluate([1, 2], [1, 2], 2).to_json()), encoding="utf-8")
+        read = sha256(path)
+        status, _ = run(capsys, "report", "--report", path, "--csv", path,
+                        "--out", tmp_path / "out")
+        assert status == 0
+        assert sha256(path) != read
+        assert read_json(tmp_path / "out" / "manifest.json")["inputs"] == {str(path): read}
 
 
 class TestSplitValidation:
@@ -1130,6 +1197,35 @@ def test_package_exports_exactly_the_names_it_binds():
               for target in node.targets}
     assert sorted(srckit.__all__) == sorted(name for name in bound if not name.startswith("_"))
     assert [name for name in srckit.__all__ if not hasattr(srckit, name)] == []
+
+
+def test_src_holds_no_test_only_code():
+    """Every public top-level function and class of srckit's modules, and
+    every public method of those classes, is named (as a Name or an
+    attribute) by srckit's own modules, __init__ aside, or by perfbench/. A
+    solver reached by its name through classify.SOLVER_MODULES counts."""
+    package = Path(srckit.__file__).parent
+    defined = []  # (where, name)
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+    users = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    users += (Path(__file__).parents[1] / "perfbench").glob("*.py")
+    named = set(classify.SOLVER_MODULES)
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = sorted(where for where, name in defined
+                    if not name.startswith("_") and name not in named)
+    assert unused == [], (f"only the tests use {unused}: move each into tests/, "
+                          "or call it from src/")
 
 
 # (key, command or None for every command that reads it, function, parameter);

@@ -3,7 +3,8 @@ import pytest
 
 from srckit.dictionary import Dictionary, GramCache, assemble
 from srckit.solvers import fista, soft_threshold
-from srckit.synthetic import random_orthonormal, random_unit_dictionary, subspace_classes
+from srckit.synthetic import random_unit_dictionary
+from synthetic_problems import random_orthonormal, subspace_classes
 
 
 def test_assemble_groups_by_class():
@@ -36,7 +37,7 @@ def test_sub_dictionaries_reconstitute_atoms():
     samples = rng.standard_normal((5, 9))
     labels = [3, 1, 2, 1, 3, 2, 2, 1, 3]
     d = assemble(samples, labels)
-    stacked = np.hstack([d.sub_dictionary(c) for c in range(1, 4)])
+    stacked = np.hstack([d.atoms[:, d.class_slice(c)] for c in range(1, 4)])
     assert np.array_equal(stacked, d.atoms)
 
 
@@ -46,7 +47,7 @@ def test_pavia_like_atom_counts():
     labels = np.concatenate([np.full(n, c + 1) for c, n in enumerate(sizes)])
     d = assemble(np.ones((4, len(labels))), labels)
     assert d.n_atoms == 426
-    assert d.sub_dictionary(2).shape[1] == 186
+    assert d.class_slice(2) == slice(66, 252)
 
 
 class TestSolveRegularized:

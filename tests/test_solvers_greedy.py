@@ -3,7 +3,8 @@ import pytest
 
 from srckit.dictionary import assemble
 from srckit.solvers import gomp, omp, romp, samp, sp
-from srckit.synthetic import planted_instance, random_unit_dictionary, subspace_classes
+from srckit.synthetic import random_unit_dictionary
+from synthetic_problems import planted_instance, subspace_classes
 
 
 def identity_dictionary(n=6):

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srckit.dictionary import assemble
-from srckit.solvers import (admm_fixed, fista, lasso_kkt_violation,
-                            lasso_objective, soft_threshold)
-from srckit.synthetic import random_orthonormal, random_unit_dictionary
+from l1_reference import lasso_kkt_violation, lasso_objective
+from srckit.solvers import admm_fixed, fista, soft_threshold
+from srckit.synthetic import random_unit_dictionary
+from synthetic_problems import random_orthonormal
 
 
 def overdetermined_instance(seed, rows=40, cols=20):

@@ -17,7 +17,8 @@ from srckit import solvers
 from srckit.dictionary import assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, TrainingDiverged, asdn, backward,
                             forward, grad_check, kink_margin, one_hot, train)
-from srckit.synthetic import gradcheck_instance, subspace_classes
+from srckit.synthetic import gradcheck_instance
+from synthetic_problems import subspace_classes
 
 
 def pavia_shaped(seed):
@@ -171,7 +172,7 @@ def kink_free(d, seed, rho=None, relax=1.0, n_stages=4, margin=1e-4):
                            eta=0.05 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, n_stages)),
                            tau=1.0 + 0.2 * rng.uniform(-1.0, 1.0, n_stages), relax=relax)
         label = int(rng.integers(1, d.n_classes + 1))
-        x = d.sub_dictionary(label) @ rng.standard_normal(d.class_slice(label).stop
+        x = d.atoms[:, d.class_slice(label)] @ rng.standard_normal(d.class_slice(label).stop
                                                           - d.class_slice(label).start)
         x = x / np.linalg.norm(x) + 0.05 * rng.standard_normal(d.n_bands)
         _, trace = forward(d, x, params)
