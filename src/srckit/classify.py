@@ -160,38 +160,26 @@ PARAM_TYPES = {"k": integer, "s": integer, "step": integer, "max_iters": integer
 SOLVER_NAMES = tuple(SOLVER_PARAMS)
 
 
-def param_name(key: str) -> str:
-    """The canonical name of a solver parameter: the alias "lambda" is "lam"."""
-    return "lam" if key == "lambda" else key
-
-
-def canonical_params(params: dict | None) -> dict:
-    """A copy of a solver-parameter record under canonical names; of two
-    keys that name the same parameter the later one wins."""
-    return {param_name(key): value for key, value in (params or {}).items()}
-
-
 def check_sweep(solver: str, parameter: str, params: dict | None, grid) -> None:
     """Raise ValueError unless ``solver`` takes the numeric ``parameter`` and,
     with it set to each value of ``grid``, has every parameter it needs."""
-    key = param_name(parameter)
-    taken = SOLVER_PARAMS.get(solver)
-    if taken is not None and (key not in taken or PARAM_TYPES[key] not in (integer, real)):
+    if solver in SOLVER_PARAMS and (parameter not in SOLVER_PARAMS[solver]
+                                    or PARAM_TYPES[parameter] not in (integer, real)):
         raise ValueError(f"solver {solver} takes no numeric parameter {parameter!r}; "
-                         f"it takes {', '.join(taken)}")
+                         f"it takes {', '.join(SOLVER_PARAMS[solver])}")
     for value in grid:
-        solver_kwargs(solver, {**canonical_params(params), key: value})
+        solver_kwargs(solver, {**(params or {}), parameter: value})
 
 
 def solver_kwargs(name: str, params: dict | None = None) -> dict:
     """The keyword arguments solver ``name`` takes from a parameter record,
     cast to their types. Keys set to None count as absent. An unknown
-    solver, a key the solver does not take, a value its type or its range in
-    solvers.PARAM_RANGES rejects, a missing "k", or "n_stages" beside "net"
-    raises ValueError naming it."""
+    solver, a key the solver does not take (such as the CLI's alias
+    "lambda"), a value its type or its range in solvers.PARAM_RANGES rejects,
+    a missing "k", or "n_stages" beside "net" raises ValueError naming it."""
     if name not in SOLVER_PARAMS:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
-    params = canonical_params(params)
+    params = params or {}
     keys = SOLVER_PARAMS[name]
     untaken = [key for key, value in params.items()
                if value is not None and key not in keys]
@@ -300,8 +288,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
         raise ValueError(f"runs must be >= 1, got {runs}")
     check_seed(base_seed + runs - 1)
     check_sweep(solver, parameter, params, grid)
-    records = [{**canonical_params(params), param_name(parameter): float(value)}
-               for value in grid]
+    records = [{**(params or {}), parameter: float(value)} for value in grid]
     seeds = [base_seed + r for r in range(runs)]
 
     scores = {name: np.zeros((grid.size, runs)) for name in SCORES}

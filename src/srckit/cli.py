@@ -6,12 +6,12 @@ One table, KEYS, declares every configuration key: its command-line flags,
 its kind, an optional range check, and the subcommands that read it with
 each one's default. The parser is generated from it. A run takes a JSON
 config file (--config), puts every flag given on top of it (flags win), and
-checks each key its subcommand reads before it touches the output
-directory: a value of the wrong kind (a boolean or string for a number,
-NaN or infinity for a real, a fraction for an integer), a value out of
-range, or a missing required key is a config error. Solver parameters take
-their kinds from classify.PARAM_TYPES (and tol its range from solvers, as
-gradcheck reads it too). Keys the subcommand does not read are ignored.
+types each key its subcommand reads; other keys are ignored. Each input
+rule has one owner. The CLI owns the spellings (flags, JSON keys, and
+"lambda" for "lam", only here), the kinds (solver parameters' from
+classify.PARAM_TYPES) and the ranges no library call checks: seeds >= 0,
+fd_step, bands, atoms, gradcheck's tol and the grid. The library call that
+takes any other value checks it, and data.check_split a split file.
 A subcommand does its work first. Only when that succeeds does one call,
 ``_write_run``, make --out and write the outputs and then, last,
 manifest.json: the effective typed config (every key read, defaults filled
@@ -27,11 +27,11 @@ the dictionary and the pixels to code are extracted.
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 3 config error. ``run`` prints one JSON line: a handler's summary to
 stdout (report prints its own text), or a failure to stderr. A config
-error is any input value or file found bad: a key, a missing or malformed
-bundle, split, params, CSV or report file, or a ValueError the library
-raises on its inputs (one rule, ``_checked``), so a bundle that loads but
-leaves a class without pixels, or a split seed outside [0, 2**64), is one
-too.
+error is any input found bad before --out is made: a missing key, a value
+of the wrong kind (a bool or string for a number, NaN or infinity for a
+real, a fraction for an integer), a missing or malformed bundle, split,
+params, CSV or report file, or a ValueError the library raises on its
+inputs (one rule, ``_checked``), such as a class without pixels.
 """
 from __future__ import annotations
 
@@ -46,10 +46,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import solvers, synthetic
-from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport,
-                       canonical_params, check_fit, check_sweep, classify_testset, evaluate,
-                       integer, real, solver_kwargs, split_inputs, sweep)
-from .data import (Split, class_counts, load_bundle, load_pixel_csv, make_split,
+from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport, check_fit,
+                       check_sweep, classify_testset, evaluate, integer, real, solver_kwargs,
+                       split_inputs, sweep)
+from .data import (Split, check_split, class_counts, load_bundle, load_pixel_csv, make_split,
                    pixels_to_cube, save_bundle)
 from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, grad_check, train
@@ -88,13 +88,21 @@ def _json_text(doc, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True, default=NetParams.to_json) + "\n"
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key (json.loads keeps its last value) is a ValueError."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {max(keys, key=keys.count)!r} is repeated")
+    return dict(pairs)
+
+
 def _read_json(path: Path, what: str, parse=lambda doc: doc):
     """``parse`` of the JSON document in ``path``. A missing file, one that is
-    not JSON, or one that ``parse`` rejects is a config error naming it."""
+    not JSON or repeats a key, or one ``parse`` rejects is a config error naming it."""
     if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     try:
-        return parse(json.loads(path.read_text(encoding="utf-8")))
+        return parse(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} file {path} is malformed: {exc!r}") from exc
 
@@ -106,7 +114,8 @@ def parse_grid(text: str):
     """Grid syntax: "a:b" inclusive integer range, "a:b:s" stepped real
     range, or a comma list of numbers. A stepped range needs finite bounds
     and step, and a range may hold at most GRID_CAP = 10000 values: its
-    count is checked before any value is built."""
+    count is checked before any value is built. A stepped value is
+    lo + i*step to 15 significant digits: "0:1:0.1" holds 0.3."""
     text = text.strip()
     try:
         if "," in text:
@@ -132,7 +141,7 @@ def parse_grid(text: str):
                 steps = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
                 if steps >= GRID_CAP:
                     raise ValueError(f"the range holds more than {GRID_CAP} values")
-                values = [lo + i * step for i in range(math.floor(steps) + 1)]
+                values = [float(f"{lo + i * step:.15g}") for i in range(math.floor(steps) + 1)]
                 return [v for v in values if v <= hi + 1e-12]
             raise ValueError(f"too many ':' in {text!r}")
         return [float(text)]
@@ -140,20 +149,24 @@ def parse_grid(text: str):
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
+def _param(name) -> str:
+    """A parameter name as the library spells it: "lambda" is "lam"."""
+    if not isinstance(name, str):
+        raise TypeError(f"expected a name, got {name!r}")
+    return "lam" if name == "lambda" else name
+
+
 def _record(value) -> dict:
-    """A solver_params record, a JSON object, under canonical parameter names."""
+    """A JSON object (a config file or a solver_params record) with its keys
+    spelled by ``_param``; of two keys for one parameter the later wins."""
     if not isinstance(value, dict):
-        raise TypeError(value)
-    return canonical_params(value)
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return {_param(key): item for key, item in value.items()}
 
 
 def _grid(value) -> list:
-    """A sweep grid: grid text (see parse_grid) or a nonempty list of
-    finite numbers."""
-    grid = [real(v) for v in (parse_grid(value) if isinstance(value, str) else value)]
-    if not grid:
-        raise ValueError("parameter grid is empty")
-    return grid
+    """A sweep grid: grid text (see parse_grid) or a list of finite numbers."""
+    return [real(v) for v in (parse_grid(value) if isinstance(value, str) else value)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +205,8 @@ KEYS = {
                   help="bundle directory"),
     "csv": Key(("--csv",), str, {"ingest": None},
                help="pixel CSV to convert (omit to validate --bundle)"),
-    "dict_frac": Key(("--dict-frac",), real, dict.fromkeys(_DRAW, 0.01),
-                     ("lie in (0, 1)", lambda v: 0.0 < v < 1.0)),
-    "train_frac": Key(("--train-frac",), real, dict.fromkeys(_DRAW, 1.0 / 11.0),
-                      ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0)),
+    "dict_frac": Key(("--dict-frac",), real, dict.fromkeys(_DRAW, 0.01)),
+    "train_frac": Key(("--train-frac",), real, dict.fromkeys(_DRAW, 1.0 / 11.0)),
     "seed": Key(("--seed",), integer, dict.fromkeys(("split", "train", "eval", "gradcheck"), 0),
                 _NON_NEGATIVE, help="split seed"),
     "normalize": Key(("--normalize", "--no-normalize"), bool,
@@ -204,9 +215,9 @@ KEYS = {
                       help="reuse a saved split.json instead of re-drawing"),
     "stages": Key(("--stages",), integer, {"train": DEFAULT_STAGES, "gradcheck": 5},
                   help="network depth N"),
-    "learning_rate": Key(("--lr",), real, {"train": 1e-2}, ("be nonnegative", lambda v: v >= 0.0)),
-    "epochs": Key(("--epochs",), integer, {"train": 50}, _AT_LEAST_ONE),
-    "batch_size": Key(("--batch-size",), integer, {"train": 32}, _AT_LEAST_ONE),
+    "learning_rate": Key(("--lr",), real, {"train": 1e-2}),
+    "epochs": Key(("--epochs",), integer, {"train": 50}),
+    "batch_size": Key(("--batch-size",), integer, {"train": 32}),
     "train_seed": Key(("--train-seed",), integer, {"train": None},  # None: the split seed
                       _NON_NEGATIVE),
     "init_eta": Key(("--init-eta",), real, {"train": 0.1}),
@@ -232,15 +243,15 @@ KEYS = {
     # parameter asdn could sweep
     "net_params": Key(("--params",), str, dict.fromkeys(_CODE),
                       help="trained network params.json (asdn solver)", config_only=("sweep",)),
-    "param": Key(("--param",), str, {"sweep": REQUIRED},
+    "param": Key(("--param",), _param, {"sweep": REQUIRED},
                  help="solver parameter to sweep (e.g. k, lam, rho)"),
     "grid": Key(("--grid",), _grid, {"sweep": REQUIRED}, help="a:b | a:b:s | comma list"),
-    "runs": Key(("--runs",), integer, {"sweep": 5}, _AT_LEAST_ONE),
+    "runs": Key(("--runs",), integer, {"sweep": 5}),
     "base_seed": Key(("--base-seed",), integer, {"sweep": 0}, _NON_NEGATIVE),
     "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}, ("be > 0", lambda v: v > 0.0)),
     "bands": Key(("--bands",), integer, {"gradcheck": 20}, _AT_LEAST_ONE),
     "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _AT_LEAST_ONE),
-    "n_classes": Key(("--classes",), integer, {"gradcheck": 2}, ("be >= 2", lambda v: v >= 2)),
+    "n_classes": Key(("--classes",), integer, {"gradcheck": 2}),
     "report": Key(("--report",), str, {"report": REQUIRED}, help="path to a report.json"),
     "csv_out": Key(("--csv",), str, {"report": None}, help="also write per-class rows as CSV"),
 }
@@ -298,10 +309,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     parameter names ("lambda" is "lam"), every flag given on top (flags win),
     then each key the subcommand reads checked against KEYS, with its default
     where unset. Other keys are dropped."""
-    given = _read_json(Path(args.config), "config") if args.config else {}
-    if not isinstance(given, dict):
-        raise ConfigError("config file must hold a JSON object")
-    given = canonical_params(given)
+    given = _read_json(Path(args.config), "config", _record) if args.config else {}
     given.update({key: value for key, value in vars(args).items() if value is not None})
     return {key: _typed(key, spec, given.get(key), spec.commands[args.command])
             for key, spec in KEYS.items() if args.command in spec.commands}
@@ -340,7 +348,10 @@ def _load_split(config: dict, cube) -> Split:
                         config["seed"])
     path = Path(config["split_file"])
     split = _read_json(path, "split", Split.from_json)
-    _check_split(split, cube, path)
+    try:
+        check_split(split, cube)
+    except ValueError as exc:
+        raise ConfigError(f"split file {path}: {exc}") from exc
     return split
 
 
@@ -369,46 +380,6 @@ def _coding_inputs(config: dict, subset: str) -> _Coding:
                                                subset)
     return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
                    cube.height * cube.width, cube.digests)
-
-
-def _check_split(split: Split, cube, path: Path) -> None:
-    """A split file must file ids under the cube's classes 1..C only, give
-    every class at least one dictionary id, index labeled cube pixels of the
-    class it files them under, list each id at most once in each set, and
-    its dictionary, train and test sets must be pairwise disjoint."""
-    labels = cube.labels.ravel()
-    sets = {"dictionary": split.dictionary_ids, "train": split.train_ids,
-            "test": split.test_ids}
-    for c in range(1, cube.n_classes + 1):
-        if not len(split.dictionary_ids.get(c, ())):
-            raise ConfigError(f"split file {path}: class {c} has no dictionary ids")
-    for name, groups in sets.items():
-        for class_id, ids in groups.items():
-            if not 1 <= class_id <= cube.n_classes:
-                raise ConfigError(f"split file {path}: {name} class {class_id} lies "
-                                  f"outside 1..{cube.n_classes}")
-            outside = ids[(ids < 0) | (ids >= labels.size)]
-            if outside.size:
-                raise ConfigError(f"split file {path}: {name} id {outside[0]} lies "
-                                  f"outside the {labels.size}-pixel cube")
-            wrong = ids[labels[ids] != class_id]
-            if wrong.size:
-                raise ConfigError(
-                    f"split file {path}: {name} id {wrong[0]} is filed under class "
-                    f"{class_id} but its cube label is {labels[wrong[0]]}")
-    flat = {"dictionary": split.dictionary_flat(), "train": split.train_flat(),
-            "test": split.test_flat()}
-    for name, ids in flat.items():
-        ordered = np.sort(ids)
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeated.size:
-            raise ConfigError(f"split file {path}: {name} id {repeated[0]} is listed "
-                              "more than once")
-    for a, b in (("dictionary", "train"), ("dictionary", "test"), ("train", "test")):
-        shared = np.intersect1d(flat[a], flat[b])
-        if shared.size:
-            raise ConfigError(f"split file {path}: id {shared[0]} is in both the "
-                              f"{a} and {b} sets")
 
 
 def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -> Path:
@@ -482,10 +453,10 @@ def _cmd_train(config: dict) -> dict:
     init = _checked(NetParams.default, config["stages"], rho=config["init_rho"],
                     eta=config["init_eta"], tau=config["init_tau"])
     coding = _coding_inputs(config, "train")
-    params, history = train(coding.dictionary, coding.pixels, coding.labels,
-                            learning_rate=config["learning_rate"], epochs=config["epochs"],
-                            batch_size=config["batch_size"], seed=config["train_seed"],
-                            init=init)
+    params, history = _checked(train, coding.dictionary, coding.pixels, coding.labels,
+                               learning_rate=config["learning_rate"], epochs=config["epochs"],
+                               batch_size=config["batch_size"], seed=config["train_seed"],
+                               init=init)
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     out = _write_run("train", config, {
         "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
@@ -531,7 +502,7 @@ def _cmd_gradcheck(config: dict) -> dict:
     dictionary, x, y, params = _checked(
         synthetic.gradcheck_instance, config["seed"], n_bands=config["bands"],
         n_atoms=config["atoms"], n_classes=config["n_classes"], n_stages=config["stages"])
-    report = grad_check(dictionary, x, y, params, step=config["fd_step"])
+    report = _checked(grad_check, dictionary, x, y, params, step=config["fd_step"])
     doc = {"max_rel_error": report.max_rel_error, "loss": report.loss_value,
            "zero_gradient": {name: flags.tolist() for name, flags in report.zero.items()},
            **{f"{name}_rel_error": rel.tolist() for name, rel in report.rel_error.items()}}

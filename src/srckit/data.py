@@ -7,7 +7,8 @@ A cube lives on disk as a "bundle" directory::
     data.bin      H*W*B float64 little-endian, flat index ((b*H + r)*W + c)
     labels.bin    H*W int32 little-endian, row-major (r*W + c)
 
-Label 0 means "unlabeled"; classes are 1..C.
+Label 0 means "unlabeled"; classes are 1..C. ``check_split`` is the rule a
+split read from a file must meet to be used with a cube.
 
 A loaded cube keeps that band-major layout: ``load_bundle`` reads data.bin
 once, straight into one (bands, height, width) buffer, and ``LabeledCube.data``
@@ -257,13 +258,17 @@ class Split:
     def from_json(cls, doc: dict) -> "Split":
         """The inverse of ``to_json``. Every id and the seed must be a JSON
         integer: a ValueError names any other value (a float, even an
-        integral one, a bool or a string) and where it sits."""
+        integral one, a bool or a string) and where it sits; so does a class
+        key not spelled str(class), as "01" or " 1", which would merge."""
         def integer(value, where):
             if type(value) is not int:
                 raise ValueError(f"{where} {value!r} is not an integer")
             return value
 
         def back(name):
+            for key in doc[name]:
+                if key != str(int(key)):
+                    raise ValueError(f"{name} class key {key!r} is not written {str(int(key))!r}")
             return {int(c): np.array([integer(i, f"{name} id") for i in v], dtype=np.int64)
                     for c, v in doc[name].items()}
 
@@ -326,6 +331,38 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
         train_ids[c] = np.sort(ids[n_dict:n_dict + n_train])
         test_ids[c] = np.sort(ids[n_dict + n_train:])
     return Split(dictionary_ids=dict_ids, train_ids=train_ids, test_ids=test_ids, seed=seed)
+
+
+def check_split(split: Split, cube: LabeledCube) -> None:
+    """Raise ValueError unless ``split`` fits ``cube``: every class 1..C has
+    a dictionary id, each id is filed under its labeled pixel's class, and no
+    id appears twice across the dictionary, train and test sets."""
+    labels = cube.labels.ravel()
+    sets = {"dictionary": split.dictionary_ids, "train": split.train_ids, "test": split.test_ids}
+    for c in range(1, cube.n_classes + 1):
+        if not len(split.dictionary_ids.get(c, ())):
+            raise ValueError(f"class {c} has no dictionary ids")
+    for name, groups in sets.items():
+        for class_id, ids in groups.items():
+            if not 1 <= class_id <= cube.n_classes:
+                raise ValueError(f"{name} class {class_id} lies outside 1..{cube.n_classes}")
+            outside = ids[(ids < 0) | (ids >= labels.size)]
+            if outside.size:
+                raise ValueError(f"{name} id {outside[0]} lies outside the "
+                                 f"{labels.size}-pixel cube")
+            wrong = ids[labels[ids] != class_id]
+            if wrong.size:
+                raise ValueError(f"{name} id {wrong[0]} is filed under class {class_id} "
+                                 f"but its cube label is {labels[wrong[0]]}")
+    flats = (split.dictionary_flat(), split.train_flat(), split.test_flat())
+    ids = np.concatenate(flats)
+    order = np.argsort(ids, kind="stable")  # an id's copies side by side, in set order
+    ids, where = ids[order], np.repeat(list(sets), [len(f) for f in flats])[order]
+    twice = np.flatnonzero(ids[1:] == ids[:-1])
+    if twice.size:
+        i, (a, b) = twice[0], where[twice[0]:twice[0] + 2]
+        raise ValueError(f"{a} id {ids[i]} is listed more than once" if a == b
+                         else f"id {ids[i]} is in both the {a} and {b} sets")
 
 
 def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):

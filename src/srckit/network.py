@@ -355,10 +355,14 @@ def grad_check(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
 
     Parameter pairs whose analytic and numeric gradients are both below
     GRAD_ZERO_ATOL are flagged as zero-gradient and excluded from
-    ``max_rel_error`` (a relative error is meaningless there).
+    ``max_rel_error`` (a relative error is meaningless there). A step that
+    is not positive or would cross a FLOORS value raises ValueError.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    for name, floor in FLOORS.items():
+        if (getattr(params, name) - step < floor).any():
+            raise ValueError(f"step {step} would move an entry of {name} below its floor {floor}")
     _, trace = forward(dictionary, x, params)
     analytic, loss_value = backward(dictionary, x, y, params, trace)
 
@@ -396,9 +400,9 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     Each step runs its minibatch through forward and backward in blocks of at
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
     order, so runs are bit-reproducible), and takes one ``NetParams.stepped``
-    on the mean gradient. Returns (final params, per-epoch mean loss).
-    Deterministic given ``seed``. Each step moves rho; the dictionary's
-    gram_cache solves at any rho, so nothing is rebuilt.
+    on the mean gradient; a non-finite loss or step raises TrainingDiverged.
+    Returns (final params, per-epoch mean loss), deterministic given ``seed``.
+    Each step moves rho, and the dictionary's gram_cache solves at any rho.
     """
     if learning_rate < 0:
         raise ValueError(f"learning_rate must be nonnegative, got {learning_rate}")
@@ -435,19 +439,19 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
                         for name, total in sums.items():
                             total += grads[name]
                         batch_loss += block_loss
+                    if not math.isfinite(batch_loss):
+                        raise TrainingDiverged(
+                            f"training loss became non-finite at epoch {epoch}")
+                    scale = 1.0 / len(batch)
+                    params = params.stepped(learning_rate, {name: total * scale
+                                                            for name, total in sums.items()})
             except (ValueError, FloatingPointError) as exc:
                 # overflow or NaN raises under errstate; a non-finite pixel
-                # fails forward's entry check (GramCache.project), a ValueError
+                # (GramCache.project) or step (NetParams) raises ValueError
                 raise TrainingDiverged(
                     f"training loss became non-finite at epoch {epoch}: {exc}"
                 ) from exc
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"training loss became non-finite at epoch {epoch}")
             epoch_loss += batch_loss
-            scale = 1.0 / len(batch)
-            params = params.stepped(learning_rate, {name: total * scale
-                                                    for name, total in sums.items()})
         history[epoch] = epoch_loss / n
         if not math.isfinite(history[epoch]):
             raise TrainingDiverged(

@@ -180,12 +180,6 @@ class TestClassifyTestset:
         permuted = classify_testset(d, px[:, perm], "omp", {"k": 4})
         assert np.array_equal(permuted, serial[perm])
 
-    def test_lambda_alias(self, problem):
-        d, data = problem
-        a = classify_testset(d, data.test_pixels[:, :3], "fista", {"lam": 0.05})
-        b = classify_testset(d, data.test_pixels[:, :3], "fista", {"lambda": 0.05})
-        assert np.array_equal(a, b)
-
 
 def make_cube(seed=4) -> LabeledCube:
     data = subspace_classes(seed, n_classes=3, dim=16, sub_dim=3, n_dict=8,

@@ -1,17 +1,22 @@
 """End-to-end tests of ``cli.run`` on a tiny bundle, plus the solver table it
 reads solver parameters through."""
 import ast
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srckit
 from srckit import classify, cli, solvers
@@ -186,6 +191,8 @@ class TestExitCodes:
         ("split", ["--seed", 2**64], f"seed must lie in [0, 2**64), got {2**64}"),
         ("sweep", ["--solver", "omp", "--param", "k", "--grid", "1", "--runs", 2,
                    "--base-seed", 2**64 - 1], f"seed must lie in [0, 2**64), got {2**64}"),
+        # the minus copy of the check would put an eta below its floor of 0
+        ("gradcheck", ["--fd-step", 0.1], "step 0.1 would move an entry of eta below its floor"),
     ])
     def test_rejected_flag_value(self, capsys, bundle, tmp_path, command, argv, named):
         """A non-finite real, or a value out of range for the table or the
@@ -220,6 +227,15 @@ class TestExitCodes:
         assert status == 3
         assert err["kind"] == "config"
 
+    def test_config_file_repeating_a_key(self, capsys, bundle, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"solver": "omp", "k": 2, "k": 3}', encoding="utf-8")
+        status, err = run(capsys, "eval", "--config", config, "--bundle", bundle, *DATA,
+                          "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert "key 'k' is repeated" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_holding_a_list(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]", encoding="utf-8")
@@ -235,14 +251,86 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def reals(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# the smallest eta of gradcheck's instance at its default seed and sizes and
+# one stage: the largest --fd-step whose minus copy stays at or above eta's floor
+GRADCHECK_ETA = float(gradcheck_instance(0, n_stages=1)[3].eta.min())
+# each key whose range the library checks, with the cheapest run that reads
+# it and (out-of-range values, in-range edge values)
+RANGE_RULES = {
+    "dict_frac": ("split", [], st.one_of(st.sampled_from([0.0, 1.0]), reals(max_value=0.0),
+                                         reals(min_value=1.0)), [5e-324, 1 - 2**-53]),
+    "train_frac": ("split", [], st.one_of(st.sampled_from([-5e-324, 1.0]),
+                                          reals(max_value=-5e-324), reals(min_value=1.0)),
+                   [0.0, 1 - 2**-53]),
+    "learning_rate": ("train", ["--stages", 1, "--epochs", 1],
+                      st.one_of(st.just(-5e-324), reals(max_value=-5e-324)), [0.0]),
+    "epochs": ("train", ["--stages", 1], st.integers(max_value=0), [1]),
+    "batch_size": ("train", ["--stages", 1, "--epochs", 1], st.integers(max_value=0), [1]),
+    "runs": ("sweep", ["--solver", "omp", "--param", "k", "--grid", "1"],
+             st.integers(max_value=0), [1]),
+    "n_classes": ("gradcheck", ["--stages", 1, "--tol", 2], st.integers(max_value=1), [2]),
+    "fd_step": ("gradcheck", ["--stages", 1, "--tol", 2],
+                st.one_of(st.sampled_from([0.0, float(np.nextafter(GRADCHECK_ETA, 1.0))]),
+                          reals(max_value=0.0), reals(min_value=GRADCHECK_ETA, exclude_min=True)),
+                [GRADCHECK_ETA]),
+}
+
+
+def run_key(bundle, key, value, out):
+    """(exit status, stdout, stderr) of the run RANGE_RULES names for ``key``
+    with ``key`` set to ``value`` (the flag given last, so it wins)."""
+    command, argv, _, _ = RANGE_RULES[key]
+    data = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = cli.run([str(a) for a in (command, *data, *argv, "--out", out)]
+                         + [f"{cli.KEYS[key].flags[0]}={value!r}"])
+    return status, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("key", RANGE_RULES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_value_out_of_its_library_range_is_config_error(bundle, key, data):
+    """Each range the CLI leaves to the library is still a config error
+    naming its key, with one JSON line on stderr and no --out."""
+    value = data.draw(RANGE_RULES[key][2], label=key)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        status, stdout, stderr = run_key(bundle, key, value, out)
+        assert (status, stdout) == (3, "")
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["status"], err["kind"]) == ("error", "config")
+        assert ("step" if key == "fd_step" else key) in err["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key, rule in RANGE_RULES.items()
+                                        for value in rule[3]])
+def test_value_at_the_edge_of_its_library_range_runs(bundle, tmp_path, key, value):
+    status, stdout, stderr = run_key(bundle, key, value, tmp_path / "out")
+    assert (status, stderr) == (0, "")
+    assert json.loads(stdout)["status"] == "ok"
+    assert (tmp_path / "out" / "manifest.json").is_file()
+
+
 def test_grid_ranges():
     assert cli.parse_grid("1:3") == [1.0, 2.0, 3.0]
     stepped = cli.parse_grid("0.1:0.3:0.1")
     assert len(stepped) == 3
     assert abs(stepped[-1] - 0.3) <= 1e-12
+    # each value is lo + i*step to 15 significant digits, not 0.30000000000000004
+    assert cli.parse_grid("0:1:0.1") == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    assert cli.parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
 
 
-@pytest.mark.parametrize("text", ["3:1", "0:1:0", "1:2:3:4", "0.5:2"])
+@pytest.mark.parametrize("text", ["3:1", "0:1:0", "1:2:3:4", "0.5:2", "3:1:0.5"])
 def test_bad_grid_is_config_error(text):
     with pytest.raises(cli.ConfigError, match="bad grid"):
         cli.parse_grid(text)
@@ -581,6 +669,31 @@ class TestSplitValidation:
         assert "test class 0 lies outside 1..3" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spelling", ["01", " 1", "+1"])
+    def test_class_key_spelled_otherwise_is_config_error(self, capsys, bundle, tmp_path,
+                                                         spelling):
+        # int() reads each as class 1, whose ids under "1" it would replace
+        def respell(doc):
+            ids = doc["train_ids"]["1"]
+            doc["train_ids"]["1"], doc["train_ids"][spelling] = ids[:2], ids[2:]
+        status, err = self.eval_with(capsys, bundle, tmp_path,
+                                     self.write_split(tmp_path, respell))
+        assert (status, err["kind"]) == (3, "config")
+        assert f"train_ids class key {spelling!r} is not written '1'" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_key_repeated_verbatim_is_config_error(self, capsys, bundle, tmp_path):
+        # json.loads would keep the second "1" and drop the first one's ids
+        path = self.write_split(tmp_path, lambda doc: None)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"train_ids": {', '"train_ids": {"1": [], ', 1),
+                        encoding="utf-8")
+        status, err = self.eval_with(capsys, bundle, tmp_path, path)
+        assert (status, err["kind"]) == (3, "config")
+        assert f"split file {path} is malformed" in err["message"]
+        assert "key '1' is repeated" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_saved_split_is_accepted(self, capsys, bundle, tmp_path):
         status, _ = self.eval_with(capsys, bundle, tmp_path,
                                    self.write_split(tmp_path, lambda doc: None))
@@ -635,7 +748,8 @@ class TestSolverParameters:
 
     def test_lambda_spellings_agree(self, capsys, bundle, tmp_path):
         """A config file's "lambda" names lam as --lambda and a solver_params
-        record do: every spelling codes at lam 5 and the manifest says so."""
+        record do: every spelling codes at lam 5 and the manifest says so.
+        Sweep's --param lambda sweeps lam, and its outputs name lam."""
         spellings = {"file_lambda": ({"lambda": 5.0}, []), "file_lam": ({"lam": 5.0}, []),
                      "flag": ({}, ["--lambda", 5]),
                      "record": ({"solver_params": {"lambda": 5.0}}, []),
@@ -655,6 +769,17 @@ class TestSolverParameters:
         default = reports.pop("default")
         assert all(report == reports["flag"] for report in reports.values())
         assert reports["flag"] != default  # the check can tell
+        sweeps = {}
+        for name in ("lambda", "lam"):
+            out = tmp_path / f"sweep-{name}"
+            status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "fista",
+                              "--param", name, "--grid", "5", "--runs", 1, "--out", out)
+            assert (status, err) == (0, None)
+            assert read_json(out / "manifest.json")["config"]["param"] == "lam"
+            sweeps[name] = read_json(out / "sweep.json")
+        assert sweeps["lambda"] == sweeps["lam"]
+        assert sweeps["lam"]["parameter"] == "lam"
+        assert sweeps["lam"]["oa_mean"] == [reports["flag"]["oa"]]
 
     def test_missing_k_is_named(self, capsys, bundle, tmp_path):
         status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "omp",

@@ -329,6 +329,19 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="step"):
             grad_check(d, x, y, params, step=0.0)
 
+    def test_step_past_a_floor_is_rejected(self, monkeypatch):
+        # the minus copy would hold eta below 0, which soft_threshold rejects
+        # mid-check; the step is refused before any pass instead
+        d, x, y, params = gradcheck_instance(0, n_stages=1)
+        eta = float(params.eta.min())
+        monkeypatch.setattr(network, "forward", None)  # no pass may start
+        with pytest.raises(ValueError, match=r"step 0\.1 would move an entry of eta below its "
+                                             r"floor 0\.0"):
+            grad_check(d, x, y, params, step=0.1)
+        monkeypatch.undo()
+        assert eta < 0.1
+        assert grad_check(d, x, y, params, step=eta).max_rel_error >= 0.0  # the floor itself
+
     def test_no_kink_free_instance(self):
         with pytest.raises(ValueError, match=r"no kink-free instance found in 2 draws \(seed 21\)"):
             gradcheck_instance(21, n_stages=2, margin=1.0, max_draws=2)
@@ -424,6 +437,19 @@ class TestTrain:
         d, px, lb = self.make_problem(5)
         with pytest.raises(TrainingDiverged, match=f"^{message}$"):
             train(d, px, lb, epochs=1, batch_size=12)
+
+    def test_non_finite_step_is_divergence(self, monkeypatch):
+        # an infinite rate times a finite gradient is exact, so no errstate
+        # guard fires: the step's own check finds rho infinite
+        def stub(dictionary, x, y, params, trace):
+            return {name: -np.ones_like(getattr(params, name)) for name in FLOORS}, 1.0
+
+        monkeypatch.setattr(network, "backward", stub)
+        d, px, lb = self.make_problem(5)
+        with pytest.raises(TrainingDiverged,
+                           match="^training loss became non-finite at epoch 0: rho contains "
+                                 "non-finite entries$"):
+            train(d, px, lb, learning_rate=math.inf, epochs=1, batch_size=12)
 
     def test_label_validation(self):
         d, px, lb = self.make_problem(6)
