@@ -8,9 +8,9 @@ lives outside the package, in ``perfbench/``.
 """
 from .classify import (ClassificationReport, SweepResult, classify_testset,
                        evaluate, src_decide, sweep)
-from .data import (BundleFormatError, LabeledCube, Split, SplitMix64,
+from .data import (BundleFormatError, LabeledCube, Split, SplitMix64, draw_splits,
                    extract_pixels, load_bundle, load_pixel_csv, make_split,
-                   pixels_to_cube, save_bundle)
+                   pixels_to_cube, read_labels, save_bundle)
 from .dictionary import Dictionary, GramCache, assemble
 from .network import (GradCheckReport, NetParams, StageTrace, TrainingDiverged, asdn,
                       backward, class_residuals, forward, grad_check, loss, one_hot, train)
@@ -22,8 +22,9 @@ __all__ = [
     "BundleFormatError", "ClassificationReport", "Dictionary", "GradCheckReport",
     "GramCache", "LabeledCube", "NetParams", "SparseCode", "Split", "SplitMix64",
     "StageTrace", "SweepResult", "TrainingDiverged", "admm_fixed", "asdn", "assemble",
-    "backward", "class_residuals", "classify_testset", "evaluate", "extract_pixels",
-    "fista", "forward", "gomp", "grad_check", "load_bundle", "load_pixel_csv", "loss",
-    "make_split", "omp", "one_hot", "pixels_to_cube", "romp", "samp", "save_bundle",
-    "soft_threshold", "sp", "src_decide", "sweep", "train",
+    "backward", "class_residuals", "classify_testset", "draw_splits", "evaluate",
+    "extract_pixels", "fista", "forward", "gomp", "grad_check", "load_bundle",
+    "load_pixel_csv", "loss", "make_split", "omp", "one_hot", "pixels_to_cube",
+    "read_labels", "romp", "samp", "save_bundle", "soft_threshold", "sp", "src_decide",
+    "sweep", "train",
 ]

@@ -13,7 +13,9 @@ block and BLAS are the only parallelism.
 Reports carry the confusion matrix with overall accuracy, average
 (per-class) accuracy, and the chance-corrected kappa coefficient, all as
 fractions in [0, 1], named once in ``SCORES``. ``split_inputs`` draws the
-dictionary and the pixels to code from a split, for train, eval and sweep.
+dictionary and the pixels to code from a split, for train, eval and sweep,
+and ``read_ids`` names the pixels it reads, the ``keep`` of the bundle load
+that serves it.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network, solvers
-from .data import LabeledCube, check_seed, extract_pixels, make_split
+from .data import LabeledCube, Split, extract_pixels
 from .dictionary import Dictionary, assemble
 
 SCORES = ("oa", "aa", "kappa")
@@ -40,12 +42,22 @@ BLOCK_COLUMNS = 256
 SWEEP_COLUMNS = tuple(f"{name}_{stat}" for name in SCORES for stat in ("mean", "std"))
 
 
-def split_inputs(cube: LabeledCube, split, normalize: bool, subset: str = "test"):
+def _subset_ids(split: Split, subset: str) -> np.ndarray:
+    return split.train_flat() if subset == "train" else split.test_flat()
+
+
+def read_ids(split: Split, subset: str = "test") -> np.ndarray:
+    """The flat ids ``split_inputs`` reads: the dictionary's, then the
+    ``subset``'s."""
+    return np.concatenate([split.dictionary_flat(), _subset_ids(split, subset)])
+
+
+def split_inputs(cube: LabeledCube, split: Split, normalize: bool, subset: str = "test"):
     """(dictionary, ids, pixels, labels): the split's dictionary, assembled
     first, then the flat ids of its ``subset`` ("train" or "test") and their
     pixels and labels. An empty subset raises ValueError before any pixel is
     extracted."""
-    ids = split.train_flat() if subset == "train" else split.test_flat()
+    ids = _subset_ids(split, subset)
     if not ids.size:
         raise ValueError(f"the split's {subset} set is empty")
     dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
@@ -161,12 +173,15 @@ SOLVER_NAMES = tuple(SOLVER_PARAMS)
 
 
 def check_sweep(solver: str, parameter: str, params: dict | None, grid) -> None:
-    """Raise ValueError unless ``solver`` takes the numeric ``parameter`` and,
-    with it set to each value of ``grid``, has every parameter it needs."""
+    """Raise ValueError unless ``solver`` takes the numeric ``parameter``,
+    ``grid`` has a value and, with ``parameter`` set to each value of
+    ``grid``, the solver has every parameter it needs."""
     if solver in SOLVER_PARAMS and (parameter not in SOLVER_PARAMS[solver]
                                     or PARAM_TYPES[parameter] not in (integer, real)):
         raise ValueError(f"solver {solver} takes no numeric parameter {parameter!r}; "
                          f"it takes {', '.join(SOLVER_PARAMS[solver])}")
+    if not len(grid):
+        raise ValueError("parameter grid is empty")
     for value in grid:
         solver_kwargs(solver, {**(params or {}), parameter: value})
 
@@ -263,37 +278,29 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
-          base_seed: int = 0, dict_frac: float = 0.01,
-          train_frac: float = 1.0 / 11.0, normalize: bool = True,
-          params: dict | None = None) -> SweepResult:
+def sweep(cube: LabeledCube, solver: str, parameter: str, grid, splits: list,
+          normalize: bool = True, params: dict | None = None) -> SweepResult:
     """Classification accuracy across a solver-parameter grid.
 
-    The split is drawn ``runs`` times with seeds base_seed..base_seed+runs-1
-    (fresh dictionary each run, so no bias from a single random sampling;
-    a last seed past 2**64 - 1 is a ValueError before the first draw);
-    every grid value classifies the test pixels of every draw, and
-    OA/AA/kappa are averaged over the draws. Standard deviations use ddof=1
-    when runs > 1. A draw with an empty test set raises ValueError (the
-    set's size does not depend on the seed, so the first draw does); a
-    failure while coding names its grid value in a RuntimeError raised from
-    the cause. Each draw's dictionary is checked against every grid
-    value (``check_fit``) before that draw codes a pixel, so a value that
-    does not fit fails first, with a solvers.SizeError that names it.
+    Codes the draws it is given: ``splits`` (data.draw_splits: a fresh
+    dictionary each, so no bias from a single random sampling), whose
+    ``read_ids`` pixels ``cube`` must hold. Every grid value classifies the
+    test pixels of every draw, and OA/AA/kappa are averaged over the draws.
+    Standard deviations use ddof=1 when there is more than one draw. No
+    draw, or a draw with an empty test set, raises ValueError; a failure
+    while coding names its grid value in a RuntimeError raised from the
+    cause. Each draw's dictionary is checked against every grid value
+    (``check_fit``) before that draw codes a pixel, so a value that does not
+    fit fails first, with a solvers.SizeError that names it.
     """
     grid = np.asarray(list(grid), dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("parameter grid is empty")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    check_seed(base_seed + runs - 1)
     check_sweep(solver, parameter, params, grid)
+    if not splits:
+        raise ValueError("sweep needs at least one split")
     records = [{**(params or {}), parameter: float(value)} for value in grid]
-    seeds = [base_seed + r for r in range(runs)]
 
-    scores = {name: np.zeros((grid.size, runs)) for name in SCORES}
-    for r, seed in enumerate(seeds):
-        split = make_split(cube, dict_frac, train_frac, seed)
+    scores = {name: np.zeros((grid.size, len(splits))) for name in SCORES}
+    for r, split in enumerate(splits):
         dictionary, _, test_pixels, test_labels = split_inputs(cube, split, normalize)
         for value, record in zip(grid, records):
             try:
@@ -309,7 +316,7 @@ def sweep(cube: LabeledCube, solver: str, parameter: str, grid, runs: int = 5,
             for name, values in scores.items():
                 values[gi, r] = getattr(report, name)
 
-    ddof = 1 if runs > 1 else 0
-    return SweepResult(parameter=parameter, grid=grid, seeds=seeds,
+    ddof = 1 if len(splits) > 1 else 0
+    return SweepResult(parameter=parameter, grid=grid, seeds=[split.seed for split in splits],
                        **{f"{name}_mean": v.mean(axis=1) for name, v in scores.items()},
                        **{f"{name}_std": v.std(axis=1, ddof=ddof) for name, v in scores.items()})

@@ -21,8 +21,11 @@ failed gradcheck, which writes its errors and manifest, then exits 1. Every
 input hash is taken before anything is written, so --out may be an input's
 directory. A bundle's hashes are those of the bytes the run read: the
 loaded cube carries them, so the bundle is read once, and only its three
-files are listed. Train and eval drop the cube once
-the dictionary and the pixels to code are extracted.
+files are listed. Train, eval and sweep take their splits from the
+labels-only cube (data.read_labels), then read data.bin once and keep only
+the spectra of the pixels those splits read (classify.read_ids); the run
+fails if header.json or labels.bin changed between the two reads. Train and
+eval drop the cube once the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 3 config error. ``run`` prints one JSON line: a handler's summary to
@@ -47,10 +50,10 @@ import numpy as np
 
 from . import solvers, synthetic
 from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport, check_fit,
-                       check_sweep, classify_testset, evaluate, integer, real, solver_kwargs,
-                       split_inputs, sweep)
-from .data import (Split, check_split, class_counts, load_bundle, load_pixel_csv, make_split,
-                   pixels_to_cube, save_bundle)
+                       check_sweep, classify_testset, evaluate, integer, read_ids, real,
+                       solver_kwargs, split_inputs, sweep)
+from .data import (Split, check_split, class_counts, draw_splits, load_bundle, load_pixel_csv,
+                   make_split, pixels_to_cube, read_labels, save_bundle)
 from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, grad_check, train
 
@@ -115,7 +118,8 @@ def parse_grid(text: str):
     range, or a comma list of numbers. A stepped range needs finite bounds
     and step, and a range may hold at most GRID_CAP = 10000 values: its
     count is checked before any value is built. A stepped value is
-    lo + i*step to 15 significant digits: "0:1:0.1" holds 0.3."""
+    lo + i*step rounded to 15 significant digits of the range's scale,
+    max(|lo|, |hi|): "0:1:0.1" holds 0.3, and "-0.3:0.3:0.1" holds 0."""
     text = text.strip()
     try:
         if "," in text:
@@ -141,7 +145,10 @@ def parse_grid(text: str):
                 steps = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
                 if steps >= GRID_CAP:
                     raise ValueError(f"the range holds more than {GRID_CAP} values")
-                values = [float(f"{lo + i * step:.15g}") for i in range(math.floor(steps) + 1)]
+                scale = max(abs(lo), abs(hi))
+                digits = 14 - math.floor(math.log10(scale)) if scale else 0
+                values = [round(lo + i * step, digits) + 0.0  # + 0.0: no -0.0
+                          for i in range(math.floor(steps) + 1)]
                 return [v for v in values if v <= hi + 1e-12]
             raise ValueError(f"too many ':' in {text!r}")
         return [float(text)]
@@ -335,11 +342,23 @@ def _checked(check, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _load_cube(config: dict):
+def _bundle(config: dict) -> Path:
     bundle = Path(config["bundle"])
     if not bundle.is_dir():
         raise ConfigError(f"bundle directory not found: {bundle}")
-    return _checked(load_bundle, bundle)
+    return bundle
+
+
+def _load_cube(config: dict, keep=(), labeled=None):
+    """The bundle read once (load_bundle), holding the spectra of ``keep``.
+    With ``labeled``, the labels-only cube the run's splits came from, a
+    header.json or labels.bin whose bytes changed since that read is a
+    config error."""
+    cube = _checked(load_bundle, _bundle(config), keep)
+    for path, digest in (labeled.digests if labeled else {}).items():
+        if cube.digests[path] != digest:
+            raise ConfigError(f"bundle file {path} changed while the run read it")
+    return cube
 
 
 def _load_split(config: dict, cube) -> Split:
@@ -370,12 +389,13 @@ class _Coding(NamedTuple):
 
 
 def _coding_inputs(config: dict, subset: str) -> _Coding:
-    """Load the bundle, take its split and draw the dictionary and the
-    ``subset`` ("train" or "test") pixels (classify.split_inputs); an empty
-    subset is a config error. The cube is freed on return, before any pixel
-    is coded."""
-    cube = _load_cube(config)
-    split = _load_split(config, cube)
+    """Take the split on the bundle's labels, load the pixels it reads and
+    draw the dictionary and the ``subset`` ("train" or "test") pixels
+    (classify.split_inputs); an empty subset is a config error. The cube is
+    freed on return, before any pixel is coded."""
+    labeled = _checked(read_labels, _bundle(config))
+    split = _load_split(config, labeled)
+    cube = _load_cube(config, read_ids(split, subset), labeled)
     dictionary, ids, pixels, labels = _checked(split_inputs, cube, split, config["normalize"],
                                                subset)
     return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
@@ -486,10 +506,11 @@ def _cmd_sweep(config: dict) -> dict:
     """accuracy across a solver-parameter grid"""
     params = _solver_params(config)
     _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
-    cube = _load_cube(config)
-    result = _checked(sweep, cube, config["solver"], config["param"], config["grid"],
-                      runs=config["runs"], base_seed=config["base_seed"],
-                      dict_frac=config["dict_frac"], train_frac=config["train_frac"],
+    labeled = _checked(read_labels, _bundle(config))
+    splits = _checked(draw_splits, labeled, config["runs"], config["base_seed"],
+                      config["dict_frac"], config["train_frac"])
+    cube = _load_cube(config, np.concatenate([read_ids(split) for split in splits]), labeled)
+    result = _checked(sweep, cube, config["solver"], config["param"], config["grid"], splits,
                       normalize=config["normalize"], params=params)
     out = _write_run("sweep", config, {"sweep.csv": result.to_csv(),
                                        "sweep.json": _json_text(result.to_json())},

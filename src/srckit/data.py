@@ -10,11 +10,17 @@ A cube lives on disk as a "bundle" directory::
 Label 0 means "unlabeled"; classes are 1..C. ``check_split`` is the rule a
 split read from a file must meet to be used with a cube.
 
-A loaded cube keeps that band-major layout: ``load_bundle`` reads data.bin
-once, straight into one (bands, height, width) buffer, and ``LabeledCube.data``
-is a (height, width, bands) view of it, not a copy. The SHA-256 of each file
-is taken from the bytes already read and carried on the cube (``digests``),
-so a run's manifest does not read the bundle again.
+A cube holds every label and the band-major spectra of the pixels it holds.
+A run needs only a small labelled fraction of a scene, and its split depends
+only on labels.bin, so it reads the bundle in two steps: ``read_labels``
+gives the labels-only cube a split is drawn from (or checked on), then
+``load_bundle(path, keep)`` reads data.bin once, a chunk of band planes at a
+time, and keeps the spectra of the ``keep`` pixels. Every chunk is hashed and
+checked for finite values, so a bundle fault fails the same way whatever is
+kept. Without ``keep`` the cube holds every pixel: ``LabeledCube.data`` is a
+(height, width, bands) view of one (bands, height, width) buffer, not a copy.
+The SHA-256 of each file is taken from the bytes already read and carried on
+the cube (``digests``), so a run's manifest does not read the bundle again.
 """
 from __future__ import annotations
 
@@ -79,65 +85,83 @@ class SplitMix64:
         items[:] = values
 
 
+# The bytes of data.bin that load_bundle reads at a time: whole band planes,
+# at least one. A partial load reads them into one buffer of this size, and
+# freeing it on return raises glibc's dynamic mmap and trim thresholds to
+# that size before any pixel is coded. At the default thresholds a coded
+# block's temporaries are mapped (over 128 KiB) or grow the heap and are
+# trimmed back, page-faulting afresh each step: the greedy kernel _Block
+# still allocates per step, and in 256-column blocks many of its temporaries
+# pass 128 KiB. So a smaller buffer waits on that kernel.
+CHUNK_BYTES = 4_500_000
+
+
 @dataclass
 class LabeledCube:
-    """A hyperspectral data block plus per-pixel integer class labels.
+    """Per-pixel integer class labels plus the spectra of the pixels held.
 
-    ``data`` has shape (height, width, bands) float64; ``labels`` has shape
-    (height, width) int32 with 0 = unlabeled and 1..C = class ids. Pixels are
-    stored band-major: ``data`` is always a transposed view of one C-contiguous
-    (bands, height, width) array (``band_major``). A ``data`` array in any
-    other layout is copied into that form once, here. ``digests`` maps each
-    file a cube was read from (as ``str`` of its path) to the SHA-256 hex of
-    the bytes read; it is empty for a cube built in memory.
+    ``labels`` has shape (height, width) int32 with 0 = unlabeled and
+    1..C = class ids; a cube holds every label. ``spectra`` is the
+    C-contiguous (bands, n) float64 array of the held pixels' spectra, one
+    column a pixel. A full cube holds every pixel: build it from ``data``,
+    (height, width, bands), which is then always a transposed view of one
+    C-contiguous (bands, height, width) array (``band_major``), and
+    ``spectra`` views that array too. A ``data`` array in any other layout is
+    copied into that form once, here. A partial cube has ``data`` None and
+    holds the pixels whose flat ids are ``held``, ascending, with their
+    columns of ``spectra`` in that order: ``load_bundle(path, keep)`` builds
+    one, and ``read_labels`` one that holds no spectra. ``digests`` maps
+    each file a cube was read from (as ``str`` of its path) to the SHA-256
+    hex of the bytes read; it is empty for a cube built in memory.
     """
 
-    data: np.ndarray
+    data: np.ndarray | None
     labels: np.ndarray
     digests: dict = field(default_factory=dict, compare=False, repr=False)
+    held: np.ndarray | None = field(default=None, compare=False, repr=False)
+    spectra: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int32)
-        if data.ndim != 3:
-            raise BundleFormatError("data", f"expected 3-D array, got {data.ndim}-D")
-        h, w, b = data.shape
-        if b < 1 or h < 1 or w < 1:
-            raise BundleFormatError("data", f"degenerate extents {data.shape}")
-        if self.labels.shape != (h, w):
-            raise BundleFormatError(
-                "labels", f"shape {self.labels.shape} does not match data grid {(h, w)}")
-        # no copy when data is already a view of a band-major buffer
-        self.data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
-        # One pass over the whole buffer, on purpose: freeing its 1/8-size
-        # bool temporary raises glibc's dynamic mmap and trim thresholds. At
-        # the default thresholds a coded block's temporaries are mapped (over
-        # 128 KiB) or grow the heap and are trimmed back, page-faulting afresh
-        # each step; checked plane by plane, coding got measurably slower.
-        # fista and the network reuse their buffers, but the greedy kernel
-        # _Block still allocates per step, and in 256-column blocks many of
-        # its temporaries pass 128 KiB: chunking the check waits on it.
-        if not np.isfinite(self.band_major).all():
+        if self.data is None:
+            self.held = np.asarray(self.held, dtype=np.int64)
+            self.spectra = np.ascontiguousarray(self.spectra, dtype=np.float64)
+            if self.spectra.shape[1:] != self.held.shape or (np.diff(self.held) <= 0).any():
+                raise BundleFormatError("held", "expected ascending pixel ids, one a column")
+        else:
+            data = np.asarray(self.data, dtype=np.float64)
+            if data.ndim != 3:
+                raise BundleFormatError("data", f"expected 3-D array, got {data.ndim}-D")
+            h, w, b = data.shape
+            if b < 1 or h < 1 or w < 1:
+                raise BundleFormatError("data", f"degenerate extents {data.shape}")
+            if self.labels.shape != (h, w):
+                raise BundleFormatError(
+                    "labels", f"shape {self.labels.shape} does not match data grid {(h, w)}")
+            # no copy when data is already a view of a band-major buffer
+            self.data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+            self.held, self.spectra = None, self.band_major.reshape(b, h * w)
+        if not np.isfinite(self.spectra).all():
             raise BundleFormatError("data", "non-finite values present")
         if (self.labels < 0).any():
             raise BundleFormatError("labels", "negative label present")
 
     @property
     def band_major(self) -> np.ndarray:
-        """The C-contiguous (bands, height, width) array ``data`` views."""
+        """The C-contiguous (bands, height, width) array ``data`` views (a full cube)."""
         return self.data.transpose(2, 0, 1)
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.labels.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.labels.shape[1]
 
     @property
     def bands(self) -> int:
-        return self.data.shape[2]
+        return self.spectra.shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -148,12 +172,13 @@ class LabeledCube:
         return np.flatnonzero(self.labels.ravel() == class_id)
 
 
-def load_bundle(path) -> LabeledCube:
-    """Read a bundle directory into a LabeledCube, byte-exact, no scaling."""
-    root = Path(path)
-    header_path = root / _HEADER_NAME
-    data_path = root / _DATA_NAME
-    labels_path = root / _LABELS_NAME
+def read_labels(path) -> LabeledCube:
+    """The labels-only cube of a bundle directory: every label and no
+    spectra. Checks that the three files exist, header.json, data.bin's
+    size (without reading it) and labels.bin; ``digests`` holds the hashes
+    of header.json and labels.bin. ``load_bundle`` starts with this read."""
+    header_path, data_path, labels_path = (Path(path) / name
+                                           for name in (_HEADER_NAME, _DATA_NAME, _LABELS_NAME))
     for p in (header_path, data_path, labels_path):
         if not p.is_file():
             raise FileNotFoundError(f"bundle file missing: {p}")
@@ -176,17 +201,7 @@ def load_bundle(path) -> LabeledCube:
     h, w, b = header["height"], header["width"], header["bands"]
     if h < 1 or w < 1 or b < 1:
         raise BundleFormatError("header.json", f"degenerate extents {(h, w, b)}")
-
-    n_data_bytes = h * w * b * 8
-    size = data_path.stat().st_size
-    if size == n_data_bytes:
-        # band-major on disk and in memory: read straight into the cube's buffer
-        data = np.empty((b, h, w), dtype="<f8")
-        with open(data_path, "rb") as fh:
-            size = fh.readinto(data)  # short only if the file shrank since stat
-    if size != n_data_bytes:
-        raise BundleFormatError(
-            "data.bin", f"expected {n_data_bytes} bytes for {b}x{h}x{w}, got {size}")
+    _check_data_size(data_path.stat().st_size, b, h, w)
 
     n_label_bytes = h * w * 4
     raw_labels = labels_path.read_bytes()
@@ -195,17 +210,70 @@ def load_bundle(path) -> LabeledCube:
             "labels.bin", f"expected {n_label_bytes} bytes for {h}x{w}, got {len(raw_labels)}")
     labels = np.frombuffer(raw_labels, dtype="<i4").reshape(h, w).copy()
 
-    digests = {str(p): hashlib.sha256(raw).hexdigest() for p, raw in
-               ((header_path, raw_header), (data_path, data), (labels_path, raw_labels))}
-    cube = LabeledCube(data=data.transpose(1, 2, 0), labels=labels, digests=digests)
+    digests = {str(p): hashlib.sha256(raw).hexdigest()
+               for p, raw in ((header_path, raw_header), (labels_path, raw_labels))}
+    cube = LabeledCube(None, labels, digests, held=np.empty(0, dtype=np.int64),
+                       spectra=np.empty((b, 0)))
     if cube.n_classes != header["classes"]:
         raise BundleFormatError(
             "classes", f"header says {header['classes']}, labels.bin max is {cube.n_classes}")
     return cube
 
 
+def _check_data_size(size: int, b: int, h: int, w: int) -> None:
+    if size != h * w * b * 8:
+        raise BundleFormatError(
+            "data.bin", f"expected {h * w * b * 8} bytes for {b}x{h}x{w}, got {size}")
+
+
+def load_bundle(path, keep=None) -> LabeledCube:
+    """Read a bundle directory into a LabeledCube, byte-exact, no scaling.
+
+    Reads the labels (``read_labels``), then data.bin once, CHUNK_BYTES of
+    band planes at a time. Every chunk is hashed and checked for finite
+    values. The cube keeps the spectra of the pixels whose flat ids are in
+    ``keep`` (any order, repeats allowed), copied out of one reused chunk
+    buffer, or, when ``keep`` is None, of every pixel, each chunk read in
+    place. ``keep=()`` checks the whole bundle and keeps no spectra.
+    """
+    cube = read_labels(path)
+    data_path = Path(path) / _DATA_NAME
+    (h, w), b = cube.labels.shape, cube.bands
+    n, held = h * w, None
+    if keep is not None:
+        held = np.sort(np.asarray(keep, dtype=np.int64).ravel())
+        held = held[np.diff(held, prepend=held[:1] - 1) > 0]  # each id once
+        outside = held[(held < 0) | (held >= n)]
+        if outside.size:
+            raise ValueError(f"pixel id {outside[0]} out of range [0, {n})")
+    spectra = np.empty((b, h, w) if held is None else (b, held.size), dtype="<f8")
+    planes = min(b, max(1, CHUNK_BYTES // (8 * n)))
+    buffer = None if held is None else np.empty((planes, n), dtype="<f8")
+    digest, size = hashlib.sha256(), 0
+    with open(data_path, "rb") as fh:
+        for start in range(0, b, planes):
+            stop = min(b, start + planes)
+            chunk = spectra[start:stop] if held is None else buffer[:stop - start]
+            size += fh.readinto(chunk)  # short only if the file shrank since stat
+            if size != stop * n * 8:
+                _check_data_size(size, b, h, w)
+            digest.update(chunk)
+            if not np.isfinite(chunk).all():
+                raise BundleFormatError("data", "non-finite values present")
+            if held is not None:
+                np.take(chunk, held, axis=1, out=spectra[start:stop])
+    cube.digests[str(data_path)] = digest.hexdigest()
+    if held is None:
+        return LabeledCube(spectra.transpose(1, 2, 0), cube.labels, cube.digests)
+    return LabeledCube(None, cube.labels, cube.digests, held=held, spectra=spectra)
+
+
 def save_bundle(cube: LabeledCube, path) -> None:
-    """Write ``cube`` as a bundle directory; inverse of :func:`load_bundle`."""
+    """Write ``cube``, a full cube, as a bundle directory; inverse of
+    :func:`load_bundle`. A partial cube is a ValueError."""
+    if cube.held is not None:
+        raise ValueError("save_bundle needs a full cube, not one that holds "
+                         f"{cube.held.size} of {cube.labels.size} pixels' spectra")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     header = {
@@ -333,6 +401,17 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
     return Split(dictionary_ids=dict_ids, train_ids=train_ids, test_ids=test_ids, seed=seed)
 
 
+def draw_splits(cube: LabeledCube, runs: int = 5, base_seed: int = 0, dict_frac: float = 0.01,
+                train_frac: float = 1.0 / 11.0) -> list:
+    """``runs`` splits (make_split) with seeds base_seed..base_seed+runs-1.
+    runs < 1, or a last seed past 2**64 - 1, is a ValueError before the
+    first draw."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    check_seed(base_seed + runs - 1)
+    return [make_split(cube, dict_frac, train_frac, base_seed + r) for r in range(runs)]
+
+
 def check_split(split: Split, cube: LabeledCube) -> None:
     """Raise ValueError unless ``split`` fits ``cube``: every class 1..C has
     a dictionary id, each id is filed under its labeled pixel's class, and no
@@ -369,7 +448,9 @@ def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):
     """Gather spectra for flat pixel ids as columns of an (bands, n) matrix.
 
     Returns (matrix, labels). With ``normalize`` each column is scaled to unit
-    Euclidean norm; zero-norm columns are rejected.
+    Euclidean norm; zero-norm columns are rejected. A partial cube gives the
+    same bytes and layout as the full one, and a ValueError for an id it
+    does not hold.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n_pixels = cube.height * cube.width
@@ -380,9 +461,15 @@ def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):
     if (flat_labels == 0).any():
         bad = ids[flat_labels == 0][0]
         raise ValueError(f"pixel id {bad} is unlabeled")
-    # rows of the (pixels, bands) view of the band-major buffer, so that each
+    columns = ids
+    if cube.held is not None:  # the columns of a partial cube's spectra
+        columns = np.searchsorted(cube.held, ids)
+        held = np.r_[cube.held, -1][columns] == ids  # -1: no id past the last held
+        if not held.all():
+            raise ValueError(f"pixel id {ids[~held][0]} is not held by the cube")
+    # rows of the (pixels, bands) view of the band-major spectra, so that each
     # column of the result is contiguous, as the solvers and norms expect
-    spectra = cube.band_major.reshape(cube.bands, -1).T[ids].T
+    spectra = cube.spectra.T[columns].T
     if normalize:
         norms = np.linalg.norm(spectra, axis=0)
         if (norms == 0).any():

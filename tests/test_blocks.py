@@ -23,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 import greedy_reference as reference
 from srckit import classify, dictionary, network, solvers
 from srckit.classify import check_fit, classify_testset, solver_kwargs, src_decide, sweep
-from srckit.data import pixels_to_cube, save_bundle
+from srckit.data import draw_splits, pixels_to_cube, save_bundle
 from srckit.dictionary import GramCache, assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, backward,
                             class_residuals, forward, one_hot, train)
@@ -742,8 +742,8 @@ class TestBenchmarkHooks:
                                 n_train=20, n_test=30, noise=0.01)
         cube = pixels_to_cube(np.hstack([data.dict_pixels, data.test_pixels]),
                               np.concatenate([data.dict_labels, data.test_labels]))
-        sweep(cube, "fista", "lam", [0.01, 0.1, 1.0], runs=2, dict_frac=0.1,
-              train_frac=0.2, params={"max_iters": 20})
+        sweep(cube, "fista", "lam", [0.01, 0.1, 1.0], draw_splits(cube, 2, 0, 0.1, 0.2),
+              params={"max_iters": 20})
         assert len(runs) == 2  # one per draw, for all three grid values
 
     def test_gram_cache_surface(self):
@@ -774,7 +774,9 @@ class TestBenchmarkHooks:
         """perfbench/child.py --trace 1 runs each workload's command shape on
         a tiny bundle: its wrappers, its first-pixel marker and its hooks
         (the omp support read off each block's code, fista's iteration
-        count) all see the calls classify makes."""
+        count) all see the calls classify makes. Each command's set-up stays
+        inside the calls the benchmark times as set-up: one load_bundle, after
+        every make_split, and two extract_pixels per draw."""
         root = Path(__file__).parents[1]
         data = subspace_classes(0, n_classes=3, dim=12, sub_dim=3, n_dict=4,
                                 n_train=6, n_test=10, noise=0.05)
@@ -795,7 +797,7 @@ class TestBenchmarkHooks:
             "train": (["train", *common, "--stages", "2", "--epochs", "1", "--batch-size", "6",
                        "--init-eta", "0.01"], "network.stepped", "data.load_bundle.bytes"),
             "sweep-fista": (["sweep", *common, "--solver", "fista", "--param", "lam",
-                             "--grid", "0.01,0.1", "--runs", "1", "--max-iters", "20"],
+                             "--grid", "0.01,0.1", "--runs", "2", "--max-iters", "20"],
                             "solvers.fista", "solvers.fista.iters"),
         }
         env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
@@ -813,6 +815,11 @@ class TestBenchmarkHooks:
             spans = [entry[0] for entry in doc["spans"]]
             assert doc["status"] == 0 and setup | {span} <= set(spans), name
             assert doc["values"][value] and all(v > 0 for v in doc["values"][value]), name
+            loads = [entry for entry in doc["spans"] if entry[0] == "data.load_bundle"]
+            draws = [entry for entry in doc["spans"] if entry[0] == "data.make_split"]
+            assert len(loads) == 1 and len(draws) == (2 if name == "sweep-fista" else 1), name
+            assert all(end <= loads[0][1] for _, _, end, _ in draws), name
+            assert spans.count("data.extract_pixels") == 2 * len(draws), name
         support = json.loads((tmp_path / "eval-omp.json").read_text())["values"]
         # one support count per omp block: 36 test px make one block
         assert len(support["solvers.omp.support"]) == 1

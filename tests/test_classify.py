@@ -4,7 +4,7 @@ import pytest
 from srckit import solvers
 from srckit.classify import (ClassificationReport, check_fit, check_sweep, classify_testset,
                              evaluate, solver_kwargs, src_decide, sweep)
-from srckit.data import LabeledCube, pixels_to_cube
+from srckit.data import LabeledCube, draw_splits, pixels_to_cube
 from srckit.dictionary import assemble
 from srckit.network import NetParams
 from srckit.solvers import SparseCode
@@ -194,8 +194,7 @@ class TestSweep:
     def test_degenerate_sweep_equals_single_run(self):
         from srckit.data import extract_pixels, make_split
         cube = make_cube()
-        result = sweep(cube, "omp", "k", [3], runs=1, base_seed=5,
-                       dict_frac=0.1, train_frac=0.2)
+        result = sweep(cube, "omp", "k", [3], draw_splits(cube, 1, 5, 0.1, 0.2))
         split = make_split(cube, 0.1, 0.2, seed=5)
         dp, dl = extract_pixels(cube, split.dictionary_flat(), True)
         d = assemble(dp, dl)
@@ -207,8 +206,7 @@ class TestSweep:
 
     def test_grid_curve_with_std(self):
         cube = make_cube()
-        result = sweep(cube, "omp", "k", range(1, 6), runs=2, base_seed=0,
-                       dict_frac=0.1, train_frac=0.2)
+        result = sweep(cube, "omp", "k", range(1, 6), draw_splits(cube, 2, 0, 0.1, 0.2))
         assert len(result.grid) == 5
         assert result.oa_mean.shape == (5,)
         assert np.isfinite(result.oa_std).all()
@@ -216,31 +214,32 @@ class TestSweep:
 
     def test_default_runs_is_five(self):
         import inspect
-        assert inspect.signature(sweep).parameters["runs"].default == 5
+        assert inspect.signature(draw_splits).parameters["runs"].default == 5
 
     def test_error_names_grid_value(self):
         cube = make_cube()
         with pytest.raises(solvers.SizeError, match="k=99"):
-            sweep(cube, "omp", "k", [99], runs=1, dict_frac=0.1, train_frac=0.2)
+            sweep(cube, "omp", "k", [99], draw_splits(cube, 1, 0, 0.1, 0.2))
 
     def test_coding_failure_names_grid_value(self, monkeypatch):
         def failing(dictionary, x, **kwargs):
             raise FloatingPointError("overflow while coding")
         monkeypatch.setattr(solvers, "fista", failing)
         with pytest.raises(RuntimeError, match="sweep failed at lam=0.5: overflow") as info:
-            sweep(make_cube(), "fista", "lam", [0.5], runs=1, dict_frac=0.1, train_frac=0.2)
+            sweep(make_cube(), "fista", "lam", [0.5], draw_splits(make_cube(), 1, 0, 0.1, 0.2))
         assert isinstance(info.value.__cause__, FloatingPointError)
 
     def test_empty_grid_and_no_runs(self):
         with pytest.raises(ValueError, match="parameter grid is empty"):
-            sweep(make_cube(), "omp", "k", [], runs=1)
+            sweep(make_cube(), "omp", "k", [], draw_splits(make_cube(), 1))
         with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
-            sweep(make_cube(), "omp", "k", [2], runs=0)
+            draw_splits(make_cube(), 0)
+        with pytest.raises(ValueError, match="sweep needs at least one split"):
+            sweep(make_cube(), "omp", "k", [2], [])
 
     def test_csv_format(self):
         cube = make_cube()
-        result = sweep(cube, "omp", "k", [2, 3], runs=2, dict_frac=0.1,
-                       train_frac=0.2)
+        result = sweep(cube, "omp", "k", [2, 3], draw_splits(cube, 2, 0, 0.1, 0.2))
         lines = result.to_csv().strip().split("\n")
         assert lines[0] == "value,oa_mean,oa_std,aa_mean,aa_std,kappa_mean,kappa_std"
         assert len(lines) == 3
@@ -252,7 +251,7 @@ class TestSweep:
         assert first[1:] == [repr(round(100.0 * float(field[0]), 10)) for field in fields]
 
     def test_draws_each_split_once(self, monkeypatch):
-        from srckit import classify, dictionary
+        from srckit import classify, data, dictionary
         calls = {"make_split": 0, "assemble": 0, "gram": 0}
 
         def counted(name, fn):
@@ -261,8 +260,8 @@ class TestSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("make_split", "assemble"):
-            monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+        monkeypatch.setattr(data, "make_split", counted("make_split", data.make_split))
+        monkeypatch.setattr(classify, "assemble", counted("assemble", classify.assemble))
         monkeypatch.setattr(dictionary.GramCache, "__init__",
                             counted("gram", dictionary.GramCache.__init__))
         # one Gram per draw for a solver that solves with it, none otherwise
@@ -270,14 +269,13 @@ class TestSweep:
                 ("omp", "k", [2, 3, 4], None, 0),
                 ("admm_fixed", "lam", [0.01, 0.1, 1.0], {"max_iters": 20}, 2)]:
             calls.update(make_split=0, assemble=0, gram=0)
-            sweep(make_cube(), solver, parameter, grid, runs=2, dict_frac=0.1,
-                  train_frac=0.2, params=params)
+            cube = make_cube()
+            sweep(cube, solver, parameter, grid, draw_splits(cube, 2, 0, 0.1, 0.2), params=params)
             assert calls == {"make_split": 2, "assemble": 2, "gram": grams}, solver
 
     def test_json_round_trip(self):
         cube = make_cube()
-        result = sweep(cube, "omp", "k", [2], runs=1, dict_frac=0.1,
-                       train_frac=0.2)
+        result = sweep(cube, "omp", "k", [2], draw_splits(cube, 1, 0, 0.1, 0.2))
         doc = result.to_json()
         assert doc["parameter"] == "k"
         assert len(doc["grid"]) == 1

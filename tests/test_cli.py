@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srckit
-from srckit import classify, cli, solvers
+from srckit import classify, cli, data, solvers
 from srckit.classify import SOLVER_NAMES, SOLVER_PARAMS, classify_testset, evaluate, sweep
-from srckit.data import (LabeledCube, Split, extract_pixels, load_bundle, make_split,
-                         pixels_to_cube, save_bundle)
+from srckit.data import (LabeledCube, Split, draw_splits, extract_pixels, load_bundle,
+                         make_split, pixels_to_cube, save_bundle)
 from srckit.dictionary import assemble
 from srckit.network import NetParams, TrainingDiverged, grad_check, train
 from srckit.synthetic import gradcheck_instance
@@ -328,6 +328,12 @@ def test_grid_ranges():
     # each value is lo + i*step to 15 significant digits, not 0.30000000000000004
     assert cli.parse_grid("0:1:0.1") == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     assert cli.parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+    # rounded at the range's scale, so the value that should be 0 is 0, not
+    # 5.55e-17 (15 digits of the value itself) and not -0.0
+    grid = cli.parse_grid("-0.3:0.3:0.1")
+    assert grid == [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]
+    assert [repr(v) for v in grid] == ["-0.3", "-0.2", "-0.1", "0.0", "0.1", "0.2", "0.3"]
+    assert cli.parse_grid("1e-3:5e-3:1e-3") == [0.001, 0.002, 0.003, 0.004, 0.005]
 
 
 @pytest.mark.parametrize("text", ["3:1", "0:1:0", "1:2:3:4", "0.5:2", "3:1:0.5"])
@@ -409,6 +415,28 @@ def test_bad_bundle_is_config_error(capsys, tmp_path, command, message):
                       *BUNDLE_COMMANDS[command], "--out", tmp_path / "out")
     assert (status, err["kind"]) == (3, "config")
     assert message in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_labels_rewritten_after_the_split_fail_the_run(capsys, monkeypatch, tmp_path, command):
+    """A run's splits and cube come from one version of labels.bin: one
+    rewritten between the labels-only read and the load is a config error."""
+    save_bundle(tiny_cube(), tmp_path / "bundle")
+    labels_path = tmp_path / "bundle" / "labels.bin"
+    draw = data.make_split
+
+    def rewriting(*args, **kwargs):
+        labels = np.fromfile(labels_path, dtype="<i4")
+        labels[[0, -1]] = labels[[-1, 0]]
+        labels.tofile(labels_path)
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(data, "make_split", rewriting)  # sweep draws through data.draw_splits
+    monkeypatch.setattr(cli, "make_split", rewriting)
+    status, err = run(capsys, command, "--bundle", tmp_path / "bundle",
+                      *BUNDLE_COMMANDS[command], "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert err["message"] == f"bundle file {labels_path} changed while the run read it"
     assert not (tmp_path / "out").exists()
 
 
@@ -700,6 +728,74 @@ class TestSplitValidation:
         assert status == 0
 
 
+@pytest.fixture(scope="module")
+def written_split(bundle, tmp_path_factory):
+    """The split.json document ``srckit split`` writes for the tiny bundle."""
+    out = tmp_path_factory.mktemp("split") / "out"
+    assert cli.run(["split", "--bundle", str(bundle), *DATA, "--out", str(out)]) == 0
+    return read_json(out / "split.json")
+
+
+SPLIT_SETS = ("dictionary_ids", "train_ids", "test_ids")
+
+
+@st.composite
+def split_faults(draw, doc):
+    """A copy of the split document ``doc`` with one thing changed: a class
+    key dropped or spelled "01", an id moved under another class, an id
+    listed in two sets, or an id outside the cube or not an integer."""
+    doc = json.loads(json.dumps(doc))
+    name = draw(st.sampled_from(SPLIT_SETS), label="set")
+    key = draw(st.sampled_from(sorted(doc[name])), label="class")
+    ids = doc[name][key]
+    at = draw(st.integers(0, len(ids) - 1), label="position")
+    fault = draw(st.sampled_from(["drop-key", "respell-key", "move", "two-sets", "outside",
+                                  "non-integer"]), label="fault")
+    if fault == "drop-key":
+        del doc[name][key]
+    elif fault == "respell-key":
+        doc[name]["0" + key] = doc[name].pop(key)
+    elif fault == "move":
+        other = draw(st.sampled_from([k for k in sorted(doc[name]) if k != key]), label="to")
+        doc[name][other].append(ids.pop(at))
+    elif fault == "two-sets":
+        other = draw(st.sampled_from([n for n in SPLIT_SETS if n != name]), label="also in")
+        doc[other][draw(st.sampled_from(sorted(doc[other])), label="under")].append(ids[at])
+    elif fault == "outside":
+        ids[at] = draw(st.one_of(st.integers(max_value=-1), st.integers(60, 2 ** 63 - 1)))
+    else:
+        ids[at] = draw(st.one_of(st.floats(), st.text(max_size=3), st.booleans(), st.none(),
+                                 st.lists(st.integers(0, 59), max_size=2)))
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:classes .* absent from the test draw")
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_generated_split_file_fault(bundle, written_split, data):
+    """Each one-change fault of a split file that ``srckit split`` wrote
+    either runs, or is a config error: one JSON line on stderr and no --out."""
+    doc = data.draw(split_faults(written_split), label="split")
+    commands = {"eval": ["--solver", "omp", "--K", 2],
+                "train": ["--stages", 1, "--epochs", 1, "--batch-size", 6]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command, argv in commands.items():
+            out = Path(tmp) / command
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = cli.run([str(a) for a in (command, "--bundle", bundle, *DATA, "--split",
+                                                   path, *argv, "--out", out)])
+            assert status in (0, 3), (command, stderr.getvalue())
+            if status == 3:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1 and json.loads(lines[0])["kind"] == "config", command
+                assert stdout.getvalue() == "" and not out.exists(), command
+            else:
+                assert (out / "manifest.json").is_file(), command
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--seed", "1"], ["sweep", "--split", "s.json"],
     ["ingest", "--threads", "2"], ["split", "--threads", "2"],
@@ -794,16 +890,24 @@ class TestSolverParameters:
         assert status == 3
         assert "'k'" in err["message"]
 
-    def test_sweep_fails_before_drawing_a_split(self, monkeypatch):
+    def test_sweep_fails_before_drawing_a_split(self, capsys, monkeypatch, bundle, tmp_path):
+        """The CLI checks the parameter before it draws a split; the library
+        sweep checks it before it extracts a pixel of the splits it is given."""
+        cube, splits = tiny_cube(), draw_splits(tiny_cube(), 1)
+
         def no_split(*args, **kwargs):
-            raise AssertionError("a split was drawn")
-        monkeypatch.setattr(classify, "make_split", no_split)
+            raise AssertionError("a split was drawn or read")
+        monkeypatch.setattr(data, "make_split", no_split)
+        monkeypatch.setattr(classify, "split_inputs", no_split)
+        status, err = run(capsys, "sweep", "--bundle", bundle, *DATA, "--solver", "fista",
+                          "--param", "k", "--grid", "1,2", "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config") and "'k'" in err["message"]
         with pytest.raises(ValueError, match="'k'"):
-            sweep(tiny_cube(), "fista", "k", [1, 2], runs=1)
+            sweep(cube, "fista", "k", [1, 2], splits)
         with pytest.raises(ValueError, match="'k'"):
-            sweep(tiny_cube(), "omp", "tol", [1e-3], runs=1)
+            sweep(cube, "omp", "tol", [1e-3], splits)
         with pytest.raises(ValueError, match="numeric parameter 'net'"):
-            sweep(tiny_cube(), "asdn", "net", [1], runs=1)
+            sweep(cube, "asdn", "net", [1], splits)
 
     # written out, not read from the signatures SOLVER_PARAMS is derived from
     PINNED = {"omp": ("k", "tol"), "sp": ("k", "tol", "max_iters"), "romp": ("k", "tol"),
@@ -1370,10 +1474,10 @@ LIBRARY_DEFAULTS = [
     ("fd_step", None, grad_check, "step"),
     ("dict_frac", None, make_split, "dict_frac"),
     ("train_frac", None, make_split, "train_frac"),
-    ("dict_frac", None, sweep, "dict_frac"),
-    ("train_frac", None, sweep, "train_frac"),
-    ("runs", None, sweep, "runs"),
-    ("base_seed", None, sweep, "base_seed"),
+    ("dict_frac", None, draw_splits, "dict_frac"),
+    ("train_frac", None, draw_splits, "train_frac"),
+    ("runs", None, draw_splits, "runs"),
+    ("base_seed", None, draw_splits, "base_seed"),
 ]
 
 

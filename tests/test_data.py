@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from srckit import data as data_module
 from srckit.data import (BundleFormatError, LabeledCube, SplitMix64, class_counts,
                          extract_pixels, load_bundle, load_pixel_csv,
-                         make_split, pixels_to_cube, save_bundle)
+                         make_split, pixels_to_cube, read_labels, save_bundle)
 
 
 def random_cube(seed, h=4, w=5, b=6, n_classes=3):
@@ -510,3 +510,137 @@ class TestBandMajorStorage:
             tracemalloc.stop()
         assert extract_peak < cube.data.nbytes // 10
         assert save_peak < cube.data.nbytes // 10
+
+
+def file_hashes(root):
+    return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in root.iterdir()}
+
+
+def write_bundle(root, seed=11, h=4, w=5, b=12):
+    """A saved random cube and its plane size in bytes."""
+    save_bundle(random_cube(seed, h, w, b), root)
+    return h * w * 8
+
+
+class TestStreamedLoad:
+    """load_bundle(path, keep) reads data.bin once, CHUNK_BYTES of band planes
+    at a time, and keeps only the spectra of ``keep``; the digests and the
+    checks still cover every byte and value of the file."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 9),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_partial_extract_equals_full(self, tmp_path_factory, h, w, b, seed, data):
+        path = tmp_path_factory.mktemp("bundle") / "b"
+        save_bundle(random_cube(seed, h, w, b, n_classes=2), path)
+        keep = data.draw(st.lists(st.integers(0, h * w - 1), max_size=2 * h * w), label="keep")
+        planes = data.draw(st.integers(1, b), label="planes per chunk")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "CHUNK_BYTES", planes * h * w * 8)
+            partial = load_bundle(path, keep)
+        full = load_bundle(path)
+        assert partial.held.tolist() == sorted(set(keep)) and partial.data is None
+        assert partial.digests == full.digests == file_hashes(path)
+        assert (partial.height, partial.width, partial.bands) == (h, w, b)
+        assert partial.labels.tobytes() == full.labels.tobytes()
+        labeled = [i for i in keep if full.labels.flat[i] > 0]
+        ids = data.draw(st.lists(st.sampled_from(labeled), max_size=2 * len(labeled))
+                        if labeled else st.just([]), label="ids")
+        normalize = data.draw(st.booleans(), label="normalize")
+        got, got_labels = extract_pixels(partial, ids, normalize)
+        want, want_labels = extract_pixels(full, ids, normalize)
+        assert got.shape == want.shape
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+            (want.flags.c_contiguous, want.flags.f_contiguous)
+        assert got_labels.tolist() == want_labels.tolist()
+
+    def test_labels_only_read(self, tmp_path):
+        write_bundle(tmp_path / "b")
+        cube = read_labels(tmp_path / "b")
+        hashes = file_hashes(tmp_path / "b")
+        hashes.pop(str(tmp_path / "b" / "data.bin"))
+        assert cube.digests == hashes
+        assert cube.held.size == 0 and cube.spectra.shape == (12, 0)
+        assert cube.labels.tobytes() == load_bundle(tmp_path / "b").labels.tobytes()
+        assert load_bundle(tmp_path / "b", ()).spectra.shape == (12, 0)
+
+    @pytest.mark.parametrize("band", [0, 5, 11], ids=["first-chunk", "middle", "last-chunk"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_outside_keep(self, monkeypatch, tmp_path, band, value):
+        plane = write_bundle(tmp_path / "b")
+        monkeypatch.setattr(data_module, "CHUNK_BYTES", 2 * plane)  # six chunks
+        payload = np.fromfile(tmp_path / "b" / "data.bin", dtype="<f8")
+        payload[band * 20 + 19] = value  # pixel 19, in no keep below
+        payload.tofile(tmp_path / "b" / "data.bin")
+        for keep in ([0, 3, 7], (), None):
+            with pytest.raises(BundleFormatError, match="non-finite values present") as info:
+                load_bundle(tmp_path / "b", keep)
+            assert info.value.field == "data"
+
+    @pytest.mark.parametrize("change, size", [
+        (lambda payload: payload[:-8], 1912), (lambda payload: payload[:-1], 1919),
+        (lambda payload: payload + bytes(8), 1928)], ids=["short", "odd", "long"])
+    def test_data_bin_of_the_wrong_size(self, monkeypatch, tmp_path, change, size):
+        plane = write_bundle(tmp_path / "b")
+        monkeypatch.setattr(data_module, "CHUNK_BYTES", 5 * plane)
+        payload = (tmp_path / "b" / "data.bin").read_bytes()
+        (tmp_path / "b" / "data.bin").write_bytes(change(payload))
+        for keep in ([1, 2], (), None):
+            with pytest.raises(BundleFormatError) as info:
+                load_bundle(tmp_path / "b", keep)
+            assert str(info.value) == f"data.bin: expected 1920 bytes for 12x4x5, got {size}"
+
+    def test_file_that_shrinks_after_its_size_is_checked(self, monkeypatch, tmp_path):
+        plane = write_bundle(tmp_path / "b")
+        monkeypatch.setattr(data_module, "CHUNK_BYTES", 5 * plane)
+        payload = (tmp_path / "b" / "data.bin").read_bytes()
+        monkeypatch.setattr(data_module, "open", lambda path, mode: io.BytesIO(payload[:900]),
+                            raising=False)
+        with pytest.raises(BundleFormatError, match="got 900") as info:
+            load_bundle(tmp_path / "b", [4])
+        assert info.value.field == "data.bin"
+
+    def test_header_class_count_that_does_not_match(self, monkeypatch, tmp_path):
+        plane = write_bundle(tmp_path / "b")
+        monkeypatch.setattr(data_module, "CHUNK_BYTES", plane)
+        rewrite_header(lambda h: h.update(classes=h["classes"] + 1))(tmp_path / "b")
+        for keep in ([1, 2], (), None):
+            with pytest.raises(BundleFormatError,
+                               match="classes: header says 4, labels.bin max is 3"):
+                load_bundle(tmp_path / "b", keep)
+
+    def test_id_not_held_and_keep_out_of_range(self, tmp_path):
+        write_bundle(tmp_path / "b")
+        cube = load_bundle(tmp_path / "b", [2, 0, 2])
+        labeled = [i for i in range(20) if cube.labels.flat[i] > 0 and i not in (0, 2)]
+        with pytest.raises(ValueError, match=f"pixel id {labeled[0]} is not held by the cube"):
+            extract_pixels(cube, [0, labeled[0]])
+        with pytest.raises(ValueError, match="is not held"):
+            extract_pixels(read_labels(tmp_path / "b"), [0])
+        with pytest.raises(IndexError, match="out of range"):
+            extract_pixels(cube, [20])
+        for keep in ([20], [-1, 3]):
+            with pytest.raises(ValueError, match="out of range"):
+                load_bundle(tmp_path / "b", keep)
+
+    def test_save_rejects_a_partial_cube(self, tmp_path):
+        write_bundle(tmp_path / "b")
+        with pytest.raises(ValueError, match="needs a full cube"):
+            save_bundle(load_bundle(tmp_path / "b", [1, 2]), tmp_path / "again")
+        assert not (tmp_path / "again").exists()
+
+    def test_partial_load_holds_no_whole_cube(self, monkeypatch, tmp_path):
+        h, w, b = 40, 50, 60  # 960 kB of pixels
+        plane = write_bundle(tmp_path / "b", 12, h, w, b)
+        chunk = 5 * plane  # twelve chunks
+        monkeypatch.setattr(data_module, "CHUNK_BYTES", chunk)
+        keep = np.arange(0, h * w, 20)
+        tracemalloc.start()
+        try:
+            cube = load_bundle(tmp_path / "b", keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.spectra.shape == (b, keep.size)
+        assert peak < cube.spectra.nbytes + 2 * chunk + cube.labels.nbytes
