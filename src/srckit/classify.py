@@ -90,8 +90,18 @@ class ClassificationReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClassificationReport":
-        return cls(confusion=np.asarray(doc["confusion"], dtype=np.int64),
-                   per_class_acc=np.asarray(doc["per_class_acc"], dtype=np.float64),
+        """The inverse of ``to_json``. A confusion that is not a square C x C
+        matrix of integers >= 0 with C >= 1, as ``evaluate`` makes, or a
+        ``per_class_acc`` without C entries, is a ValueError."""
+        confusion = np.asarray(doc["confusion"], dtype=object)
+        shape = confusion.shape
+        if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
+                or not all(type(n) is int and n >= 0 for n in confusion.flat)):
+            raise ValueError("confusion is not a square C x C matrix of integers >= 0, C >= 1")
+        per_class_acc = np.asarray(doc["per_class_acc"], dtype=np.float64)
+        if per_class_acc.shape != shape[:1]:
+            raise ValueError(f"per_class_acc has shape {per_class_acc.shape} for {shape[0]} classes")
+        return cls(confusion=confusion.astype(np.int64), per_class_acc=per_class_acc,
                    **{name: float(doc[name]) for name in SCORES})
 
 

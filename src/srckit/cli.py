@@ -10,7 +10,7 @@ types each key its subcommand reads; other keys are ignored. Each input
 rule has one owner. The CLI owns the spellings (flags, JSON keys, and
 "lambda" for "lam", only here), the kinds (solver parameters' from
 classify.PARAM_TYPES) and the ranges no library call checks: seeds >= 0,
-fd_step, bands, atoms, gradcheck's tol and the grid. The library call that
+bands, atoms, gradcheck's tol and the grid. The library call that
 takes any other value checks it, and data.check_split a split file.
 A subcommand does its work first. Only when that succeeds does one call,
 ``_write_run``, make --out and write the outputs and then, last,
@@ -255,7 +255,7 @@ KEYS = {
     "grid": Key(("--grid",), _grid, {"sweep": REQUIRED}, help="a:b | a:b:s | comma list"),
     "runs": Key(("--runs",), integer, {"sweep": 5}),
     "base_seed": Key(("--base-seed",), integer, {"sweep": 0}, _NON_NEGATIVE),
-    "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}, ("be > 0", lambda v: v > 0.0)),
+    "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}),
     "bands": Key(("--bands",), integer, {"gradcheck": 20}, _AT_LEAST_ONE),
     "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _AT_LEAST_ONE),
     "n_classes": Key(("--classes",), integer, {"gradcheck": 2}),

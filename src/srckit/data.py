@@ -10,24 +10,22 @@ A cube lives on disk as a "bundle" directory::
 Label 0 means "unlabeled"; classes are 1..C. ``check_split`` is the rule a
 split read from a file must meet to be used with a cube.
 
-A cube holds every label and the band-major spectra of the pixels it holds.
-A run needs only a small labelled fraction of a scene, and its split depends
-only on labels.bin, so it reads the bundle in two steps: ``read_labels``
-gives the labels-only cube a split is drawn from (or checked on), then
-``load_bundle(path, keep)`` reads data.bin once, a chunk of band planes at a
-time, and keeps the spectra of the ``keep`` pixels. Every chunk is hashed and
-checked for finite values, so a bundle fault fails the same way whatever is
-kept. Without ``keep`` the cube holds every pixel: ``LabeledCube.data`` is a
-(height, width, bands) view of one (bands, height, width) buffer, not a copy.
-The SHA-256 of each file is taken from the bytes already read and carried on
-the cube (``digests``), so a run's manifest does not read the bundle again.
+A cube holds every label, and the band-major spectra of the pixels it
+holds with their flat ids. A run needs only a small labelled fraction of a
+scene, and its split depends only on labels.bin, so it reads the bundle in
+two steps: ``read_labels`` gives the cube of no pixels a split is drawn from
+(or checked on), then ``load_bundle(path, keep)`` reads data.bin once, a
+chunk of band planes at a time, and keeps the spectra of the ``keep``
+pixels. Every chunk is hashed and checked for finite values, so a bundle
+fault fails the same way whatever is kept. The SHA-256 of each file is taken
+from the bytes already read and carried on the cube (``digests``), so a
+run's manifest does not read the bundle again.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,13 +84,14 @@ class SplitMix64:
 
 
 # The bytes of data.bin that load_bundle reads at a time: whole band planes,
-# at least one. A partial load reads them into one buffer of this size, and
-# freeing it on return raises glibc's dynamic mmap and trim thresholds to
-# that size before any pixel is coded. At the default thresholds a coded
-# block's temporaries are mapped (over 128 KiB) or grow the heap and are
-# trimmed back, page-faulting afresh each step: the greedy kernel _Block
-# still allocates per step, and in 256-column blocks many of its temporaries
-# pass 128 KiB. So a smaller buffer waits on that kernel.
+# at least one. A load that keeps every pixel reads each chunk in place; any
+# other reads them into one buffer of this size, and freeing it on return
+# raises glibc's dynamic mmap and trim thresholds to that size before any
+# pixel is coded. At the default thresholds a coded block's temporaries are
+# mapped (over 128 KiB) or grow the heap and are trimmed back, page-faulting
+# afresh each step: the greedy kernel _Block still allocates per step, and in
+# 256-column blocks many of its temporaries pass 128 KiB. So a smaller buffer
+# waits on that kernel.
 CHUNK_BYTES = 4_500_000
 
 
@@ -100,56 +99,42 @@ CHUNK_BYTES = 4_500_000
 class LabeledCube:
     """Per-pixel integer class labels plus the spectra of the pixels held.
 
-    ``labels`` has shape (height, width) int32 with 0 = unlabeled and
-    1..C = class ids; a cube holds every label. ``spectra`` is the
+    ``labels`` is the C-contiguous (height, width) int32 array, 0 = unlabeled
+    and 1..C = class ids; a cube holds every label. ``spectra`` is the
     C-contiguous (bands, n) float64 array of the held pixels' spectra, one
-    column a pixel. A full cube holds every pixel: build it from ``data``,
-    (height, width, bands), which is then always a transposed view of one
-    C-contiguous (bands, height, width) array (``band_major``), and
-    ``spectra`` views that array too. A ``data`` array in any other layout is
-    copied into that form once, here. A partial cube has ``data`` None and
-    holds the pixels whose flat ids are ``held``, ascending, with their
-    columns of ``spectra`` in that order: ``load_bundle(path, keep)`` builds
-    one, and ``read_labels`` one that holds no spectra. ``digests`` maps
-    each file a cube was read from (as ``str`` of its path) to the SHA-256
-    hex of the bytes read; it is empty for a cube built in memory.
+    column a pixel, and ``held`` their flat ids (r*width + c), ascending, in
+    column order. ``held`` None means every pixel, so ``spectra`` is then the
+    band-major (bands, height*width) scene. ``load_bundle(path, keep)``
+    builds a cube that holds ``keep``, and ``read_labels`` one that holds no
+    pixel. ``digests`` maps each file a cube was read from (as ``str`` of its
+    path) to the SHA-256 hex of the bytes read; it is empty for a cube built
+    in memory.
     """
 
-    data: np.ndarray | None
     labels: np.ndarray
-    digests: dict = field(default_factory=dict, compare=False, repr=False)
+    spectra: np.ndarray
     held: np.ndarray | None = field(default=None, compare=False, repr=False)
-    spectra: np.ndarray | None = field(default=None, compare=False, repr=False)
+    digests: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.data is None:
-            self.held = np.asarray(self.held, dtype=np.int64)
-            self.spectra = np.ascontiguousarray(self.spectra, dtype=np.float64)
-            if self.spectra.shape[1:] != self.held.shape or (np.diff(self.held) <= 0).any():
-                raise BundleFormatError("held", "expected ascending pixel ids, one a column")
-        else:
-            data = np.asarray(self.data, dtype=np.float64)
-            if data.ndim != 3:
-                raise BundleFormatError("data", f"expected 3-D array, got {data.ndim}-D")
-            h, w, b = data.shape
-            if b < 1 or h < 1 or w < 1:
-                raise BundleFormatError("data", f"degenerate extents {data.shape}")
-            if self.labels.shape != (h, w):
-                raise BundleFormatError(
-                    "labels", f"shape {self.labels.shape} does not match data grid {(h, w)}")
-            # no copy when data is already a view of a band-major buffer
-            self.data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
-            self.held, self.spectra = None, self.band_major.reshape(b, h * w)
+        self.labels = np.ascontiguousarray(self.labels, dtype=np.int32)
+        self.spectra = np.ascontiguousarray(self.spectra, dtype=np.float64)
+        n = self.labels.size
+        self.held = np.asarray(np.arange(n) if self.held is None else self.held, dtype=np.int64)
+        if self.labels.ndim != 2 or self.spectra.ndim != 2:
+            raise BundleFormatError("data", "expected 2-D labels and spectra, got shapes "
+                                    f"{self.labels.shape} and {self.spectra.shape}")
+        extents = self.labels.shape + self.spectra.shape[:1]
+        if min(extents) < 1:
+            raise BundleFormatError("data", f"degenerate extents {extents}")
+        if self.spectra.shape[1:] != self.held.shape or (np.diff(self.held) <= 0).any():
+            raise BundleFormatError("held", "expected ascending pixel ids, one a column")
+        if self.held.size and (self.held[0] < 0 or self.held[-1] >= n):
+            raise BundleFormatError("held", f"expected pixel ids in [0, {n})")
         if not np.isfinite(self.spectra).all():
             raise BundleFormatError("data", "non-finite values present")
         if (self.labels < 0).any():
             raise BundleFormatError("labels", "negative label present")
-
-    @property
-    def band_major(self) -> np.ndarray:
-        """The C-contiguous (bands, height, width) array ``data`` views (a full cube)."""
-        return self.data.transpose(2, 0, 1)
 
     @property
     def height(self) -> int:
@@ -212,8 +197,7 @@ def read_labels(path) -> LabeledCube:
 
     digests = {str(p): hashlib.sha256(raw).hexdigest()
                for p, raw in ((header_path, raw_header), (labels_path, raw_labels))}
-    cube = LabeledCube(None, labels, digests, held=np.empty(0, dtype=np.int64),
-                       spectra=np.empty((b, 0)))
+    cube = LabeledCube(labels, np.empty((b, 0)), np.empty(0, dtype=np.int64), digests)
     if cube.n_classes != header["classes"]:
         raise BundleFormatError(
             "classes", f"header says {header['classes']}, labels.bin max is {cube.n_classes}")
@@ -231,47 +215,45 @@ def load_bundle(path, keep=None) -> LabeledCube:
 
     Reads the labels (``read_labels``), then data.bin once, CHUNK_BYTES of
     band planes at a time. Every chunk is hashed and checked for finite
-    values. The cube keeps the spectra of the pixels whose flat ids are in
-    ``keep`` (any order, repeats allowed), copied out of one reused chunk
-    buffer, or, when ``keep`` is None, of every pixel, each chunk read in
-    place. ``keep=()`` checks the whole bundle and keeps no spectra.
+    values. The cube holds the pixels whose flat ids are in ``keep`` (any
+    order, repeats allowed), every pixel when ``keep`` is None, and no pixel
+    when it is empty. A cube of every pixel reads each chunk in place; any
+    other copies its columns out of one reused chunk buffer.
     """
     cube = read_labels(path)
     data_path = Path(path) / _DATA_NAME
     (h, w), b = cube.labels.shape, cube.bands
-    n, held = h * w, None
-    if keep is not None:
-        held = np.sort(np.asarray(keep, dtype=np.int64).ravel())
-        held = held[np.diff(held, prepend=held[:1] - 1) > 0]  # each id once
-        outside = held[(held < 0) | (held >= n)]
-        if outside.size:
-            raise ValueError(f"pixel id {outside[0]} out of range [0, {n})")
-    spectra = np.empty((b, h, w) if held is None else (b, held.size), dtype="<f8")
+    n = h * w
+    held = np.sort(np.asarray(np.arange(n) if keep is None else keep, dtype=np.int64).ravel())
+    held = held[np.diff(held, prepend=held[:1] - 1) > 0]  # each id once
+    outside = held[(held < 0) | (held >= n)]
+    if outside.size:
+        raise ValueError(f"pixel id {outside[0]} out of range [0, {n})")
+    spectra = np.empty((b, held.size), dtype="<f8")
     planes = min(b, max(1, CHUNK_BYTES // (8 * n)))
-    buffer = None if held is None else np.empty((planes, n), dtype="<f8")
+    every = held.size == n
+    buffer = None if every else np.empty((planes, n), dtype="<f8")
     digest, size = hashlib.sha256(), 0
     with open(data_path, "rb") as fh:
         for start in range(0, b, planes):
             stop = min(b, start + planes)
-            chunk = spectra[start:stop] if held is None else buffer[:stop - start]
+            chunk = spectra[start:stop] if every else buffer[:stop - start]
             size += fh.readinto(chunk)  # short only if the file shrank since stat
             if size != stop * n * 8:
                 _check_data_size(size, b, h, w)
             digest.update(chunk)
             if not np.isfinite(chunk).all():
                 raise BundleFormatError("data", "non-finite values present")
-            if held is not None:
+            if not every:
                 np.take(chunk, held, axis=1, out=spectra[start:stop])
     cube.digests[str(data_path)] = digest.hexdigest()
-    if held is None:
-        return LabeledCube(spectra.transpose(1, 2, 0), cube.labels, cube.digests)
-    return LabeledCube(None, cube.labels, cube.digests, held=held, spectra=spectra)
+    return LabeledCube(cube.labels, spectra, held, cube.digests)
 
 
 def save_bundle(cube: LabeledCube, path) -> None:
-    """Write ``cube``, a full cube, as a bundle directory; inverse of
-    :func:`load_bundle`. A partial cube is a ValueError."""
-    if cube.held is not None:
+    """Write ``cube``, which must hold every pixel, as a bundle directory;
+    inverse of :func:`load_bundle`. Any other cube is a ValueError."""
+    if cube.held.size != cube.labels.size:
         raise ValueError("save_bundle needs a full cube, not one that holds "
                          f"{cube.held.size} of {cube.labels.size} pixels' spectra")
     root = Path(path)
@@ -286,9 +268,8 @@ def save_bundle(cube: LabeledCube, path) -> None:
         "order": "band-major",
     }
     (root / _HEADER_NAME).write_text(json.dumps(header, sort_keys=True), encoding="utf-8")
-    (root / _DATA_NAME).write_bytes(cube.band_major.astype("<f8", copy=False))
-    (root / _LABELS_NAME).write_bytes(
-        np.ascontiguousarray(cube.labels, dtype="<i4").tobytes())
+    (root / _DATA_NAME).write_bytes(cube.spectra.astype("<f8", copy=False))
+    (root / _LABELS_NAME).write_bytes(cube.labels.astype("<i4", copy=False))
 
 
 @dataclass
@@ -325,15 +306,17 @@ class Split:
     @classmethod
     def from_json(cls, doc: dict) -> "Split":
         """The inverse of ``to_json``. Every id and the seed must be a JSON
-        integer: a ValueError names any other value (a float, even an
-        integral one, a bool or a string) and where it sits; so does a class
-        key not spelled str(class), as "01" or " 1", which would merge."""
+        integer: a ValueError names any other value (a float, even an integral
+        one, a bool or a string) and where it sits; so does an id set that is
+        not an object, or a class key such as "01" that would merge with "1"."""
         def integer(value, where):
             if type(value) is not int:
                 raise ValueError(f"{where} {value!r} is not an integer")
             return value
 
         def back(name):
+            if not isinstance(doc[name], dict):
+                raise ValueError(f"{name} is not a JSON object")
             for key in doc[name]:
                 if key != str(int(key)):
                     raise ValueError(f"{name} class key {key!r} is not written {str(int(key))!r}")
@@ -448,25 +431,18 @@ def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):
     """Gather spectra for flat pixel ids as columns of an (bands, n) matrix.
 
     Returns (matrix, labels). With ``normalize`` each column is scaled to unit
-    Euclidean norm; zero-norm columns are rejected. A partial cube gives the
-    same bytes and layout as the full one, and a ValueError for an id it
-    does not hold.
+    Euclidean norm; zero-norm columns are rejected. Each id is looked up
+    among the ids the cube holds before any label is read, so an id it does
+    not hold, one outside the grid included, is a ValueError.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    n_pixels = cube.height * cube.width
-    if ids.size and (ids.min() < 0 or ids.max() >= n_pixels):
-        bad = ids[(ids < 0) | (ids >= n_pixels)][0]
-        raise IndexError(f"pixel id {bad} out of range [0, {n_pixels})")
+    columns = np.searchsorted(cube.held, ids)  # each id's column of spectra
+    held = (columns < cube.held.size) & (np.r_[cube.held, 0][columns] == ids)
+    if not held.all():
+        raise ValueError(f"pixel id {ids[~held][0]} is not held by the cube")
     flat_labels = cube.labels.ravel()[ids]
     if (flat_labels == 0).any():
-        bad = ids[flat_labels == 0][0]
-        raise ValueError(f"pixel id {bad} is unlabeled")
-    columns = ids
-    if cube.held is not None:  # the columns of a partial cube's spectra
-        columns = np.searchsorted(cube.held, ids)
-        held = np.r_[cube.held, -1][columns] == ids  # -1: no id past the last held
-        if not held.all():
-            raise ValueError(f"pixel id {ids[~held][0]} is not held by the cube")
+        raise ValueError(f"pixel id {ids[flat_labels == 0][0]} is unlabeled")
     # rows of the (pixels, bands) view of the band-major spectra, so that each
     # column of the result is contiguous, as the solvers and norms expect
     spectra = cube.spectra.T[columns].T
@@ -495,6 +471,8 @@ def load_pixel_csv(path):
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: negative label {label}")
+            if label > 2 ** 31 - 1:  # labels.bin holds int32
+                raise ValueError(f"{path}:{lineno}: label {label} exceeds 2**31 - 1")
             rows.append((values, label))
     if not rows:
         raise ValueError(f"{path}: no pixel rows")
@@ -512,7 +490,4 @@ def load_pixel_csv(path):
 
 def pixels_to_cube(spectra: np.ndarray, labels: np.ndarray) -> LabeledCube:
     """Wrap a (bands, n) pixel matrix as a 1 x n cube (handy for bundling)."""
-    spectra = np.asarray(spectra, dtype=np.float64)
-    data = spectra.T[np.newaxis, :, :]
-    grid = np.asarray(labels, dtype=np.int32)[np.newaxis, :]
-    return LabeledCube(data=data, labels=grid)
+    return LabeledCube(np.asarray(labels)[np.newaxis], spectra)

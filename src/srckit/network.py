@@ -34,8 +34,8 @@ are, and keeps no trace. In a CLI eval of 635 pixels over 426 atoms with 9
 stages (one BLAS thread of a 2-vCPU Xeon) its forward pass takes about
 60 us a pixel at 32, 64 or 128 columns, where forward with its trace, as
 train runs it, takes 65 at 32 and 100-110 at 64 or 128: so training stays
-at 32 while the untraced test blocks widen; the run peaks at 72.2 MiB
-resident at each width.
+at 32 while the untraced test blocks widen. Loading only the pixels it
+codes, that eval peaks at about 45.5 MiB resident (perfbench eval-asdn).
 """
 from __future__ import annotations
 

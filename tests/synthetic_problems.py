@@ -5,7 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from srckit.data import LabeledCube
 from srckit.dictionary import assemble
+
+
+def grid_cube(data, labels) -> LabeledCube:
+    """The cube of every pixel of a (height, width, bands) array."""
+    h, w, b = np.shape(data)
+    return LabeledCube(labels, np.reshape(data, (h * w, b)).T)
 
 
 def random_orthonormal(seed: int, n: int) -> np.ndarray:

@@ -158,7 +158,7 @@ class TestExitCodes:
         ("train", ["--init-rho", 0], "rho"),
         ("train", ["--stages", 0], "stage"),
         ("gradcheck", ["--stages", 0], "stage"),
-        ("gradcheck", ["--fd-step", -1], "fd_step"),
+        ("gradcheck", ["--fd-step", -1], "step must be positive"),
         ("gradcheck", ["--bands", 0], "bands"),
         ("gradcheck", ["--classes", 0], "n_classes"),
         ("eval", ["--solver", "omp", "--K", 2, "--dict-frac", 1], "dict_frac"),
@@ -622,6 +622,18 @@ class TestSplitValidation:
         assert status == 3
         assert "cube label is 2" in err["message"]
 
+    @pytest.mark.parametrize("command, argv", [
+        ("eval", ["--solver", "omp", "--K", 2]),
+        ("train", ["--stages", 1, "--epochs", 1, "--batch-size", 6])])
+    @pytest.mark.parametrize("name", ["dictionary_ids", "train_ids", "test_ids"])
+    def test_id_set_that_is_a_list(self, capsys, bundle, tmp_path, command, argv, name):
+        path = self.write_split(tmp_path, lambda doc: doc.update({name: ["1"]}))
+        status, err = run(capsys, command, "--bundle", bundle, *DATA, "--split", path, *argv,
+                          "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert f"{name} is not a JSON object" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_id_outside_cube(self, capsys, bundle, tmp_path):
         def outside(doc):
             doc["test_ids"]["3"].append(10_000)
@@ -686,7 +698,7 @@ class TestSplitValidation:
         cube = tiny_cube()
         labels = cube.labels.copy()
         labels.flat[59] = 0
-        cube = LabeledCube(cube.data, labels)
+        cube = LabeledCube(labels, cube.spectra)
         save_bundle(cube, tmp_path / "bundle")
         doc = make_split(cube, 0.2, 0.25, 0).to_json()
         doc["test_ids"]["0"] = [59]
@@ -1116,7 +1128,7 @@ def test_split_json_is_one_line(capsys, bundle, trained, tmp_path):
 def write_pixel_csv(path):
     cube = tiny_cube()
     rows = [",".join(map(repr, spectrum.tolist())) + f",{label}"
-            for spectrum, label in zip(cube.data[0], cube.labels[0])]
+            for spectrum, label in zip(cube.spectra.T, cube.labels[0])]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return cube
 
@@ -1128,7 +1140,7 @@ class TestIngest:
                           "--bundle", tmp_path / "bundle", "--out", tmp_path / "a")
         assert (status, err) == (0, None)
         loaded = load_bundle(tmp_path / "bundle")
-        assert np.array_equal(loaded.data, cube.data)
+        assert np.array_equal(loaded.spectra, cube.spectra)
         assert np.array_equal(loaded.labels, cube.labels)
 
         status, err = run(capsys, "ingest", "--bundle", tmp_path / "bundle",
@@ -1141,6 +1153,8 @@ class TestIngest:
 
     @pytest.mark.parametrize("text, message", [
         ("0.5,0.25,-1\n", "negative label -1"),
+        # labels.bin holds int32: 2**32 + 2 would be ingested as class 2
+        ("0.5,0.25,1\n0.5,0.25,4294967298\n", "pixels.csv:2: label 4294967298 exceeds 2**31 - 1"),
         ("0.5,abc,1\n", "malformed row"),
         ("0.5,0.25,1.5\n", "malformed row"),
         ("\n,\n", "no pixel rows"),
@@ -1260,9 +1274,9 @@ class TestNoOutAfterAFailure:
     def test_diverged_training(self, capsys, tmp_path):
         # one training pixel of 1e200, kept raw: its residual overflows
         cube = tiny_cube()
-        data = cube.data.copy()
-        data.reshape(-1, cube.bands)[make_split(cube, 0.2, 0.25, 3).train_flat()[0]] = 1e200
-        save_bundle(LabeledCube(data=data, labels=cube.labels), tmp_path / "bundle")
+        spectra = cube.spectra.copy()
+        spectra[:, make_split(cube, 0.2, 0.25, 3).train_flat()[0]] = 1e200
+        save_bundle(LabeledCube(cube.labels, spectra), tmp_path / "bundle")
         status, err = run(capsys, "train", "--bundle", tmp_path / "bundle", *DATA, "--seed", 3,
                           "--no-normalize", "--stages", 2, "--epochs", 1, "--batch-size", 6,
                           "--init-eta", 0.01, "--out", tmp_path / "out")
@@ -1321,6 +1335,28 @@ class TestReport:
         assert (status, err["kind"]) == (3, "config")
         assert f"report file {path} is malformed" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"confusion": [1, 2], "per_class_acc": [1.0, 1.0]},
+        {"confusion": [[1, 0], [0, 1]], "per_class_acc": [1.0]},
+        {"confusion": [[1, 0], [0, 1]], "per_class_acc": [[1.0], [1.0]]},
+        {"confusion": [[1, 0, 0], [0, 1, 0]], "per_class_acc": [1.0, 1.0]},
+        {"confusion": [], "per_class_acc": []},
+        {"confusion": [[1, 0], [0, 1.5]], "per_class_acc": [1.0, 1.0]},
+        {"confusion": [[1, 0], [0, True]], "per_class_acc": [1.0, 1.0]},
+        {"confusion": [[1, -1], [0, 1]], "per_class_acc": [1.0, 1.0]},
+        {"confusion": [[1, 0], [0]], "per_class_acc": [1.0, 1.0]},
+    ], ids=["1-D-confusion", "one-accuracy-for-two-classes", "2-D-accuracies",
+            "non-square-confusion", "no-classes", "fractional-count", "bool-count",
+            "negative-count", "ragged-confusion"])
+    def test_report_no_evaluate_could_make(self, capsys, tmp_path, doc):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**doc, "oa": 1, "aa": 1, "kappa": 1}), encoding="utf-8")
+        status, err = run(capsys, "report", "--report", path, "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert str(path) in err["message"]
+        assert re.search("confusion|per_class_acc", err["message"])
+        assert capsys.readouterr().out == "" and not (tmp_path / "out").exists()
 
     def test_report_without_confusion(self, capsys, report_path):
         doc = read_json(report_path)

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srckit import data as data_module
 from srckit.data import (BundleFormatError, LabeledCube, SplitMix64, class_counts,
                          extract_pixels, load_bundle, load_pixel_csv,
                          make_split, pixels_to_cube, read_labels, save_bundle)
+from synthetic_problems import grid_cube
 
 
 def random_cube(seed, h=4, w=5, b=6, n_classes=3):
@@ -21,7 +22,7 @@ def random_cube(seed, h=4, w=5, b=6, n_classes=3):
     data = rng.standard_normal((h, w, b))
     labels = rng.integers(0, n_classes + 1, size=(h, w)).astype(np.int32)
     labels.flat[0] = n_classes  # make sure the max class is present
-    return LabeledCube(data=data, labels=labels)
+    return grid_cube(data, labels)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -98,18 +99,17 @@ class TestSplitMix64:
 
 class TestBundleRoundTrip:
     def test_zero_cube(self, tmp_path):
-        cube = LabeledCube(data=np.zeros((2, 2, 3)),
-                           labels=np.array([[0, 1], [2, 0]], dtype=np.int32))
+        cube = grid_cube(np.zeros((2, 2, 3)), np.array([[0, 1], [2, 0]], dtype=np.int32))
         save_bundle(cube, tmp_path / "b")
         back = load_bundle(tmp_path / "b")
-        assert np.array_equal(back.data, cube.data)
+        assert np.array_equal(back.spectra, cube.spectra)
         assert np.array_equal(back.labels, cube.labels)
 
     def test_random_cube_bit_exact(self, tmp_path):
         cube = random_cube(7)
         save_bundle(cube, tmp_path / "b")
         back = load_bundle(tmp_path / "b")
-        assert back.data.tobytes() == cube.data.tobytes()
+        assert back.spectra.tobytes() == cube.spectra.tobytes()
         assert back.labels.tobytes() == cube.labels.tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -120,12 +120,11 @@ class TestBundleRoundTrip:
         path = tmp_path_factory.mktemp("bundle")
         save_bundle(cube, path / "b")
         back = load_bundle(path / "b")
-        assert np.array_equal(back.data, cube.data)
+        assert np.array_equal(back.spectra, cube.spectra)
         assert np.array_equal(back.labels, cube.labels)
 
     def test_single_value_encoding(self, tmp_path):
-        cube = LabeledCube(data=np.full((1, 1, 1), 7.5),
-                           labels=np.array([[1]], dtype=np.int32))
+        cube = grid_cube(np.full((1, 1, 1), 7.5), np.array([[1]], dtype=np.int32))
         save_bundle(cube, tmp_path / "b")
         payload = (tmp_path / "b" / "data.bin").read_bytes()
         assert payload == struct.pack("<d", 7.5)
@@ -133,11 +132,11 @@ class TestBundleRoundTrip:
 
     def test_band_major_layout(self, tmp_path):
         # flat index of (band b, row r, col c) must be ((b*H + r)*W + c)
-        cube = random_cube(3, h=2, w=3, b=4)
-        save_bundle(cube, tmp_path / "b")
+        data = np.random.default_rng(3).standard_normal((2, 3, 4))
+        save_bundle(grid_cube(data, np.ones((2, 3))), tmp_path / "b")
         flat = np.frombuffer((tmp_path / "b" / "data.bin").read_bytes(), dtype="<f8")
         b, r, c = 2, 1, 2
-        assert flat[(b * 2 + r) * 3 + c] == cube.data[r, c, b]
+        assert flat[(b * 2 + r) * 3 + c] == data[r, c, b]
 
 
 def rewrite_header(change):
@@ -206,12 +205,11 @@ class TestBundleErrors:
 
     def test_zero_band_cube_rejected(self):
         with pytest.raises(BundleFormatError, match="data"):
-            LabeledCube(data=np.zeros((2, 2, 0)), labels=np.zeros((2, 2), dtype=np.int32))
+            grid_cube(np.zeros((2, 2, 0)), np.zeros((2, 2), dtype=np.int32))
 
     def test_negative_label_rejected(self):
         with pytest.raises(BundleFormatError, match="labels"):
-            LabeledCube(data=np.zeros((1, 1, 1)),
-                        labels=np.array([[-1]], dtype=np.int32))
+            grid_cube(np.zeros((1, 1, 1)), np.array([[-1]], dtype=np.int32))
 
     def test_short_read(self, tmp_path, monkeypatch):
         # data.bin has the right size when checked but yields fewer bytes
@@ -226,28 +224,31 @@ class TestBundleErrors:
             load_bundle(tmp_path / "b")
         assert info.value.field == "data.bin"
 
-    def test_non_3d_data_rejected(self):
-        with pytest.raises(BundleFormatError, match="expected 3-D array, got 2-D") as info:
-            LabeledCube(data=np.zeros((2, 2)), labels=np.zeros((2, 2), dtype=np.int32))
-        assert info.value.field == "data"
+    def test_non_2d_labels_or_spectra_rejected(self):
+        for labels, spectra in [(np.zeros((2, 2)), np.zeros(4)), (np.zeros(4), np.zeros((3, 4))),
+                                (np.zeros((2, 2)), np.zeros((3, 2, 2)))]:
+            with pytest.raises(BundleFormatError, match="expected 2-D labels and spectra") as info:
+                LabeledCube(labels, spectra)
+            assert info.value.field == "data"
 
     @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3)])
     def test_empty_grid_rejected(self, shape):
         with pytest.raises(BundleFormatError, match="degenerate extents") as info:
-            LabeledCube(data=np.zeros(shape), labels=np.zeros(shape[:2], dtype=np.int32))
+            grid_cube(np.zeros(shape), np.zeros(shape[:2], dtype=np.int32))
         assert info.value.field == "data"
 
     def test_label_grid_must_match_data(self):
-        with pytest.raises(BundleFormatError, match=r"does not match data grid \(2, 3\)") as info:
-            LabeledCube(data=np.zeros((2, 3, 4)), labels=np.zeros((3, 2), dtype=np.int32))
-        assert info.value.field == "labels"
+        # a cube of every pixel has one column of spectra for each label
+        with pytest.raises(BundleFormatError, match="one a column") as info:
+            LabeledCube(np.zeros((3, 3), dtype=np.int32), np.zeros((4, 6)))
+        assert info.value.field == "held"
 
 
 def labeled_line_cube(class_sizes):
     """A 1 x n cube whose labels are class_sizes[c] repeats of each class."""
     labels = np.concatenate([np.full(n, c + 1) for c, n in enumerate(class_sizes)])
     data = np.random.default_rng(0).standard_normal((1, len(labels), 3))
-    return LabeledCube(data=data, labels=labels[np.newaxis, :].astype(np.int32))
+    return grid_cube(data, labels[np.newaxis, :].astype(np.int32))
 
 
 class TestMakeSplit:
@@ -315,13 +316,13 @@ class TestMakeSplit:
             assert set(union.tolist()) == set(cube.class_ids(c).tolist())
 
     def test_unlabeled_cube_rejected(self):
-        cube = LabeledCube(data=np.ones((2, 2, 3)), labels=np.zeros((2, 2), dtype=np.int32))
+        cube = grid_cube(np.ones((2, 2, 3)), np.zeros((2, 2), dtype=np.int32))
         with pytest.raises(ValueError, match="cube has no labeled pixels"):
             make_split(cube)
 
     def test_empty_class_named(self):
         labels = np.array([[1, 1, 3, 3]], dtype=np.int32)  # class 2 missing
-        cube = LabeledCube(data=np.zeros((1, 4, 2)), labels=labels)
+        cube = grid_cube(np.zeros((1, 4, 2)), labels)
         with pytest.raises(ValueError, match="class 2"):
             make_split(cube, 0.25, 0.0, seed=0)
 
@@ -336,7 +337,7 @@ class TestMakeSplit:
         assert class_counts(labeled_line_cube([3, 1, 5])).tolist() == [3, 1, 5]
         labels = np.array([[0, 2, 2, 0]], dtype=np.int32)  # class 1 missing
         with pytest.raises(ValueError, match="class 1 has no labeled pixels"):
-            class_counts(LabeledCube(data=np.zeros((1, 4, 2)), labels=labels))
+            class_counts(grid_cube(np.zeros((1, 4, 2)), labels))
 
     def test_bad_fractions(self):
         cube = labeled_line_cube([10])
@@ -356,15 +357,13 @@ class TestMakeSplit:
 
 class TestExtractPixels:
     def test_345_normalization(self):
-        cube = LabeledCube(data=np.array([[[3.0, 4.0]]]),
-                           labels=np.array([[2]], dtype=np.int32))
+        cube = grid_cube(np.array([[[3.0, 4.0]]]), np.array([[2]], dtype=np.int32))
         spectra, labels = extract_pixels(cube, [0], normalize=True)
         assert np.allclose(spectra[:, 0], [0.6, 0.8])
         assert labels.tolist() == [2]
 
     def test_raw_identity(self):
-        cube = LabeledCube(data=np.array([[[3.0, 4.0]]]),
-                           labels=np.array([[1]], dtype=np.int32))
+        cube = grid_cube(np.array([[[3.0, 4.0]]]), np.array([[1]], dtype=np.int32))
         spectra, _ = extract_pixels(cube, [0], normalize=False)
         assert np.array_equal(spectra[:, 0], [3.0, 4.0])
 
@@ -377,18 +376,16 @@ class TestExtractPixels:
 
     def test_out_of_range(self):
         cube = random_cube(1, h=2, w=2, b=3)
-        with pytest.raises(IndexError, match="out of range"):
+        with pytest.raises(ValueError, match="pixel id 99 is not held by the cube"):
             extract_pixels(cube, [99])
 
     def test_unlabeled_rejected(self):
-        cube = LabeledCube(data=np.ones((1, 2, 2)),
-                           labels=np.array([[0, 1]], dtype=np.int32))
+        cube = grid_cube(np.ones((1, 2, 2)), np.array([[0, 1]], dtype=np.int32))
         with pytest.raises(ValueError, match="unlabeled"):
             extract_pixels(cube, [0])
 
     def test_zero_norm_rejected(self):
-        cube = LabeledCube(data=np.zeros((1, 1, 2)),
-                           labels=np.array([[1]], dtype=np.int32))
+        cube = grid_cube(np.zeros((1, 1, 2)), np.array([[1]], dtype=np.int32))
         with pytest.raises(ValueError, match="zero-norm"):
             extract_pixels(cube, [0], normalize=True)
 
@@ -451,8 +448,8 @@ class TestBandMajorStorage:
         rng = np.random.default_rng(seed)
         labeled = np.flatnonzero(cube.labels.ravel() > 0)
         ids = rng.choice(labeled, size=rng.integers(0, 2 * labeled.size + 1))
-        # the reference reads a plain (h, w, b) array, not the band-major view
-        plain = np.array(cube.data, order="C")
+        # the reference reads a plain (h, w, b) array, not the band-major spectra
+        plain = np.array(cube.spectra.T, order="C").reshape(h, w, b)
         got, labels = extract_pixels(loaded, ids, normalize)
         want = reference_extract(plain, ids, normalize)
         assert got.tobytes(order="A") == want.tobytes(order="A")
@@ -480,20 +477,10 @@ class TestBandMajorStorage:
         finally:
             tracemalloc.stop()
         # the buffer, the finite check's 1/8-size bool array and the labels
-        assert peak < 1.5 * cube.data.nbytes
-        buffer = cube.data.base
-        assert buffer.shape == (b, h, w) and buffer.flags.c_contiguous
-        assert buffer.base is None  # it owns its memory: no copy was made from it
-        assert np.shares_memory(cube.data, buffer)
-        assert cube.band_major.flags.c_contiguous
-        assert (tmp_path / "b" / "data.bin").read_bytes() == buffer.tobytes()
-
-    def test_pixel_major_input_is_stored_band_major(self):
-        data = np.random.default_rng(0).standard_normal((3, 4, 5))
-        cube = LabeledCube(data=data, labels=np.ones((3, 4), dtype=np.int32))
-        assert cube.band_major.flags.c_contiguous
-        assert cube.band_major.base is cube.data.base
-        assert np.array_equal(cube.data, data)
+        assert peak < 1.5 * cube.spectra.nbytes
+        assert cube.spectra.shape == (b, h * w) and cube.spectra.flags.c_contiguous
+        assert cube.spectra.base is None  # it owns its memory: no copy was made from it
+        assert (tmp_path / "b" / "data.bin").read_bytes() == cube.spectra.tobytes()
 
     def test_extract_and_save_copy_no_whole_cube(self, tmp_path):
         h, w, b = 40, 50, 100  # 1.6 MB of pixels
@@ -508,8 +495,8 @@ class TestBandMajorStorage:
             save_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert extract_peak < cube.data.nbytes // 10
-        assert save_peak < cube.data.nbytes // 10
+        assert extract_peak < cube.spectra.nbytes // 10
+        assert save_peak < cube.spectra.nbytes // 10
 
 
 def file_hashes(root):
@@ -539,7 +526,8 @@ class TestStreamedLoad:
             patch.setattr(data_module, "CHUNK_BYTES", planes * h * w * 8)
             partial = load_bundle(path, keep)
         full = load_bundle(path)
-        assert partial.held.tolist() == sorted(set(keep)) and partial.data is None
+        assert partial.held.tolist() == sorted(set(keep))
+        assert full.held.tolist() == list(range(h * w))
         assert partial.digests == full.digests == file_hashes(path)
         assert (partial.height, partial.width, partial.bands) == (h, w, b)
         assert partial.labels.tobytes() == full.labels.tobytes()
@@ -618,7 +606,7 @@ class TestStreamedLoad:
             extract_pixels(cube, [0, labeled[0]])
         with pytest.raises(ValueError, match="is not held"):
             extract_pixels(read_labels(tmp_path / "b"), [0])
-        with pytest.raises(IndexError, match="out of range"):
+        with pytest.raises(ValueError, match="pixel id 20 is not held by the cube"):
             extract_pixels(cube, [20])
         for keep in ([20], [-1, 3]):
             with pytest.raises(ValueError, match="out of range"):
@@ -644,3 +632,39 @@ class TestStreamedLoad:
             tracemalloc.stop()
         assert cube.spectra.shape == (b, keep.size)
         assert peak < cube.spectra.nbytes + 2 * chunk + cube.labels.nbytes
+
+
+class TestOneIdRule:
+    """Every cube, whether it holds every pixel or a few, names a pixel id it
+    cannot give by one rule, and holds only ascending ids on its grid."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_id_off_the_grid_is_not_held(self, tmp_path_factory, h, w, b, seed, data):
+        path = tmp_path_factory.mktemp("bundle") / "b"
+        save_bundle(random_cube(seed, h, w, b, n_classes=2), path)
+        keep = data.draw(st.lists(st.integers(0, h * w - 1), max_size=2 * h * w), label="keep")
+        below = data.draw(st.integers(-2 ** 62, -1), label="id below 0")
+        beyond = data.draw(st.integers(h * w, 2 ** 62), label="id at or past h*w")
+        for cube in (load_bundle(path), load_bundle(path, keep)):
+            given_ids = [i for i in cube.held.tolist() if cube.labels.flat[i] > 0]
+            for bad in (below, beyond):
+                with pytest.raises(ValueError, match=f"^pixel id {bad} is not held by the cube$"):
+                    extract_pixels(cube, [*given_ids, bad])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.lists(st.integers(-3, 20), max_size=6))
+    @example(2, 2, [0, 4]).via("outside the grid")
+    @example(2, 2, [-1, 0]).via("negative")
+    @example(2, 2, [1, 0]).via("unsorted")
+    @example(2, 2, [1, 1]).via("repeated")
+    def test_held_ids_are_ascending_ids_of_the_grid(self, h, w, held):
+        labels, spectra = np.ones((h, w)), np.ones((3, len(held)))
+        if held == sorted(set(held)) and all(0 <= i < h * w for i in held):
+            assert LabeledCube(labels, spectra, held).held.tolist() == held
+        else:
+            with pytest.raises(BundleFormatError) as info:
+                LabeledCube(labels, spectra, held)
+            assert info.value.field == "held"
