@@ -91,22 +91,56 @@ class ClassificationReport:
     @classmethod
     def from_json(cls, doc: dict) -> "ClassificationReport":
         """The inverse of ``to_json``. A confusion that is not a square C x C
-        matrix of integers >= 0 with C >= 1, as ``evaluate`` makes, or a
-        ``per_class_acc`` without C entries, is a ValueError."""
+        matrix of integers >= 0 with C >= 1 and a sample, as ``evaluate``
+        makes, a ``per_class_acc`` without C entries, or an accuracy or score
+        that is not a finite real (``real``) within 1e-12 of the value its
+        confusion gives (``confusion_scores``) is a ValueError. The report
+        holds the confusion's values."""
         confusion = np.asarray(doc["confusion"], dtype=object)
         shape = confusion.shape
         if (len(shape) != 2 or shape[0] != shape[1] or not shape[0]
                 or not all(type(n) is int and n >= 0 for n in confusion.flat)):
             raise ValueError("confusion is not a square C x C matrix of integers >= 0, C >= 1")
-        per_class_acc = np.asarray(doc["per_class_acc"], dtype=np.float64)
+        confusion = confusion.astype(np.int64)
+        if not confusion.any():
+            raise ValueError("confusion counts no sample")
+        per_class_acc = np.asarray(doc["per_class_acc"], dtype=object)
         if per_class_acc.shape != shape[:1]:
             raise ValueError(f"per_class_acc has shape {per_class_acc.shape} for {shape[0]} classes")
-        return cls(confusion=confusion.astype(np.int64), per_class_acc=per_class_acc,
-                   **{name: float(doc[name]) for name in SCORES})
+        per_class, values = confusion_scores(confusion)
+        given = [(f"per_class_acc entry {i}", value, float(want))
+                 for i, (value, want) in enumerate(zip(per_class_acc, per_class), start=1)]
+        for where, value, want in given + [(name, doc[name], values[name]) for name in SCORES]:
+            try:
+                off = abs(real(value) - want)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not off <= 1e-12:
+                raise ValueError(f"{where} {value!r} is not {want!r}, its confusion's value")
+        return cls(confusion=confusion, per_class_acc=per_class, **values)
+
+
+def confusion_scores(confusion: np.ndarray):
+    """(per-class accuracy, {"oa", "aa", "kappa"}) of a C x C integer
+    confusion matrix (rows = ground truth) with at least one sample, every
+    score a fraction; a class without samples has accuracy 0."""
+    confusion = confusion.astype(np.float64)  # a product past int64 rounds, not wraps
+    total = confusion.sum()
+    row_sums = confusion.sum(axis=1)
+    col_sums = confusion.sum(axis=0)
+    per_class = np.zeros(len(confusion))
+    present = row_sums > 0
+    per_class[present] = np.diag(confusion)[present] / row_sums[present]
+    oa = float(np.trace(confusion) / total)
+    p_e = float((row_sums * col_sums).sum() / total ** 2)
+    kappa = 1.0 if p_e >= 1.0 else (oa - p_e) / (1.0 - p_e)
+    return per_class, {"oa": oa, "aa": float(per_class.mean()), "kappa": float(kappa)}
 
 
 def evaluate(pred, truth, n_classes: int) -> ClassificationReport:
-    """Confusion matrix and OA/AA/kappa for predicted vs true labels (1..C)."""
+    """Confusion matrix and OA/AA/kappa (``confusion_scores``) for predicted
+    vs true labels (1..C). Warns when a class is absent from the truth, and
+    when every prediction is one class while the truth covers more."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if len(pred) != len(truth):
@@ -119,24 +153,16 @@ def evaluate(pred, truth, n_classes: int) -> ClassificationReport:
 
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (truth - 1, pred - 1), 1)
-    total = confusion.sum()
-    row_sums = confusion.sum(axis=1)
-    col_sums = confusion.sum(axis=0)
-
-    per_class = np.zeros(n_classes)
-    present = row_sums > 0
-    per_class[present] = np.diag(confusion)[present] / row_sums[present]
+    present = confusion.sum(axis=1) > 0
     if not present.all():
         absent = [int(i) + 1 for i in np.flatnonzero(~present)]
         warnings.warn(f"classes {absent} absent from the test draw; "
                       "they contribute accuracy 0 to AA", stacklevel=2)
-
-    oa = float(np.trace(confusion) / total)
-    aa = float(per_class.mean())
-    p_e = float((row_sums * col_sums).sum() / total ** 2)
-    kappa = 1.0 if p_e >= 1.0 else (oa - p_e) / (1.0 - p_e)
-    return ClassificationReport(confusion=confusion, per_class_acc=per_class,
-                                oa=oa, aa=aa, kappa=float(kappa))
+    if pred.min() == pred.max() and present.sum() > 1:
+        warnings.warn(f"every prediction is class {pred[0]}, while the truth covers "
+                      f"{present.sum()} classes", stacklevel=2)
+    per_class, values = confusion_scores(confusion)
+    return ClassificationReport(confusion=confusion, per_class_acc=per_class, **values)
 
 
 def integer(value) -> int:
@@ -247,16 +273,18 @@ def classify_testset(dictionary: Dictionary, pixels: np.ndarray, solver: str,
     ``check_fit``'s. Pixels are coded in ceil(n / BLOCK_COLUMNS) near-equal
     blocks (widths differ by at most one) on the calling thread, with one
     call of the solver, looked up on its module at every block, and one
-    ``src_decide`` per block. admm_fixed and asdn share the dictionary's
-    ``gram_cache``, built at their first block.
+    ``src_decide`` per block. Each block is decided as it is coded, so its
+    code is freed before the next block is coded: the working memory is one
+    block's. admm_fixed and asdn share the dictionary's ``gram_cache``,
+    built at their first block.
     """
     if pixels.ndim != 2 or pixels.shape[1] == 0:
         raise ValueError("test set is empty")
     kwargs, module = solver_kwargs(solver, params), SOLVER_MODULES[solver]
     blocks = np.array_split(pixels, -(-pixels.shape[1] // BLOCK_COLUMNS), axis=1)
-    codes = (getattr(module, solver)(dictionary, x, **kwargs) for x in blocks)
-    return np.concatenate([src_decide(dictionary, code, x)
-                           for code, x in zip(codes, blocks)]).astype(np.int64)
+    return np.concatenate([
+        src_decide(dictionary, getattr(module, solver)(dictionary, x, **kwargs), x)
+        for x in blocks]).astype(np.int64)
 
 
 @dataclass

@@ -473,6 +473,9 @@ def _cmd_train(config: dict) -> dict:
     init = _checked(NetParams.default, config["stages"], rho=config["init_rho"],
                     eta=config["init_eta"], tau=config["init_tau"])
     coding = _coding_inputs(config, "train")
+    # encoded before training, so that its transient id lists are not held
+    # on top of the training workspace
+    split_text = _json_text(coding.split.to_json(), indent=None)
     params, history = _checked(train, coding.dictionary, coding.pixels, coding.labels,
                                learning_rate=config["learning_rate"], epochs=config["epochs"],
                                batch_size=config["batch_size"], seed=config["train_seed"],
@@ -480,7 +483,7 @@ def _cmd_train(config: dict) -> dict:
     lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
     out = _write_run("train", config, {
         "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
-        "split.json": _json_text(coding.split.to_json(), indent=None),
+        "split.json": split_text,
     }, "split_file", digests=coding.digests)
     return {"final_mean_loss": float(history[-1]), "params": str(out / "params.json")}
 

@@ -91,8 +91,20 @@ class SplitMix64:
 # mapped (over 128 KiB) or grow the heap and are trimmed back, page-faulting
 # afresh each step: the greedy kernel _Block still allocates per step, and in
 # 256-column blocks many of its temporaries pass 128 KiB. So a smaller buffer
-# waits on that kernel.
+# waits on that kernel. A run's peak resident memory is the larger of this
+# load (the buffer beside the kept spectra) and one coded block's working
+# memory, as every coding path holds one block's at a time. In perfbench the
+# load sets sweep-l1's peak, and a block sets eval's and train's (one trace).
 CHUNK_BYTES = 4_500_000
+
+
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry of ``values`` is finite, exactly: a NaN or an
+    infinity never sums to a finite value, so a finite sum settles it without
+    the elementwise test's bool array, which runs only when the sum is not
+    finite (finite values may still sum past the float range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(values.sum()) or np.isfinite(values).all())
 
 
 @dataclass
@@ -131,7 +143,7 @@ class LabeledCube:
             raise BundleFormatError("held", "expected ascending pixel ids, one a column")
         if self.held.size and (self.held[0] < 0 or self.held[-1] >= n):
             raise BundleFormatError("held", f"expected pixel ids in [0, {n})")
-        if not np.isfinite(self.spectra).all():
+        if not _finite(self.spectra):
             raise BundleFormatError("data", "non-finite values present")
         if (self.labels < 0).any():
             raise BundleFormatError("labels", "negative label present")
@@ -242,7 +254,7 @@ def load_bundle(path, keep=None) -> LabeledCube:
             if size != stop * n * 8:
                 _check_data_size(size, b, h, w)
             digest.update(chunk)
-            if not np.isfinite(chunk).all():
+            if not _finite(chunk):
                 raise BundleFormatError("data", "non-finite values present")
             if not every:
                 np.take(chunk, held, axis=1, out=spectra[start:stop])
@@ -483,7 +495,7 @@ def load_pixel_csv(path):
         raise ValueError(f"{path}: inconsistent column counts")
     spectra = np.array([v for v, _ in rows], dtype=np.float64).T
     labels = np.array([l for _, l in rows], dtype=np.int64)
-    if not np.isfinite(spectra).all():
+    if not _finite(spectra):
         raise ValueError(f"{path}: non-finite values present")
     return spectra, labels
 

@@ -35,7 +35,8 @@ stages (one BLAS thread of a 2-vCPU Xeon) its forward pass takes about
 60 us a pixel at 32, 64 or 128 columns, where forward with its trace, as
 train runs it, takes 65 at 32 and 100-110 at 64 or 128: so training stays
 at 32 while the untraced test blocks widen. Loading only the pixels it
-codes, that eval peaks at about 45.5 MiB resident (perfbench eval-asdn).
+codes and holding one block's working memory at a time, that eval peaks at
+about 43.5 MiB resident (perfbench eval-asdn).
 """
 from __future__ import annotations
 
@@ -184,26 +185,29 @@ def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
     Returns the output coefficients alpha_{N+1} as a SparseCode, (n_atoms,)
     or (n_atoms, n), and the full trace needed by backward(), or None with
     ``keep_trace`` False. The stages write into arrays allocated once per
-    call: the trace's stacks, or without a trace one slot per node, with z
-    and u alternating between two. A non-finite pixel raises ValueError
-    before the first stage.
+    call: the trace's stacks, or without a trace one array per node, the
+    stages updating z and u in place (``admm_stage`` with z' = z, u' = u),
+    so four atom-space arrays hold a block's working memory at any depth.
+    A non-finite pixel raises ValueError before the first stage.
     """
     if len(x) != dictionary.n_bands:
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")
     utx = dictionary.gram_cache.project(x)
     n, shape = params.n_stages, (dictionary.n_atoms,) + np.shape(x)[1:]
     # node k writes alpha, c and v in slot k % nodes and reads z_k and u_k
-    # from slot k % slots, where slot 0 holds z_0 = u_0 = 0
-    nodes, slots = (n + 1, n + 1) if keep_trace else (1, 2)
+    # from slot k % slots, where slot 0 holds z_0 = u_0 = 0; each slot is one
+    # view object, so with one slot a stage's z' and u' are its z and u
+    nodes, slots = (n + 1, n + 1) if keep_trace else (1, 1)
     alpha, v, z, u = (np.empty((count,) + shape) for count in (nodes, nodes, slots, slots))
     c = np.empty((nodes,) + utx.shape)
     z[0] = u[0] = 0.0
+    zs, us = list(z), list(u)
     for k in range(n):
         i, j, s = k % slots, (k + 1) % slots, k % nodes
-        admm_stage(dictionary, utx, z[i], u[i], params.rho[k], params.relax, params.eta[k],
-                   params.tau[k], out=(alpha[s], c[s], v[s], z[j], u[j]))
+        admm_stage(dictionary, utx, zs[i], us[i], params.rho[k], params.relax, params.eta[k],
+                   params.tau[k], out=(alpha[s], c[s], v[s], zs[j], us[j]))
     # the final node's v is scratch
-    admm_stage(dictionary, utx, z[n % slots], u[n % slots], params.rho[n], params.relax,
+    admm_stage(dictionary, utx, zs[n % slots], us[n % slots], params.rho[n], params.relax,
                out=(alpha[-1], c[-1], v[-1], None, None))
     trace = StageTrace(alpha_seq=alpha, z_seq=z[1:], u_seq=u[1:], pre_activation_seq=v[:n],
                        c_seq=c) if keep_trace else None
@@ -401,8 +405,10 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
     order, so runs are bit-reproducible), and takes one ``NetParams.stepped``
     on the mean gradient; a non-finite loss or step raises TrainingDiverged.
-    Returns (final params, per-epoch mean loss), deterministic given ``seed``.
-    Each step moves rho, and the dictionary's gram_cache solves at any rho.
+    Each block's trace is freed before the next block's forward, so training
+    holds one trace and backward's buffers at a time. Returns (final params,
+    per-epoch mean loss), deterministic given ``seed``. Each step moves rho,
+    and the dictionary's gram_cache solves at any rho.
     """
     if learning_rate < 0:
         raise ValueError(f"learning_rate must be nonnegative, got {learning_rate}")
@@ -433,9 +439,9 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
                     for b in range(0, len(batch), BLOCK_COLUMNS):
                         cols = batch[b:b + BLOCK_COLUMNS]
                         x = pixels[:, cols]
-                        _, trace = forward(dictionary, x, params)
-                        grads, block_loss = backward(dictionary, x, onehots[:, cols],
-                                                     params, trace)
+                        # the trace is backward's argument alone, freed before the next forward
+                        grads, block_loss = backward(dictionary, x, onehots[:, cols], params,
+                                                     forward(dictionary, x, params)[1])
                         for name, total in sums.items():
                             total += grads[name]
                         batch_loss += block_loss

@@ -567,9 +567,12 @@ def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,
     and ``tau`` None only alpha and c are computed (the network's final node).
 
     ``out``, when given, is the arrays (alpha, c, v, z', u') to write, each
-    shaped as its result; none may alias another, z, u or utx. v first holds
-    z - u and the relax blend's (1 - relax) z, so the final node needs it as
-    scratch; its z' and u' may be None. At relax = 1 the blend is skipped.
+    shaped as its result. v first holds z - u and the relax blend's
+    (1 - relax) z, so the final node needs it as scratch; its z' and u' may
+    be None. z' may be z and u' may be u, updating the code in place with
+    the same bytes; u' = u makes v scratch, since the u update then goes
+    through v, which ends holding tau (alpha - z'). No other pair may alias,
+    nor any of them utx. At relax = 1 the blend is skipped.
     """
     if out is None:  # fresh arrays: a caller may keep every result
         out = [np.empty(np.shape(a)) for a in (z, utx, z, z, z)]
@@ -582,7 +585,8 @@ def admm_stage(dictionary: Dictionary, utx: np.ndarray, z: np.ndarray,
         return alpha, c, None, None, None
     np.add(alpha, u, out=v)
     soft_threshold(v, eta, out=z_next)
-    np.add(u, np.multiply(np.subtract(alpha, z_next, out=u_next), tau, out=u_next), out=u_next)
+    step = v if u_next is u else u_next
+    np.add(u, np.multiply(np.subtract(alpha, z_next, out=step), tau, out=step), out=u_next)
     return alpha, c, v, z_next, u_next
 
 

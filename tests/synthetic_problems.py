@@ -1,6 +1,8 @@
 """Seeded synthetic problems the tests draw their dictionaries and pixels
 from: random orthonormal bases, planted k-sparse targets, and classes that
-live on orthogonal low-dimensional subspaces."""
+live on orthogonal low-dimensional subspaces, and ``traced_peak``, the
+working-memory measure of the memory-budget tests."""
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +15,23 @@ def grid_cube(data, labels) -> LabeledCube:
     """The cube of every pixel of a (height, width, bands) array."""
     h, w, b = np.shape(data)
     return LabeledCube(labels, np.reshape(data, (h * w, b)).T)
+
+
+def traced_peak(fn):
+    """(peak, result) of ``fn()``: the most memory tracemalloc saw allocated
+    during the call beyond what was allocated at its start, in bytes. Starts
+    tracing for the call unless it is already on, and then leaves it on."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def random_orthonormal(seed: int, n: int) -> np.ndarray:

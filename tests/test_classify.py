@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,27 @@ class TestEvaluate:
         shuffled = evaluate(pred[perm], truth[perm], 3)
         assert np.array_equal(base.confusion, shuffled.confusion)
         assert base.kappa == shuffled.kappa
+
+    def test_scores_of_counts_whose_products_pass_int64(self):
+        confusion = [[4_000_000_000, 1], [2, 4_000_000_000]]
+        total, rows = sum(map(sum, confusion)), [sum(row) for row in confusion]
+        cols = [sum(col) for col in zip(*confusion)]
+        oa = Fraction(8_000_000_000, total)
+        p_e = Fraction(sum(r * c for r, c in zip(rows, cols)), total ** 2)
+        doc = {"confusion": confusion, "per_class_acc": [4e9 / rows[0], 4e9 / rows[1]],
+               "oa": float(oa), "aa": (4e9 / rows[0] + 4e9 / rows[1]) / 2,
+               "kappa": float((oa - p_e) / (1 - p_e))}
+        report = ClassificationReport.from_json(doc)
+        assert report.kappa == pytest.approx(doc["kappa"], abs=1e-15)
+
+    def test_one_class_prediction_warns(self):
+        with pytest.warns(UserWarning, match="every prediction is class 2, while the truth "
+                                             "covers 3 classes"):
+            evaluate([2, 2, 2], [1, 2, 3], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate([1, 2, 2], [1, 1, 2], 2)  # two classes predicted
+            evaluate([1, 1], [1, 1], 1)  # the truth is one class too
 
     def test_absent_class_warns_and_counts_zero(self):
         with pytest.warns(UserWarning, match="absent"):

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1294,6 +1295,24 @@ class TestNoOutAfterAFailure:
         assert not (tmp_path / "out").exists()
 
 
+class TestOneClassPrediction:
+    """eval warns when every test pixel gets one class while the truth has more."""
+
+    def test_collapsed_eval_warns(self, bundle, tmp_path):
+        # at lam 10 every code is zero, so every residual ties and class 1 wins
+        with pytest.warns(UserWarning, match="every prediction is class 1, while the truth "
+                                             "covers 3 classes"):
+            assert cli.run(["eval", "--bundle", str(bundle), *DATA, "--solver", "fista",
+                            "--lam", "10", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "report.json")["confusion"][1][0] == 12
+
+    def test_eval_that_separates_classes_is_quiet(self, bundle, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["eval", "--bundle", str(bundle), *DATA, "--solver", "omp",
+                            "--K", "2", "--out", str(tmp_path)]) == 0
+
+
 class TestReport:
     @pytest.fixture
     def report_path(self, tmp_path):
@@ -1357,6 +1376,57 @@ class TestReport:
         assert str(path) in err["message"]
         assert re.search("confusion|per_class_acc", err["message"])
         assert capsys.readouterr().out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"confusion": [[3, 1], [0, 4]], "per_class_acc": [7.5, -1.0], "oa": "nan", "aa": True,
+         "kappa": 1e308},
+        {"confusion": [[3, 0], [0, 4]], "per_class_acc": [1.0, 1.0], "oa": 0.5, "aa": 1.0,
+         "kappa": 1.0},
+    ], ids=["scores-out-of-range", "oa-not-the-confusions"])
+    def test_scores_are_tied_to_the_confusion(self, capsys, tmp_path, doc):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status = cli.run(["report", "--report", str(path), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert status == 3 and len(lines) == 1 and json.loads(lines[0])["kind"] == "config"
+        message = json.loads(lines[0])["message"]
+        assert message.startswith(f"report file {path} is malformed: ")
+        assert re.search(r"\b(per_class_acc|oa)\b", message.split("malformed: ")[1])
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("per_class_acc", [0.5, 1.0, 7.5]), ("per_class_acc", [0.5, 1.0, "0.6666666666666666"]),
+        ("oa", float("nan")), ("oa", float("inf")), ("aa", True), ("kappa", 1e308),
+        ("kappa", 11 / 23 + 1e-11), ("oa", None)])
+    def test_each_score_is_checked(self, capsys, report_path, field, value):
+        doc = read_json(report_path)
+        doc[field] = value
+        report_path.write_text(json.dumps(doc), encoding="utf-8")
+        status, err = run(capsys, "report", "--report", report_path)
+        assert (status, err["kind"]) == (3, "config")
+        assert re.search(rf"\b{field}\b", err["message"].split("malformed: ")[1])
+
+    def test_scores_within_rounding_of_the_confusion(self, capsys, report_path):
+        doc = read_json(report_path)
+        doc["kappa"] += 1e-13
+        report_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(["report", "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "OA 66.67%  AA 72.22%  kappa 47.83"
+
+    def test_report_eval_wrote_prints_its_values(self, capsys, bundle, tmp_path):
+        assert cli.run(["eval", "--bundle", str(bundle), *DATA, "--solver", "omp", "--K", "2",
+                        "--out", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "report.json")
+        capsys.readouterr()
+        assert cli.run(["report", "--report", str(tmp_path / "report.json")]) == 0
+        confusion = np.array(doc["confusion"])
+        want = [f"classes: {len(confusion)}  samples: {confusion.sum()}"]
+        want += [f"  class {i}: accuracy {100.0 * acc:.2f}%  (n={confusion[i - 1].sum()})"
+                 for i, acc in enumerate(doc["per_class_acc"], start=1)]
+        want.append(f"OA {100.0 * doc['oa']:.2f}%  AA {100.0 * doc['aa']:.2f}%  "
+                    f"kappa {100.0 * doc['kappa']:.2f}")
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_report_without_confusion(self, capsys, report_path):
         doc = read_json(report_path)

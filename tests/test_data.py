@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from srckit import data as data_module
 from srckit.data import (BundleFormatError, LabeledCube, SplitMix64, class_counts,
                          extract_pixels, load_bundle, load_pixel_csv,
                          make_split, pixels_to_cube, read_labels, save_bundle)
-from synthetic_problems import grid_cube
+from synthetic_problems import grid_cube, traced_peak
 
 
 def random_cube(seed, h=4, w=5, b=6, n_classes=3):
@@ -470,12 +469,7 @@ class TestBandMajorStorage:
     def test_loaded_data_views_one_band_major_buffer(self, tmp_path):
         h, w, b = 20, 30, 50
         save_bundle(random_cube(9, h, w, b), tmp_path / "b")
-        tracemalloc.start()
-        try:
-            cube = load_bundle(tmp_path / "b")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, cube = traced_peak(lambda: load_bundle(tmp_path / "b"))
         # the buffer, the finite check's 1/8-size bool array and the labels
         assert peak < 1.5 * cube.spectra.nbytes
         assert cube.spectra.shape == (b, h * w) and cube.spectra.flags.c_contiguous
@@ -486,15 +480,8 @@ class TestBandMajorStorage:
         h, w, b = 40, 50, 100  # 1.6 MB of pixels
         cube = random_cube(10, h, w, b)
         ids = np.flatnonzero(cube.labels.ravel() > 0)[:20]
-        tracemalloc.start()
-        try:
-            extract_pixels(cube, ids)
-            extract_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            save_bundle(cube, tmp_path / "b")
-            save_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        extract_peak = traced_peak(lambda: extract_pixels(cube, ids))[0]
+        save_peak = traced_peak(lambda: save_bundle(cube, tmp_path / "b"))[0]
         assert extract_peak < cube.spectra.nbytes // 10
         assert save_peak < cube.spectra.nbytes // 10
 
@@ -566,6 +553,21 @@ class TestStreamedLoad:
                 load_bundle(tmp_path / "b", keep)
             assert info.value.field == "data"
 
+    @pytest.mark.parametrize("band", [0, 5, 11], ids=["first-chunk", "middle", "last-chunk"])
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_finite_values_whose_sum_overflows(self, monkeypatch, tmp_path, band, value):
+        """A chunk's sum that overflows is not finite, yet every value is:
+        the elementwise test decides, and the bundle loads byte-exact."""
+        plane = write_bundle(tmp_path / "b")
+        monkeypatch.setattr(data_module, "CHUNK_BYTES", 2 * plane)  # six chunks
+        payload = np.fromfile(tmp_path / "b" / "data.bin", dtype="<f8")
+        payload[band * 20 + 18: band * 20 + 20] = value  # pixels 18 and 19
+        payload.tofile(tmp_path / "b" / "data.bin")
+        for keep in ([0, 3, 19], (), None):
+            cube = load_bundle(tmp_path / "b", keep)
+            held = list(range(20)) if keep is None else sorted(keep)
+            assert cube.spectra.tobytes() == payload.reshape(12, 20)[:, held].tobytes()
+
     @pytest.mark.parametrize("change, size", [
         (lambda payload: payload[:-8], 1912), (lambda payload: payload[:-1], 1919),
         (lambda payload: payload + bytes(8), 1928)], ids=["short", "odd", "long"])
@@ -624,12 +626,7 @@ class TestStreamedLoad:
         chunk = 5 * plane  # twelve chunks
         monkeypatch.setattr(data_module, "CHUNK_BYTES", chunk)
         keep = np.arange(0, h * w, 20)
-        tracemalloc.start()
-        try:
-            cube = load_bundle(tmp_path / "b", keep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, cube = traced_peak(lambda: load_bundle(tmp_path / "b", keep))
         assert cube.spectra.shape == (b, keep.size)
         assert peak < cube.spectra.nbytes + 2 * chunk + cube.labels.nbytes
 

@@ -1,8 +1,6 @@
 """Differential tests of the in-place, one-row-per-pixel ``solvers.fista``
 against the column-major loop it replaced (``l1_reference.fista``), and of
 its callback's and its working memory's contracts."""
-import tracemalloc
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,7 @@ from hypothesis import strategies as st
 import l1_reference as reference
 from srckit import solvers
 from srckit.dictionary import assemble
-from synthetic_problems import subspace_classes
+from synthetic_problems import subspace_classes, traced_peak
 
 # 24 atoms over 16 bands, 150 test pixels
 DATA = subspace_classes(11, n_classes=3, dim=16, sub_dim=3, n_dict=8,
@@ -113,16 +111,6 @@ def test_fista_working_memory_does_not_grow_with_max_iters():
 
     def peak(max_iters):
         solvers.fista(D, x, 0.01, 1)  # the Lipschitz constant, cached once, is not counted
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            solvers.fista(D, x, 0.01, max_iters, 0.0)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        return traced_peak(lambda: solvers.fista(D, x, 0.01, max_iters, 0.0))[0]
 
     assert peak(400) <= peak(4) + block

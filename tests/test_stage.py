@@ -4,7 +4,6 @@ through ``network.backward``) against the solve-based reference in
 ``network_reference``, plus gradient checks on the dictionary shapes the
 band-space forms treat differently."""
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +13,12 @@ from hypothesis import strategies as st
 
 import network_reference as reference
 from srckit import solvers
+from srckit.classify import BLOCK_COLUMNS, classify_testset
 from srckit.dictionary import assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, TrainingDiverged, asdn, backward,
                             forward, grad_check, kink_margin, one_hot, train)
 from srckit.synthetic import gradcheck_instance
-from synthetic_problems import subspace_classes
+from synthetic_problems import subspace_classes, traced_peak
 
 
 def pavia_shaped(seed):
@@ -280,6 +280,24 @@ def test_stage_into_buffers_equals_allocating_stage(d, rho, width, relax, final,
 
 
 @examples
+@given(d=dictionaries, rho=rhos, width=widths, relax=st.sampled_from([0.5, 1.0, 1.7]),
+       tau=st.floats(0.5, 1.5), seed=seeds)
+def test_stage_in_place_equals_allocating_stage(d, rho, width, relax, tau, seed):
+    """admm_stage with z' = z and u' = u, v then scratch, updates the code in
+    place to the bytes of the allocating call's alpha, c, z' and u'."""
+    rng = np.random.default_rng(seed)
+    utx = d.gram_cache.project(pixels(d, rng, width))
+    z, u = codes(d, rng, width)
+    eta = rng.uniform(0.0, 0.1)
+    want = solvers.admm_stage(d, utx, z, u, rho, relax, eta, tau)
+    alpha, c, v = (garbage_like(a) for a in want[:3])
+    got = solvers.admm_stage(d, utx, z, u, rho, relax, eta, tau, out=(alpha, c, v, z, u))
+    assert got[3] is z and got[4] is u
+    for i in (0, 1, 3, 4):
+        assert got[i].tobytes() == want[i].tobytes()
+
+
+@examples
 @given(d=dictionaries, width=widths, seed=seeds, relax=st.sampled_from([0.5, 1.0, 1.7]))
 def test_forward_without_trace_and_backward_on_stacked_trace(d, width, seed, relax):
     rng = np.random.default_rng(seed)
@@ -333,16 +351,46 @@ def test_asdn_working_memory_does_not_grow_with_depth():
 
     def peak(n_stages):
         asdn(PAVIA, x, n_stages=n_stages)  # the spectrum, built once, is not counted
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            asdn(PAVIA, x, n_stages=n_stages)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        return traced_peak(lambda: asdn(PAVIA, x, n_stages=n_stages))[0]
 
     assert peak(20) <= peak(2) + 2 * block
+
+
+def test_asdn_holds_four_atom_space_arrays():
+    """Without a trace forward updates z and u in place, so asdn over one
+    block peaks at four atom-space block arrays (alpha, v, z and u) plus its
+    band-space U^T x and c, within half a block array."""
+    x = pixels(PAVIA, np.random.default_rng(8), 32)
+    block, band = PAVIA.n_atoms * 32 * 8, min(PAVIA.atoms.shape) * 32 * 8
+    asdn(PAVIA, x)  # the spectrum, built once, is not counted
+    assert traced_peak(lambda: asdn(PAVIA, x))[0] <= 4 * block + 2 * band + block // 2
+
+
+def test_classify_testset_holds_one_block_at_a_time():
+    """Each block is decided as it is coded, so over three blocks
+    classify_testset peaks at one block's workspace (asdn's peak over a
+    block, its code included), within half a code: no earlier code is kept."""
+    x = pixels(PAVIA, np.random.default_rng(10), 3 * BLOCK_COLUMNS)
+    first = x[:, :BLOCK_COLUMNS]
+    asdn(PAVIA, first)  # the spectrum, built once, is not counted
+    workspace = traced_peak(lambda: asdn(PAVIA, first))[0]
+    code = PAVIA.n_atoms * BLOCK_COLUMNS * 8
+    peak, labels = traced_peak(lambda: classify_testset(PAVIA, x, "asdn"))
+    assert labels.shape == (3 * BLOCK_COLUMNS,)
+    assert peak <= workspace + code // 2
+
+
+def test_train_holds_one_trace_at_a_time():
+    """train frees each block's trace before the next forward, so over three
+    steps of one block it peaks at one step's forward and backward, within
+    half a trace."""
+    rng = np.random.default_rng(12)
+    x, labels = pixels(PAVIA, rng, 96), rng.integers(1, 10, 96)
+    params = NetParams.default(4, eta=0.01)
+    first, y = x[:, :32], one_hot(labels[:32], 9)
+    backward(PAVIA, first, y, params, forward(PAVIA, first, params)[1])  # the spectrum
+    step = traced_peak(lambda: backward(PAVIA, first, y, params,
+                                        forward(PAVIA, first, params)[1]))[0]
+    trace = 4 * (params.n_stages + 1) * PAVIA.n_atoms * 32 * 8
+    peak = traced_peak(lambda: train(PAVIA, x, labels, epochs=1, batch_size=32, init=params))[0]
+    assert peak <= step + trace // 2
