@@ -15,7 +15,8 @@ takes any other value checks it, and data.check_split a split file.
 A subcommand does its work first. Only when that succeeds does one call,
 ``_write_run``, make --out and write the outputs and then, last,
 manifest.json: the effective typed config (every key read, defaults filled
-in) and content hashes of the input files. So a manifest marks a complete
+in), content hashes of the input files, and the Python, numpy, srckit and
+BLAS versions with the BLAS thread variables. So a manifest marks a complete
 run, and exit 1 and exit 3 both leave no --out; the one exception is a
 failed gradcheck, which writes its errors and manifest, then exits 1. Every
 input hash is taken before anything is written, so --out may be an input's
@@ -42,13 +43,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import solvers, synthetic
+from . import __version__, solvers, synthetic
 from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport, check_fit,
                        check_sweep, classify_testset, evaluate, integer, read_ids, real,
                        solver_kwargs, split_inputs, sweep)
@@ -402,14 +405,34 @@ def _coding_inputs(config: dict, subset: str) -> _Coding:
                    cube.height * cube.width, cube.digests)
 
 
+# the thread counts a BLAS reads at start: train's params.json moves in the
+# 16th digit between one and two threads, so a replay is exact at the same one
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The Python, numpy and srckit versions, the BLAS numpy reports (its
+    name and version), and each of BLAS_THREAD_VARIABLES as set (None when
+    unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # a numpy before 1.25 reports no dict
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "srckit": __version__, "blas": blas,
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
+
+
 def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -> Path:
     """The one place --out is made. First hashes each file named by the
     ``inputs`` keys the config sets, so that no hash follows a write;
     ``digests`` (str(path) -> hex) holds those taken as files were read, such
     as a loaded cube's. Then writes ``files`` (name -> text or bytes) into
     --out, then manifest.json: the typed config that ran, without unset keys,
-    and all those hashes. With a saved split the split-draw keys are left
-    out: the split file's hash identifies it. Returns --out."""
+    all those hashes, and the ``_environment`` that ran it. With a saved
+    split the split-draw keys are left out: the split file's hash identifies
+    it. Returns --out."""
     hashes = {**(digests or {}), **{str(Path(config[key])): _file_sha256(Path(config[key]))
                                     for key in inputs if config.get(key)}}
     out = Path(config["out"])
@@ -422,6 +445,7 @@ def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -
         "config": {k: v for k, v in sorted(config.items())
                    if v is not None and k not in drawn},
         "inputs": hashes,
+        "environment": _environment(),
     }
     (out / "manifest.json").write_text(_json_text(doc), encoding="utf-8")
     return out
@@ -480,12 +504,15 @@ def _cmd_train(config: dict) -> dict:
                                learning_rate=config["learning_rate"], epochs=config["epochs"],
                                batch_size=config["batch_size"], seed=config["train_seed"],
                                init=init)
-    lines = ["epoch,mean_loss"] + [f"{e},{repr(float(v))}" for e, v in enumerate(history)]
+    lines = [",".join(("epoch",) + history.dtype.names)] + [
+        f"{e},{repr(float(loss))},{repr(float(acc))},{classes}"
+        for e, (loss, acc, classes) in enumerate(history)]
     out = _write_run("train", config, {
         "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
         "split.json": split_text,
     }, "split_file", digests=coding.digests)
-    return {"final_mean_loss": float(history[-1]), "params": str(out / "params.json")}
+    return {"final_mean_loss": float(history["mean_loss"][-1]),
+            "params": str(out / "params.json")}
 
 
 def _cmd_eval(config: dict) -> dict:

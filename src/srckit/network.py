@@ -24,10 +24,13 @@ a block of pixel columns (bands, n). Every stage is elementwise apart from
 its solve, ``GramCache.stage``, which works in the band space of the
 dictionary's one SVD: two products over the block's columns, from U^T x
 taken once per block, at the same cost at any rho, however often training
-moves it. Each stage keeps its band-space coefficients c in the trace, and
-its reverse node in ``backward`` is ``GramCache.stage_vjp`` on them, two more
-products. The per-pixel calls stay the reference: ``grad_check`` runs on
-them. ``train`` codes its batches in blocks of BLOCK_COLUMNS = 32 pixels;
+moves it. The trace keeps only what ``backward`` reads: each node's alpha
+and v, 2 (N+1) atom-space arrays (v_{N+1} is the final node's scratch), and
+each stage's band-space coefficients c, on which its reverse node,
+``GramCache.stage_vjp``, takes two more products. backward rebuilds each z
+from its v and never reads u, so a traced forward updates z in place and
+alternates u between two arrays. The per-pixel calls stay the reference:
+``grad_check`` runs on them. ``train`` codes its batches in blocks of BLOCK_COLUMNS = 32 pixels;
 ``classify.classify_testset`` codes test sets in its own, wider blocks.
 ``asdn`` is the network as a solver, called as the baselines in ``solvers``
 are, and keeps no trace. In a CLI eval of 635 pixels over 426 atoms with 9
@@ -43,12 +46,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import Dictionary
-from .solvers import SparseCode, admm_stage, check_ranges
+from .solvers import SparseCode, admm_stage, check_ranges, soft_threshold
 
 RHO_FLOOR = 1e-6
 TAU_FLOOR = 1e-6
@@ -59,6 +63,10 @@ FLOORS = {"rho": RHO_FLOOR, "eta": ETA_FLOOR, "tau": TAU_FLOOR}
 BLOCK_COLUMNS = 32  # train's block: forward with its trace is slower at 64-128 columns
 DEFAULT_STAGES = 9
 GRAD_ZERO_ATOL = 1e-12
+# train's history: per epoch, the mean loss, and the accuracy and the number
+# of classes of backward's predictions, the columns of train_history.csv
+HISTORY = np.dtype([("mean_loss", np.float64), ("train_acc", np.float64),
+                    ("classes_predicted", np.int64)])
 
 
 class TrainingDiverged(RuntimeError):
@@ -148,19 +156,19 @@ class NetParams:
 
 @dataclass
 class StageTrace:
-    """Cached node values from one forward pass, consumed by backward().
+    """The node values backward() reads, cached by one forward pass.
 
     Each field stacks one node's values over the stages, each entry shaped
     like the coded pixels, (n_atoms,) or (n_atoms, n): ``alpha_seq`` holds
-    alpha_1..alpha_{N+1}, and ``z_seq``, ``u_seq`` and ``pre_activation_seq``
-    hold z_1..z_N, u_1..u_N and v_n = alpha_n + u_{n-1}. ``c_seq`` holds each
-    sparsity node's band-space coefficients c_1..c_{N+1} (``GramCache.stage``),
-    (N+1, r) or (N+1, r, n) with r = min(bands, n_atoms).
+    alpha_1..alpha_{N+1} and ``pre_activation_seq`` v_n = alpha_n + u_{n-1}
+    for n = 1..N. ``c_seq`` holds each sparsity node's band-space
+    coefficients c_1..c_{N+1} (``GramCache.stage``), (N+1, r) or (N+1, r, n)
+    with r = min(bands, n_atoms). Nothing else is kept: backward rebuilds
+    z_n = soft_threshold(v_n, eta_n), the call forward made on the same
+    bytes, and never reads u_n.
     """
 
     alpha_seq: np.ndarray
-    z_seq: np.ndarray
-    u_seq: np.ndarray
     pre_activation_seq: np.ndarray
     c_seq: np.ndarray
 
@@ -183,10 +191,12 @@ def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
 
     ``x`` is one pixel (bands,) or a block of pixel columns (bands, n).
     Returns the output coefficients alpha_{N+1} as a SparseCode, (n_atoms,)
-    or (n_atoms, n), and the full trace needed by backward(), or None with
+    or (n_atoms, n), and the trace backward() reads, or None with
     ``keep_trace`` False. The stages write into arrays allocated once per
-    call: the trace's stacks, or without a trace one array per node, the
-    stages updating z and u in place (``admm_stage`` with z' = z, u' = u),
+    call and update z in place (``admm_stage`` with z' = z). With a trace
+    they write alpha and v into its stacks and alternate u between two
+    arrays, so v survives: 2 (N+1) + 3 atom-space arrays in all. Without
+    one they write one array per node and update u in place too (u' = u),
     so four atom-space arrays hold a block's working memory at any depth.
     A non-finite pixel raises ValueError before the first stage.
     """
@@ -194,23 +204,22 @@ def forward(dictionary: Dictionary, x: np.ndarray, params: NetParams,
         raise ValueError(f"pixel has {len(x)} bands, dictionary {dictionary.n_bands}")
     utx = dictionary.gram_cache.project(x)
     n, shape = params.n_stages, (dictionary.n_atoms,) + np.shape(x)[1:]
-    # node k writes alpha, c and v in slot k % nodes and reads z_k and u_k
-    # from slot k % slots, where slot 0 holds z_0 = u_0 = 0; each slot is one
-    # view object, so with one slot a stage's z' and u' are its z and u
-    nodes, slots = (n + 1, n + 1) if keep_trace else (1, 1)
-    alpha, v, z, u = (np.empty((count,) + shape) for count in (nodes, nodes, slots, slots))
+    # node k writes alpha, c and v in slot k % nodes, updates z in place and
+    # reads u_k from slot k % slots, writing u_{k+1} to the other; one u slot
+    # makes v scratch (admm_stage with u' = u), so a trace's v needs two
+    nodes, slots = (n + 1, 2) if keep_trace else (1, 1)
+    alpha, v, z, u = (np.empty((count,) + shape) for count in (nodes, nodes, 1, slots))
     c = np.empty((nodes,) + utx.shape)
     z[0] = u[0] = 0.0
-    zs, us = list(z), list(u)
+    z, us = z[0], list(u)  # each u slot one view object, so that with one slot u' is u
     for k in range(n):
-        i, j, s = k % slots, (k + 1) % slots, k % nodes
-        admm_stage(dictionary, utx, zs[i], us[i], params.rho[k], params.relax, params.eta[k],
-                   params.tau[k], out=(alpha[s], c[s], v[s], zs[j], us[j]))
+        s = k % nodes
+        admm_stage(dictionary, utx, z, us[k % slots], params.rho[k], params.relax, params.eta[k],
+                   params.tau[k], out=(alpha[s], c[s], v[s], z, us[(k + 1) % slots]))
     # the final node's v is scratch
-    admm_stage(dictionary, utx, zs[n % slots], us[n % slots], params.rho[n], params.relax,
+    admm_stage(dictionary, utx, z, us[n % slots], params.rho[n], params.relax,
                out=(alpha[-1], c[-1], v[-1], None, None))
-    trace = StageTrace(alpha_seq=alpha, z_seq=z[1:], u_seq=u[1:], pre_activation_seq=v[:n],
-                       c_seq=c) if keep_trace else None
+    trace = StageTrace(alpha_seq=alpha, pre_activation_seq=v[:n], c_seq=c) if keep_trace else None
     return SparseCode(alpha[-1]), trace
 
 
@@ -262,7 +271,7 @@ def loss(residuals: np.ndarray, y: np.ndarray):
 
 
 def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
-             params: NetParams, trace: StageTrace) -> tuple[dict, float]:
+             params: NetParams, trace: StageTrace, predicted=None) -> tuple[dict, float]:
     """Analytic gradients of the loss w.r.t. every (rho, eta, tau), and the
     loss: (grads, loss), where grads maps each group of FLOORS to an array
     shaped like it in ``params``.
@@ -275,17 +284,26 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
     on each class block. The soft-threshold derivative is taken as 0 exactly
     at |v| = eta. Each sparsity node's reverse step is
     ``GramCache.stage_vjp`` on the c its forward stage kept, two products
-    over the block. A non-finite pixel or label raises ValueError.
+    over the block. The trace keeps no z: each multiplier node rebuilds
+    z_n = soft_threshold(v_n, eta_n) into a work buffer, forward's call on
+    the same bytes. ``predicted``, when given, is an integer array with one
+    entry per column (0-d for one pixel) that receives each column's class
+    by ``classify.src_decide``'s rule: the smallest residual, ties to the
+    lowest class. A non-finite pixel or label raises ValueError.
     """
     n = params.n_stages
-    if len(trace.alpha_seq) != n + 1 or len(trace.z_seq) != n or len(trace.c_seq) != n + 1:
+    if (len(trace.alpha_seq) != n + 1 or len(trace.pre_activation_seq) != n
+            or len(trace.c_seq) != n + 1):
         raise ValueError("trace does not match params.n_stages")
     relax = params.relax
     alpha_out = trace.alpha_seq[n]
     x = np.asarray_chkfinite(x)
     y = np.asarray_chkfinite(y, dtype=np.float64)
 
-    losses, seed = loss(class_residuals(dictionary, alpha_out, x), y)
+    residuals = class_residuals(dictionary, alpha_out, x)
+    if predicted is not None:  # classify.src_decide's rule
+        np.add(np.argmin(residuals, axis=0), 1, out=predicted)
+    losses, seed = loss(residuals, y)
     loss_value = float(np.sum(losses))
 
     g_alpha = np.zeros_like(alpha_out)
@@ -312,12 +330,12 @@ def backward(dictionary: Dictionary, x: np.ndarray, y: np.ndarray,
 
     for k in range(n - 1, -1, -1):
         # multiplier node: u_k = u_{k-1} + tau_k (alpha_k - z_k); g_u is complete
-        grads["tau"][k] = float(np.vdot(g_u, np.subtract(trace.alpha_seq[k], trace.z_seq[k],
-                                                         out=work)))
+        v = trace.pre_activation_seq[k]
+        z = soft_threshold(v, params.eta[k], out=work)  # forward's z_k, byte for byte
+        grads["tau"][k] = float(np.vdot(g_u, np.subtract(trace.alpha_seq[k], z, out=work)))
         np.multiply(g_u, params.tau[k], out=g_alpha)
         g_z -= g_alpha  # now the complete dE/dz_k
         # nonlinear node: z_k = soft_threshold(v_k, eta_k)
-        v = trace.pre_activation_seq[k]
         np.greater(np.abs(v, out=work), params.eta[k], out=mask)
         np.multiply(np.sign(v, out=work), g_z, out=work)
         grads["eta"][k] = -float(np.multiply(work, mask, out=work).sum())
@@ -405,10 +423,17 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
     order, so runs are bit-reproducible), and takes one ``NetParams.stepped``
     on the mean gradient; a non-finite loss or step raises TrainingDiverged.
-    Each block's trace is freed before the next block's forward, so training
+    Each block's trace, alpha and v of every node (2 (N+1) atom-space
+    arrays) plus c, is freed before the next block's forward, so training
     holds one trace and backward's buffers at a time. Returns (final params,
-    per-epoch mean loss), deterministic given ``seed``. Each step moves rho,
-    and the dictionary's gram_cache solves at any rho.
+    history), deterministic given ``seed``: one HISTORY row per epoch, its
+    mean loss, and the accuracy and number of classes of the predictions
+    backward made on the way (each pixel at the parameters before its step).
+    Warns, once a run, when an epoch predicts one class while the labels
+    cover more (as ``classify.evaluate`` words it), and when an epoch leaves
+    a whole gradient group exactly 0: at the default eta = 0.1 no stage's
+    shrinkage passes an atom, so eta's gradient is 0 and it never moves.
+    Each step moves rho, and the dictionary's gram_cache solves at any rho.
     """
     if learning_rate < 0:
         raise ValueError(f"learning_rate must be nonnegative, got {learning_rate}")
@@ -423,13 +448,17 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     if len(labels) != n:
         raise ValueError(f"{n} pixels but {len(labels)} labels")
     onehots = one_hot(labels, dictionary.n_classes)
+    covered = np.count_nonzero(np.bincount(labels))  # np.unique would import numpy.ma
 
     params = (NetParams.default() if init is None else init).copy()
     rng = np.random.default_rng(seed)
-    history = np.zeros(epochs)
+    history = np.zeros(epochs, dtype=HISTORY)
+    predicted = np.empty(n, dtype=np.int64)  # an epoch's, in its order
+    collapsed, frozen = [], []  # (epoch, class) and (epoch, groups) at each fault
     for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
+        moved = dict.fromkeys(FLOORS, False)
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             sums = {name: np.zeros_like(getattr(params, name)) for name in FLOORS}
@@ -440,8 +469,10 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
                         cols = batch[b:b + BLOCK_COLUMNS]
                         x = pixels[:, cols]
                         # the trace is backward's argument alone, freed before the next forward
-                        grads, block_loss = backward(dictionary, x, onehots[:, cols], params,
-                                                     forward(dictionary, x, params)[1])
+                        grads, block_loss = backward(
+                            dictionary, x, onehots[:, cols], params,
+                            forward(dictionary, x, params)[1],
+                            predicted=predicted[start + b:start + b + len(cols)])
                         for name, total in sums.items():
                             total += grads[name]
                         batch_loss += block_loss
@@ -458,8 +489,27 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
                     f"training loss became non-finite at epoch {epoch}: {exc}"
                 ) from exc
             epoch_loss += batch_loss
-        history[epoch] = epoch_loss / n
-        if not math.isfinite(history[epoch]):
+            for name, total in sums.items():
+                moved[name] = moved[name] or bool(total.any())
+        mean_loss = epoch_loss / n
+        if not math.isfinite(mean_loss):
             raise TrainingDiverged(
                 f"mean training loss became non-finite at epoch {epoch}")
+        history[epoch] = (mean_loss, np.mean(predicted == labels[order]),
+                          np.count_nonzero(np.bincount(predicted)))
+        if covered > 1 and predicted.min() == predicted.max():
+            collapsed.append((epoch, predicted[0]))
+        if not all(moved.values()):
+            frozen.append((epoch, [name for name, live in moved.items() if not live]))
+    if collapsed:
+        epoch, label = collapsed[0]
+        warnings.warn(f"epoch {epoch}: every prediction is class {label}, while the truth "
+                      f"covers {covered} classes ({len(collapsed)} of {epochs} epochs predict "
+                      "one class)", stacklevel=2)
+    if frozen:
+        epoch, names = frozen[0]
+        warnings.warn(f"epoch {epoch}: every {'/'.join(names)} gradient is exactly 0, so no step "
+                      f"moves it ({len(frozen)} of {epochs} epochs)"
+                      + ("; no stage's shrinkage passes an atom: a dead start, which a smaller "
+                         "init eta avoids" if "eta" in names else ""), stacklevel=2)
     return params, history

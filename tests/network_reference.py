@@ -6,12 +6,65 @@ Each sparsity node applies (D^T D + rho I)^-1 through the general
 ``GramCache.solve`` (six products and a refinement round) to the
 right-hand side D^T x + rho (z - u), and its reverse node solves the
 gradient the same way, recovering the forward solve from the trace.
+
+The reference keeps every node of every stage in a ``StageRecord``;
+``stage_record`` rebuilds one from the trace ``srckit.network.forward``
+keeps, and ``stacked_forward`` traces as that forward once did, with z and
+u in slots of their own.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
-from srckit import network
+from srckit import network, solvers
 from srckit.network import StageTrace, class_residuals, loss, one_hot
 from srckit.solvers import SparseCode, soft_threshold
+
+
+@dataclass
+class StageRecord:
+    """Every node value of one forward pass, one list entry per stage:
+    alpha_1..alpha_{N+1}, and z_n, u_n and v_n = alpha_n + u_{n-1} for
+    n = 1..N."""
+
+    alpha_seq: list
+    z_seq: list
+    u_seq: list
+    pre_activation_seq: list
+
+
+def stage_record(trace, params) -> StageRecord:
+    """The StageRecord of a ``srckit.network.forward`` trace: z_n is
+    soft_threshold(v_n, eta_n) and u_n = u_{n-1} + (alpha_n - z_n) * tau_n
+    from u_0 = 0, in ``solvers.admm_stage``'s ufunc order, so each is
+    forward's iterate byte for byte."""
+    z_seq, u_seq = [], []
+    u = np.zeros_like(trace.alpha_seq[0])
+    for k, v in enumerate(trace.pre_activation_seq):
+        z_seq.append(soft_threshold(v, params.eta[k]))
+        u = u + (trace.alpha_seq[k] - z_seq[-1]) * params.tau[k]
+        u_seq.append(u)
+    return StageRecord(alpha_seq=list(trace.alpha_seq), z_seq=z_seq, u_seq=u_seq,
+                       pre_activation_seq=list(trace.pre_activation_seq))
+
+
+def stacked_forward(dictionary, x, params):
+    """``srckit.network.forward`` as it traced when its trace stacked z and
+    u too: every stage writes z_n and u_n into slots of their own. Returns
+    (SparseCode, StageTrace, z), with z the (N+1)-stack z_0..z_N."""
+    utx = dictionary.gram_cache.project(x)
+    n, shape = params.n_stages, (dictionary.n_atoms,) + np.shape(x)[1:]
+    alpha, v, z, u = (np.empty((n + 1,) + shape) for _ in range(4))
+    c = np.empty((n + 1,) + utx.shape)
+    z[0] = u[0] = 0.0
+    for k in range(n):
+        solvers.admm_stage(dictionary, utx, z[k], u[k], params.rho[k], params.relax,
+                           params.eta[k], params.tau[k],
+                           out=(alpha[k], c[k], v[k], z[k + 1], u[k + 1]))
+    solvers.admm_stage(dictionary, utx, z[n], u[n], params.rho[n], params.relax,
+                       out=(alpha[n], c[n], v[n], None, None))
+    return (SparseCode(alpha[n]), StageTrace(alpha_seq=alpha, pre_activation_seq=v[:n], c_seq=c),
+            z)
 
 
 def admm_stage(dictionary, dtx, z, u, rho, relax, eta=None, tau=None):
@@ -32,8 +85,7 @@ def admm_stage(dictionary, dtx, z, u, rho, relax, eta=None, tau=None):
 
 def forward(dictionary, x, params):
     """The N unrolled stages plus the final sparsity node, each through
-    ``admm_stage``; returns (SparseCode, StageTrace) like network.forward,
-    with an empty ``c_seq``."""
+    ``admm_stage``; returns (SparseCode, StageRecord)."""
     dtx = dictionary.atoms.T @ x
     z = np.zeros_like(dtx)
     u = np.zeros_like(dtx)
@@ -47,17 +99,18 @@ def forward(dictionary, x, params):
         u_seq.append(u)
     alpha_seq.append(admm_stage(dictionary, dtx, z, u, params.rho[params.n_stages],
                                 params.relax)[0])
-    trace = StageTrace(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
-                       pre_activation_seq=v_seq, c_seq=[])
-    return SparseCode(alpha_seq[-1]), trace
+    record = StageRecord(alpha_seq=alpha_seq, z_seq=z_seq, u_seq=u_seq,
+                         pre_activation_seq=v_seq)
+    return SparseCode(alpha_seq[-1]), record
 
 
 def backward(dictionary, x, y, params, trace):
     """Analytic gradients of the loss w.r.t. every (rho, eta, tau).
 
     ``x`` is one pixel with one-hot ``y`` (n_classes,), or a block (bands, n)
-    with one-hot columns ``y`` (n_classes, n) and the trace of its forward
-    pass; a block's gradients and loss are the sums over its columns.
+    with one-hot columns ``y`` (n_classes, n) and the StageRecord of its
+    forward pass (``forward``'s, or ``stage_record`` of a trace); a block's
+    gradients and loss are the sums over its columns.
     Reverse traversal of the stage graph. The loss and its seed
     dE/dr_i = y_i - p_i with p = softmax(-r) come from ``srckit.network.loss``,
     the seed composed with dr_i/dalpha = -D_i^T (x - D_i a_i)

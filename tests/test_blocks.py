@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_factor, cho_solve
 
 import greedy_reference as reference
+from network_reference import stage_record
 from srckit import classify, dictionary, network, solvers
 from srckit.classify import check_fit, classify_testset, solver_kwargs, src_decide, sweep
 from srckit.data import draw_splits, pixels_to_cube, save_bundle
@@ -178,7 +179,9 @@ def test_forward_and_residuals_match_per_pixel(width, seed):
         one, one_trace = forward(D, x[:, j], net)
         scale = np.linalg.norm(one.coeffs) + 1e-300
         assert np.linalg.norm(code.coeffs[:, j] - one.coeffs) <= 1e-10 * scale
-        for seq, one_seq in ((trace.z_seq, one_trace.z_seq), (trace.u_seq, one_trace.u_seq)):
+        # z and u rebuilt from each trace's alpha and v
+        record, one_record = stage_record(trace, net), stage_record(one_trace, net)
+        for seq, one_seq in ((record.z_seq, one_record.z_seq), (record.u_seq, one_record.u_seq)):
             for got, want in zip(seq, one_seq):
                 assert np.linalg.norm(got[:, j] - want) <= 1e-10 * (np.linalg.norm(want) + 1.0)
         want = class_residuals(D, one, x[:, j])

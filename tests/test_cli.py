@@ -1072,6 +1072,24 @@ def test_manifest_records_the_effective_config(capsys, bundle, tmp_path):
     assert "threads" not in recorded
 
 
+def test_manifest_records_the_environment(capsys, bundle, tmp_path, monkeypatch):
+    """The versions and BLAS settings a run's bytes depend on: train's
+    params.json moves in the 16th digit between one and two BLAS threads."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    status, _ = run(capsys, "split", "--bundle", bundle, *DATA, "--out", tmp_path)
+    assert status == 0
+    manifest = read_json(tmp_path / "manifest.json")
+    assert sorted(manifest) == ["command", "config", "environment", "inputs"]
+    environment = manifest["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment == {
+        "python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+        "srckit": srckit.__version__, "blas": f"{blas['name']} {blas['version']}",
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+
+
 class TestNetWithStages:
     """A trained network fixes its own depth, so "n_stages" beside "net" is a
     config error rather than a value the network silently ignores."""
@@ -1311,6 +1329,53 @@ class TestOneClassPrediction:
             warnings.simplefilter("error")
             assert cli.run(["eval", "--bundle", str(bundle), *DATA, "--solver", "omp",
                             "--K", "2", "--out", str(tmp_path)]) == 0
+
+
+def uniform_cube():
+    """tiny_cube's labels with every pixel one spectrum: every class codes
+    every pixel alike, so every residual ties and class 1 wins."""
+    data = subspace_classes(0, n_classes=3, dim=12, sub_dim=3, n_dict=4,
+                            n_train=6, n_test=10, noise=0.05)
+    labels = np.concatenate([data.dict_labels, data.train_labels, data.test_labels])
+    return pixels_to_cube(np.repeat(data.dict_pixels[:, :1], len(labels), axis=1), labels)
+
+
+class TestTrainHistory:
+    """train_history.csv gives each epoch's training accuracy and number of
+    classes predicted, and train warns when an epoch predicts one class or
+    leaves a gradient group exactly 0."""
+
+    ARGS = [*DATA, "--seed", "3", "--stages", "2", "--epochs", "3", "--batch-size", "6"]
+
+    def train(self, bundle, eta, out):
+        return cli.run(["train", "--bundle", str(bundle), *self.ARGS, "--init-eta", eta,
+                        "--out", str(out)])
+
+    @staticmethod
+    def history(out):
+        lines = (out / "train_history.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "epoch,mean_loss,train_acc,classes_predicted"
+        return [line.split(",") for line in lines[1:]]
+
+    def test_healthy_run_is_quiet(self, bundle, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.train(bundle, "0.01", tmp_path) == 0
+        assert [row[2:] for row in self.history(tmp_path)] == [["1.0", "3"]] * 3
+
+    def test_dead_start_warns(self, bundle, tmp_path):
+        with pytest.warns(UserWarning, match=r"^epoch 0: every eta gradient is exactly 0, so no "
+                                             r"step moves it \(3 of 3 epochs\); .*dead start"):
+            assert self.train(bundle, "1", tmp_path) == 0
+        assert read_json(tmp_path / "params.json")["eta"] == [1.0, 1.0]
+
+    def test_one_class_epochs_warn(self, tmp_path):
+        save_bundle(uniform_cube(), tmp_path / "bundle")
+        with pytest.warns(UserWarning, match=r"^epoch 0: every prediction is class 1, while the "
+                                             r"truth covers 3 classes \(3 of 3 epochs"):
+            assert self.train(tmp_path / "bundle", "0.01", tmp_path / "out") == 0
+        assert [row[2:] for row in self.history(tmp_path / "out")] == \
+            [[repr(1 / 3), "1"]] * 3
 
 
 class TestReport:
@@ -1593,3 +1658,82 @@ def test_cli_default_equals_the_library_default(key, command, function, paramete
     commands = cli.KEYS[key].commands
     taken = [commands[command]] if command else list(commands.values())
     assert taken and all(value == default for value in taken), (key, commands, default)
+
+
+# Every JSON kind a config value can have (null aside: it means "unset"),
+# and the kinds each key's KEYS kind accepts; every other kind is wrong.
+JSON_KINDS = {
+    "bool": st.booleans(),
+    "integer": st.integers(-2**70, 2**70),
+    "fraction": st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda v: not v.is_integer()),
+    "string": st.text(max_size=6),
+    "array": st.lists(st.integers(-3, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+}
+RIGHT_KINDS = {classify.integer: {"integer"}, classify.real: {"integer", "fraction"},
+               bool: {"bool"}, str: {"string"}, cli._param: {"string"},
+               cli._record: {"object"}, classify.PARAM_TYPES["net"]: {"object"},
+               cli._grid: {"string", "array"}}
+
+
+def right_kinds(spec):
+    return {"string"} if isinstance(spec.kind, tuple) else RIGHT_KINDS[spec.kind]
+
+
+def valid_configs(bundle, tmp):
+    """One config per subcommand that runs, every key given through --config."""
+    common = {"out": str(tmp / "out"), "bundle": str(bundle), "dict_frac": 0.2,
+              "train_frac": 0.25}
+    return {"ingest": {"out": common["out"], "bundle": common["bundle"]},
+            "split": common, "train": {**common, "stages": 1, "epochs": 1},
+            "eval": {**common, "solver": "omp", "k": 2},
+            "sweep": {**common, "solver": "omp", "param": "k", "grid": "1"},
+            "gradcheck": {"out": common["out"], "stages": 1},
+            "report": {"report": str(tmp / "report.json")}}
+
+
+WRONG_KINDS = [(command, key, kind) for key, spec in cli.KEYS.items()
+               for command in spec.commands for kind in JSON_KINDS
+               if kind not in right_kinds(spec)]
+
+
+def test_every_key_kind_is_covered():
+    assert all(isinstance(spec.kind, tuple) or spec.kind in RIGHT_KINDS
+               for spec in cli.KEYS.values())
+    assert {command for command, _, _ in WRONG_KINDS} == set(cli._SUBCOMMANDS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(WRONG_KINDS), data=st.data())
+def test_value_of_a_wrong_kind_is_config_error(bundle, case, data):
+    """Each key of each subcommand, given a JSON value of a kind its KEYS
+    kind does not take, through --config on a config that otherwise runs:
+    exit 3, one JSON line on stderr naming the key, and no --out."""
+    command, key, kind = case
+    value = data.draw(JSON_KINDS[kind], label=f"{command} {key}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = {**valid_configs(bundle, tmp)[command], key: value}
+        (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = cli.run([command, "--config", str(tmp / "config.json")])
+        assert (status, stdout.getvalue()) == (3, "")
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["status"], err["kind"]) == ("error", "config")
+        assert key in err["message"]
+        assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", cli._SUBCOMMANDS)
+def test_the_wrong_kind_configs_run(capsys, bundle, tmp_path, command):
+    """The configs test_value_of_a_wrong_kind_is_config_error changes one key
+    of are valid: each runs."""
+    report = evaluate([1, 2, 2], [1, 2, 1], 2)
+    (tmp_path / "report.json").write_text(json.dumps(report.to_json()), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(valid_configs(bundle, tmp_path)[command]),
+                                          encoding="utf-8")
+    assert cli.run([command, "--config", str(tmp_path / "config.json")]) == 0

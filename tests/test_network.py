@@ -1,17 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from network_reference import mean_loss
+from network_reference import mean_loss, stage_record
 from srckit import network
+from srckit.classify import src_decide
 from srckit.dictionary import assemble
 from srckit.network import (FLOORS, NetParams, TrainingDiverged, backward, class_residuals,
                             forward, grad_check, kink_margin, loss, one_hot, train)
-from srckit.solvers import SparseCode, admm_fixed, soft_threshold
+from srckit.solvers import SparseCode, admm_fixed, admm_stage, soft_threshold
 from srckit.synthetic import gradcheck_instance, random_unit_dictionary
 from synthetic_problems import subspace_classes
 
@@ -111,9 +113,11 @@ class TestForward:
 
     def test_zero_input_propagates_zeros(self):
         d = two_class_dictionary(1)
-        code, trace = forward(d, np.zeros(12), NetParams.default(4))
+        params = NetParams.default(4)
+        code, trace = forward(d, np.zeros(12), params)
         assert not code.coeffs.any()
-        for seq in (trace.alpha_seq, trace.z_seq, trace.u_seq):
+        record = stage_record(trace, params)  # z and u rebuilt from alpha and v
+        for seq in (record.alpha_seq, record.z_seq, record.u_seq):
             for v in seq:
                 assert not v.any()
 
@@ -128,6 +132,7 @@ class TestForward:
                                eta=np.full(n, lam / rho),
                                tau=np.full(n, tau), relax=relax)
             _, trace = forward(d, x, params)
+            record = stage_record(trace, params)  # z and u rebuilt from alpha and v
             iterates = []
             admm_fixed(d, x, lam=lam, rho=rho, relax=relax, tau=tau,
                        max_iters=n, tol=0.0,
@@ -135,17 +140,25 @@ class TestForward:
             for k in range(n):
                 a, z, u = iterates[k]
                 assert np.abs(trace.alpha_seq[k] - a).max() <= 1e-12
-                assert np.abs(trace.z_seq[k] - z).max() <= 1e-12
-                assert np.abs(trace.u_seq[k] - u).max() <= 1e-12
+                assert np.abs(record.z_seq[k] - z).max() <= 1e-12
+                assert np.abs(record.u_seq[k] - u).max() <= 1e-12
 
     def test_trace_recomputable_bitwise(self):
+        # backward rebuilds each z from the v the trace keeps: that must be
+        # the z each stage made, and so must stage_record's u
         d = two_class_dictionary(2)
         x = np.random.default_rng(2).standard_normal(12)
         params = NetParams.default(5, eta=0.05)
         _, trace = forward(d, x, params)
+        record = stage_record(trace, params)
+        utx, z = d.gram_cache.project(x), np.zeros(d.n_atoms)
+        u = z
         for k, v in enumerate(trace.pre_activation_seq):
+            *_, z, u = admm_stage(d, utx, z, u, params.rho[k], params.relax, params.eta[k],
+                                  params.tau[k])
             again = soft_threshold(v, params.eta[k])
-            assert again.tobytes() == trace.z_seq[k].tobytes()
+            assert again.tobytes() == z.tobytes()
+            assert record.u_seq[k].tobytes() == u.tobytes()
 
     def test_dimension_mismatch(self):
         d = two_class_dictionary(3)
@@ -288,7 +301,7 @@ class TestBackward:
         params = NetParams.default(3, eta=0.1)
         params.eta[0] = 50.0  # every entry thresholded to zero at stage 1
         _, trace = forward(d, x, params)
-        assert not trace.z_seq[0].any()
+        assert not stage_record(trace, params).z_seq[0].any()
         grads, _ = backward(d, x, one_hot(1, 2), params, trace)
         assert grads["eta"][0] == 0.0
 
@@ -384,7 +397,7 @@ class TestTrain:
         assert np.array_equal(params.rho, init.rho)
         assert np.array_equal(params.eta, init.eta)
         assert np.array_equal(params.tau, init.tau)
-        assert np.allclose(history, history[0])
+        assert np.allclose(history["mean_loss"], history["mean_loss"][0])
 
     def test_loss_decreases_with_poor_init(self):
         d, px, lb = self.make_problem(1)
@@ -430,7 +443,7 @@ class TestTrain:
                                                             loss_value, message):
         # the errstate guard catches every loss the network itself overflows,
         # so a stub backward reaches the two checks on the loss sums
-        def stub(dictionary, x, y, params, trace):
+        def stub(dictionary, x, y, params, trace, predicted=None):
             return {name: np.zeros_like(getattr(params, name)) for name in FLOORS}, loss_value
 
         monkeypatch.setattr(network, "backward", stub)
@@ -441,7 +454,7 @@ class TestTrain:
     def test_non_finite_step_is_divergence(self, monkeypatch):
         # an infinite rate times a finite gradient is exact, so no errstate
         # guard fires: the step's own check finds rho infinite
-        def stub(dictionary, x, y, params, trace):
+        def stub(dictionary, x, y, params, trace, predicted=None):
             return {name: -np.ones_like(getattr(params, name)) for name in FLOORS}, 1.0
 
         monkeypatch.setattr(network, "backward", stub)
@@ -464,6 +477,51 @@ class TestTrain:
             train(d, px[:, :0], lb[:0], epochs=1)
         with pytest.raises(ValueError, match=f"{len(lb)} pixels but {len(lb) - 1} labels"):
             train(d, px, lb[:-1], epochs=1)
+
+    def test_history_holds_backwards_predictions(self):
+        # at learning rate 0 every step predicts with init, so each epoch's
+        # accuracy and class count are src_decide's on init's codes
+        d, px, lb = self.make_problem(7)
+        init = NetParams.default(3, eta=0.01)
+        _, history = train(d, px, lb, learning_rate=0.0, epochs=2, batch_size=5, seed=3,
+                           init=init)
+        code, trace = forward(d, px, init)
+        want = src_decide(d, code, px)
+        predicted = np.zeros(len(lb), dtype=np.int64)
+        backward(d, px, one_hot(lb, 2), init, trace, predicted=predicted)
+        assert predicted.tolist() == want.tolist()
+        assert history.dtype.names == ("mean_loss", "train_acc", "classes_predicted")
+        assert history["train_acc"].tolist() == [np.mean(want == lb)] * 2
+        assert history["classes_predicted"].tolist() == [len(set(want))] * 2
+
+    def test_one_class_epochs_warn(self):
+        # class 1's pixels, half of them labelled 2: every prediction is class 1
+        d, px, lb = self.make_problem(8)
+        ones = px[:, lb == 1]
+        with pytest.warns(UserWarning, match=r"^epoch 0: every prediction is class 1, while the "
+                                             r"truth covers 2 classes \(3 of 3 epochs predict one "
+                                             r"class\)$"):
+            _, history = train(d, np.hstack([ones, ones]), np.repeat([1, 2], ones.shape[1]),
+                               epochs=3, batch_size=6, init=NetParams.default(3, eta=0.01))
+        assert history["classes_predicted"].tolist() == [1, 1, 1]
+        assert history["train_acc"].tolist() == [0.5, 0.5, 0.5]
+
+    def test_dead_start_warns(self):
+        # at eta 50 no stage's shrinkage passes an atom, so eta's gradient is 0
+        d, px, lb = self.make_problem(9)
+        with pytest.warns(UserWarning, match=r"^epoch 0: every eta gradient is exactly 0, so no "
+                                             r"step moves it \(3 of 3 epochs\); .*dead start"):
+            params, _ = train(d, px, lb, epochs=3, batch_size=6,
+                              init=NetParams.default(3, eta=50.0))
+        assert params.eta.tolist() == [50.0] * 3
+
+    def test_healthy_run_is_quiet(self):
+        d, px, lb = self.make_problem(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, history = train(d, px, lb, epochs=3, batch_size=6,
+                               init=NetParams.default(3, eta=0.01))
+        assert history["classes_predicted"].tolist() == [2, 2, 2]
 
     @pytest.mark.parametrize("fields, message", [
         ({"learning_rate": -1e-3}, "learning_rate must be nonnegative"),

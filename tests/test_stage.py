@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import network_reference as reference
-from srckit import solvers
+from srckit import network, solvers
 from srckit.classify import BLOCK_COLUMNS, classify_testset
 from srckit.dictionary import assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, TrainingDiverged, asdn, backward,
@@ -135,7 +135,7 @@ def test_backward_matches_reference(d, width, seed, floor):
     # on one trace the two passes differ only in their reverse nodes, where
     # the reference's solve loses accuracy with the conditioning
     got = gradient(backward(d, x, y, params, trace))
-    want = gradient(reference.backward(d, x, y, params, trace))
+    want = gradient(reference.backward(d, x, y, params, reference.stage_record(trace, params)))
     assert got[-1] == want[-1]  # the loss
     assert np.linalg.norm(got - want) <= 1e-12 * conditioning * np.linalg.norm(want)
 
@@ -310,15 +310,16 @@ def test_forward_without_trace_and_backward_on_stacked_trace(d, width, seed, rel
     assert bare.support.tobytes() == code.support.tobytes()
     stages, shape = params.n_stages, code.coeffs.shape
     assert trace.alpha_seq.shape == (stages + 1,) + shape
-    assert trace.z_seq.shape == trace.u_seq.shape == trace.pre_activation_seq.shape == \
-        (stages,) + shape
+    assert trace.pre_activation_seq.shape == (stages,) + shape
+    record = reference.stage_record(trace, params)  # z and u rebuilt from alpha and v
+    assert np.shape(record.z_seq) == np.shape(record.u_seq) == (stages,) + shape
     assert trace.c_seq.shape == (stages + 1, min(d.atoms.shape)) + shape[1:]
 
     labels = rng.integers(1, d.n_classes + 1, width or 1)
     y = np.stack([one_hot(int(label), d.n_classes) for label in labels], axis=1)
     y = y[:, 0] if width is None else y
     got = gradient(backward(d, x, y, params, trace))
-    want = gradient(reference.backward(d, x, y, params, trace))
+    want = gradient(reference.backward(d, x, y, params, record))
     conditioning = 1.0 + d.lipschitz / params.rho.min()
     assert np.linalg.norm(got - want) <= 1e-12 * conditioning * np.linalg.norm(want)
 
@@ -331,14 +332,19 @@ def test_a_second_pass_leaves_the_first_untouched():
                        tau=rng.uniform(0.9, 1.1, 5), relax=1.3)
     code, trace = forward(PAVIA, x1, params)
     bare = asdn(PAVIA, x1, params)
-    fields = ("alpha_seq", "z_seq", "u_seq", "pre_activation_seq", "c_seq")
-    before = [getattr(trace, f).tobytes() for f in fields] + \
+    fields = ("alpha_seq", "pre_activation_seq", "c_seq")
+
+    def rebuilt():  # z and u from the trace's alpha and v
+        record = reference.stage_record(trace, params)
+        return [np.asarray(seq).tobytes() for seq in (record.z_seq, record.u_seq)]
+
+    before = [getattr(trace, f).tobytes() for f in fields] + rebuilt() + \
         [code.coeffs.tobytes(), bare.coeffs.tobytes()]
     backward(PAVIA, x1, y, params, trace)
     forward(PAVIA, x2, params)
     asdn(PAVIA, x2, params)
     backward(PAVIA, x2, y, params, forward(PAVIA, x2, params)[1])
-    after = [getattr(trace, f).tobytes() for f in fields] + \
+    after = [getattr(trace, f).tobytes() for f in fields] + rebuilt() + \
         [code.coeffs.tobytes(), bare.coeffs.tobytes()]
     assert after == before
 
@@ -391,6 +397,54 @@ def test_train_holds_one_trace_at_a_time():
     backward(PAVIA, first, y, params, forward(PAVIA, first, params)[1])  # the spectrum
     step = traced_peak(lambda: backward(PAVIA, first, y, params,
                                         forward(PAVIA, first, params)[1]))[0]
-    trace = 4 * (params.n_stages + 1) * PAVIA.n_atoms * 32 * 8
+    trace = 2 * (params.n_stages + 1) * PAVIA.n_atoms * 32 * 8
     peak = traced_peak(lambda: train(PAVIA, x, labels, epochs=1, batch_size=32, init=params))[0]
     assert peak <= step + trace // 2
+
+
+def test_training_trace_holds_two_node_stacks():
+    """A trace keeps alpha and v of every node, 2 (N+1) atom-space arrays,
+    and c: for one 9-stage, 32-column block that is every byte it holds, and
+    forward plus backward peak at it plus under seven blocks (backward's five
+    atom-space buffers, its mask and its products' band-space temporaries).
+    A trace that stacked z and u too would hold 4 (N+1)."""
+    rng = np.random.default_rng(14)
+    x, y = pixels(PAVIA, rng, 32), one_hot(rng.integers(1, 10, 32), 9)
+    params = NetParams.default(9, eta=0.01)
+    n, block = params.n_stages, PAVIA.n_atoms * 32 * 8
+    _, trace = forward(PAVIA, x, params)
+    owners = [a if a.base is None else a.base for a in vars(trace).values()]
+    held = sum({id(a): a.nbytes for a in owners}.values())
+    assert held == 2 * (n + 1) * block + trace.c_seq.nbytes
+    peak = traced_peak(lambda: backward(PAVIA, x, y, params, forward(PAVIA, x, params)[1]))[0]
+    assert peak <= (2 * (n + 1) + 7) * block + trace.c_seq.nbytes
+
+
+def test_train_is_bit_identical_with_a_four_stack_trace(monkeypatch):
+    """Training on traces built as they were when every z and u had a slot
+    of its own (``reference.stacked_forward``) gives the same bytes, and
+    every z backward rebuilds from v is the z that forward kept, so a
+    backward that read the kept z took the same steps."""
+    rng = np.random.default_rng(16)
+    x, labels = pixels(PAVIA, rng, 48), rng.integers(1, 10, 48)
+    init = NetParams(rho=rng.uniform(0.05, 0.2, 6), eta=np.full(5, 0.01),
+                     tau=rng.uniform(0.9, 1.1, 5), relax=1.3)
+    want_params, want_history = train(PAVIA, x, labels, epochs=2, batch_size=40, init=init)
+    kept, rebuilt = [], []
+
+    def four_stacks(dictionary, x, params):
+        code, trace, z = reference.stacked_forward(dictionary, x, params)
+        kept.extend(z[:0:-1])  # backward rebuilds z_N first
+        return code, trace
+
+    def rebuild(v, eta, out=None):  # network.soft_threshold: backward's calls alone
+        rebuilt.append(solvers.soft_threshold(v, eta, out=out).copy())
+        return out
+
+    monkeypatch.setattr(network, "forward", four_stacks)
+    monkeypatch.setattr(network, "soft_threshold", rebuild)
+    got_params, got_history = train(PAVIA, x, labels, epochs=2, batch_size=40, init=init)
+    assert len(kept) == 6 * 5  # blocks of 32, 8 and 8 columns an epoch, five stages
+    assert [z.tobytes() for z in rebuilt] == [z.tobytes() for z in kept]
+    assert got_params.to_text() == want_params.to_text()
+    assert got_history.tobytes() == want_history.tobytes()
