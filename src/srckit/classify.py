@@ -167,11 +167,15 @@ def evaluate(pred, truth, n_classes: int) -> ClassificationReport:
 
 def integer(value) -> int:
     """``value`` as an int: an integer, or a float with an integral value
-    (the 2.0 a sweep grid gives "k"). A boolean, a fractional or non-finite
-    number, or anything else raises ValueError rather than being truncated."""
+    (the 2.0 a sweep grid gives "k"), of magnitude at most 2**64: past every
+    SplitMix64 seed (data.check_seed names that range) and any array extent.
+    A boolean, a fractional, non-finite or larger number, or anything else
+    raises ValueError rather than being truncated."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ValueError(f"expected an integer, got {value!r}")
+    if not abs(value) <= 2 ** 64:
+        raise ValueError(f"expected an integer of magnitude at most 2**64, got {value!r}")
     return int(value)
 
 

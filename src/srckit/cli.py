@@ -11,22 +11,22 @@ rule has one owner. The CLI owns the spellings (flags, JSON keys, and
 "lambda" for "lam", only here), the kinds (solver parameters' from
 classify.PARAM_TYPES) and the ranges no library call checks: seeds >= 0,
 bands, atoms, gradcheck's tol and the grid. The library call that
-takes any other value checks it, and data.check_split a split file.
+takes any other value checks it, and data.check_split a split file. The
+CLI reads no file: data reads, checks and hashes every input file.
 A subcommand does its work first. Only when that succeeds does one call,
 ``_write_run``, make --out and write the outputs and then, last,
 manifest.json: the effective typed config (every key read, defaults filled
 in), content hashes of the input files, and the Python, numpy, srckit and
 BLAS versions with the BLAS thread variables. So a manifest marks a complete
 run, and exit 1 and exit 3 both leave no --out; the one exception is a
-failed gradcheck, which writes its errors and manifest, then exits 1. Every
-input hash is taken before anything is written, so --out may be an input's
-directory. A bundle's hashes are those of the bytes the run read: the
-loaded cube carries them, so the bundle is read once, and only its three
-files are listed. Train, eval and sweep take their splits from the
-labels-only cube (data.read_labels), then read data.bin once and keep only
-the spectra of the pixels those splits read (classify.read_ids); the run
-fails if header.json or labels.bin changed between the two reads. Train and
-eval drop the cube once the dictionary and the pixels to code are extracted.
+failed gradcheck, which writes its errors and manifest, then exits 1. Each
+input hash comes from the reader that parsed the file, of the bytes parsed,
+so --out may be an input's directory; of a bundle its three files are
+listed. Train, eval and sweep take their splits from the labels-only cube
+(data.read_labels), then read data.bin once and keep only the spectra of
+the pixels those splits read (classify.read_ids); the run fails if
+header.json or labels.bin changed between the two reads. Train and eval
+drop the cube once the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 3 config error. ``run`` prints one JSON line: a handler's summary to
@@ -40,7 +40,6 @@ inputs (one rule, ``_checked``), such as a class without pixels.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -56,7 +55,7 @@ from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport, 
                        check_sweep, classify_testset, evaluate, integer, read_ids, real,
                        solver_kwargs, split_inputs, sweep)
 from .data import (Split, check_split, class_counts, draw_splits, load_bundle, load_pixel_csv,
-                   make_split, pixels_to_cube, read_labels, save_bundle)
+                   make_split, pixels_to_cube, read_json, read_labels, save_bundle)
 from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, grad_check, train
 
@@ -81,36 +80,9 @@ def _emit_error(kind: str, message: str) -> None:
           file=sys.stderr)
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _json_text(doc, indent: int | None = 2) -> str:
     # a config "net" document is recorded as the network it parsed to
     return json.dumps(doc, indent=indent, sort_keys=True, default=NetParams.to_json) + "\n"
-
-
-def _object(pairs: list) -> dict:
-    """A JSON object; a repeated key (json.loads keeps its last value) is a ValueError."""
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"key {max(keys, key=keys.count)!r} is repeated")
-    return dict(pairs)
-
-
-def _read_json(path: Path, what: str, parse=lambda doc: doc):
-    """``parse`` of the JSON document in ``path``. A missing file, one that is
-    not JSON or repeats a key, or one ``parse`` rejects is a config error naming it."""
-    if not path.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
-    try:
-        return parse(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} file {path} is malformed: {exc!r}") from exc
 
 
 GRID_CAP = 10_000
@@ -319,20 +291,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
     parameter names ("lambda" is "lam"), every flag given on top (flags win),
     then each key the subcommand reads checked against KEYS, with its default
     where unset. Other keys are dropped."""
-    given = _read_json(Path(args.config), "config", _record) if args.config else {}
+    given = _read_json(args.config, "config", _record, {}) if args.config else {}
     given.update({key: value for key, value in vars(args).items() if value is not None})
     return {key: _typed(key, spec, given.get(key), spec.commands[args.command])
             for key, spec in KEYS.items() if args.command in spec.commands}
 
 
-def _solver_params(config: dict) -> dict:
+def _solver_params(config: dict, inputs: dict) -> dict:
     """The config's "solver_params" record, then every top-level solver
     parameter key on top, then the --params network file."""
     params = dict(config["solver_params"] or {})
     params.update({key: config[key] for key in PARAM_TYPES if config[key] is not None})
     if config["net_params"]:
-        params["net"] = _read_json(Path(config["net_params"]), "network params",
-                                   NetParams.from_json)
+        params["net"] = _read_json(config["net_params"], "network params", NetParams.from_json,
+                                   inputs)
     return params
 
 
@@ -345,41 +317,41 @@ def _checked(check, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _bundle(config: dict) -> Path:
-    bundle = Path(config["bundle"])
-    if not bundle.is_dir():
-        raise ConfigError(f"bundle directory not found: {bundle}")
-    return bundle
+def _read_json(path, what: str, parse, inputs: dict):
+    """``parse`` of the JSON object in the file ``path`` (data.read_json);
+    ``inputs`` gets the hash of the bytes it parsed, under str(Path(path))."""
+    doc, inputs[str(Path(path))] = _checked(read_json, path, what, parse)
+    return doc
 
 
-def _load_cube(config: dict, keep=(), labeled=None):
-    """The bundle read once (load_bundle), holding the spectra of ``keep``.
-    With ``labeled``, the labels-only cube the run's splits came from, a
-    header.json or labels.bin whose bytes changed since that read is a
-    config error."""
-    cube = _checked(load_bundle, _bundle(config), keep)
+def _load_cube(config: dict, inputs: dict, keep=(), labeled=None):
+    """The bundle read once (load_bundle), holding the spectra of ``keep``;
+    ``inputs`` gets its files' hashes. With ``labeled``, the labels-only cube
+    the run's splits came from, a header.json or labels.bin whose bytes
+    changed since that read is a config error."""
+    cube = _checked(load_bundle, config["bundle"], keep)
     for path, digest in (labeled.digests if labeled else {}).items():
         if cube.digests[path] != digest:
             raise ConfigError(f"bundle file {path} changed while the run read it")
+    inputs.update(cube.digests)
     return cube
 
 
-def _load_split(config: dict, cube) -> Split:
+def _load_split(config: dict, cube, inputs: dict) -> Split:
     if not config.get("split_file"):
         return _checked(make_split, cube, config["dict_frac"], config["train_frac"],
                         config["seed"])
-    path = Path(config["split_file"])
-    split = _read_json(path, "split", Split.from_json)
+    split = _read_json(config["split_file"], "split", Split.from_json, inputs)
     try:
         check_split(split, cube)
     except ValueError as exc:
-        raise ConfigError(f"split file {path}: {exc}") from exc
+        raise ConfigError(f"split file {config['split_file']}: {exc}") from exc
     return split
 
 
 class _Coding(NamedTuple):
     """What train and eval keep of the cube: the split, its dictionary, the
-    pixels to code, and the cube's class count, grid size and file hashes."""
+    pixels to code, and the cube's class count and grid size."""
 
     split: Split
     dictionary: Dictionary
@@ -388,21 +360,20 @@ class _Coding(NamedTuple):
     labels: np.ndarray
     n_classes: int
     grid_size: int
-    digests: dict
 
 
-def _coding_inputs(config: dict, subset: str) -> _Coding:
+def _coding_inputs(config: dict, subset: str, inputs: dict) -> _Coding:
     """Take the split on the bundle's labels, load the pixels it reads and
     draw the dictionary and the ``subset`` ("train" or "test") pixels
-    (classify.split_inputs); an empty subset is a config error. The cube is
-    freed on return, before any pixel is coded."""
-    labeled = _checked(read_labels, _bundle(config))
-    split = _load_split(config, labeled)
-    cube = _load_cube(config, read_ids(split, subset), labeled)
+    (classify.split_inputs), hashing each file read into ``inputs``; an empty
+    subset is a config error. The cube is freed before any pixel is coded."""
+    labeled = _checked(read_labels, config["bundle"])
+    split = _load_split(config, labeled, inputs)
+    cube = _load_cube(config, inputs, read_ids(split, subset), labeled)
     dictionary, ids, pixels, labels = _checked(split_inputs, cube, split, config["normalize"],
                                                subset)
     return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
-                   cube.height * cube.width, cube.digests)
+                   cube.height * cube.width)
 
 
 # the thread counts a BLAS reads at start: train's params.json moves in the
@@ -424,17 +395,13 @@ def _environment() -> dict:
             **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}}
 
 
-def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -> Path:
-    """The one place --out is made. First hashes each file named by the
-    ``inputs`` keys the config sets, so that no hash follows a write;
-    ``digests`` (str(path) -> hex) holds those taken as files were read, such
-    as a loaded cube's. Then writes ``files`` (name -> text or bytes) into
-    --out, then manifest.json: the typed config that ran, without unset keys,
-    all those hashes, and the ``_environment`` that ran it. With a saved
-    split the split-draw keys are left out: the split file's hash identifies
-    it. Returns --out."""
-    hashes = {**(digests or {}), **{str(Path(config[key])): _file_sha256(Path(config[key]))
-                                    for key in inputs if config.get(key)}}
+def _write_run(command: str, config: dict, files: dict, inputs: dict) -> Path:
+    """The one place --out is made. Writes ``files`` (name -> text or bytes)
+    into --out, then manifest.json: the typed config that ran, without unset
+    keys, the ``inputs`` hashes (str(path) -> hex, each from the reader that
+    parsed the file, of the bytes it parsed) and the ``_environment`` that
+    ran it. With a saved split the split-draw keys are left out: the split
+    file's hash identifies it. Returns --out."""
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
@@ -444,7 +411,7 @@ def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -
         "command": command,
         "config": {k: v for k, v in sorted(config.items())
                    if v is not None and k not in drawn},
-        "inputs": hashes,
+        "inputs": inputs,
         "environment": _environment(),
     }
     (out / "manifest.json").write_text(_json_text(doc), encoding="utf-8")
@@ -457,14 +424,13 @@ def _write_run(command: str, config: dict, files: dict, *inputs, digests=None) -
 
 def _cmd_ingest(config: dict) -> dict:
     """convert a pixel CSV to a bundle, or validate one"""
+    inputs = {}
     if config["csv"]:
-        csv_path = Path(config["csv"])
-        if not csv_path.is_file():
-            raise ConfigError(f"csv file not found: {csv_path}")
-        cube = pixels_to_cube(*_checked(load_pixel_csv, csv_path))
-        cube.digests[str(csv_path)] = _file_sha256(csv_path)  # before save_bundle writes
+        spectra, labels, inputs[str(Path(config["csv"]))] = _checked(load_pixel_csv,
+                                                                     config["csv"])
+        cube = pixels_to_cube(spectra, labels)
     else:
-        cube = _load_cube(config)
+        cube = _load_cube(config, inputs)
     counts = _checked(class_counts, cube)  # as make_split checks it, before any write
     if config["csv"]:
         save_bundle(cube, Path(config["bundle"]))
@@ -473,18 +439,17 @@ def _cmd_ingest(config: dict) -> dict:
         "classes": cube.n_classes, "labeled_pixels": int(counts.sum()),
         "class_counts": {c: int(n) for c, n in enumerate(counts, start=1)},
     }
-    out = _write_run("ingest", config, {"summary.json": _json_text(summary)},
-                     digests=cube.digests)
+    out = _write_run("ingest", config, {"summary.json": _json_text(summary)}, inputs)
     return {"summary": str(out / "summary.json")}
 
 
 def _cmd_split(config: dict) -> dict:
     """draw and save a dictionary/train/test split"""
-    cube = _load_cube(config)
-    split = _load_split(config, cube)
+    inputs = {}
+    split = _load_split(config, _load_cube(config, inputs), inputs)
     # one line: indented, a split puts each of its many pixel ids on its own
     _write_run("split", config, {"split.json": _json_text(split.to_json(), indent=None)},
-               digests=cube.digests)
+               inputs)
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
     return {"per_class_sizes": sizes}
@@ -496,7 +461,8 @@ def _cmd_train(config: dict) -> dict:
         config["train_seed"] = config["seed"]
     init = _checked(NetParams.default, config["stages"], rho=config["init_rho"],
                     eta=config["init_eta"], tau=config["init_tau"])
-    coding = _coding_inputs(config, "train")
+    inputs = {}
+    coding = _coding_inputs(config, "train", inputs)
     # encoded before training, so that its transient id lists are not held
     # on top of the training workspace
     split_text = _json_text(coding.split.to_json(), indent=None)
@@ -510,16 +476,17 @@ def _cmd_train(config: dict) -> dict:
     out = _write_run("train", config, {
         "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
         "split.json": split_text,
-    }, "split_file", digests=coding.digests)
+    }, inputs)
     return {"final_mean_loss": float(history["mean_loss"][-1]),
             "params": str(out / "params.json")}
 
 
 def _cmd_eval(config: dict) -> dict:
     """classify the test split and write a report"""
-    params = _solver_params(config)
+    inputs = {}
+    params = _solver_params(config, inputs)
     _checked(solver_kwargs, config["solver"], params)
-    coding = _coding_inputs(config, "test")
+    coding = _coding_inputs(config, "test", inputs)
     _checked(check_fit, coding.dictionary, config["solver"], params)
     pred = classify_testset(coding.dictionary, coding.pixels, config["solver"], params)
 
@@ -527,24 +494,24 @@ def _cmd_eval(config: dict) -> dict:
     grid = np.zeros(coding.grid_size, dtype="<i4")
     grid[coding.ids] = pred
     _write_run("eval", config, {"report.json": _json_text(report.to_json()),
-                                "labels_pred.bin": grid.tobytes()},
-               "split_file", "net_params", digests=coding.digests)
+                                "labels_pred.bin": grid.tobytes()}, inputs)
     return {name: getattr(report, name) for name in SCORES}
 
 
 def _cmd_sweep(config: dict) -> dict:
     """accuracy across a solver-parameter grid"""
-    params = _solver_params(config)
+    inputs = {}
+    params = _solver_params(config, inputs)
     _checked(check_sweep, config["solver"], config["param"], params, config["grid"])
-    labeled = _checked(read_labels, _bundle(config))
+    labeled = _checked(read_labels, config["bundle"])
     splits = _checked(draw_splits, labeled, config["runs"], config["base_seed"],
                       config["dict_frac"], config["train_frac"])
-    cube = _load_cube(config, np.concatenate([read_ids(split) for split in splits]), labeled)
+    cube = _load_cube(config, inputs, np.concatenate([read_ids(split) for split in splits]),
+                      labeled)
     result = _checked(sweep, cube, config["solver"], config["param"], config["grid"], splits,
                       normalize=config["normalize"], params=params)
     out = _write_run("sweep", config, {"sweep.csv": result.to_csv(),
-                                       "sweep.json": _json_text(result.to_json())},
-                     digests=cube.digests)
+                                       "sweep.json": _json_text(result.to_json())}, inputs)
     return {"rows": len(result.grid), "csv": str(out / "sweep.csv")}
 
 
@@ -558,7 +525,7 @@ def _cmd_gradcheck(config: dict) -> dict:
            "zero_gradient": {name: flags.tolist() for name, flags in report.zero.items()},
            **{f"{name}_rel_error": rel.tolist() for name, rel in report.rel_error.items()}}
     # written also when the check fails: the errors are what a failure shows
-    _write_run("gradcheck", config, {"gradcheck.json": _json_text(doc)})
+    _write_run("gradcheck", config, {"gradcheck.json": _json_text(doc)}, {})
     tol = config["tol"]
     if report.max_rel_error > tol:
         raise RuntimeError(
@@ -568,9 +535,8 @@ def _cmd_gradcheck(config: dict) -> dict:
 
 def _cmd_report(config: dict) -> None:
     """summarize a saved report.json"""
-    path = Path(config["report"])
-    report = _read_json(path, "report", ClassificationReport.from_json)
-    digests = {str(path): _file_sha256(path)}  # before --csv can overwrite it
+    inputs = {}
+    report = _read_json(config["report"], "report", ClassificationReport.from_json, inputs)
     confusion, accuracies = report.confusion, report.per_class_acc.tolist()
     print(f"classes: {confusion.shape[0]}  samples: {int(confusion.sum())}")
     for i, acc in enumerate(accuracies, start=1):
@@ -584,7 +550,7 @@ def _cmd_report(config: dict) -> None:
             lines.append(f"{i},{repr(round(100.0 * acc, 10))},{int(confusion[i - 1].sum())}")
         Path(config["csv_out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if config["out"]:
-        _write_run("report", config, {}, digests=digests)
+        _write_run("report", config, {}, inputs)
 
 
 _HANDLERS = {

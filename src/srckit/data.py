@@ -17,14 +17,17 @@ two steps: ``read_labels`` gives the cube of no pixels a split is drawn from
 (or checked on), then ``load_bundle(path, keep)`` reads data.bin once, a
 chunk of band planes at a time, and keeps the spectra of the ``keep``
 pixels. Every chunk is hashed and checked for finite values, so a bundle
-fault fails the same way whatever is kept. The SHA-256 of each file is taken
-from the bytes already read and carried on the cube (``digests``), so a
-run's manifest does not read the bundle again.
+fault fails the same way whatever is kept. This module reads every input
+file a run reads, each once: the bundle, a pixel CSV and the JSON files
+(``read_json``: header.json and the CLI's config, split, params and report
+files). Each reader returns the SHA-256 of the bytes it parsed (a cube
+carries its files' as ``digests``), so a manifest never reads them again.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -169,22 +172,56 @@ class LabeledCube:
         return np.flatnonzero(self.labels.ravel() == class_id)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key (json.loads keeps its last value) is a ValueError."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {max(keys, key=keys.count)!r} is repeated")
+    return dict(pairs)
+
+
+def _read(path: Path, what: str) -> tuple[bytes, str]:
+    """The bytes of the file ``path`` and their SHA-256 hex."""
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    raw = path.read_bytes()
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+def read_json(path, what: str, parse=None):
+    """(``parse`` of the one JSON object in the file ``path``, or the object,
+    SHA-256 hex of the bytes parsed). Bytes that are not UTF-8 JSON, a
+    document that is not one object, repeats a key or nests past the
+    recursion limit, and one ``parse`` rejects are a ValueError naming
+    ``what`` and the file."""
+    path = Path(path)
+    raw, digest = _read(path, what)
+    try:
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_object)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return (parse(doc) if parse else doc), digest
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"{what} file {path} is malformed: {exc!r}") from exc
+
+
 def read_labels(path) -> LabeledCube:
     """The labels-only cube of a bundle directory: every label and no
-    spectra. Checks that the three files exist, header.json, data.bin's
-    size (without reading it) and labels.bin; ``digests`` holds the hashes
-    of header.json and labels.bin. ``load_bundle`` starts with this read."""
+    spectra. Checks that the directory and its three files exist, header.json,
+    data.bin's size (without reading it) and labels.bin; ``digests`` holds the
+    hashes of header.json and labels.bin. ``load_bundle`` starts with this read."""
+    if not Path(path).is_dir():
+        raise FileNotFoundError(f"bundle directory not found: {path}")
     header_path, data_path, labels_path = (Path(path) / name
                                            for name in (_HEADER_NAME, _DATA_NAME, _LABELS_NAME))
     for p in (header_path, data_path, labels_path):
         if not p.is_file():
             raise FileNotFoundError(f"bundle file missing: {p}")
 
-    raw_header = header_path.read_bytes()
     try:
-        header = json.loads(raw_header.decode("utf-8"))
+        header, header_digest = read_json(header_path, "bundle header")
     except ValueError as exc:
-        raise BundleFormatError("header.json", f"invalid JSON ({exc})") from exc
+        raise BundleFormatError(_HEADER_NAME, str(exc)) from exc
 
     for key in ("height", "width", "bands", "classes"):
         if key not in header:
@@ -201,14 +238,13 @@ def read_labels(path) -> LabeledCube:
     _check_data_size(data_path.stat().st_size, b, h, w)
 
     n_label_bytes = h * w * 4
-    raw_labels = labels_path.read_bytes()
+    raw_labels, labels_digest = _read(labels_path, "bundle")
     if len(raw_labels) != n_label_bytes:
         raise BundleFormatError(
             "labels.bin", f"expected {n_label_bytes} bytes for {h}x{w}, got {len(raw_labels)}")
     labels = np.frombuffer(raw_labels, dtype="<i4").reshape(h, w).copy()
 
-    digests = {str(p): hashlib.sha256(raw).hexdigest()
-               for p, raw in ((header_path, raw_header), (labels_path, raw_labels))}
+    digests = {str(header_path): header_digest, str(labels_path): labels_digest}
     cube = LabeledCube(labels, np.empty((b, 0)), np.empty(0, dtype=np.int64), digests)
     if cube.n_classes != header["classes"]:
         raise BundleFormatError(
@@ -469,23 +505,24 @@ def extract_pixels(cube: LabeledCube, ids, normalize: bool = True):
 
 def load_pixel_csv(path):
     """Read a small pixel matrix from CSV: one pixel per row, bands as columns,
-    final column the integer class label. Returns (matrix bands x n, labels),
-    unscaled."""
+    final column the integer class label. Returns (matrix bands x n, labels,
+    SHA-256 hex of the bytes parsed), unscaled."""
+    raw, digest = _read(Path(path), "csv")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                values = [float(cell) for cell in row[:-1]]
-                label = int(row[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if label < 0:
-                raise ValueError(f"{path}:{lineno}: negative label {label}")
-            if label > 2 ** 31 - 1:  # labels.bin holds int32
-                raise ValueError(f"{path}:{lineno}: label {label} exceeds 2**31 - 1")
-            rows.append((values, label))
+    for lineno, row in enumerate(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")),
+                                 start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            values = [float(cell) for cell in row[:-1]]
+            label = int(row[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
+        if label < 0:
+            raise ValueError(f"{path}:{lineno}: negative label {label}")
+        if label > 2 ** 31 - 1:  # labels.bin holds int32
+            raise ValueError(f"{path}:{lineno}: label {label} exceeds 2**31 - 1")
+        rows.append((values, label))
     if not rows:
         raise ValueError(f"{path}: no pixel rows")
     bands = len(rows[0][0])
@@ -497,7 +534,7 @@ def load_pixel_csv(path):
     labels = np.array([l for _, l in rows], dtype=np.int64)
     if not _finite(spectra):
         raise ValueError(f"{path}: non-finite values present")
-    return spectra, labels
+    return spectra, labels, digest
 
 
 def pixels_to_cube(spectra: np.ndarray, labels: np.ndarray) -> LabeledCube:

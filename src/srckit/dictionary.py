@@ -31,22 +31,19 @@ class Dictionary:
 
     atoms: np.ndarray
     class_offsets: np.ndarray
-    labels_per_atom: np.ndarray
 
     def __post_init__(self):
         self.atoms = np.asarray(self.atoms, dtype=np.float64)
         self.class_offsets = np.asarray(self.class_offsets, dtype=np.int64)
-        self.labels_per_atom = np.asarray(self.labels_per_atom, dtype=np.int64)
         if not np.isfinite(self.atoms).all():
             raise ValueError("dictionary atoms contain non-finite values")
         offs = self.class_offsets
         if offs[0] != 0 or offs[-1] != self.atoms.shape[1]:
             raise ValueError("class_offsets must start at 0 and end at n_atoms")
-        if (np.diff(offs) < 1).any():
-            raise ValueError("every class must own at least one atom")
-        owners = np.repeat(np.arange(1, len(offs)), np.diff(offs))  # each atom's class
-        if not np.array_equal(self.labels_per_atom, owners):
-            raise ValueError("labels_per_atom contradicts class_offsets")
+        empty = np.flatnonzero(np.diff(offs) < 1)
+        if empty.size:
+            raise ValueError(f"every class must own at least one atom; class {empty[0] + 1} "
+                             "owns none")
 
     @property
     def n_bands(self) -> int:
@@ -99,15 +96,9 @@ def assemble(samples: np.ndarray, labels) -> Dictionary:
     n_classes = int(labels.max())
     if labels.min() < 1:
         raise ValueError(f"label {labels.min()} outside 1..{n_classes}")
+    counts = np.bincount(labels, minlength=n_classes + 1)[1:]  # Dictionary rejects a 0
     order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    counts = np.bincount(sorted_labels, minlength=n_classes + 1)[1:]
-    if (counts == 0).any():
-        empty = int(np.flatnonzero(counts == 0)[0]) + 1
-        raise ValueError(f"class {empty} has no atoms")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return Dictionary(atoms=samples[:, order], class_offsets=offsets,
-                      labels_per_atom=sorted_labels)
+    return Dictionary(atoms=samples[:, order], class_offsets=np.r_[0, np.cumsum(counts)])
 
 
 def _rows(scale: np.ndarray, like: np.ndarray) -> np.ndarray:

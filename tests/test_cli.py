@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srckit
 from srckit import classify, cli, data, solvers
-from srckit.classify import SOLVER_NAMES, SOLVER_PARAMS, classify_testset, evaluate, sweep
+from srckit.classify import (SOLVER_NAMES, SOLVER_PARAMS, ClassificationReport,
+                             classify_testset, evaluate, sweep)
 from srckit.data import (LabeledCube, Split, draw_splits, extract_pixels, load_bundle,
                          make_split, pixels_to_cube, save_bundle)
 from srckit.dictionary import assemble
@@ -63,6 +65,14 @@ def run(capsys, *argv):
     status = cli.run([str(a) for a in argv])
     err = capsys.readouterr().err.strip()
     return status, (json.loads(err) if err else None)
+
+
+def run_quiet(argv):
+    """(exit status, stdout, stderr) of one CLI run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = cli.run([str(a) for a in argv])
+    return status, stdout.getvalue(), stderr.getvalue()
 
 
 def read_json(path):
@@ -286,11 +296,7 @@ def run_key(bundle, key, value, out):
     with ``key`` set to ``value`` (the flag given last, so it wins)."""
     command, argv, _, _ = RANGE_RULES[key]
     data = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        status = cli.run([str(a) for a in (command, *data, *argv, "--out", out)]
-                         + [f"{cli.KEYS[key].flags[0]}={value!r}"])
-    return status, stdout.getvalue(), stderr.getvalue()
+    return run_quiet([command, *data, *argv, "--out", out, f"{cli.KEYS[key].flags[0]}={value!r}"])
 
 
 @pytest.mark.parametrize("key", RANGE_RULES)
@@ -319,6 +325,43 @@ def test_value_at_the_edge_of_its_library_range_runs(bundle, tmp_path, key, valu
     assert (status, stderr) == (0, "")
     assert json.loads(stdout)["status"] == "ok"
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command, argv, key", [
+    ("gradcheck", ["--atoms", 10**20], "atoms"),
+    ("gradcheck", ["--stages", 10**20], "stages"),
+    ("gradcheck", ["--bands", 2**64 + 1], "bands"),
+    ("train", ["--epochs", 10**20], "epochs"),
+    ("gradcheck", [{"stages": 1e20}], "stages"),
+    ("gradcheck", [{"bands": 6e307}], "bands"),
+    ("gradcheck", [{"n_classes": 6e307}], "n_classes"),
+    ("train", [{"stages": 6e307}], "stages"),
+    ("train", [{"epochs": 6e307}], "epochs"),
+])
+def test_huge_integral_value_is_config_error_naming_its_key(capsys, bundle, tmp_path, command,
+                                                           argv, key):
+    """An integer kind takes no magnitude past 2**64: as a flag or as an
+    integral JSON float in --config, the error names the key, not numpy's
+    array-size limit or a C long overflow."""
+    if isinstance(argv[0], dict):
+        (tmp_path / "config.json").write_text(json.dumps(argv[0]), encoding="utf-8")
+        argv = ["--config", tmp_path / "config.json"]
+    data = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
+    status, err = run(capsys, command, *data, *argv, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert f"bad value for {key}: expected an integer of magnitude at most 2**64" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("split", ["--bundle", "{bundle}", *DATA]),
+    ("gradcheck", ["--stages", 1]),
+])
+def test_largest_seed_runs(capsys, bundle, tmp_path, command, argv):
+    argv = [str(bundle) if a == "{bundle}" else a for a in argv]
+    status, err = run(capsys, command, *argv, "--seed", 2**64 - 1, "--out", tmp_path)
+    assert (status, err) == (0, None)
+    assert read_json(tmp_path / "manifest.json")["config"]["seed"] == 2**64 - 1
 
 
 def test_grid_ranges():
@@ -513,19 +556,26 @@ def disk_hashes(*paths):
     return {str(f): sha256(f) for f in files}
 
 
+# the files data reads whole (data._read) in a run of each subcommand on a
+# bundle: header.json and labels.bin once, and a second time in the runs
+# that draw their splits from the labels before they load the pixels
+BUNDLE_READS = {"split": 1, "ingest": 1, "eval": 2, "sweep": 2, "train": 2}
+
+
 class TestManifestDigests:
-    """A manifest takes the bundle's hashes from the bytes the run read; they
-    must equal hashing the files on disk, and the bundle is not read again."""
+    """A manifest takes every hash from the bytes the run read; they must
+    equal hashing the files on disk, and no input is read again to hash it."""
 
     @pytest.fixture
     def hashed(self, monkeypatch):
+        """The name of each file data reads whole, in the order read."""
         seen = []
-        file_sha256 = cli._file_sha256
+        read = data._read
 
-        def spy(path):
+        def spy(path, what):
             seen.append(Path(path).name)
-            return file_sha256(path)
-        monkeypatch.setattr(cli, "_file_sha256", spy)
+            return read(path, what)
+        monkeypatch.setattr(data, "_read", spy)
         return seen
 
     @pytest.mark.parametrize("argv", [
@@ -539,7 +589,7 @@ class TestManifestDigests:
                         *(DATA if argv[0] != "ingest" else []), *argv[1:], "--out", tmp_path)
         assert status == 0
         assert read_json(tmp_path / "manifest.json")["inputs"] == disk_hashes(bundle)
-        assert hashed == []
+        assert sorted(hashed) == sorted(["header.json", "labels.bin"] * BUNDLE_READS[argv[0]])
 
     def test_saved_inputs_are_hashed_from_disk_and_other_bundle_files_are_not_inputs(
             self, capsys, hashed, bundle, trained, tmp_path):
@@ -554,7 +604,8 @@ class TestManifestDigests:
         assert status == 0
         inputs = read_json(tmp_path / "out" / "manifest.json")["inputs"]
         assert inputs == disk_hashes(*bundle_files(copy), split_path, params_path)
-        assert sorted(hashed) == ["params.json", "split.json"]
+        assert sorted(hashed) == sorted(["header.json", "labels.bin"] * BUNDLE_READS["eval"]
+                                        + ["params.json", "split.json"])
 
     def test_ingest_into_its_bundle_lists_only_what_it_read(self, capsys, tmp_path):
         # a second run finds the first's summary.json and manifest.json in --out
@@ -593,6 +644,41 @@ class TestManifestDigests:
         assert status == 0
         assert sha256(path) != read
         assert read_json(tmp_path / "out" / "manifest.json")["inputs"] == {str(path): read}
+
+
+@pytest.mark.parametrize("name", ["split", "params", "report", "csv"])
+def test_manifest_hashes_the_bytes_the_run_parsed(capsys, monkeypatch, bundle, trained, tmp_path,
+                                                  name):
+    """Each input file is rewritten as soon as the run has parsed it: the
+    manifest holds the hash of the version the run used."""
+    shutil.copyfile(trained / "split.json", tmp_path / "split.json")
+    shutil.copyfile(trained / "params.json", tmp_path / "params.json")
+    (tmp_path / "report.json").write_text(json.dumps(evaluate([1, 2], [1, 2], 2).to_json()),
+                                          encoding="utf-8")
+    write_pixel_csv(tmp_path / "pixels.csv")
+    path, owner, parser, argv = {
+        "split": (tmp_path / "split.json", Split, "from_json",
+                  ["eval", "--bundle", bundle, *DATA, "--split", tmp_path / "split.json",
+                   "--solver", "omp", "--K", 2]),
+        "params": (tmp_path / "params.json", NetParams, "from_json",
+                   ["eval", "--bundle", bundle, *DATA, "--solver", "asdn",
+                    "--params", tmp_path / "params.json"]),
+        "report": (tmp_path / "report.json", ClassificationReport, "from_json",
+                   ["report", "--report", tmp_path / "report.json"]),
+        "csv": (tmp_path / "pixels.csv", cli, "load_pixel_csv",
+                ["ingest", "--csv", tmp_path / "pixels.csv", "--bundle", tmp_path / "bundle"]),
+    }[name]
+    parsed, parse = sha256(path), getattr(owner, parser)
+
+    def rewriting(*args, **kwargs):
+        result = parse(*args, **kwargs)
+        path.write_bytes(path.read_bytes() + b"\n")  # the same document, other bytes
+        return result
+    monkeypatch.setattr(owner, parser, rewriting)
+    status, err = run(capsys, *argv, "--out", tmp_path / "out")
+    assert (status, err) == (0, None)
+    assert sha256(path) != parsed
+    assert read_json(tmp_path / "out" / "manifest.json")["inputs"][str(path)] == parsed
 
 
 class TestSplitValidation:
@@ -807,6 +893,98 @@ def test_generated_split_file_fault(bundle, written_split, data):
                 assert stdout.getvalue() == "" and not out.exists(), command
             else:
                 assert (out / "manifest.json").is_file(), command
+
+
+# -- JSON input files: data.read_json parses each one
+
+def json_inputs(tmp, bundle, trained):
+    """Each JSON file a run parses, as {name: (its path under ``tmp``, the
+    argv of a run that parses it, without --out)}; every file is valid."""
+    shutil.copytree(bundle, tmp / "bundle")
+    for name in ("split.json", "params.json"):
+        shutil.copyfile(trained / name, tmp / name)
+    (tmp / "config.json").write_text(json.dumps({"solver": "asdn"}), encoding="utf-8")
+    (tmp / "report.json").write_text(json.dumps(evaluate([1, 2], [1, 2], 2).to_json()),
+                                     encoding="utf-8")
+    asdn = ["eval", "--config", tmp / "config.json", "--bundle", tmp / "bundle", *DATA,
+            "--split", tmp / "split.json", "--params", tmp / "params.json"]
+    return {"header": (tmp / "bundle" / "header.json", asdn),
+            "config": (tmp / "config.json", asdn),
+            "split": (tmp / "split.json", asdn),
+            "params": (tmp / "params.json", asdn),
+            "report": (tmp / "report.json", ["report", "--report", tmp / "report.json"])}
+
+
+def test_json_input_runs_pass_on_valid_files(bundle, trained, tmp_path):
+    for name, (_, argv) in json_inputs(tmp_path, bundle, trained).items():
+        status, _, stderr = run_quiet([*argv, "--out", tmp_path / name])
+        assert (status, stderr) == (0, ""), name
+        assert (tmp_path / name / "manifest.json").is_file(), name
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | reals() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+
+
+def object_text(pairs):
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+
+
+# bytes that are not one JSON object: a top-level number, null, string or
+# array, an object that repeats a key, or bytes that are not UTF-8
+NOT_ONE_OBJECT = st.one_of(
+    st.one_of(st.integers(), reals(), st.none(), st.text(max_size=4),
+              st.lists(JSON_VALUES, max_size=3)).map(lambda value: json.dumps(value).encode()),
+    st.builds(lambda key, first, pairs, last: object_text([(key, first), *pairs, (key, last)]),
+              st.text(max_size=4), JSON_VALUES, st.lists(st.tuples(st.text(max_size=3),
+                                                                    JSON_VALUES), max_size=2),
+              JSON_VALUES).map(str.encode),
+    st.builds(lambda head, tail: head + b"\xff" + tail, st.binary(max_size=6),
+              st.binary(max_size=6)))
+
+
+@pytest.mark.parametrize("name", ["header", "config", "split", "params", "report"])
+@settings(max_examples=12, deadline=None)
+@given(content=NOT_ONE_OBJECT)
+@example(content=b"[" * 10**5 + b"]" * 10**5)  # json.loads raises RecursionError
+def test_json_input_that_is_not_one_object_is_config_error(bundle, trained, name, content):
+    """A JSON input file replaced by anything but one object with distinct
+    keys is a config error: exit 3, no --out, and one JSON line on stderr
+    that names the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, argv = json_inputs(Path(tmp), bundle, trained)[name]
+        path.write_bytes(content)
+        out = Path(tmp) / "out"
+        status, stdout, stderr = run_quiet([*argv, "--out", out])
+        assert (status, stdout) == (3, "")
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["status"], err["kind"]) == ("error", "config")
+        assert str(path) in err["message"]
+        assert not out.exists()
+
+
+HEADER_FAULTS = {"number": b"5", "null": b"null", "string": b'"x"', "array": b"[]",
+                 "repeated key": None, "not UTF-8": b'{"height": "\xff"}'}
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS)
+@pytest.mark.parametrize("command", BUNDLE_COMMANDS)
+def test_header_that_is_not_one_object_is_config_error(capsys, tmp_path, command, fault):
+    save_bundle(tiny_cube(), tmp_path / "bundle")
+    header = tmp_path / "bundle" / "header.json"
+    # the repeated key holds the height it had, so only the repeat is a fault
+    height = f', "height": {read_json(header)["height"]}}}'.encode()
+    header.write_bytes(HEADER_FAULTS[fault] or header.read_bytes()[:-1] + height)
+    status, err = run(capsys, command, "--bundle", tmp_path / "bundle",
+                      *BUNDLE_COMMANDS[command], "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert f"header.json: bundle header file {header} is malformed" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1626,6 +1804,28 @@ def test_src_holds_no_test_only_code():
                     if not name.startswith("_") and name not in named)
     assert unused == [], (f"only the tests use {unused}: move each into tests/, "
                           "or call it from src/")
+
+
+def test_only_data_reads_input_files():
+    """Reading an input file has one owner: no srckit module but data.py
+    calls open, read_text, read_bytes, json.load or json.loads, or imports
+    hashlib. Writing outputs (write_text, write_bytes, mkdir) stays open."""
+    reads = {"open", "read_text", "read_bytes", "load", "loads"}
+    found = []
+    for path in sorted(Path(srckit.__file__).parent.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in reads:
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+                if "hashlib" in names or (node.__class__ is ast.ImportFrom
+                                          and node.module == "json" and reads & set(names)):
+                    found.append(f"{path.name}:{node.lineno} imports {names}")
+    assert found == [], f"only srckit.data reads input files: {found}"
 
 
 # (key, command or None for every command that reads it, function, parameter);

@@ -393,10 +393,11 @@ class TestPixelCsv:
     def test_read(self, tmp_path):
         path = tmp_path / "px.csv"
         path.write_text("1.0,2.0,1\n3.0,4.0,2\n")
-        spectra, labels = load_pixel_csv(path)
+        spectra, labels, digest = load_pixel_csv(path)
         assert spectra.shape == (2, 2)
         assert np.array_equal(spectra[:, 1], [3.0, 4.0])
         assert labels.tolist() == [1, 2]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -413,7 +414,7 @@ class TestPixelCsv:
     def test_csv_to_cube_round(self, tmp_path):
         path = tmp_path / "px.csv"
         path.write_text("1.0,2.0,1\n3.0,4.0,2\n")
-        spectra, labels = load_pixel_csv(path)
+        spectra, labels, _ = load_pixel_csv(path)
         cube = pixels_to_cube(spectra, labels)
         assert cube.height == 1 and cube.width == 2 and cube.bands == 2
         back, lab = extract_pixels(cube, [0, 1], normalize=False)

@@ -13,7 +13,8 @@ def test_assemble_groups_by_class():
     # class 1 owns [0, 2), class 2 owns [2, 4); within-class order preserved
     assert d.class_offsets.tolist() == [0, 2, 4]
     assert d.atoms[0].tolist() == [2.0, 4.0, 1.0, 3.0]
-    assert d.labels_per_atom.tolist() == [1, 1, 2, 2]
+    owners = np.repeat(np.arange(1, d.n_classes + 1), np.diff(d.class_offsets))
+    assert owners.tolist() == [1, 1, 2, 2]
 
 
 def test_assemble_single_class():
@@ -52,15 +53,14 @@ def test_pavia_like_atom_counts():
 
 class TestSolveRegularized:
     def test_zero_dictionary(self):
-        d = Dictionary(atoms=np.zeros((3, 4)), class_offsets=[0, 4],
-                       labels_per_atom=[1, 1, 1, 1])
+        d = Dictionary(atoms=np.zeros((3, 4)), class_offsets=[0, 4])
         cache = GramCache(d)
         b = np.array([2.0, -4.0, 6.0, 0.5])
         assert np.allclose(cache.solve(2.0, b), b / 2.0, atol=1e-14)
 
     def test_orthonormal(self):
         q = random_orthonormal(3, 5)
-        d = Dictionary(atoms=q, class_offsets=[0, 5], labels_per_atom=[1] * 5)
+        d = Dictionary(atoms=q, class_offsets=[0, 5])
         cache = GramCache(d)
         b = np.arange(1.0, 6.0)
         assert np.allclose(cache.solve(1.0, b), b / 2.0, atol=1e-12)
@@ -68,8 +68,7 @@ class TestSolveRegularized:
     def test_against_dense_solver(self):
         rng = np.random.default_rng(7)
         atoms = rng.standard_normal((30, 60))
-        d = Dictionary(atoms=atoms, class_offsets=[0, 60],
-                       labels_per_atom=[1] * 60)
+        d = Dictionary(atoms=atoms, class_offsets=[0, 60])
         cache = GramCache(d)
         for rho in (0.5, 3.0):
             rhs = rng.standard_normal(60)
@@ -84,8 +83,7 @@ class TestSolveRegularized:
         # rank-deficient one even LAPACK's dense solve cannot reach it
         rng = np.random.default_rng(8)
         atoms = rng.standard_normal((60, 30))
-        d = Dictionary(atoms=atoms, class_offsets=[0, 30],
-                       labels_per_atom=[1] * 30)
+        d = Dictionary(atoms=atoms, class_offsets=[0, 30])
         cache = GramCache(d)
         rhs = rng.standard_normal(30)
         w = cache.solve(1e-6, rhs)
@@ -93,8 +91,7 @@ class TestSolveRegularized:
         assert residual <= 1e-10 * np.linalg.norm(rhs)
 
     def test_rejects_nonpositive_rho(self):
-        d = Dictionary(atoms=np.eye(3), class_offsets=[0, 3],
-                       labels_per_atom=[1, 1, 1])
+        d = Dictionary(atoms=np.eye(3), class_offsets=[0, 3])
         cache = GramCache(d)
         with pytest.raises(ValueError, match="rho"):
             cache.solve(0.0, np.ones(3))
@@ -102,8 +99,7 @@ class TestSolveRegularized:
     def test_linearity(self):
         rng = np.random.default_rng(1)
         atoms = rng.standard_normal((20, 35))
-        d = Dictionary(atoms=atoms, class_offsets=[0, 35],
-                       labels_per_atom=[1] * 35)
+        d = Dictionary(atoms=atoms, class_offsets=[0, 35])
         cache = GramCache(d)
         b1, b2 = rng.standard_normal(35), rng.standard_normal(35)
         a = -2.5
@@ -114,8 +110,7 @@ class TestSolveRegularized:
     def test_cache_transparency(self):
         rng = np.random.default_rng(2)
         atoms = rng.standard_normal((15, 25))
-        d = Dictionary(atoms=atoms, class_offsets=[0, 25],
-                       labels_per_atom=[1] * 25)
+        d = Dictionary(atoms=atoms, class_offsets=[0, 25])
         rhs = rng.standard_normal(25)
         warm = GramCache(d)
         first = warm.solve(0.7, rhs)
@@ -126,35 +121,26 @@ class TestSolveRegularized:
     def test_gram_symmetry(self):
         rng = np.random.default_rng(3)
         atoms = rng.standard_normal((10, 18))
-        cache = GramCache(Dictionary(atoms=atoms, class_offsets=[0, 18],
-                                     labels_per_atom=[1] * 18))
+        cache = GramCache(Dictionary(atoms=atoms, class_offsets=[0, 18]))
         assert np.abs(cache.gram - cache.gram.T).max() <= 1e-12
 
 
 def test_dictionary_invariant_checks():
     with pytest.raises(ValueError, match="non-finite"):
-        Dictionary(atoms=np.array([[np.inf]]), class_offsets=[0, 1],
-                   labels_per_atom=[1])
+        Dictionary(atoms=np.array([[np.inf]]), class_offsets=[0, 1])
     with pytest.raises(ValueError, match="at least one atom"):
-        Dictionary(atoms=np.ones((2, 2)), class_offsets=[0, 1, 1, 2],
-                   labels_per_atom=[1, 3])
+        Dictionary(atoms=np.ones((2, 2)), class_offsets=[0, 1, 1, 2])
 
 
 def test_offsets_and_assembly_checks():
     with pytest.raises(ValueError, match="start at 0 and end at n_atoms"):
-        Dictionary(atoms=np.eye(3), class_offsets=[0, 2], labels_per_atom=[1, 1])
+        Dictionary(atoms=np.eye(3), class_offsets=[0, 2])
     with pytest.raises(ValueError, match=r"samples \(3, 3\) do not match 2 labels"):
         assemble(np.eye(3), [1, 2])
     with pytest.raises(ValueError, match="cannot assemble an empty dictionary"):
         assemble(np.zeros((3, 0)), [])
     with pytest.raises(ValueError, match=r"class 3 outside 1..2"):
         assemble(np.eye(2), [1, 2]).class_slice(3)
-
-
-@pytest.mark.parametrize("labels", [[7, 7, 7, 7], [1, 2, 1, 2], [1, 1, 2], [1, 1, 2, 2, 2]])
-def test_labels_per_atom_must_follow_the_offsets(labels):
-    with pytest.raises(ValueError, match="labels_per_atom contradicts class_offsets"):
-        Dictionary(atoms=np.eye(4), class_offsets=[0, 2, 4], labels_per_atom=labels)
 
 
 def test_lipschitz_is_the_top_gram_eigenvalue():
@@ -188,7 +174,8 @@ def test_lipschitz_zero_dictionary_and_fista_step_fallback():
     # a dictionary whose L reads 0 takes step 1: from zero, the first step is
     # soft_threshold(D^T x, lam); this D has L < 1, so that step is accepted
     d = random_unit_dictionary(2, 20, 10)
-    d = assemble(0.1 * d.atoms, d.labels_per_atom)
+    d = assemble(0.1 * d.atoms,
+                 np.repeat(np.arange(1, d.n_classes + 1), np.diff(d.class_offsets)))
     assert 0.0 < d.lipschitz < 1.0
     d.lipschitz = 0.0
     x = np.random.default_rng(2).standard_normal(20)
