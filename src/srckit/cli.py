@@ -45,6 +45,7 @@ import math
 import os
 import platform
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,7 +56,7 @@ from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport, 
                        check_sweep, classify_testset, evaluate, integer, read_ids, real,
                        solver_kwargs, split_inputs, sweep)
 from .data import (Split, check_split, class_counts, draw_splits, load_bundle, load_pixel_csv,
-                   make_split, pixels_to_cube, read_json, read_labels, save_bundle)
+                   make_split, pixels_to_cube, read_json, read_labels, save_bundle, write_split)
 from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, grad_check, train
 
@@ -80,9 +81,9 @@ def _emit_error(kind: str, message: str) -> None:
           file=sys.stderr)
 
 
-def _json_text(doc, indent: int | None = 2) -> str:
+def _json_text(doc) -> str:
     # a config "net" document is recorded as the network it parsed to
-    return json.dumps(doc, indent=indent, sort_keys=True, default=NetParams.to_json) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=NetParams.to_json) + "\n"
 
 
 GRID_CAP = 10_000
@@ -177,7 +178,7 @@ class Key(NamedTuple):
 _DRAW = ("split", "train", "eval", "sweep")  # read a bundle and draw a split
 _CODE = ("eval", "sweep")  # classify with a solver
 _FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
-_AT_LEAST_ONE = ("be >= 1", lambda v: v >= 1)
+_EXTENT = ("be >= 1 and below 2**63", lambda v: 1 <= v < 2 ** 63)  # numpy's array extents
 _NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)  # a seed: np.random.default_rng takes any int >= 0
 
 KEYS = {
@@ -231,8 +232,8 @@ KEYS = {
     "runs": Key(("--runs",), integer, {"sweep": 5}),
     "base_seed": Key(("--base-seed",), integer, {"sweep": 0}, _NON_NEGATIVE),
     "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}),
-    "bands": Key(("--bands",), integer, {"gradcheck": 20}, _AT_LEAST_ONE),
-    "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _AT_LEAST_ONE),
+    "bands": Key(("--bands",), integer, {"gradcheck": 20}, _EXTENT),
+    "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _EXTENT),
     "n_classes": Key(("--classes",), integer, {"gradcheck": 2}),
     "report": Key(("--report",), str, {"report": REQUIRED}, help="path to a report.json"),
     "csv_out": Key(("--csv",), str, {"report": None}, help="also write per-class rows as CSV"),
@@ -396,16 +397,20 @@ def _environment() -> dict:
 
 
 def _write_run(command: str, config: dict, files: dict, inputs: dict) -> Path:
-    """The one place --out is made. Writes ``files`` (name -> text or bytes)
-    into --out, then manifest.json: the typed config that ran, without unset
-    keys, the ``inputs`` hashes (str(path) -> hex, each from the reader that
-    parsed the file, of the bytes it parsed) and the ``_environment`` that
-    ran it. With a saved split the split-draw keys are left out: the split
-    file's hash identifies it. Returns --out."""
+    """The one place --out is made. Writes ``files`` into --out (name -> text,
+    bytes, or a function that writes the file at the path it is given), then
+    manifest.json: the typed config that ran, without unset keys, the
+    ``inputs`` hashes (str(path) -> hex, each from the reader that parsed the
+    file, of the bytes it parsed) and the ``_environment`` that ran it. With
+    a saved split the split-draw keys are left out: the split file's hash
+    identifies it. Returns --out."""
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        (out / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        if callable(content):
+            content(out / name)
+        else:
+            (out / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     drawn = ("seed", "dict_frac", "train_frac") if config.get("split_file") else ()
     doc = {
         "command": command,
@@ -447,9 +452,7 @@ def _cmd_split(config: dict) -> dict:
     """draw and save a dictionary/train/test split"""
     inputs = {}
     split = _load_split(config, _load_cube(config, inputs), inputs)
-    # one line: indented, a split puts each of its many pixel ids on its own
-    _write_run("split", config, {"split.json": _json_text(split.to_json(), indent=None)},
-               inputs)
+    _write_run("split", config, {"split.json": partial(write_split, split)}, inputs)
     sizes = {c: [len(split.dictionary_ids[c]), len(split.train_ids[c]),
                  len(split.test_ids[c])] for c in sorted(split.dictionary_ids)}
     return {"per_class_sizes": sizes}
@@ -463,9 +466,6 @@ def _cmd_train(config: dict) -> dict:
                     eta=config["init_eta"], tau=config["init_tau"])
     inputs = {}
     coding = _coding_inputs(config, "train", inputs)
-    # encoded before training, so that its transient id lists are not held
-    # on top of the training workspace
-    split_text = _json_text(coding.split.to_json(), indent=None)
     params, history = _checked(train, coding.dictionary, coding.pixels, coding.labels,
                                learning_rate=config["learning_rate"], epochs=config["epochs"],
                                batch_size=config["batch_size"], seed=config["train_seed"],
@@ -475,7 +475,7 @@ def _cmd_train(config: dict) -> dict:
         for e, (loss, acc, classes) in enumerate(history)]
     out = _write_run("train", config, {
         "params.json": params.to_text(), "train_history.csv": "\n".join(lines) + "\n",
-        "split.json": split_text,
+        "split.json": partial(write_split, coding.split),  # class by class, no id list
     }, inputs)
     return {"final_mean_loss": float(history["mean_loss"][-1]),
             "params": str(out / "params.json")}

@@ -73,17 +73,47 @@ class SplitMix64:
 
     def shuffle(self, items: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap item i
-        with item d % (i + 1), d the generator's next output. The n-1 draws
-        come from one ``draws`` call, so the result and the stream after it
-        equal the per-draw loop's."""
+        with its partner j_i = d % (i + 1), d the generator's next output.
+        The n-1 draws come from one ``draws`` call, so the stream after it is
+        the per-draw loop's. So is the permutation, found without a loop over
+        the items. Take j_0 = 0; then:
+
+        - Step i is the last to write position i, with the item at j_i just
+          before it. Of the earlier steps (those above i) only those with
+          partner j_i wrote j_i, so that item is B(i*) for the lowest of
+          them, i*, or items[j_i] when there is none.
+        - B(p), the item at position p just before step p, is likewise B of
+          p's writer, the lowest step above p with partner p, or items[p]
+          when p has none. So B(p) is items[q], q the end of p's writer chain.
+
+        A stable argsort of the partners, in the smallest unsigned dtype that
+        holds n - 1 (a radix sort up to 65536 items), lists each partner's
+        steps in ascending order, which gives each step's next one with its
+        partner and each position's writer. Pointer doubling then finds every
+        chain's end in log2 of the longest chain's length rounds."""
         n = len(items)
         if n < 2:
             return
-        swaps = (self.draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        values = items.tolist()
-        for i, j in zip(range(n - 1, 0, -1), swaps):
-            values[i], values[j] = values[j], values[i]
-        items[:] = values
+        partner = np.zeros(n, dtype=np.min_scalar_type(n - 1))
+        partner[:0:-1] = self.draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        order = np.argsort(partner, kind="stable")
+        grouped = partner[order]
+        same = grouped[1:] == grouped[:-1]
+        steps = np.arange(n)
+        following = steps.copy()  # the next step above with the same partner, or the step
+        following[order[:-1]] = np.where(same, order[1:], order[:-1])
+        # p's writer, or p when it has none: each partner's lowest step. That
+        # is p itself when p is its own partner, but then no B(p) is read: a
+        # chain visits only steps whose partner lies below them
+        writer = steps.copy()
+        lowest = order[np.r_[True, ~same]]
+        writer[partner[lowest]] = lowest
+        while True:
+            ends = writer[writer]
+            if (ends == writer).all():
+                break
+            writer = ends
+        items[:] = items[np.where(following == steps, partner, writer[following])]
 
 
 # The bytes of data.bin that load_bundle reads at a time: whole band planes,
@@ -96,8 +126,10 @@ class SplitMix64:
 # 256-column blocks many of its temporaries pass 128 KiB. So a smaller buffer
 # waits on that kernel. A run's peak resident memory is the larger of this
 # load (the buffer beside the kept spectra) and one coded block's working
-# memory, as every coding path holds one block's at a time. In perfbench the
-# load sets sweep-l1's peak, and a block sets eval's and train's (one trace).
+# memory, as every coding path holds one block's at a time. In perfbench
+# (seed 7, the resident peak read after each phase) coding sets all four:
+# a block eval's, one trace train's, and sweep-l1's fista blocks lift the
+# peak of its load by 0.3-0.4 MiB.
 CHUNK_BYTES = 4_500_000
 
 
@@ -343,20 +375,13 @@ class Split:
     def test_flat(self) -> np.ndarray:
         return self._flat(self.test_ids)
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dictionary_ids": {str(c): v.tolist() for c, v in self.dictionary_ids.items()},
-            "train_ids": {str(c): v.tolist() for c, v in self.train_ids.items()},
-            "test_ids": {str(c): v.tolist() for c, v in self.test_ids.items()},
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "Split":
-        """The inverse of ``to_json``. Every id and the seed must be a JSON
-        integer: a ValueError names any other value (a float, even an integral
-        one, a bool or a string) and where it sits; so does an id set that is
-        not an object, or a class key such as "01" that would merge with "1"."""
+        """The split of the document ``write_split`` writes. Every id and the
+        seed must be a JSON integer: a ValueError names any other value (a
+        float, even an integral one, a bool or a string) and where it sits; so
+        does an id set that is not an object, or a class key such as "01" that
+        would merge with "1"."""
         def integer(value, where):
             if type(value) is not int:
                 raise ValueError(f"{where} {value!r} is not an integer")
@@ -373,6 +398,55 @@ class Split:
 
         return cls(dictionary_ids=back("dictionary_ids"), train_ids=back("train_ids"),
                    test_ids=back("test_ids"), seed=integer(doc["seed"], "seed"))
+
+
+# the ids write_split encodes at a time
+IDS_PER_WRITE = 4096
+
+
+def _decimals(ids: np.ndarray) -> bytes:
+    """``ids`` in decimal, as json.dumps writes integers, joined by ", ":
+    each id's sign and digits go into one row of a byte table, a column at a
+    time, and one mask drops its leading zeros and the sign of an id >= 0."""
+    magnitude = np.abs(ids).view(np.uint64)  # exact at -2**63 too
+    width = len(str(int(magnitude.max())))
+    table = np.empty((ids.size, width + 3), dtype=np.uint8)
+    keep = np.ones(table.shape, dtype=bool)
+    table[:, 0], keep[:, 0] = ord("-"), ids < 0
+    table[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
+    keep[-1, -2:] = False
+    for column in range(width, 0, -1):
+        keep[:, column] = magnitude > 0
+        table[:, column] = ord("0") + magnitude % 10
+        magnitude //= 10
+    keep[:, width] = True  # 0 is written "0"
+    return table[keep].tobytes()
+
+
+def write_split(split: Split, path) -> None:
+    """Write ``split`` to the file ``path`` as the one-line JSON document
+    ``Split.from_json`` reads: byte for byte json.dumps(doc, sort_keys=True)
+    + "\n" of {"seed": seed, and per set ("dictionary_ids", "train_ids",
+    "test_ids") an object mapping str(class) to that class's id list}. The ids
+    are encoded class by class, IDS_PER_WRITE at a time, so no id becomes a
+    Python int and the text is never held whole."""
+    def id_sets(fh, groups: dict):
+        for k, key in enumerate(sorted(groups, key=str)):
+            fh.write(b'%s"%d": [' % (b", " if k else b"{", key))
+            ids = np.asarray(groups[key], dtype=np.int64)
+            for start in range(0, ids.size, IDS_PER_WRITE):
+                fh.write((b", " if start else b"") + _decimals(ids[start:start + IDS_PER_WRITE]))
+            fh.write(b"]")
+        fh.write(b"}" if groups else b"{}")
+
+    with open(path, "wb") as fh:
+        fh.write(b'{"dictionary_ids": ')
+        id_sets(fh, split.dictionary_ids)
+        fh.write(b', "seed": %d, "test_ids": ' % split.seed)
+        id_sets(fh, split.test_ids)
+        fh.write(b', "train_ids": ')
+        id_sets(fh, split.train_ids)
+        fh.write(b"}\n")
 
 
 def _round_half_up(x: float) -> int:
@@ -405,9 +479,12 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
     Per class with n labeled pixels: round(dict_frac * n) go to the dictionary
     (at least 1), round(train_frac * remainder) to train, the rest to test.
     Rounding is to the nearest integer (half up). Selection is a seeded
-    Fisher-Yates shuffle of the ascending flat-index list (one SplitMix64
+    Fisher-Yates shuffle of the ascending flat-index array (one SplitMix64
     stream consumed class by class in ascending class order), so the split is
-    a pure function of (cube, dict_frac, train_frac, seed).
+    a pure function of (cube, dict_frac, train_frac, seed). The shuffle
+    resolves every swap in whole-array steps (``SplitMix64.shuffle``), which
+    write the per-draw loop's permutation exactly and leave the stream where
+    that loop leaves it; the ids stay in numpy arrays throughout.
     """
     if not 0.0 < dict_frac < 1.0:
         raise ValueError(f"dict_frac must lie in (0, 1), got {dict_frac}")
@@ -432,13 +509,20 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
     return Split(dictionary_ids=dict_ids, train_ids=train_ids, test_ids=test_ids, seed=seed)
 
 
+# the most splits draw_splits holds at once: a draw holds 8 bytes a labeled
+# pixel, about 342 KB on a Pavia-sized scene, so at most about 342 MB
+RUNS_CAP = 1000
+
+
 def draw_splits(cube: LabeledCube, runs: int = 5, base_seed: int = 0, dict_frac: float = 0.01,
                 train_frac: float = 1.0 / 11.0) -> list:
     """``runs`` splits (make_split) with seeds base_seed..base_seed+runs-1.
-    runs < 1, or a last seed past 2**64 - 1, is a ValueError before the
-    first draw."""
+    runs < 1 or above RUNS_CAP = 1000, or a last seed past 2**64 - 1, is a
+    ValueError before the first draw."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if runs > RUNS_CAP:
+        raise ValueError(f"runs must be at most {RUNS_CAP}, got {runs}")
     check_seed(base_seed + runs - 1)
     return [make_split(cube, dict_frac, train_frac, base_seed + r) for r in range(runs)]
 

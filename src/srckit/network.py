@@ -39,7 +39,7 @@ stages (one BLAS thread of a 2-vCPU Xeon) its forward pass takes about
 train runs it, takes 65 at 32 and 100-110 at 64 or 128: so training stays
 at 32 while the untraced test blocks widen. Loading only the pixels it
 codes and holding one block's working memory at a time, that eval peaks at
-about 43.5 MiB resident (perfbench eval-asdn).
+about 42.8 MiB resident (perfbench eval-asdn, seed 7).
 """
 from __future__ import annotations
 
@@ -112,6 +112,7 @@ class NetParams:
     @classmethod
     def default(cls, n_stages: int = DEFAULT_STAGES, rho: float = 1.0, eta: float = 0.1,
                 tau: float = 1.0, relax: float = 1.0) -> "NetParams":
+        check_ranges(n_stages=n_stages)
         return cls(rho=np.full(n_stages + 1, rho), eta=np.full(n_stages, eta),
                    tau=np.full(n_stages, tau), relax=relax)
 
@@ -437,8 +438,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     """
     if learning_rate < 0:
         raise ValueError(f"learning_rate must be nonnegative, got {learning_rate}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not 1 <= epochs < 2 ** 63:  # history has one row an epoch
+        raise ValueError(f"epochs must be >= 1 and below 2**63, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     labels = np.asarray(labels, dtype=np.int64)

@@ -79,7 +79,8 @@ PARAM_RANGES = {
     "rho": ("penalty", "be > 0", lambda v: v > 0),
     "tau": ("dual step rate", "be > 0", lambda v: v > 0),
     "relax": ("relaxation scalar", "lie in (0, 2]", lambda v: 0 < v <= 2),
-    "n_stages": ("network depth", "be >= 1", lambda v: v >= 1),
+    # an array extent: numpy takes none of 2**63 or more
+    "n_stages": ("network depth", "be >= 1 and below 2**63", lambda v: 1 <= v < 2 ** 63),
 }
 
 

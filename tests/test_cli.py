@@ -29,6 +29,7 @@ from srckit.data import (LabeledCube, Split, draw_splits, extract_pixels, load_b
 from srckit.dictionary import assemble
 from srckit.network import NetParams, TrainingDiverged, grad_check, train
 from srckit.synthetic import gradcheck_instance
+from split_reference import split_doc
 from synthetic_problems import subspace_classes
 
 # 20 pixels per class: 4 dictionary atoms, 4 train and 12 test pixels each
@@ -350,6 +351,39 @@ def test_huge_integral_value_is_config_error_naming_its_key(capsys, bundle, tmp_
     status, err = run(capsys, command, *data, *argv, "--out", tmp_path / "out")
     assert (status, err["kind"]) == (3, "config")
     assert f"bad value for {key}: expected an integer of magnitude at most 2**64" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, argv, key", [
+    ("gradcheck", ["--atoms", 2**64], "atoms"),
+    ("gradcheck", ["--atoms", 2**63], "atoms"),
+    ("gradcheck", ["--bands", 2**63], "bands"),
+    ("gradcheck", ["--bands", 2**64], "bands"),
+    ("gradcheck", ["--stages", 2**63], "stages"),
+    ("gradcheck", ["--stages", 2**64], "stages"),
+    ("gradcheck", ["--classes", 2**63], "n_classes"),
+    ("gradcheck", ["--classes", 2**64], "n_classes"),
+    ("gradcheck", ["--classes", 41], "n_classes"),
+    ("train", ["--stages", 2**63], "stages"),
+    ("train", ["--stages", -1], "stages"),
+    ("train", ["--epochs", 2**63], "epochs"),
+    ("train", ["--epochs", 2**64], "epochs"),
+    ("sweep", ["--runs", data.RUNS_CAP + 1], "runs"),
+    ("sweep", ["--runs", 2**63], "runs"),
+])
+def test_value_past_an_extent_is_config_error_naming_its_key(capsys, bundle, tmp_path,
+                                                             command, argv, key):
+    """An integer no array extent can take (2**63 or more; for n_classes more
+    than the atoms; for runs more than data.RUNS_CAP) is a config error
+    that names its key and value, with no RuntimeWarning and no --out."""
+    data_argv = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
+    if command == "sweep":
+        data_argv += ["--solver", "omp", "--param", "k", "--grid", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, err = run(capsys, command, *data_argv, *argv, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert key in err["message"] and str(argv[1]) in err["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -683,7 +717,7 @@ def test_manifest_hashes_the_bytes_the_run_parsed(capsys, monkeypatch, bundle, t
 
 class TestSplitValidation:
     def write_split(self, tmp_path, edit):
-        doc = make_split(tiny_cube(), 0.2, 0.25, 0).to_json()
+        doc = split_doc(make_split(tiny_cube(), 0.2, 0.25, 0))
         edit(doc)
         path = tmp_path / "split.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -787,7 +821,7 @@ class TestSplitValidation:
         labels.flat[59] = 0
         cube = LabeledCube(labels, cube.spectra)
         save_bundle(cube, tmp_path / "bundle")
-        doc = make_split(cube, 0.2, 0.25, 0).to_json()
+        doc = split_doc(make_split(cube, 0.2, 0.25, 0))
         doc["test_ids"]["0"] = [59]
         path = tmp_path / "split.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -1312,6 +1346,21 @@ def test_network_depth_below_one_is_config_error(capsys, monkeypatch, bundle, tm
     assert not (tmp_path / "out").exists()
 
 
+def test_split_and_train_write_one_split_json(capsys, bundle, trained, tmp_path):
+    """split and train write the same bytes for one draw, and train on that
+    file writes it back unchanged."""
+    status, _ = run(capsys, "split", "--bundle", bundle, *DATA, "--seed", 3,
+                    "--out", tmp_path / "split")
+    assert status == 0
+    drawn = (tmp_path / "split" / "split.json").read_bytes()
+    assert (trained / "split.json").read_bytes() == drawn
+    status, _ = run(capsys, "train", "--bundle", bundle, "--split",
+                    tmp_path / "split" / "split.json", "--stages", 1, "--epochs", 1,
+                    "--init-eta", 0.01, "--out", tmp_path / "train")
+    assert status == 0
+    assert (tmp_path / "train" / "split.json").read_bytes() == drawn
+
+
 def test_split_json_is_one_line(capsys, bundle, trained, tmp_path):
     status, _ = run(capsys, "split", "--bundle", bundle, *DATA, "--seed", 3,
                     "--out", tmp_path)
@@ -1319,7 +1368,7 @@ def test_split_json_is_one_line(capsys, bundle, trained, tmp_path):
     for path in (trained / "split.json", tmp_path / "split.json"):
         text = path.read_text(encoding="utf-8")
         assert text.count("\n") == 1 and text.endswith("\n")
-        assert read_json(path) == make_split(tiny_cube(), 0.2, 0.25, 3).to_json()
+        assert read_json(path) == split_doc(make_split(tiny_cube(), 0.2, 0.25, 3))
 
 
 def write_pixel_csv(path):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from srckit import data as data_module
 from srckit.data import (BundleFormatError, LabeledCube, SplitMix64, class_counts,
                          extract_pixels, load_bundle, load_pixel_csv,
                          make_split, pixels_to_cube, read_labels, save_bundle)
+from split_reference import ReferenceSplitMix64, reference_split, split_doc
 from synthetic_problems import grid_cube, traced_peak
 
 
@@ -22,42 +24,6 @@ def random_cube(seed, h=4, w=5, b=6, n_classes=3):
     labels = rng.integers(0, n_classes + 1, size=(h, w)).astype(np.int32)
     labels.flat[0] = n_classes  # make sure the max class is present
     return grid_cube(data, labels)
-
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-class ReferenceSplitMix64:
-    """The per-draw generator and Fisher-Yates loop the vectorised
-    ``SplitMix64.shuffle`` must reproduce bit for bit."""
-
-    def __init__(self, seed):
-        self.state = seed & _MASK64
-
-    def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1FE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def shuffle(self, items):
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
-
-
-def reference_split(cube, dict_frac, train_frac, seed):
-    """make_split's rule with the per-draw shuffle: (dict, train, test) per class."""
-    rng, parts = ReferenceSplitMix64(seed), {}
-    for c in range(1, cube.n_classes + 1):
-        ids = cube.class_ids(c).tolist()
-        rng.shuffle(ids)
-        n_dict = max(1, int(np.floor(dict_frac * len(ids) + 0.5)))
-        n_train = int(np.floor(train_frac * (len(ids) - n_dict) + 0.5))
-        parts[c] = (sorted(ids[:n_dict]), sorted(ids[n_dict:n_dict + n_train]),
-                    sorted(ids[n_dict + n_train:]))
-    return parts
 
 
 class TestSplitMix64:
@@ -75,8 +41,10 @@ class TestSplitMix64:
         assert sorted(items.tolist()) == list(range(100))
         assert not np.array_equal(items, np.arange(100))
 
+    # 18649 is the benchmark scene's largest class; 256 and 65536 items
+    # widen the partners' dtype past uint8 and uint16
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 18649])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 256, 257, 18649, 65535, 65536, 65537])
     def test_shuffle_equals_per_draw_loop(self, seed, n):
         got, want = np.arange(n) * 7 + 3, (np.arange(n) * 7 + 3).tolist()
         rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
@@ -85,6 +53,19 @@ class TestSplitMix64:
         assert got.tolist() == want
         # the stream continues where the per-draw loop leaves it
         assert [int(rng.draws(1)[0]) for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+    @example(0, 300)
+    def test_shuffle_equals_per_draw_loop_property(self, seed, n):
+        # repeated items too: the shuffle moves items, it does not sort them
+        got = np.random.default_rng(n).integers(0, 5, n)
+        want = got.tolist()
+        rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+        rng.shuffle(got)
+        ref.shuffle(want)
+        assert got.tolist() == want
+        assert [int(d) for d in rng.draws(2)] == [ref.next_u64(), ref.next_u64()]
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_draws_equal_next_u64_calls(self, seed):
@@ -287,6 +268,21 @@ class TestMakeSplit:
             assert split.train_ids[c].tolist() == train_ids
             assert split.test_ids[c].tolist() == test_ids
 
+    @pytest.mark.parametrize("seed", [3, 2**64 - 2])
+    def test_equals_per_draw_reference_over_many_classes(self, seed):
+        # 12 classes of 1 to 2000 pixels, scattered over a 60 x 80 grid
+        rng = np.random.default_rng(5)
+        sizes = [1, 2, 7, 30, 255, 256, 257, 400, 1000, 2000, 3, 12]
+        labels = np.zeros(4800, dtype=np.int32)
+        labels[rng.permutation(4800)[:sum(sizes)]] = np.repeat(np.arange(1, 13), sizes)
+        cube = grid_cube(np.zeros((60, 80, 1)), labels.reshape(60, 80))
+        split = make_split(cube, 0.05, 0.2, seed=seed)
+        assert sorted(split.dictionary_ids) == list(range(1, 13))
+        for c, (dict_ids, train_ids, test_ids) in reference_split(cube, 0.05, 0.2, seed).items():
+            assert split.dictionary_ids[c].tolist() == dict_ids
+            assert split.train_ids[c].tolist() == train_ids
+            assert split.test_ids[c].tolist() == test_ids
+
     def test_deterministic(self):
         cube = labeled_line_cube([40, 60])
         a = make_split(cube, 0.05, 0.2, seed=9)
@@ -349,9 +345,74 @@ class TestMakeSplit:
         from srckit.data import Split
         cube = labeled_line_cube([30, 20])
         split = make_split(cube, 0.1, 0.2, seed=4)
-        back = Split.from_json(json.loads(json.dumps(split.to_json())))
+        back = Split.from_json(json.loads(json.dumps(split_doc(split))))
         assert np.array_equal(back.test_ids[2], split.test_ids[2])
         assert back.seed == split.seed
+
+
+def test_data_makes_no_python_list_of_ids():
+    """Split draws and split.json keep pixel ids in numpy arrays: no call in
+    data.py is a tolist, and SplitMix64.shuffle holds no for loop or
+    comprehension (its one loop is over pointer-doubling rounds)."""
+    tree = ast.parse(Path(data_module.__file__).read_text(encoding="utf-8"))
+    found = [f"data.py:{node.lineno} calls tolist" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tolist"]
+    shuffle = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "shuffle")
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found += [f"data.py:{node.lineno} loops in shuffle" for node in ast.walk(shuffle)
+              if isinstance(node, loops)]
+    assert found == []
+
+
+def written_split(split, path):
+    data_module.write_split(split, path)
+    return path.read_bytes()
+
+
+def reference_text(split):
+    return (json.dumps(split_doc(split), sort_keys=True) + "\n").encode()
+
+
+class TestWriteSplit:
+    def test_bytes_equal_the_reference_document(self, tmp_path):
+        # 12 classes, so the keys sort "1", "10", "11", "12", "2"; class 12 has
+        # one pixel: one dictionary id and empty train and test sets
+        sizes = [40, 9000, 3, 5, 7, 11, 13, 2, 30, 120, 4100, 1]
+        split = make_split(labeled_line_cube(sizes), 0.1, 0.5, seed=2**64 - 1)
+        assert split.train_ids[12].size == split.test_ids[12].size == 0
+        assert split.dictionary_ids[12].size == 1
+        text = written_split(split, tmp_path / "split.json")
+        assert text == reference_text(split)
+        assert text.index(b'"10": [') < text.index(b'"2": [')
+        back = data_module.Split.from_json(json.loads(text))
+        for name in ("dictionary_ids", "train_ids", "test_ids"):
+            for c, ids in getattr(split, name).items():
+                assert getattr(back, name)[c].tolist() == ids.tolist()
+
+    def test_sets_without_classes_and_a_train_set_of_none(self, tmp_path):
+        split = make_split(labeled_line_cube([6, 9]), 0.2, 0.0, seed=0)
+        assert all(ids.size == 0 for ids in split.train_ids.values())
+        assert written_split(split, tmp_path / "a.json") == reference_text(split)
+        empty = data_module.Split({}, {}, {}, 0)
+        assert written_split(empty, tmp_path / "b.json") == reference_text(empty)
+        assert (tmp_path / "b.json").read_bytes() == (
+            b'{"dictionary_ids": {}, "seed": 0, "test_ids": {}, "train_ids": {}}\n')
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 40), st.lists(st.one_of(
+               st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 9, 10, -1, -10, 2**63 - 1])),
+               max_size=30), max_size=12),
+           st.integers(0, 2**64 - 1), st.integers(1, 7))
+    def test_bytes_equal_the_reference_document_property(self, tmp_path_factory, groups, seed,
+                                                         per_write):
+        # any int64 ids, any class keys, and writes of a few ids at a time
+        ids = {c: np.array(v, dtype=np.int64) for c, v in groups.items()}
+        split = data_module.Split(ids, dict(reversed(ids.items())), {}, seed)
+        path = tmp_path_factory.mktemp("split") / "split.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "IDS_PER_WRITE", per_write)
+            assert written_split(split, path) == reference_text(split)
 
 
 class TestExtractPixels:
