@@ -10,9 +10,9 @@ types each key its subcommand reads; other keys are ignored. Each input
 rule has one owner. The CLI owns the spellings (flags, JSON keys, and
 "lambda" for "lam", only here), the kinds (solver parameters' from
 classify.PARAM_TYPES) and the ranges no library call checks: seeds >= 0,
-bands, atoms, gradcheck's tol and the grid. The library call that
-takes any other value checks it, and data.check_split a split file. The
-CLI reads no file: data reads, checks and hashes every input file.
+gradcheck's tol and the grid. The library call that takes any other value
+checks it, and data.check_split a split file. The CLI reads no file: data
+reads, checks and hashes every input file, each once.
 A subcommand does its work first. Only when that succeeds does one call,
 ``_write_run``, make --out and write the outputs and then, last,
 manifest.json: the effective typed config (every key read, defaults filled
@@ -23,10 +23,9 @@ failed gradcheck, which writes its errors and manifest, then exits 1. Each
 input hash comes from the reader that parsed the file, of the bytes parsed,
 so --out may be an input's directory; of a bundle its three files are
 listed. Train, eval and sweep take their splits from the labels-only cube
-(data.read_labels), then read data.bin once and keep only the spectra of
-the pixels those splits read (classify.read_ids); the run fails if
-header.json or labels.bin changed between the two reads. Train and eval
-drop the cube once the dictionary and the pixels to code are extracted.
+(data.read_labels), which data.load_bundle then completes with the spectra
+of the pixels those splits read (classify.read_ids). Train and eval drop
+the cube once the dictionary and the pixels to code are extracted.
 
 Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 3 config error. ``run`` prints one JSON line: a handler's summary to
@@ -178,7 +177,6 @@ class Key(NamedTuple):
 _DRAW = ("split", "train", "eval", "sweep")  # read a bundle and draw a split
 _CODE = ("eval", "sweep")  # classify with a solver
 _FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
-_EXTENT = ("be >= 1 and below 2**63", lambda v: 1 <= v < 2 ** 63)  # numpy's array extents
 _NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)  # a seed: np.random.default_rng takes any int >= 0
 
 KEYS = {
@@ -232,8 +230,8 @@ KEYS = {
     "runs": Key(("--runs",), integer, {"sweep": 5}),
     "base_seed": Key(("--base-seed",), integer, {"sweep": 0}, _NON_NEGATIVE),
     "fd_step": Key(("--fd-step",), real, {"gradcheck": 1e-6}),
-    "bands": Key(("--bands",), integer, {"gradcheck": 20}, _EXTENT),
-    "atoms": Key(("--atoms",), integer, {"gradcheck": 40}, _EXTENT),
+    "bands": Key(("--bands",), integer, {"gradcheck": 20}),
+    "atoms": Key(("--atoms",), integer, {"gradcheck": 40}),
     "n_classes": Key(("--classes",), integer, {"gradcheck": 2}),
     "report": Key(("--report",), str, {"report": REQUIRED}, help="path to a report.json"),
     "csv_out": Key(("--csv",), str, {"report": None}, help="also write per-class rows as CSV"),
@@ -326,14 +324,9 @@ def _read_json(path, what: str, parse, inputs: dict):
 
 
 def _load_cube(config: dict, inputs: dict, keep=(), labeled=None):
-    """The bundle read once (load_bundle), holding the spectra of ``keep``;
-    ``inputs`` gets its files' hashes. With ``labeled``, the labels-only cube
-    the run's splits came from, a header.json or labels.bin whose bytes
-    changed since that read is a config error."""
-    cube = _checked(load_bundle, config["bundle"], keep)
-    for path, digest in (labeled.digests if labeled else {}).items():
-        if cube.digests[path] != digest:
-            raise ConfigError(f"bundle file {path} changed while the run read it")
+    """load_bundle's cube of the ``keep`` pixels, completing ``labeled`` (the labels-only
+    cube the run's splits came from) when given; ``inputs`` gets its files' hashes."""
+    cube = _checked(load_bundle, config["bundle"], keep, labeled)
     inputs.update(cube.digests)
     return cube
 

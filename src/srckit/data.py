@@ -14,14 +14,14 @@ A cube holds every label, and the band-major spectra of the pixels it
 holds with their flat ids. A run needs only a small labelled fraction of a
 scene, and its split depends only on labels.bin, so it reads the bundle in
 two steps: ``read_labels`` gives the cube of no pixels a split is drawn from
-(or checked on), then ``load_bundle(path, keep)`` reads data.bin once, a
-chunk of band planes at a time, and keeps the spectra of the ``keep``
-pixels. Every chunk is hashed and checked for finite values, so a bundle
-fault fails the same way whatever is kept. This module reads every input
-file a run reads, each once: the bundle, a pixel CSV and the JSON files
-(``read_json``: header.json and the CLI's config, split, params and report
-files). Each reader returns the SHA-256 of the bytes it parsed (a cube
-carries its files' as ``digests``), so a manifest never reads them again.
+(or checked on), then ``load_bundle(path, keep, labeled)`` completes it:
+it reads data.bin once, a chunk of band planes at a time, and keeps the
+spectra of the ``keep`` pixels. Every chunk is hashed and checked for finite
+values, so a bundle fault fails the same way whatever is kept. This module
+reads every input file a run reads, each once: the bundle, a pixel CSV and
+the JSON files (``read_json``: header.json and the CLI's config, split,
+params and report files). Each reader returns the SHA-256 of the bytes it
+parsed (a cube carries its files' as ``digests``), so no file is read again.
 """
 from __future__ import annotations
 
@@ -37,6 +37,8 @@ import numpy as np
 _HEADER_NAME = "header.json"
 _DATA_NAME = "data.bin"
 _LABELS_NAME = "labels.bin"
+_HEADER = {"height": int, "width": int, "bands": int, "classes": int,  # extents: ints >= 0
+           "dtype": "f64le", "label_dtype": "i32le", "order": "band-major"}
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -241,7 +243,7 @@ def read_labels(path) -> LabeledCube:
     """The labels-only cube of a bundle directory: every label and no
     spectra. Checks that the directory and its three files exist, header.json,
     data.bin's size (without reading it) and labels.bin; ``digests`` holds the
-    hashes of header.json and labels.bin. ``load_bundle`` starts with this read."""
+    hashes of header.json and labels.bin. ``load_bundle`` completes this cube."""
     if not Path(path).is_dir():
         raise FileNotFoundError(f"bundle directory not found: {path}")
     header_path, data_path, labels_path = (Path(path) / name
@@ -255,14 +257,14 @@ def read_labels(path) -> LabeledCube:
     except ValueError as exc:
         raise BundleFormatError(_HEADER_NAME, str(exc)) from exc
 
-    for key in ("height", "width", "bands", "classes"):
-        if key not in header:
+    for key, expected in _HEADER.items():
+        if expected is not int:
+            if header.get(key) != expected:
+                raise BundleFormatError(key, f"expected {expected!r}, got {header.get(key)!r}")
+        elif key not in header:
             raise BundleFormatError(key, "missing from header.json")
-        if type(header[key]) is not int or header[key] < 0:  # bool is an int subclass
+        elif type(header[key]) is not int or header[key] < 0:  # bool is an int subclass
             raise BundleFormatError(key, f"expected nonnegative integer, got {header[key]!r}")
-    for key, expected in (("dtype", "f64le"), ("label_dtype", "i32le"), ("order", "band-major")):
-        if header.get(key) != expected:
-            raise BundleFormatError(key, f"expected {expected!r}, got {header.get(key)!r}")
 
     h, w, b = header["height"], header["width"], header["bands"]
     if h < 1 or w < 1 or b < 1:
@@ -290,18 +292,23 @@ def _check_data_size(size: int, b: int, h: int, w: int) -> None:
             "data.bin", f"expected {h * w * b * 8} bytes for {b}x{h}x{w}, got {size}")
 
 
-def load_bundle(path, keep=None) -> LabeledCube:
+def load_bundle(path, keep=None, labeled=None) -> LabeledCube:
     """Read a bundle directory into a LabeledCube, byte-exact, no scaling.
 
-    Reads the labels (``read_labels``), then data.bin once, CHUNK_BYTES of
-    band planes at a time. Every chunk is hashed and checked for finite
-    values. The cube holds the pixels whose flat ids are in ``keep`` (any
-    order, repeats allowed), every pixel when ``keep`` is None, and no pixel
-    when it is empty. A cube of every pixel reads each chunk in place; any
-    other copies its columns out of one reused chunk buffer.
-    """
-    cube = read_labels(path)
+    Completes ``labeled``, the cube ``read_labels(path)`` returned (that read
+    when None), keeping its labels array and digests; one of another bundle,
+    or holding spectra, is a ValueError. Reads data.bin once, CHUNK_BYTES of
+    band planes at a time, each chunk hashed and checked for finite values.
+    The cube holds the pixels whose flat ids are in ``keep`` (any order,
+    repeats allowed), every pixel when ``keep`` is None, and no pixel when
+    it is empty. A cube of every pixel reads each chunk in place; any other
+    copies its columns out of one reused buffer."""
+    cube = read_labels(path) if labeled is None else labeled
     data_path = Path(path) / _DATA_NAME
+    if set(cube.digests) != {str(data_path.with_name(name)) for name in
+                             (_HEADER_NAME, _LABELS_NAME)} or cube.held.size:
+        raise ValueError(f"expected the labels-only cube of {Path(path)}, got one of "
+                         f"{cube.held.size} pixels read from {sorted(cube.digests)}")
     (h, w), b = cube.labels.shape, cube.bands
     n = h * w
     held = np.sort(np.asarray(np.arange(n) if keep is None else keep, dtype=np.int64).ravel())
@@ -326,8 +333,8 @@ def load_bundle(path, keep=None) -> LabeledCube:
                 raise BundleFormatError("data", "non-finite values present")
             if not every:
                 np.take(chunk, held, axis=1, out=spectra[start:stop])
-    cube.digests[str(data_path)] = digest.hexdigest()
-    return LabeledCube(cube.labels, spectra, held, cube.digests)
+    return LabeledCube(cube.labels, spectra, held,
+                       {**cube.digests, str(data_path): digest.hexdigest()})
 
 
 def save_bundle(cube: LabeledCube, path) -> None:
@@ -338,15 +345,8 @@ def save_bundle(cube: LabeledCube, path) -> None:
                          f"{cube.held.size} of {cube.labels.size} pixels' spectra")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    header = {
-        "height": cube.height,
-        "width": cube.width,
-        "bands": cube.bands,
-        "classes": cube.n_classes,
-        "dtype": "f64le",
-        "label_dtype": "i32le",
-        "order": "band-major",
-    }
+    header = {**_HEADER, "height": cube.height, "width": cube.width, "bands": cube.bands,
+              "classes": cube.n_classes}
     (root / _HEADER_NAME).write_text(json.dumps(header, sort_keys=True), encoding="utf-8")
     (root / _DATA_NAME).write_bytes(cube.spectra.astype("<f8", copy=False))
     (root / _LABELS_NAME).write_bytes(cube.labels.astype("<i4", copy=False))

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .solvers import SparseCode, admm_stage, check_ranges, soft_threshold
+from .solvers import ARRAY_CAP, SparseCode, admm_stage, check_ranges, soft_threshold
 
 RHO_FLOOR = 1e-6
 TAU_FLOOR = 1e-6
@@ -112,6 +112,7 @@ class NetParams:
     @classmethod
     def default(cls, n_stages: int = DEFAULT_STAGES, rho: float = 1.0, eta: float = 0.1,
                 tau: float = 1.0, relax: float = 1.0) -> "NetParams":
+        """Every stage at (rho, eta, tau); rho's n_stages + 1 entries fit ARRAY_CAP bytes."""
         check_ranges(n_stages=n_stages)
         return cls(rho=np.full(n_stages + 1, rho), eta=np.full(n_stages, eta),
                    tau=np.full(n_stages, tau), relax=relax)
@@ -435,11 +436,12 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     a whole gradient group exactly 0: at the default eta = 0.1 no stage's
     shrinkage passes an atom, so eta's gradient is 0 and it never moves.
     Each step moves rho, and the dictionary's gram_cache solves at any rho.
+    The history of ``epochs`` rows must fit solvers.ARRAY_CAP bytes.
     """
     if learning_rate < 0:
         raise ValueError(f"learning_rate must be nonnegative, got {learning_rate}")
-    if not 1 <= epochs < 2 ** 63:  # history has one row an epoch
-        raise ValueError(f"epochs must be >= 1 and below 2**63, got {epochs}")
+    if not 1 <= epochs <= ARRAY_CAP // HISTORY.itemsize:  # history has one row an epoch
+        raise ValueError(f"epochs must be >= 1, <= {ARRAY_CAP // HISTORY.itemsize}, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     labels = np.asarray(labels, dtype=np.int64)

@@ -68,6 +68,8 @@ class SparseCode:
         return np.nonzero(self.coeffs)[0]
 
 
+ARRAY_CAP = 2 ** 40  # the most bytes of one array that a dimension key sizes (1 TiB)
+
 # Each solver parameter's range as (what it is, the range, its test). K's range
 # and samp's cap on step depend on the dictionary (check_sizes).
 PARAM_RANGES = {
@@ -79,8 +81,8 @@ PARAM_RANGES = {
     "rho": ("penalty", "be > 0", lambda v: v > 0),
     "tau": ("dual step rate", "be > 0", lambda v: v > 0),
     "relax": ("relaxation scalar", "lie in (0, 2]", lambda v: 0 < v <= 2),
-    # an array extent: numpy takes none of 2**63 or more
-    "n_stages": ("network depth", "be >= 1 and below 2**63", lambda v: 1 <= v < 2 ** 63),
+    # rho holds n_stages + 1 float64 entries
+    "n_stages": ("network depth", f"be >= 1, < {ARRAY_CAP // 8}", lambda v: 0 < v < ARRAY_CAP // 8),
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import network
 from .dictionary import Dictionary, assemble
-from .solvers import check_ranges
+from .solvers import ARRAY_CAP, check_ranges
 
 
 def random_unit_dictionary(seed: int, n_bands: int, n_atoms: int,
@@ -33,15 +33,18 @@ def gradcheck_instance(seed: int, n_bands: int = 20, n_atoms: int = 40,
     Returns (dictionary, x, y_onehot, params). Deterministic given seed.
     With one class the softmax loss and every gradient are identically 0, so
     ``n_classes`` below 2 raises ValueError, as do more classes than atoms
-    (a class without an atom) and an ``n_stages`` outside
-    ``solvers.PARAM_RANGES``. With one band and classes of
-    equal size the residuals tie at every draw (the loss is ln C and every
-    gradient is rounding noise); when no draw of ``max_draws`` qualifies,
-    ValueError too.
+    (a class without an atom), an ``n_stages`` outside ``solvers.PARAM_RANGES``
+    and, before any array is made, a dictionary of no band or past
+    solvers.ARRAY_CAP bytes. With one band and classes of equal size the
+    residuals tie at every draw (the loss is ln C and every gradient is
+    rounding noise); when no draw of ``max_draws`` qualifies, ValueError too.
     """
     if not 2 <= n_classes <= n_atoms:
         raise ValueError(f"n_classes must be >= 2 for a nonzero loss and at most "
                          f"n_atoms ({n_atoms}), got {n_classes}")
+    if n_bands < 1 or n_bands * n_atoms * 8 > ARRAY_CAP:  # n_atoms >= n_classes >= 2
+        raise ValueError(f"n_bands must be >= 1 and n_bands x n_atoms float64 fit {ARRAY_CAP} "
+                         f"bytes, got n_bands={n_bands} and n_atoms={n_atoms}")
     check_ranges(n_stages=n_stages)
     rng = np.random.default_rng(seed)
     per_class = n_atoms // n_classes

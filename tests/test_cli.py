@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srckit
-from srckit import classify, cli, data, solvers
+from srckit import classify, cli, data, network, solvers
 from srckit.classify import (SOLVER_NAMES, SOLVER_PARAMS, ClassificationReport,
                              classify_testset, evaluate, sweep)
 from srckit.data import (LabeledCube, Split, draw_splits, extract_pixels, load_bundle,
@@ -370,12 +370,25 @@ def test_huge_integral_value_is_config_error_naming_its_key(capsys, bundle, tmp_
     ("train", ["--epochs", 2**64], "epochs"),
     ("sweep", ["--runs", data.RUNS_CAP + 1], "runs"),
     ("sweep", ["--runs", 2**63], "runs"),
+    # past solvers.ARRAY_CAP bytes, each checked before any array is made
+    ("gradcheck", ["--atoms", 2**62], "atoms"),
+    ("gradcheck", ["--stages", 2**62], "stages"),
+    ("gradcheck", ["--atoms", 2**62, "--classes", 3], "atoms"),
+    ("train", ["--stages", 2**62], "stages"),
+    ("train", ["--epochs", 2**62], "epochs"),
+    ("gradcheck", ["--bands", 2**40], "bands"),
+    ("gradcheck", ["--bands", solvers.ARRAY_CAP // (8 * 40) + 1], "bands"),
+    ("gradcheck", ["--stages", solvers.ARRAY_CAP // 8], "stages"),
+    ("train", ["--epochs", solvers.ARRAY_CAP // network.HISTORY.itemsize + 1], "epochs"),
+    ("gradcheck", ["--bands", 0], "bands"),
+    ("gradcheck", ["--atoms", 0, "--classes", 0], "atoms"),
 ])
 def test_value_past_an_extent_is_config_error_naming_its_key(capsys, bundle, tmp_path,
                                                              command, argv, key):
-    """An integer no array extent can take (2**63 or more; for n_classes more
-    than the atoms; for runs more than data.RUNS_CAP) is a config error
-    that names its key and value, with no RuntimeWarning and no --out."""
+    """An integer no array can take (one past solvers.ARRAY_CAP bytes, or
+    below 1; for n_classes more than the atoms; for runs more than
+    data.RUNS_CAP) is a config error that names its key and value, with no
+    RuntimeWarning and no --out."""
     data_argv = [] if command == "gradcheck" else ["--bundle", bundle, *DATA]
     if command == "sweep":
         data_argv += ["--solver", "omp", "--param", "k", "--grid", "1"]
@@ -496,12 +509,22 @@ def test_bad_bundle_is_config_error(capsys, tmp_path, command, message):
     assert not (tmp_path / "out").exists()
 
 
+# what each run writes besides manifest.json
+RUN_OUTPUTS = {"train": ["params.json", "split.json", "train_history.csv"],
+               "eval": ["labels_pred.bin", "report.json"], "sweep": ["sweep.csv", "sweep.json"]}
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-def test_labels_rewritten_after_the_split_fail_the_run(capsys, monkeypatch, tmp_path, command):
-    """A run's splits and cube come from one version of labels.bin: one
-    rewritten between the labels-only read and the load is a config error."""
+def test_labels_rewritten_after_the_split_leave_the_run_as_read(capsys, monkeypatch, tmp_path,
+                                                                 command):
+    """A run reads labels.bin once: one rewritten between the labels-only
+    read and the pixel load changes neither its split nor its outputs, and
+    its manifest hashes the bytes it read."""
     save_bundle(tiny_cube(), tmp_path / "bundle")
     labels_path = tmp_path / "bundle" / "labels.bin"
+    argv = [command, "--bundle", tmp_path / "bundle", *BUNDLE_COMMANDS[command]]
+    assert run(capsys, *argv, "--out", tmp_path / "as_read") == (0, None)
+    read = sha256(labels_path)
     draw = data.make_split
 
     def rewriting(*args, **kwargs):
@@ -511,11 +534,13 @@ def test_labels_rewritten_after_the_split_fail_the_run(capsys, monkeypatch, tmp_
         return draw(*args, **kwargs)
     monkeypatch.setattr(data, "make_split", rewriting)  # sweep draws through data.draw_splits
     monkeypatch.setattr(cli, "make_split", rewriting)
-    status, err = run(capsys, command, "--bundle", tmp_path / "bundle",
-                      *BUNDLE_COMMANDS[command], "--out", tmp_path / "out")
-    assert (status, err["kind"]) == (3, "config")
-    assert err["message"] == f"bundle file {labels_path} changed while the run read it"
-    assert not (tmp_path / "out").exists()
+    assert run(capsys, *argv, "--out", tmp_path / "out") == (0, None)
+    assert sha256(labels_path) != read
+    for name in RUN_OUTPUTS[command]:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "as_read" / name).read_bytes()
+    manifest = read_json(tmp_path / "out" / "manifest.json")
+    assert manifest["inputs"][str(labels_path)] == read
+    assert manifest["inputs"] == read_json(tmp_path / "as_read" / "manifest.json")["inputs"]
 
 
 def test_flag_overrides_config_key(capsys, bundle, tmp_path):
@@ -579,9 +604,12 @@ class TestManifestHashes:
         assert not (tmp_path / "out").exists()
 
 
+BUNDLE_FILES = ["data.bin", "header.json", "labels.bin"]
+
+
 def bundle_files(path):
     """A bundle's three files, the only ones a run reads from it."""
-    return [path / name for name in ("data.bin", "header.json", "labels.bin")]
+    return [path / name for name in BUNDLE_FILES]
 
 
 def disk_hashes(*paths):
@@ -590,10 +618,8 @@ def disk_hashes(*paths):
     return {str(f): sha256(f) for f in files}
 
 
-# the files data reads whole (data._read) in a run of each subcommand on a
-# bundle: header.json and labels.bin once, and a second time in the runs
-# that draw their splits from the labels before they load the pixels
-BUNDLE_READS = {"split": 1, "ingest": 1, "eval": 2, "sweep": 2, "train": 2}
+# the reads of each bundle file in a run of each subcommand that reads a bundle
+BUNDLE_READS = dict.fromkeys(BUNDLE_COMMANDS, 1)
 
 
 class TestManifestDigests:
@@ -602,14 +628,21 @@ class TestManifestDigests:
 
     @pytest.fixture
     def hashed(self, monkeypatch):
-        """The name of each file data reads whole, in the order read."""
+        """The name of each file data reads, whole (data._read) or in chunks
+        (data.bin, through ``open``), in the order read."""
         seen = []
         read = data._read
 
         def spy(path, what):
             seen.append(Path(path).name)
             return read(path, what)
+
+        def opening(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                seen.append(Path(file).name)
+            return open(file, mode, *args, **kwargs)
         monkeypatch.setattr(data, "_read", spy)
+        monkeypatch.setattr(data, "open", opening, raising=False)
         return seen
 
     @pytest.mark.parametrize("argv", [
@@ -623,7 +656,7 @@ class TestManifestDigests:
                         *(DATA if argv[0] != "ingest" else []), *argv[1:], "--out", tmp_path)
         assert status == 0
         assert read_json(tmp_path / "manifest.json")["inputs"] == disk_hashes(bundle)
-        assert sorted(hashed) == sorted(["header.json", "labels.bin"] * BUNDLE_READS[argv[0]])
+        assert sorted(hashed) == sorted(BUNDLE_FILES * BUNDLE_READS[argv[0]])
 
     def test_saved_inputs_are_hashed_from_disk_and_other_bundle_files_are_not_inputs(
             self, capsys, hashed, bundle, trained, tmp_path):
@@ -638,7 +671,7 @@ class TestManifestDigests:
         assert status == 0
         inputs = read_json(tmp_path / "out" / "manifest.json")["inputs"]
         assert inputs == disk_hashes(*bundle_files(copy), split_path, params_path)
-        assert sorted(hashed) == sorted(["header.json", "labels.bin"] * BUNDLE_READS["eval"]
+        assert sorted(hashed) == sorted(BUNDLE_FILES * BUNDLE_READS["eval"]
                                         + ["params.json", "split.json"])
 
     def test_ingest_into_its_bundle_lists_only_what_it_read(self, capsys, tmp_path):
@@ -1986,3 +2019,43 @@ def test_the_wrong_kind_configs_run(capsys, bundle, tmp_path, command):
     (tmp_path / "config.json").write_text(json.dumps(valid_configs(bundle, tmp_path)[command]),
                                           encoding="utf-8")
     assert cli.run([command, "--config", str(tmp_path / "config.json")]) == 0
+
+
+MISSING_KEYS = [(command, key) for key, spec in cli.KEYS.items()
+                for command, default in spec.commands.items() if default is cli.REQUIRED]
+
+
+@pytest.mark.parametrize("command, key", MISSING_KEYS)
+def test_missing_required_key_is_config_error(capsys, bundle, tmp_path, command, key):
+    """Each REQUIRED key of each subcommand, dropped from a config that
+    otherwise runs: exit 3 naming the key, and no --out."""
+    config = valid_configs(bundle, tmp_path)[command]
+    assert key in config
+    (tmp_path / "config.json").write_text(
+        json.dumps({name: value for name, value in config.items() if name != key}),
+        encoding="utf-8")
+    status, err = run(capsys, command, "--config", tmp_path / "config.json")
+    assert (status, err["kind"], err["message"]) == (3, "config", f"missing required key: {key}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, saved", [(command, False) for command in cli._SUBCOMMANDS]
+                         + [("train", True), ("eval", True)])
+def test_manifest_lists_exactly_the_keys_read(bundle, trained, tmp_path, command, saved):
+    """A run's manifest lists each key its subcommand reads that is set or
+    has a default (train's unset train_seed is the split seed), and no
+    split-draw key when a saved split is given."""
+    report = evaluate([1, 2, 2], [1, 2, 1], 2)
+    (tmp_path / "report.json").write_text(json.dumps(report.to_json()), encoding="utf-8")
+    config = {**valid_configs(bundle, tmp_path)[command], "out": str(tmp_path / "out")}
+    if saved:
+        config["split_file"] = str(trained / "split.json")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.run([command, "--config", str(tmp_path / "config.json")]) == 0
+    read = {key for key, spec in cli.KEYS.items()
+            if command in spec.commands and (key in config or spec.commands[command] is not None)}
+    if saved:
+        read -= {"seed", "dict_frac", "train_frac"}
+    if command == "train":
+        read.add("train_seed")
+    assert set(read_json(tmp_path / "out" / "manifest.json")["config"]) == read

@@ -602,6 +602,43 @@ class TestStreamedLoad:
         assert cube.labels.tobytes() == load_bundle(tmp_path / "b").labels.tobytes()
         assert load_bundle(tmp_path / "b", ()).spectra.shape == (12, 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_completing_the_labels_read_equals_a_fresh_load(self, tmp_path_factory, h, w, b,
+                                                            seed, data):
+        """load_bundle(path, keep, read_labels(path)) is load_bundle(path,
+        keep), reads only data.bin, and shares the labels it was given."""
+        path = tmp_path_factory.mktemp("bundle") / "b"
+        save_bundle(random_cube(seed, h, w, b, n_classes=2), path)
+        n = h * w
+        keep = data.draw(st.one_of(
+            st.sampled_from([None, [], list(range(n))]), st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), max_size=2 * n)), label="keep")
+        labeled = read_labels(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "_read", lambda *args: pytest.fail(f"read {args}"))
+            got = load_bundle(path, keep, labeled)
+        want = load_bundle(path, keep)
+        assert got.labels is labeled.labels
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.spectra.shape == want.spectra.shape
+        assert got.spectra.tobytes() == want.spectra.tobytes()
+        assert got.held.tolist() == want.held.tolist()
+        assert got.digests == want.digests == file_hashes(path)
+        assert len(labeled.digests) == 2  # the cube given is left as it was
+
+    def test_labels_cube_of_another_bundle_or_holding_spectra(self, tmp_path):
+        write_bundle(tmp_path / "a")
+        write_bundle(tmp_path / "b")
+        labeled = read_labels(tmp_path / "a")
+        holding = LabeledCube(labeled.labels, np.ones((12, 20)), digests=labeled.digests)
+        for cube in (read_labels(tmp_path / "b"), load_bundle(tmp_path / "a", ()),
+                     load_bundle(tmp_path / "a", [1, 2]), holding, random_cube(0)):
+            with pytest.raises(ValueError, match="expected the labels-only cube of"):
+                load_bundle(tmp_path / "a", [1], cube)
+        assert load_bundle(tmp_path / "a", [1], labeled).held.tolist() == [1]
+
     @pytest.mark.parametrize("band", [0, 5, 11], ids=["first-chunk", "middle", "last-chunk"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_outside_keep(self, monkeypatch, tmp_path, band, value):
