@@ -177,7 +177,9 @@ class Key(NamedTuple):
 _DRAW = ("split", "train", "eval", "sweep")  # read a bundle and draw a split
 _CODE = ("eval", "sweep")  # classify with a solver
 _FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
-_NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)  # a seed: np.random.default_rng takes any int >= 0
+# a seed: train's data.PCG64 and gradcheck's np.random.default_rng take any
+# int >= 0, and data.check_seed caps a split seed
+_NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)
 
 KEYS = {
     "out": Key(("--out",), str, {**dict.fromkeys(_SUBCOMMANDS, REQUIRED), "report": None},

@@ -22,6 +22,10 @@ reads every input file a run reads, each once: the bundle, a pixel CSV and
 the JSON files (``read_json``: header.json and the CLI's config, split,
 params and report files). Each reader returns the SHA-256 of the bytes it
 parsed (a cube carries its files' as ``digests``), so no file is read again.
+
+Its two PRNGs reproduce without numpy.random: ``SplitMix64`` draws splits,
+and ``PCG64`` is numpy's ``default_rng(seed)`` stream, bit for bit, from
+which ``network.train`` takes each epoch's batch order.
 """
 from __future__ import annotations
 
@@ -40,7 +44,9 @@ _LABELS_NAME = "labels.bin"
 _HEADER = {"height": int, "width": int, "bands": int, "classes": int,  # extents: ints >= 0
            "dtype": "f64le", "label_dtype": "i32le", "order": "band-major"}
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 class BundleFormatError(ValueError):
@@ -118,6 +124,85 @@ class SplitMix64:
         items[:] = items[np.where(following == steps, partner, writer[following])]
 
 
+class PCG64:
+    """``np.random.default_rng(seed)``'s stream and ``permutation``, bit for
+    bit, without importing numpy.random (6.4 MiB resident), and pinned
+    against a numpy whose Generator streams change (NEP 19). numpy's
+    SeedSequence hashes the seed's 32-bit words into a pool of four and draws
+    four uint64 words from it, the state and the stream increment of PCG64
+    (XSL-RR 128/64, setseq). A 32-bit draw is the low half of a 64-bit
+    output, the next one its high half."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        seed = seed.__index__()
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
+        const = 0x43B0D7E5
+
+        def hashed(value, mult=0x931E8875):
+            nonlocal const
+            value ^= const
+            const = const * mult & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mixed(x, y):
+            x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return x ^ x >> 16
+
+        pool = [hashed(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mixed(pool[dst], hashed(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mixed(pool[dst], hashed(word))
+        const = 0x8B51F9DD
+        out = [hashed(pool[i % 4], 0x58F38DED) for i in range(8)]
+        seed_hi, seed_lo, inc_hi, inc_lo = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+        self._inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        self._state = ((self._inc + (seed_hi << 64 | seed_lo)) * self._MULT + self._inc) & _MASK128
+        self._half = None  # the high half of the last 64-bit output, not yet drawn
+
+    def _next64(self) -> int:
+        self._state = (self._state * self._MULT + self._inc) & _MASK128
+        x = (self._state >> 64 ^ self._state) & _MASK64
+        rot = self._state >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def _interval(self, bound: int) -> int:
+        """numpy's random_interval for a bound >= 1: a draw in [0, bound],
+        masked to bound's bit length and drawn again while above it, 32-bit
+        while the bound fits 32 bits."""
+        mask = (1 << bound.bit_length()) - 1
+        draw = self._next32 if bound <= _MASK32 else self._next64
+        while (value := draw() & mask) > bound:
+            pass
+        return value
+
+    def permutation(self, n: int) -> np.ndarray:
+        """``Generator.permutation(n)``: np.arange(n) shuffled as
+        ``Generator.shuffle`` does, for i = n-1 down to 1 swapping item i with
+        item ``_interval(i)``."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self._interval(i)
+            items[i], items[j] = items[j], items[i]
+        return np.array(items, dtype=np.int64)
+
+
 # The bytes of data.bin that load_bundle reads at a time: whole band planes,
 # at least one. A load that keeps every pixel reads each chunk in place; any
 # other reads them into one buffer of this size, and freeing it on return
@@ -128,10 +213,12 @@ class SplitMix64:
 # 256-column blocks many of its temporaries pass 128 KiB. So a smaller buffer
 # waits on that kernel. A run's peak resident memory is the larger of this
 # load (the buffer beside the kept spectra) and one coded block's working
-# memory, as every coding path holds one block's at a time. In perfbench
-# (seed 7, the resident peak read after each phase) coding sets all four:
-# a block eval's, one trace train's, and sweep-l1's fista blocks lift the
-# peak of its load by 0.3-0.4 MiB.
+# memory, as every coding path holds one block's at a time. In perfbench's
+# seed-7 commands (the resident peak read after each phase) coding lifts the
+# load's peak on all four: 0.7 MiB for eval-greedy's blocks and 1.3 for
+# eval-asdn's, 0.8 for train's one trace (3.0 while train imported
+# numpy.random) and 0.2 for sweep-l1's fista blocks; writing the outputs
+# adds 0.1-0.25 MiB more.
 CHUNK_BYTES = 4_500_000
 
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import PCG64
 from .dictionary import Dictionary
 from .solvers import ARRAY_CAP, SparseCode, admm_stage, check_ranges, soft_threshold
 
@@ -136,7 +137,12 @@ class NetParams:
     def from_json(cls, doc: dict) -> "NetParams":
         """The inverse of ``to_json``. relax and every group entry must be a
         JSON number, and n_stages, which may be left out, a JSON integer: a
-        ValueError names any other value (a bool or a string) and its field."""
+        ValueError names any other value (a bool or a string) and its field,
+        and any key ``to_json`` does not write, so no field is ignored."""
+        unknown = sorted(set(doc) - {"n_stages", "relax", *FLOORS})
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+
         def number(value, where):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{where} {value!r} is not a number")
@@ -421,6 +427,10 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     """Projected minibatch gradient descent over the stage parameters, from
     ``init`` (None: NetParams.default()).
 
+    Each epoch's batch order is a ``permutation`` of the training pixels
+    drawn from one ``data.PCG64(seed)``: numpy's ``default_rng(seed)``
+    stream, reimplemented bit for bit in srckit, so training never imports
+    numpy.random and keeps its order whatever numpy's Generator does later.
     Each step runs its minibatch through forward and backward in blocks of at
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
     order, so runs are bit-reproducible), and takes one ``NetParams.stepped``
@@ -454,7 +464,7 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     covered = np.count_nonzero(np.bincount(labels))  # np.unique would import numpy.ma
 
     params = (NetParams.default() if init is None else init).copy()
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     history = np.zeros(epochs, dtype=HISTORY)
     predicted = np.empty(n, dtype=np.int64)  # an epoch's, in its order
     collapsed, frozen = [], []  # (epoch, class) and (epoch, groups) at each fault

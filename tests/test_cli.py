@@ -1035,6 +1035,68 @@ def test_json_input_that_is_not_one_object_is_config_error(bundle, trained, name
         assert not out.exists()
 
 
+def test_unknown_params_key_is_config_error(bundle, trained, tmp_path):
+    # a key to_json does not write, such as a gamma a later network learns,
+    # must not be run without it
+    path, argv = json_inputs(tmp_path, bundle, trained)["params"]
+    path.write_text(json.dumps({**read_json(path), "gamma": 3}), encoding="utf-8")
+    status, stdout, stderr = run_quiet([*argv, "--out", tmp_path / "out"])
+    assert (status, stdout) == (3, "")
+    err = json.loads(stderr)
+    assert err["kind"] == "config"
+    assert f"network params file {path} is malformed" in err["message"]
+    assert "unknown key 'gamma'" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# the raw JSON text that replaces one value of a params file: each JSON kind,
+# values at and below each floor, past a float64 and a huge integer
+PARAMS_VALUES = ["null", "true", '"1"', "[]", "{}", "-1", "0", "1e-7", "0.5", "2", "3",
+                 "1e400", "-1e400", "1" + "0" * 400]
+
+
+def changed_params(doc, key, index, change):
+    """The text of ``doc`` with one change: "drop" deletes ``key`` (or its
+    entry ``index``, when it is an array), "append" lengthens it, and any
+    other ``change`` is the raw JSON text of its new value."""
+    doc = json.loads(json.dumps(doc))
+    holder, slot = ((doc[key], index) if index is not None and isinstance(doc[key], list)
+                    else (doc, key))
+    if change == "drop":
+        del holder[slot]
+    elif change == "append":
+        doc[key] = [*doc[key], 1.0] if isinstance(doc[key], list) else [doc[key]]
+    else:
+        holder[slot] = "@"
+    return json.dumps(doc).replace('"@"', change)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["n_stages", "relax", "rho", "eta", "tau"]), st.sampled_from([None, 0, -1]),
+       st.sampled_from(["drop", "append", *PARAMS_VALUES]))
+@example("relax", None, "1e400")
+@example("rho", 0, "1" + "0" * 400)
+@example("n_stages", None, "1" + "0" * 400)
+@example("tau", -1, "1e-7")
+@example("eta", None, "append")
+def test_generated_params_file_fault(bundle, trained, key, index, change):
+    """One change to one entry of a params file that train wrote: the run
+    exits 0, or 3 with one JSON line on stderr and no --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, argv = json_inputs(Path(tmp), bundle, trained)["params"]
+        path.write_text(changed_params(read_json(path), key, index, change), encoding="utf-8")
+        out = Path(tmp) / "out"
+        status, stdout, stderr = run_quiet([*argv, "--out", out])
+        assert status in (0, 3)
+        if status == 3:
+            assert stdout == "" and not out.exists()
+            lines = stderr.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["kind"] == "config"
+        else:
+            assert (out / "manifest.json").is_file()
+
+
 HEADER_FAULTS = {"number": b"5", "null": b"null", "string": b'"x"', "array": b"[]",
                  "repeated key": None, "not UTF-8": b'{"height": "\xff"}'}
 
@@ -1849,6 +1911,25 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_runs_leave_numpy_random_out(bundle, tmp_path):
+    """Importing numpy.random costs about 6.4 MiB resident: split draws with
+    data.SplitMix64 and train's batch order comes from data.PCG64, so no
+    split, train, eval or sweep run imports it."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [["split", *DATA], ["train", *BUNDLE_COMMANDS["train"]],
+            ["eval", *BUNDLE_COMMANDS["eval"]], ["eval", *DATA, "--solver", "asdn"],
+            ["sweep", *BUNDLE_COMMANDS["sweep"]]]
+    runs = [[argv[0], "--bundle", str(bundle), *map(str, argv[1:]),
+             "--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    probe = ("import json, sys; from srckit import cli; print(json.dumps([[cli.run(argv), "
+             "'numpy.random' in sys.modules] for argv in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, False]] * len(runs)
+
+
 def test_package_exports_exactly_the_names_it_binds():
     tree = ast.parse(Path(srckit.__file__).read_text(encoding="utf-8"))
     bound = {alias.asname or alias.name for node in tree.body
@@ -1908,6 +1989,27 @@ def test_only_data_reads_input_files():
                                           and node.module == "json" and reads & set(names)):
                     found.append(f"{path.name}:{node.lineno} imports {names}")
     assert found == [], f"only srckit.data reads input files: {found}"
+
+
+def test_only_synthetic_uses_numpy_random():
+    """No srckit module but synthetic.py (gradcheck's instance) names
+    np.random or numpy.random, so no run path imports it (about 6.4 MiB)."""
+    found = []
+    for path in sorted(Path(srckit.__file__).parent.glob("*.py")):
+        if path.name == "synthetic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [f"{node.value.id}.{node.attr}"] if isinstance(node.value, ast.Name) else []
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} names {name}" for name in names
+                      if re.match(r"(np|numpy)\.random\b", name)]
+    assert found == [], f"only srckit.synthetic uses numpy.random: {found}"
 
 
 # (key, command or None for every command that reads it, function, parameter);

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srckit import data as data_module
-from srckit.data import (BundleFormatError, LabeledCube, SplitMix64, class_counts,
+from srckit.data import (PCG64, BundleFormatError, LabeledCube, SplitMix64, class_counts,
                          extract_pixels, load_bundle, load_pixel_csv,
                          make_split, pixels_to_cube, read_labels, save_bundle)
 from split_reference import ReferenceSplitMix64, reference_split, split_doc
@@ -75,6 +75,51 @@ class TestSplitMix64:
         assert got.dtype == np.uint64
         assert got.tolist() == [ref.next_u64() for _ in range(1000)]
         assert int(rng.draws(1)[0]) == ref.next_u64()
+
+
+class TestPCG64:
+    """data.PCG64 against numpy.random, its reference: default_rng(seed) for
+    the permutations, and RandomState on numpy's PCG64 (a legacy stream
+    numpy keeps fixed) for the masked-rejection draws."""
+
+    def test_pinned_permutation(self):
+        # train's batch order at seed 0: frozen, whatever numpy's Generator does later
+        assert PCG64(0).permutation(10).tolist() == [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64) | st.integers(2**64, 2**300), st.integers(0, 3000))
+    @example(0, 0)
+    @example(0, 1)
+    @example(7, 169)
+    @example(2**100, 3000)
+    def test_permutations_equal_default_rng(self, seed, n):
+        # three calls on one generator, as over three epochs: the stream, a
+        # buffered 32-bit half included, carries from one to the next
+        rng, ref = PCG64(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = rng.permutation(n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref.permutation(n))
+
+    def test_negative_seed_is_value_error(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PCG64(-1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**64), st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=12))
+    @example(0, [2**32 - 1, 2**32, 5, 2**64 - 1, 2**63, 3, 2**40 + 3])
+    def test_interval_equals_masked_rejection(self, seed, bounds):
+        # bounds of 2**32 or more take 64-bit draws, which no permutation an
+        # array can hold reaches; the 32-bit half a 64-bit draw skips stays buffered
+        rng, ref = PCG64(seed), np.random.RandomState(np.random.PCG64(seed))
+        assert [rng._interval(b) for b in bounds] == [
+            int(ref.randint(0, b + 1, dtype=np.uint64)) for b in bounds]
+
+    def test_outputs_equal_raw_pcg64(self):
+        rng, ref = PCG64(2**100), np.random.PCG64(2**100)
+        assert [rng._next64() for _ in range(5)] == [int(v) for v in ref.random_raw(5)]
 
 
 class TestBundleRoundTrip:

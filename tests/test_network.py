@@ -61,6 +61,9 @@ class TestNetParams:
         del doc["n_stages"]
         doc["eta"] = [1]
         assert NetParams.from_json(doc).eta.tolist() == [1.0]
+        # a key to_json does not write is named, not ignored
+        with pytest.raises(ValueError, match="unknown key 'gamma', 'rh0'"):
+            NetParams.from_json({**doc, "rh0": doc["rho"], "gamma": 3})
 
     def test_json_round_trip_exact(self):
         rng = np.random.default_rng(4)
