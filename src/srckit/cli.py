@@ -10,7 +10,8 @@ types each key its subcommand reads; other keys are ignored. Each input
 rule has one owner. The CLI owns the spellings (flags, JSON keys, and
 "lambda" for "lam", only here), the kinds (solver parameters' from
 classify.PARAM_TYPES) and the ranges no library call checks: seeds >= 0,
-gradcheck's tol and the grid. The library call that takes any other value
+gradcheck's tol, the grid, and that --out can be made (by stat calls,
+before any input is read). The library call that takes any other value
 checks it, and data.check_split a split file. The CLI reads no file: data
 reads, checks and hashes every input file, each once.
 A subcommand does its work first. Only when that succeeds does one call,
@@ -32,9 +33,10 @@ Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 stdout (report prints its own text), or a failure to stderr. A config
 error is any input found bad before --out is made: a missing key, a value
 of the wrong kind (a bool or string for a number, NaN or infinity for a
-real, a fraction for an integer), a missing or malformed bundle, split,
-params, CSV or report file, or a ValueError the library raises on its
-inputs (one rule, ``_checked``), such as a class without pixels.
+real, a fraction for an integer), an --out that names a file or lies
+under one, a missing or malformed bundle, split, params, CSV or report
+file, or a ValueError the library raises on its inputs (one rule,
+``_checked``), such as a class without pixels.
 """
 from __future__ import annotations
 
@@ -178,12 +180,20 @@ _DRAW = ("split", "train", "eval", "sweep")  # read a bundle and draw a split
 _CODE = ("eval", "sweep")  # classify with a solver
 _FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
 # a seed: train's data.PCG64 and gradcheck's np.random.default_rng take any
-# int >= 0, and data.check_seed caps a split seed
+# int >= 0, and data.SplitMix64 checks a split seed's cap (data.check_seed)
 _NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)
+
+
+def _makeable(out: str) -> bool:
+    """Whether ``_write_run`` can make the directory ``out``: its nearest
+    existing path, itself or an ancestor, is a directory. Stat calls only."""
+    return next((p.is_dir() for p in (Path(out), *Path(out).parents) if p.exists()), True)
+
 
 KEYS = {
     "out": Key(("--out",), str, {**dict.fromkeys(_SUBCOMMANDS, REQUIRED), "report": None},
-               help="output directory"),
+               ("name a directory or a path that can be made one", _makeable),
+               "output directory"),
     "bundle": Key(("--bundle",), str, dict.fromkeys(("ingest", *_DRAW), REQUIRED),
                   help="bundle directory"),
     "csv": Key(("--csv",), str, {"ingest": None},

@@ -23,9 +23,9 @@ the JSON files (``read_json``: header.json and the CLI's config, split,
 params and report files). Each reader returns the SHA-256 of the bytes it
 parsed (a cube carries its files' as ``digests``), so no file is read again.
 
-Its two PRNGs reproduce without numpy.random: ``SplitMix64`` draws splits,
-and ``PCG64`` is numpy's ``default_rng(seed)`` stream, bit for bit, from
-which ``network.train`` takes each epoch's batch order.
+Its two PRNGs reproduce without numpy.random, check their own seeds and
+permute ids in place by ``shuffle(items)``: ``SplitMix64`` draws splits, and
+``PCG64`` (``default_rng(seed)``, bit for bit) ``network.train``'s batches.
 """
 from __future__ import annotations
 
@@ -63,7 +63,8 @@ class SplitMix64:
     _GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed.__index__()
+        check_seed(self._state)
 
     def draws(self, n: int) -> np.ndarray:
         """The next ``n`` outputs as one uint64 array: the k-th state is
@@ -125,9 +126,10 @@ class SplitMix64:
 
 
 class PCG64:
-    """``np.random.default_rng(seed)``'s stream and ``permutation``, bit for
+    """``np.random.default_rng(seed)``'s stream and its ``shuffle``, bit for
     bit, without importing numpy.random (6.4 MiB resident), and pinned
-    against a numpy whose Generator streams change (NEP 19). numpy's
+    against a numpy whose Generator streams change (NEP 19). It takes any
+    seed >= 0, as numpy does; a negative one is a ValueError. numpy's
     SeedSequence hashes the seed's 32-bit words into a pool of four and draws
     four uint64 words from it, the state and the stream increment of PCG64
     (XSL-RR 128/64, setseq). A 32-bit draw is the low half of a 64-bit
@@ -192,15 +194,12 @@ class PCG64:
             pass
         return value
 
-    def permutation(self, n: int) -> np.ndarray:
-        """``Generator.permutation(n)``: np.arange(n) shuffled as
-        ``Generator.shuffle`` does, for i = n-1 down to 1 swapping item i with
-        item ``_interval(i)``."""
-        items = list(range(n))
-        for i in range(n - 1, 0, -1):
+    def shuffle(self, items: np.ndarray) -> None:
+        """``Generator.shuffle`` of a 1-D array, in place: of ``np.arange(n)``,
+        ``Generator.permutation(n)``."""
+        for i in range(len(items) - 1, 0, -1):
             j = self._interval(i)
             items[i], items[j] = items[j], items[i]
-        return np.array(items, dtype=np.int64)
 
 
 # The bytes of data.bin that load_bundle reads at a time: whole band planes,
@@ -553,8 +552,8 @@ def class_counts(cube: LabeledCube) -> np.ndarray:
 
 
 def check_seed(seed: int) -> None:
-    """A split seed outside [0, 2**64) is a ValueError: SplitMix64 would
-    alias it to seed mod 2**64, another seed's split."""
+    """A seed outside [0, 2**64), SplitMix64's state, is a ValueError:
+    taken mod 2**64 it would draw another seed's split."""
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
@@ -577,7 +576,6 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
         raise ValueError(f"dict_frac must lie in (0, 1), got {dict_frac}")
     if not 0.0 <= train_frac < 1.0:
         raise ValueError(f"train_frac must lie in [0, 1), got {train_frac}")
-    check_seed(seed)
     class_counts(cube)
 
     rng = SplitMix64(seed)

@@ -427,9 +427,9 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     """Projected minibatch gradient descent over the stage parameters, from
     ``init`` (None: NetParams.default()).
 
-    Each epoch's batch order is a ``permutation`` of the training pixels
-    drawn from one ``data.PCG64(seed)``: numpy's ``default_rng(seed)``
-    stream, reimplemented bit for bit in srckit, so training never imports
+    Each epoch shuffles a fresh ``np.arange(n)`` into its batch order by one
+    ``data.PCG64(seed)``, as make_split shuffles each class's ids: numpy's
+    ``default_rng(seed)`` stream, bit for bit, so training never imports
     numpy.random and keeps its order whatever numpy's Generator does later.
     Each step runs its minibatch through forward and backward in blocks of at
     most BLOCK_COLUMNS pixels, sums their gradients in block order (a fixed
@@ -469,7 +469,8 @@ def train(dictionary: Dictionary, pixels: np.ndarray, labels, *,
     predicted = np.empty(n, dtype=np.int64)  # an epoch's, in its order
     collapsed, frozen = [], []  # (epoch, class) and (epoch, groups) at each fault
     for epoch in range(epochs):
-        order = rng.permutation(n)
+        order = np.arange(n)
+        rng.shuffle(order)
         epoch_loss = 0.0
         moved = dict.fromkeys(FLOORS, False)
         for start in range(0, n, batch_size):

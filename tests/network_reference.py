@@ -10,14 +10,16 @@ gradient the same way, recovering the forward solve from the trace.
 The reference keeps every node of every stage in a ``StageRecord``;
 ``stage_record`` rebuilds one from the trace ``srckit.network.forward``
 keeps, and ``stacked_forward`` traces as that forward once did, with z and
-u in slots of their own.
+u in slots of their own. ``train`` is plain projected SGD over this
+module's per-pixel ``forward`` and ``backward``, the oracle for
+``srckit.network.train``.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from srckit import network, solvers
-from srckit.network import StageTrace, class_residuals, loss, one_hot
+from srckit.network import FLOORS, NetParams, StageTrace, class_residuals, loss, one_hot
 from srckit.solvers import SparseCode, soft_threshold
 
 
@@ -183,3 +185,33 @@ def mean_loss(dictionary, pixels, labels, params) -> float:
     losses, _ = loss(class_residuals(dictionary, code, pixels),
                      one_hot(labels, dictionary.n_classes))
     return float(losses.mean())
+
+
+def train(dictionary, pixels, labels, *, learning_rate, epochs, batch_size, seed, init):
+    """Projected minibatch SGD over every (rho, eta, tau), one pixel at a
+    time. Each epoch's order is ``np.random.default_rng(seed).permutation``
+    of the pixels, one generator for the run; each batch of that order takes
+    one step on the mean of its pixels' gradients (over the batch's own
+    size, a short last batch included), each group clamped to its floor.
+    Returns (params, each epoch's mean loss at the parameters of the step
+    its pixel fed)."""
+    params, rng = init.copy(), np.random.default_rng(seed)
+    targets, n = one_hot(labels, dictionary.n_classes), pixels.shape[1]
+    mean_losses = []
+    for _ in range(epochs):
+        order, epoch_loss = rng.permutation(n), 0.0
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            sums = {name: np.zeros_like(getattr(params, name)) for name in FLOORS}
+            for j in batch:
+                _, record = forward(dictionary, pixels[:, j], params)
+                grads, value = backward(dictionary, pixels[:, j], targets[:, j], params, record)
+                for name in FLOORS:
+                    sums[name] += grads[name]
+                epoch_loss += value
+            params = NetParams(**{name: np.maximum(getattr(params, name)
+                                                   - learning_rate * sums[name] / len(batch),
+                                                   floor)
+                                  for name, floor in FLOORS.items()}, relax=params.relax)
+        mean_losses.append(epoch_loss / n)
+    return params, np.array(mean_losses)

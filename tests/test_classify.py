@@ -131,6 +131,9 @@ class TestEvaluate:
         with pytest.warns(UserWarning, match="every prediction is class 2, while the truth "
                                              "covers 3 classes"):
             evaluate([2, 2, 2], [1, 2, 3], 3)
+        with pytest.warns(UserWarning, match="every prediction is class 1, while the truth "
+                                             "covers 2 classes"):
+            evaluate([1, 1, 1], [1, 2, 2], 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             evaluate([1, 2, 2], [1, 1, 2], 2)  # two classes predicted

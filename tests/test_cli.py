@@ -1210,6 +1210,15 @@ class TestSolverParameters:
         assert status == 3
         assert "'k'" in err["message"]
 
+    def test_sweep_param_that_is_not_a_name(self, capsys, bundle, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"param": 3}), encoding="utf-8")
+        status, err = run(capsys, "sweep", "--config", path, "--bundle", bundle, *DATA,
+                          "--solver", "omp", "--grid", "1,2", "--out", tmp_path / "out")
+        assert (status, err["kind"]) == (3, "config")
+        assert err["message"] == "bad value for param: expected a name, got 3"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_fails_before_drawing_a_split(self, capsys, monkeypatch, bundle, tmp_path):
         """The CLI checks the parameter before it draws a split; the library
         sweep checks it before it extracts a pixel of the splits it is given."""
@@ -1611,6 +1620,31 @@ def test_run_replays_from_its_manifest(capsys, bundle, trained, tmp_path, shape)
     assert replayed == manifest
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("shape", [*RUN_SHAPES, "report"])
+def test_out_that_cannot_be_made_is_config_error_before_any_read(capsys, monkeypatch, bundle,
+                                                                 trained, tmp_path, shape, under):
+    """An --out that names a file, or lies under one, exits 3 naming out
+    before any input file is read, and leaves the file as it was."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(evaluate([1, 2], [1, 2], 2).to_json()), encoding="utf-8")
+    argv = ["report", "--report", report] if shape == "report" else [
+        str(a).format(bundle=bundle, params=trained / "params.json") for a in RUN_SHAPES[shape]]
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    out = taken / "sub" if under else taken
+    seen = []
+    monkeypatch.setattr(data, "_read", lambda path, what: seen.append(path))
+    monkeypatch.setattr(data, "open", lambda file, *args, **kwargs: seen.append(file),
+                        raising=False)
+    status, err = run(capsys, *argv, "--out", out)
+    assert (status, err["kind"]) == (3, "config")
+    assert err["message"] == ("out must name a directory or a path that can be made one, "
+                              f"got {str(out)!r}")
+    assert seen == []
+    assert taken.read_bytes() == b"not a directory\n"
+
+
 class TestNoOutAfterAFailure:
     def test_diverged_training(self, capsys, tmp_path):
         # one training pixel of 1e200, kept raw: its residual overflows
@@ -1752,9 +1786,10 @@ class TestReport:
         {"confusion": [[1, 0], [0, True]], "per_class_acc": [1.0, 1.0]},
         {"confusion": [[1, -1], [0, 1]], "per_class_acc": [1.0, 1.0]},
         {"confusion": [[1, 0], [0]], "per_class_acc": [1.0, 1.0]},
+        {"confusion": [[0]], "per_class_acc": [0.0]},
     ], ids=["1-D-confusion", "one-accuracy-for-two-classes", "2-D-accuracies",
             "non-square-confusion", "no-classes", "fractional-count", "bool-count",
-            "negative-count", "ragged-confusion"])
+            "negative-count", "ragged-confusion", "no-sample"])
     def test_report_no_evaluate_could_make(self, capsys, tmp_path, doc):
         path = tmp_path / "report.json"
         path.write_text(json.dumps({**doc, "oa": 1, "aa": 1, "kappa": 1}), encoding="utf-8")
@@ -1860,6 +1895,17 @@ def test_params_file_without_eta(capsys, bundle, trained, tmp_path):
                       "--params", path, "--out", tmp_path / "out")
     assert (status, err["kind"]) == (3, "config")
     assert str(path) in err["message"] and "eta" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_params_file_of_no_stage(capsys, bundle, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"rho": [1.0], "eta": [], "tau": [], "relax": 1.0}),
+                    encoding="utf-8")
+    status, err = run(capsys, "eval", "--bundle", bundle, *DATA, "--solver", "asdn",
+                      "--params", path, "--out", tmp_path / "out")
+    assert (status, err["kind"]) == (3, "config")
+    assert str(path) in err["message"] and "network needs at least one stage" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -67,6 +67,12 @@ class TestSplitMix64:
         assert got.tolist() == want
         assert [int(d) for d in rng.draws(2)] == [ref.next_u64(), ref.next_u64()]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**100])
+    def test_seed_outside_its_state_is_value_error(self, seed):
+        # taken mod 2**64, -1 would draw seed 2**64 - 1's stream
+        with pytest.raises(ValueError, match=f"seed must lie in \\[0, 2\\*\\*64\\), got {seed}"):
+            SplitMix64(seed)
+
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     def test_draws_equal_next_u64_calls(self, seed):
         rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
@@ -79,12 +85,14 @@ class TestSplitMix64:
 
 class TestPCG64:
     """data.PCG64 against numpy.random, its reference: default_rng(seed) for
-    the permutations, and RandomState on numpy's PCG64 (a legacy stream
+    the shuffles, and RandomState on numpy's PCG64 (a legacy stream
     numpy keeps fixed) for the masked-rejection draws."""
 
     def test_pinned_permutation(self):
         # train's batch order at seed 0: frozen, whatever numpy's Generator does later
-        assert PCG64(0).permutation(10).tolist() == [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
+        order = np.arange(10)
+        PCG64(0).shuffle(order)
+        assert order.tolist() == [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**64) | st.integers(2**64, 2**300), st.integers(0, 3000))
@@ -92,12 +100,14 @@ class TestPCG64:
     @example(0, 1)
     @example(7, 169)
     @example(2**100, 3000)
+    @example(2**256 - 1, 40)  # eight 32-bit words: SeedSequence mixes the four past its pool
     def test_permutations_equal_default_rng(self, seed, n):
         # three calls on one generator, as over three epochs: the stream, a
         # buffered 32-bit half included, carries from one to the next
         rng, ref = PCG64(seed), np.random.default_rng(seed)
         for _ in range(3):
-            got = rng.permutation(n)
+            got = np.arange(n)
+            rng.shuffle(got)
             assert got.dtype == np.int64
             assert np.array_equal(got, ref.permutation(n))
 
@@ -111,7 +121,7 @@ class TestPCG64:
     @given(st.integers(0, 2**64), st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=12))
     @example(0, [2**32 - 1, 2**32, 5, 2**64 - 1, 2**63, 3, 2**40 + 3])
     def test_interval_equals_masked_rejection(self, seed, bounds):
-        # bounds of 2**32 or more take 64-bit draws, which no permutation an
+        # bounds of 2**32 or more take 64-bit draws, which no shuffle an
         # array can hold reaches; the 32-bit half a 64-bit draw skips stays buffered
         rng, ref = PCG64(seed), np.random.RandomState(np.random.PCG64(seed))
         assert [rng._interval(b) for b in bounds] == [
@@ -249,6 +259,13 @@ class TestBundleErrors:
             load_bundle(tmp_path / "b")
         assert info.value.field == "data.bin"
 
+    def test_non_finite_spectra_built_in_memory(self):
+        spectra = np.ones((3, 4))
+        spectra[1, 2] = np.nan
+        with pytest.raises(BundleFormatError, match="^data: non-finite values present$") as info:
+            LabeledCube(np.ones((2, 2), dtype=np.int32), spectra)
+        assert info.value.field == "data"
+
     def test_non_2d_labels_or_spectra_rejected(self):
         for labels, spectra in [(np.zeros((2, 2)), np.zeros(4)), (np.zeros(4), np.zeros((3, 4))),
                                 (np.zeros((2, 2)), np.zeros((3, 2, 2)))]:
@@ -283,6 +300,12 @@ class TestMakeSplit:
         assert len(split.dictionary_ids[1]) == 1
         assert len(split.train_ids[1]) == 10
         assert len(split.test_ids[1]) == 89
+
+    def test_exact_halves_round_up(self):
+        # 0.5 of 5 pixels is 2.5 dictionary ids, and 0.25 of the 2 left 0.5 train ids
+        split = make_split(labeled_line_cube([5]), dict_frac=0.5, train_frac=0.25, seed=0)
+        assert [len(split.dictionary_ids[1]), len(split.train_ids[1]),
+                len(split.test_ids[1])] == [3, 1, 1]
 
     def test_pavia_shadows_counts(self):
         # 947 labeled pixels at 1% dictionary and 189/938 train reproduce the
@@ -368,7 +391,7 @@ class TestMakeSplit:
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
     def test_seed_outside_splitmix64_state_rejected(self, seed):
-        # SplitMix64 keeps seed mod 2**64: -1 would draw seed 2**64 - 1's split
+        # taken mod 2**64, -1 would draw seed 2**64 - 1's split
         cube = labeled_line_cube([30, 20])
         with pytest.raises(ValueError, match=f"seed must lie in \\[0, 2\\*\\*64\\), got {seed}"):
             make_split(cube, 0.1, 0.2, seed=seed)
@@ -396,17 +419,24 @@ class TestMakeSplit:
 
 
 def test_data_makes_no_python_list_of_ids():
-    """Split draws and split.json keep pixel ids in numpy arrays: no call in
-    data.py is a tolist, and SplitMix64.shuffle holds no for loop or
-    comprehension (its one loop is over pointer-doubling rounds)."""
+    """Split draws, batch orders and split.json keep pixel ids in numpy
+    arrays: no call in data.py is a tolist or a list of a range, and
+    SplitMix64.shuffle holds no for loop or comprehension (its one loop is
+    over pointer-doubling rounds)."""
     tree = ast.parse(Path(data_module.__file__).read_text(encoding="utf-8"))
     found = [f"data.py:{node.lineno} calls tolist" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "tolist"]
-    shuffle = next(node for node in ast.walk(tree)
+    splitmix = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "SplitMix64")
+    shuffle = next(node for node in splitmix.body
                    if isinstance(node, ast.FunctionDef) and node.name == "shuffle")
     loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found += [f"data.py:{node.lineno} loops in shuffle" for node in ast.walk(shuffle)
               if isinstance(node, loops)]
+    found += [f"data.py:{node.lineno} lists a range" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "list"
+              and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "range"
+                      for arg in node.args)]
     assert found == []
 
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from network_reference import mean_loss, stage_record
+from network_reference import mean_loss, stage_record, train as reference_train
 from srckit import network
 from srckit.classify import src_decide
 from srckit.dictionary import assemble
-from srckit.network import (FLOORS, NetParams, TrainingDiverged, backward, class_residuals,
-                            forward, grad_check, kink_margin, loss, one_hot, train)
+from srckit.data import PCG64
+from srckit.network import (FLOORS, NetParams, StageTrace, TrainingDiverged, backward,
+                            class_residuals, forward, grad_check, kink_margin, loss, one_hot,
+                            train)
 from srckit.solvers import SparseCode, admm_fixed, admm_stage, soft_threshold
 from srckit.synthetic import gradcheck_instance, random_unit_dictionary
 from synthetic_problems import subspace_classes
@@ -340,6 +342,15 @@ class TestGradCheck:
         _, trace = forward(d, x, params)
         assert kink_margin(trace, params) > 1e-4
 
+    def test_kink_margin_is_the_smallest_over_every_stage(self):
+        # margins 0.375, 0.0625, 0.5 at stage 1 and 0.125, 0.09375, 0.75 at
+        # stage 2 (binary fractions, so exact): the smallest is stage 1's
+        params = NetParams(rho=[1.0, 1.0, 1.0], eta=[0.5, 0.25], tau=[1.0, 1.0])
+        v = np.array([[0.875, -0.4375, 0.0], [0.375, -0.34375, 1.0]])
+        trace = StageTrace(alpha_seq=np.zeros((3, 3)), pre_activation_seq=v,
+                           c_seq=np.zeros((3, 1)))
+        assert kink_margin(trace, params) == 0.0625
+
     def test_bad_step(self):
         d, x, y, params = gradcheck_instance(20, n_stages=2)
         with pytest.raises(ValueError, match="step"):
@@ -391,6 +402,24 @@ class TestTrain:
                                 n_dict=5, n_train=12, n_test=5, noise=0.01)
         dictionary = assemble(data.dict_pixels, data.dict_labels)
         return dictionary, data.train_pixels, data.train_labels
+
+    def test_equals_the_per_pixel_reference(self):
+        # 12 pixels at batch 5 leave a last batch of 2, whose mean is over 2;
+        # at eta 0.01 shrinkage passes atoms (at 0.1 eta's gradient is 0)
+        data = subspace_classes(0, n_classes=2, dim=16, sub_dim=3, n_dict=5, n_train=6,
+                                n_test=5, noise=0.01)
+        d = assemble(data.dict_pixels, data.dict_labels)
+        px, lb = data.train_pixels, data.train_labels
+        init = NetParams.default(3, eta=0.01)
+        cfg = dict(learning_rate=1e-2, epochs=3, batch_size=5, seed=4, init=init)
+        params, history = train(d, px, lb, **cfg)
+        want, mean_losses = reference_train(d, px, lb, **cfg)
+        # the reference's solve-based stage rounds otherwise: 5e-15 relative here
+        for name in FLOORS:
+            assert not np.array_equal(getattr(params, name), getattr(init, name)), name
+            np.testing.assert_allclose(getattr(params, name), getattr(want, name),
+                                       rtol=1e-10, atol=1e-14, err_msg=name)
+        np.testing.assert_allclose(history["mean_loss"], mean_losses, rtol=0, atol=1e-12)
 
     def test_zero_learning_rate_is_identity(self):
         d, px, lb = self.make_problem(0)
@@ -517,6 +546,34 @@ class TestTrain:
             params, _ = train(d, px, lb, epochs=3, batch_size=6,
                               init=NetParams.default(3, eta=50.0))
         assert params.eta.tolist() == [50.0] * 3
+
+    def test_frozen_group_is_read_over_every_batch(self):
+        # 21 pixels at batch 5: the epoch's last batch is one pixel, scaled
+        # to a norm of 1e-8 so that no stage's shrinkage passes an atom. That
+        # batch alone leaves eta's gradient exactly 0, and the others move it
+        d, px, lb = self.make_problem(11)
+        px, lb = px[:, :21].copy(), lb[:21]
+        order = np.arange(21)
+        PCG64(3).shuffle(order)
+        px[:, order[-1]] *= 1e-8
+        init = NetParams.default(3, eta=0.01)
+        x, y = px[:, order[-1]], one_hot(lb[order[-1]], 2)
+        grads, _ = backward(d, x, y, init, forward(d, x, init)[1])
+        assert not grads["eta"].any() and grads["rho"].any() and grads["tau"].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, _ = train(d, px, lb, epochs=1, batch_size=5, seed=3, init=init)
+        assert not np.array_equal(params.eta, init.eta)
+
+    def test_labels_of_one_class_do_not_warn(self):
+        # every prediction is class 1, as is every label: nothing collapsed
+        d, px, lb = self.make_problem(12)
+        ones = px[:, lb == 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, history = train(d, ones, np.ones(ones.shape[1], dtype=np.int64), epochs=2,
+                               batch_size=6, init=NetParams.default(3, eta=0.01))
+        assert history["classes_predicted"].tolist() == [1, 1]
 
     def test_healthy_run_is_quiet(self):
         d, px, lb = self.make_problem(10)
