@@ -10,7 +10,7 @@ from .classify import (ClassificationReport, SweepResult, classify_testset,
                        evaluate, src_decide, sweep)
 from .data import (BundleFormatError, LabeledCube, Split, SplitMix64, draw_splits,
                    extract_pixels, load_bundle, load_pixel_csv, make_split,
-                   pixels_to_cube, read_labels, save_bundle)
+                   read_labels, save_bundle)
 from .dictionary import Dictionary, GramCache, assemble
 from .network import (GradCheckReport, NetParams, StageTrace, TrainingDiverged, asdn,
                       backward, class_residuals, forward, grad_check, loss, one_hot, train)
@@ -24,7 +24,6 @@ __all__ = [
     "StageTrace", "SweepResult", "TrainingDiverged", "admm_fixed", "asdn", "assemble",
     "backward", "class_residuals", "classify_testset", "draw_splits", "evaluate",
     "extract_pixels", "fista", "forward", "gomp", "grad_check", "load_bundle",
-    "load_pixel_csv", "loss", "make_split", "omp", "one_hot", "pixels_to_cube",
-    "read_labels", "romp", "samp", "save_bundle", "soft_threshold", "sp", "src_decide",
-    "sweep", "train",
+    "load_pixel_csv", "loss", "make_split", "omp", "one_hot", "read_labels", "romp", "samp",
+    "save_bundle", "soft_threshold", "sp", "src_decide", "sweep", "train",
 ]

@@ -13,9 +13,10 @@ block and BLAS are the only parallelism.
 Reports carry the confusion matrix with overall accuracy, average
 (per-class) accuracy, and the chance-corrected kappa coefficient, all as
 fractions in [0, 1], named once in ``SCORES``. ``split_inputs`` draws the
-dictionary and the pixels to code from a split, for train, eval and sweep,
-and ``read_ids`` names the pixels it reads, the ``keep`` of the bundle load
-that serves it.
+dictionary and the pixels to code, one role's (``Split.ids``), from a split
+for train, eval and sweep, and ``read_ids`` names the pixels it reads (the
+dictionary's, then that role's), the ``keep`` of the bundle load that
+serves it.
 """
 from __future__ import annotations
 
@@ -42,25 +43,21 @@ BLOCK_COLUMNS = 256
 SWEEP_COLUMNS = tuple(f"{name}_{stat}" for name in SCORES for stat in ("mean", "std"))
 
 
-def _subset_ids(split: Split, subset: str) -> np.ndarray:
-    return split.train_flat() if subset == "train" else split.test_flat()
-
-
 def read_ids(split: Split, subset: str = "test") -> np.ndarray:
     """The flat ids ``split_inputs`` reads: the dictionary's, then the
-    ``subset``'s."""
-    return np.concatenate([split.dictionary_flat(), _subset_ids(split, subset)])
+    ``subset``'s (``Split.ids``)."""
+    return np.concatenate([split.ids("dictionary"), split.ids(subset)])
 
 
 def split_inputs(cube: LabeledCube, split: Split, normalize: bool, subset: str = "test"):
     """(dictionary, ids, pixels, labels): the split's dictionary, assembled
-    first, then the flat ids of its ``subset`` ("train" or "test") and their
-    pixels and labels. An empty subset raises ValueError before any pixel is
-    extracted."""
-    ids = _subset_ids(split, subset)
+    first, then the flat ids of its ``subset`` (a ``Split.ids`` role, "train"
+    or "test") and their pixels and labels. An empty subset raises ValueError
+    before any pixel is extracted."""
+    ids = split.ids(subset)
     if not ids.size:
         raise ValueError(f"the split's {subset} set is empty")
-    dictionary = assemble(*extract_pixels(cube, split.dictionary_flat(), normalize))
+    dictionary = assemble(*extract_pixels(cube, split.ids("dictionary"), normalize))
     return (dictionary, ids, *extract_pixels(cube, ids, normalize))
 
 

@@ -10,7 +10,8 @@ types each key its subcommand reads; other keys are ignored. Each input
 rule has one owner. The CLI owns the spellings (flags, JSON keys, and
 "lambda" for "lam", only here), the kinds (solver parameters' from
 classify.PARAM_TYPES) and the ranges no library call checks: seeds >= 0,
-gradcheck's tol, the grid, and that --out can be made (by stat calls,
+gradcheck's tol, the grid, and that each path a run writes can be made
+(--out, report's --csv, and ingest's --bundle with --csv; by stat calls,
 before any input is read). The library call that takes any other value
 checks it, and data.check_split a split file. The CLI reads no file: data
 reads, checks and hashes every input file, each once.
@@ -33,8 +34,8 @@ Exit codes: 0 success (also --help), 1 runtime failure, 2 usage error,
 stdout (report prints its own text), or a failure to stderr. A config
 error is any input found bad before --out is made: a missing key, a value
 of the wrong kind (a bool or string for a number, NaN or infinity for a
-real, a fraction for an integer), an --out that names a file or lies
-under one, a missing or malformed bundle, split, params, CSV or report
+real, a fraction for an integer), an output path that cannot be made, a
+missing or malformed bundle, split, params, CSV or report
 file, or a ValueError the library raises on its inputs (one rule,
 ``_checked``), such as a class without pixels.
 """
@@ -56,8 +57,8 @@ from . import __version__, solvers, synthetic
 from .classify import (PARAM_TYPES, SCORES, SOLVER_NAMES, ClassificationReport, check_fit,
                        check_sweep, classify_testset, evaluate, integer, read_ids, real,
                        solver_kwargs, split_inputs, sweep)
-from .data import (Split, check_split, class_counts, draw_splits, load_bundle, load_pixel_csv,
-                   make_split, pixels_to_cube, read_json, read_labels, save_bundle, write_split)
+from .data import (LabeledCube, Split, check_split, class_counts, draw_splits, load_bundle,
+                   load_pixel_csv, make_split, read_json, read_labels, save_bundle, write_split)
 from .dictionary import Dictionary
 from .network import DEFAULT_STAGES, NetParams, grad_check, train
 
@@ -184,10 +185,10 @@ _FLAG_TYPES = {integer: int, real: float}  # any other kind parses as text
 _NON_NEGATIVE = ("be >= 0", lambda v: v >= 0)
 
 
-def _makeable(out: str) -> bool:
-    """Whether ``_write_run`` can make the directory ``out``: its nearest
-    existing path, itself or an ancestor, is a directory. Stat calls only."""
-    return next((p.is_dir() for p in (Path(out), *Path(out).parents) if p.exists()), True)
+def _makeable(path) -> bool:
+    """Whether the directory ``path`` can be made: its nearest existing path,
+    itself or an ancestor, is a directory. Stat calls only."""
+    return next((p.is_dir() for p in (Path(path), *Path(path).parents) if p.exists()), True)
 
 
 KEYS = {
@@ -246,7 +247,10 @@ KEYS = {
     "atoms": Key(("--atoms",), integer, {"gradcheck": 40}),
     "n_classes": Key(("--classes",), integer, {"gradcheck": 2}),
     "report": Key(("--report",), str, {"report": REQUIRED}, help="path to a report.json"),
-    "csv_out": Key(("--csv",), str, {"report": None}, help="also write per-class rows as CSV"),
+    "csv_out": Key(("--csv",), str, {"report": None},
+                   ("name a file whose directory can be made",
+                    lambda path: not Path(path).is_dir() and _makeable(Path(path).parent)),
+                   "also write per-class rows as CSV"),
 }
 
 
@@ -356,15 +360,15 @@ def _load_split(config: dict, cube, inputs: dict) -> Split:
 
 
 class _Coding(NamedTuple):
-    """What train and eval keep of the cube: the split, its dictionary, the
-    pixels to code, and the cube's class count and grid size."""
+    """What train and eval keep of the cube: the split, its dictionary (which
+    has every class 1..C, as check_split and make_split ensure), the pixels to
+    code, and the cube's grid size."""
 
     split: Split
     dictionary: Dictionary
     ids: np.ndarray
     pixels: np.ndarray
     labels: np.ndarray
-    n_classes: int
     grid_size: int
 
 
@@ -378,8 +382,7 @@ def _coding_inputs(config: dict, subset: str, inputs: dict) -> _Coding:
     cube = _load_cube(config, inputs, read_ids(split, subset), labeled)
     dictionary, ids, pixels, labels = _checked(split_inputs, cube, split, config["normalize"],
                                                subset)
-    return _Coding(split, dictionary, ids, pixels, labels, cube.n_classes,
-                   cube.height * cube.width)
+    return _Coding(split, dictionary, ids, pixels, labels, cube.labels.size)
 
 
 # the thread counts a BLAS reads at start: train's params.json moves in the
@@ -435,10 +438,12 @@ def _write_run(command: str, config: dict, files: dict, inputs: dict) -> Path:
 def _cmd_ingest(config: dict) -> dict:
     """convert a pixel CSV to a bundle, or validate one"""
     inputs = {}
+    if config["csv"] and not _makeable(config["bundle"]):  # written, so checked as --out is
+        raise ConfigError(f"bundle must {KEYS['out'].check[0]}, got {config['bundle']!r}")
     if config["csv"]:
         spectra, labels, inputs[str(Path(config["csv"]))] = _checked(load_pixel_csv,
                                                                      config["csv"])
-        cube = pixels_to_cube(spectra, labels)
+        cube = LabeledCube(labels[np.newaxis], spectra)
     else:
         cube = _load_cube(config, inputs)
     counts = _checked(class_counts, cube)  # as make_split checks it, before any write
@@ -495,7 +500,7 @@ def _cmd_eval(config: dict) -> dict:
     _checked(check_fit, coding.dictionary, config["solver"], params)
     pred = classify_testset(coding.dictionary, coding.pixels, config["solver"], params)
 
-    report = evaluate(pred, coding.labels, coding.n_classes)
+    report = evaluate(pred, coding.labels, coding.dictionary.n_classes)
     grid = np.zeros(coding.grid_size, dtype="<i4")
     grid[coding.ids] = pred
     _write_run("eval", config, {"report.json": _json_text(report.to_json()),
@@ -553,6 +558,7 @@ def _cmd_report(config: dict) -> None:
         lines = ["class,accuracy_percent,n"]
         for i, acc in enumerate(accuracies, start=1):
             lines.append(f"{i},{repr(round(100.0 * acc, 10))},{int(confusion[i - 1].sum())}")
+        Path(config["csv_out"]).parent.mkdir(parents=True, exist_ok=True)
         Path(config["csv_out"]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if config["out"]:
         _write_run("report", config, {}, inputs)

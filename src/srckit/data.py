@@ -7,8 +7,10 @@ A cube lives on disk as a "bundle" directory::
     data.bin      H*W*B float64 little-endian, flat index ((b*H + r)*W + c)
     labels.bin    H*W int32 little-endian, row-major (r*W + c)
 
-Label 0 means "unlabeled"; classes are 1..C. ``check_split`` is the rule a
-split read from a file must meet to be used with a cube.
+Label 0 means "unlabeled"; classes are 1..C. A ``Split`` files each class's
+pixel ids under three roles, and ``Split.ids(role)`` ("dictionary", "train"
+or "test") is the one way to ask for a role's ids. ``check_split`` is the
+rule a split read from a file must meet to be used with a cube.
 
 A cube holds every label, and the band-major spectra of the pixels it
 holds with their flat ids. A run needs only a small labelled fraction of a
@@ -287,10 +289,6 @@ class LabeledCube:
     def n_classes(self) -> int:
         return int(self.labels.max(initial=0))
 
-    def class_ids(self, class_id: int) -> np.ndarray:
-        """Flat indices of pixels labeled ``class_id``, ascending."""
-        return np.flatnonzero(self.labels.ravel() == class_id)
-
 
 def _object(pairs: list) -> dict:
     """A JSON object; a repeated key (json.loads keeps its last value) is a ValueError."""
@@ -442,24 +440,20 @@ def save_bundle(cube: LabeledCube, path) -> None:
 class Split:
     """Disjoint per-class flat-index sets for dictionary / train / test pixels."""
 
+    ROLES = ("dictionary", "train", "test")  # not a field: it has no annotation
     dictionary_ids: dict[int, np.ndarray]
     train_ids: dict[int, np.ndarray]
     test_ids: dict[int, np.ndarray]
     seed: int
 
-    def _flat(self, groups: dict[int, np.ndarray]) -> np.ndarray:
-        parts = [groups[c] for c in sorted(groups)] or [np.empty(0, dtype=np.int64)]
-        return np.concatenate(parts)
-
-    def dictionary_flat(self) -> np.ndarray:
-        """All dictionary ids, concatenated in ascending class order."""
-        return self._flat(self.dictionary_ids)
-
-    def train_flat(self) -> np.ndarray:
-        return self._flat(self.train_ids)
-
-    def test_flat(self) -> np.ndarray:
-        return self._flat(self.test_ids)
+    def ids(self, role: str) -> np.ndarray:
+        """The ids of ``role`` ("dictionary", "train" or "test"), concatenated
+        in ascending class order (an empty int64 array when it has none); any
+        other role is a ValueError."""
+        if role not in self.ROLES:
+            raise ValueError(f"role must be one of {self.ROLES}, got {role!r}")
+        groups = getattr(self, f"{role}_ids")
+        return np.concatenate([groups[c] for c in sorted(groups)] or [np.empty(0, np.int64)])
 
     @classmethod
     def from_json(cls, doc: dict) -> "Split":
@@ -583,7 +577,7 @@ def make_split(cube: LabeledCube, dict_frac: float = 0.01,
     train_ids: dict[int, np.ndarray] = {}
     test_ids: dict[int, np.ndarray] = {}
     for c in range(1, cube.n_classes + 1):
-        ids = cube.class_ids(c)
+        ids = np.flatnonzero(cube.labels.ravel() == c)
         n = len(ids)
         rng.shuffle(ids)
         n_dict = max(1, _round_half_up(dict_frac * n))
@@ -617,12 +611,11 @@ def check_split(split: Split, cube: LabeledCube) -> None:
     a dictionary id, each id is filed under its labeled pixel's class, and no
     id appears twice across the dictionary, train and test sets."""
     labels = cube.labels.ravel()
-    sets = {"dictionary": split.dictionary_ids, "train": split.train_ids, "test": split.test_ids}
     for c in range(1, cube.n_classes + 1):
         if not len(split.dictionary_ids.get(c, ())):
             raise ValueError(f"class {c} has no dictionary ids")
-    for name, groups in sets.items():
-        for class_id, ids in groups.items():
+    for name in split.ROLES:
+        for class_id, ids in getattr(split, f"{name}_ids").items():
             if not 1 <= class_id <= cube.n_classes:
                 raise ValueError(f"{name} class {class_id} lies outside 1..{cube.n_classes}")
             outside = ids[(ids < 0) | (ids >= labels.size)]
@@ -633,10 +626,10 @@ def check_split(split: Split, cube: LabeledCube) -> None:
             if wrong.size:
                 raise ValueError(f"{name} id {wrong[0]} is filed under class {class_id} "
                                  f"but its cube label is {labels[wrong[0]]}")
-    flats = (split.dictionary_flat(), split.train_flat(), split.test_flat())
+    flats = [split.ids(name) for name in split.ROLES]
     ids = np.concatenate(flats)
     order = np.argsort(ids, kind="stable")  # an id's copies side by side, in set order
-    ids, where = ids[order], np.repeat(list(sets), [len(f) for f in flats])[order]
+    ids, where = ids[order], np.repeat(split.ROLES, [len(f) for f in flats])[order]
     twice = np.flatnonzero(ids[1:] == ids[:-1])
     if twice.size:
         i, (a, b) = twice[0], where[twice[0]:twice[0] + 2]
@@ -704,8 +697,3 @@ def load_pixel_csv(path):
     if not _finite(spectra):
         raise ValueError(f"{path}: non-finite values present")
     return spectra, labels, digest
-
-
-def pixels_to_cube(spectra: np.ndarray, labels: np.ndarray) -> LabeledCube:
-    """Wrap a (bands, n) pixel matrix as a 1 x n cube (handy for bundling)."""
-    return LabeledCube(np.asarray(labels)[np.newaxis], spectra)

@@ -30,7 +30,7 @@ def reference_split(cube, dict_frac, train_frac, seed):
     """make_split's rule with the per-draw shuffle: (dict, train, test) per class."""
     rng, parts = ReferenceSplitMix64(seed), {}
     for c in range(1, cube.n_classes + 1):
-        ids = cube.class_ids(c).tolist()
+        ids = np.flatnonzero(cube.labels.ravel() == c).tolist()
         rng.shuffle(ids)
         n_dict = max(1, int(np.floor(dict_frac * len(ids) + 0.5)))
         n_train = int(np.floor(train_frac * (len(ids) - n_dict) + 0.5))

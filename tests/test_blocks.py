@@ -24,7 +24,7 @@ import greedy_reference as reference
 from network_reference import stage_record
 from srckit import classify, dictionary, network, solvers
 from srckit.classify import check_fit, classify_testset, solver_kwargs, src_decide, sweep
-from srckit.data import draw_splits, pixels_to_cube, save_bundle
+from srckit.data import LabeledCube, draw_splits, save_bundle
 from srckit.dictionary import GramCache, assemble
 from srckit.network import (FLOORS, RHO_FLOOR, NetParams, backward,
                             class_residuals, forward, one_hot, train)
@@ -743,8 +743,8 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(dictionary.Dictionary, "lipschitz", lipschitz)
         data = subspace_classes(4, n_classes=3, dim=16, sub_dim=3, n_dict=8,
                                 n_train=20, n_test=30, noise=0.01)
-        cube = pixels_to_cube(np.hstack([data.dict_pixels, data.test_pixels]),
-                              np.concatenate([data.dict_labels, data.test_labels]))
+        cube = LabeledCube(np.concatenate([data.dict_labels, data.test_labels])[np.newaxis],
+                           np.hstack([data.dict_pixels, data.test_pixels]))
         sweep(cube, "fista", "lam", [0.01, 0.1, 1.0], draw_splits(cube, 2, 0, 0.1, 0.2),
               params={"max_iters": 20})
         assert len(runs) == 2  # one per draw, for all three grid values
@@ -783,9 +783,9 @@ class TestBenchmarkHooks:
         root = Path(__file__).parents[1]
         data = subspace_classes(0, n_classes=3, dim=12, sub_dim=3, n_dict=4,
                                 n_train=6, n_test=10, noise=0.05)
-        save_bundle(pixels_to_cube(
-            np.hstack([data.dict_pixels, data.train_pixels, data.test_pixels]),
-            np.concatenate([data.dict_labels, data.train_labels, data.test_labels])),
+        save_bundle(LabeledCube(
+            np.concatenate([data.dict_labels, data.train_labels, data.test_labels])[np.newaxis],
+            np.hstack([data.dict_pixels, data.train_pixels, data.test_pixels])),
             tmp_path / "bundle")
         (tmp_path / "params.json").write_text(NetParams.default(2, eta=0.01).to_text(),
                                               encoding="utf-8")

@@ -6,8 +6,9 @@ import pytest
 
 from srckit import solvers
 from srckit.classify import (ClassificationReport, check_fit, check_sweep, classify_testset,
-                             evaluate, solver_kwargs, src_decide, sweep)
-from srckit.data import LabeledCube, draw_splits, pixels_to_cube
+                             evaluate, read_ids, solver_kwargs, split_inputs, src_decide,
+                             sweep)
+from srckit.data import LabeledCube, draw_splits
 from srckit.dictionary import assemble
 from srckit.network import NetParams
 from srckit.solvers import SparseCode
@@ -214,7 +215,17 @@ def make_cube(seed=4) -> LabeledCube:
     pixels = np.hstack([data.dict_pixels, data.train_pixels, data.test_pixels])
     labels = np.concatenate([data.dict_labels, data.train_labels,
                              data.test_labels])
-    return pixels_to_cube(pixels, labels)
+    return LabeledCube(labels[np.newaxis], pixels)
+
+
+def test_misspelled_subset_raises():
+    """A subset that is not a split role is a ValueError, not the test set."""
+    cube = make_cube()
+    split = draw_splits(cube, 1, 0, 0.1, 0.2)[0]
+    with pytest.raises(ValueError, match="got 'tset'$"):
+        split_inputs(cube, split, True, "tset")
+    with pytest.raises(ValueError, match="got 'tset'$"):
+        read_ids(split, "tset")
 
 
 class TestSweep:
@@ -223,9 +234,9 @@ class TestSweep:
         cube = make_cube()
         result = sweep(cube, "omp", "k", [3], draw_splits(cube, 1, 5, 0.1, 0.2))
         split = make_split(cube, 0.1, 0.2, seed=5)
-        dp, dl = extract_pixels(cube, split.dictionary_flat(), True)
+        dp, dl = extract_pixels(cube, split.ids("dictionary"), True)
         d = assemble(dp, dl)
-        tp, tl = extract_pixels(cube, split.test_flat(), True)
+        tp, tl = extract_pixels(cube, split.ids("test"), True)
         report = evaluate(classify_testset(d, tp, "omp", {"k": 3}), tl, 3)
         assert result.oa_mean[0] == report.oa
         assert result.kappa_mean[0] == report.kappa

@@ -25,7 +25,7 @@ from srckit import classify, cli, data, network, solvers
 from srckit.classify import (SOLVER_NAMES, SOLVER_PARAMS, ClassificationReport,
                              classify_testset, evaluate, sweep)
 from srckit.data import (LabeledCube, Split, draw_splits, extract_pixels, load_bundle,
-                         make_split, pixels_to_cube, save_bundle)
+                         make_split, save_bundle)
 from srckit.dictionary import assemble
 from srckit.network import NetParams, TrainingDiverged, grad_check, train
 from srckit.synthetic import gradcheck_instance
@@ -41,7 +41,7 @@ def tiny_cube():
                             n_train=6, n_test=10, noise=0.05)
     pixels = np.hstack([data.dict_pixels, data.train_pixels, data.test_pixels])
     labels = np.concatenate([data.dict_labels, data.train_labels, data.test_labels])
-    return pixels_to_cube(pixels, labels)
+    return LabeledCube(labels[np.newaxis], pixels)
 
 
 @pytest.fixture(scope="module")
@@ -567,8 +567,8 @@ def test_train_eval_round_trip(capsys, bundle, trained, tmp_path):
 
     cube = load_bundle(bundle)
     split = Split.from_json(read_json(split_path))
-    dict_pixels, dict_labels = extract_pixels(cube, split.dictionary_flat(), True)
-    test_pixels, test_labels = extract_pixels(cube, split.test_flat(), True)
+    dict_pixels, dict_labels = extract_pixels(cube, split.ids("dictionary"), True)
+    test_pixels, test_labels = extract_pixels(cube, split.ids("test"), True)
     pred = classify_testset(assemble(dict_pixels, dict_labels), test_pixels, "asdn",
                             {"net": NetParams.from_json(read_json(params_path))})
     expected = evaluate(pred, test_labels, cube.n_classes)
@@ -1645,12 +1645,63 @@ def test_out_that_cannot_be_made_is_config_error_before_any_read(capsys, monkeyp
     assert taken.read_bytes() == b"not a directory\n"
 
 
+def tree(root):
+    """Each path under ``root`` with its bytes, or None for a directory."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", ["report-csv-dir", "report-csv-under-a-file",
+                                  "ingest-bundle-file", "ingest-bundle-under-a-file"])
+def test_output_path_that_cannot_be_made_is_config_error_before_any_read(
+        capsys, monkeypatch, tmp_path, case):
+    """Every path a run writes follows --out's rule: report's --csv that
+    names a directory or lies under a file, and ingest's --bundle written
+    from a CSV that names a file or lies under one, exit 3 naming the key
+    before any input is read, print nothing and write nothing."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(evaluate([1, 2], [1, 2], 2).to_json()), encoding="utf-8")
+    write_pixel_csv(tmp_path / "pixels.csv")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    (tmp_path / "dir").mkdir()
+    path = {"report-csv-dir": tmp_path / "dir", "report-csv-under-a-file": taken / "x.csv",
+            "ingest-bundle-file": taken, "ingest-bundle-under-a-file": taken / "sub"}[case]
+    if case.startswith("report"):
+        argv = ["report", "--report", report, "--csv", path]
+        key, rule = "csv_out", "name a file whose directory can be made"
+    else:
+        argv = ["ingest", "--csv", tmp_path / "pixels.csv", "--bundle", path,
+                "--out", tmp_path / "out"]
+        key, rule = "bundle", "name a directory or a path that can be made one"
+    before = tree(tmp_path)
+    seen = []
+    monkeypatch.setattr(data, "_read", lambda path, what: seen.append(path))
+    monkeypatch.setattr(data, "open", lambda file, *args, **kwargs: seen.append(file),
+                        raising=False)
+    status, out, err = run_quiet(argv)
+    assert (status, out) == (3, "")
+    assert json.loads(err) == {"status": "error", "kind": "config",
+                               "message": f"{key} must {rule}, got {str(path)!r}"}
+    assert seen == []
+    assert tree(tmp_path) == before
+
+
+def test_report_csv_makes_its_directory(capsys, tmp_path):
+    """A report --csv whose directory does not exist yet has it made, as --out is."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(evaluate([1, 2], [1, 2], 2).to_json()), encoding="utf-8")
+    status, err = run(capsys, "report", "--report", report, "--csv", tmp_path / "a" / "b.csv")
+    assert (status, err) == (0, None)
+    assert (tmp_path / "a" / "b.csv").read_text(encoding="utf-8").splitlines() == [
+        "class,accuracy_percent,n", "1,100.0,1", "2,100.0,1"]
+
+
 class TestNoOutAfterAFailure:
     def test_diverged_training(self, capsys, tmp_path):
         # one training pixel of 1e200, kept raw: its residual overflows
         cube = tiny_cube()
         spectra = cube.spectra.copy()
-        spectra[:, make_split(cube, 0.2, 0.25, 3).train_flat()[0]] = 1e200
+        spectra[:, make_split(cube, 0.2, 0.25, 3).ids("train")[0]] = 1e200
         save_bundle(LabeledCube(cube.labels, spectra), tmp_path / "bundle")
         status, err = run(capsys, "train", "--bundle", tmp_path / "bundle", *DATA, "--seed", 3,
                           "--no-normalize", "--stages", 2, "--epochs", 1, "--batch-size", 6,
@@ -1693,7 +1744,7 @@ def uniform_cube():
     data = subspace_classes(0, n_classes=3, dim=12, sub_dim=3, n_dict=4,
                             n_train=6, n_test=10, noise=0.05)
     labels = np.concatenate([data.dict_labels, data.train_labels, data.test_labels])
-    return pixels_to_cube(np.repeat(data.dict_pixels[:, :1], len(labels), axis=1), labels)
+    return LabeledCube(labels[np.newaxis], np.repeat(data.dict_pixels[:, :1], len(labels), axis=1))
 
 
 class TestTrainHistory:

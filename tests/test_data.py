@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srckit import data as data_module
-from srckit.data import (PCG64, BundleFormatError, LabeledCube, SplitMix64, class_counts,
-                         extract_pixels, load_bundle, load_pixel_csv,
-                         make_split, pixels_to_cube, read_labels, save_bundle)
+from srckit.data import (PCG64, BundleFormatError, LabeledCube, Split, SplitMix64,
+                         class_counts, extract_pixels, load_bundle, load_pixel_csv,
+                         make_split, read_labels, save_bundle)
 from split_reference import ReferenceSplitMix64, reference_split, split_doc
 from synthetic_problems import grid_cube, traced_peak
 
@@ -376,7 +376,7 @@ class TestMakeSplit:
             groups = [split.dictionary_ids[c], split.train_ids[c], split.test_ids[c]]
             union = np.concatenate(groups)
             assert len(union) == len(set(union.tolist())) == n
-            assert set(union.tolist()) == set(cube.class_ids(c).tolist())
+            assert set(union.tolist()) == set(np.flatnonzero(cube.labels.ravel() == c).tolist())
 
     def test_unlabeled_cube_rejected(self):
         cube = grid_cube(np.ones((2, 2, 3)), np.zeros((2, 2), dtype=np.int32))
@@ -416,6 +416,29 @@ class TestMakeSplit:
         back = Split.from_json(json.loads(json.dumps(split_doc(split))))
         assert np.array_equal(back.test_ids[2], split.test_ids[2])
         assert back.seed == split.seed
+
+
+class TestSplitIds:
+    """``Split.ids(role)`` is the one accessor of a role's pixel ids."""
+
+    def test_ascending_class_order_whatever_the_dict_order(self):
+        ids = {3: np.array([7, 9]), 1: np.array([4]), 2: np.array([0, 2])}
+        split = Split(dictionary_ids=ids, train_ids={2: np.array([5]), 1: np.array([1])},
+                      test_ids={}, seed=0)
+        assert split.ids("dictionary").tolist() == [4, 0, 2, 7, 9]
+        assert split.ids("train").tolist() == [1, 5]
+
+    def test_empty_role_is_an_empty_int64_array(self):
+        split = make_split(labeled_line_cube([4, 3]), 0.5, 0.0, seed=1)
+        assert [len(split.train_ids[c]) for c in (1, 2)] == [0, 0]
+        for role_ids in (split.ids("train"), Split({}, {}, {}, 0).ids("test")):
+            assert role_ids.dtype == np.int64 and role_ids.shape == (0,)
+
+    @pytest.mark.parametrize("role", ["tset", "dictionary_ids", ""])
+    def test_other_role_is_value_error_naming_it(self, role):
+        split = make_split(labeled_line_cube([4, 3]), 0.5, 0.5, seed=1)
+        with pytest.raises(ValueError, match=f"role must be one of .*, got {role!r}$"):
+            split.ids(role)
 
 
 def test_data_makes_no_python_list_of_ids():
@@ -551,7 +574,7 @@ class TestPixelCsv:
         path = tmp_path / "px.csv"
         path.write_text("1.0,2.0,1\n3.0,4.0,2\n")
         spectra, labels, _ = load_pixel_csv(path)
-        cube = pixels_to_cube(spectra, labels)
+        cube = LabeledCube(labels[np.newaxis], spectra)
         assert cube.height == 1 and cube.width == 2 and cube.bands == 2
         back, lab = extract_pixels(cube, [0, 1], normalize=False)
         assert np.array_equal(back, spectra)

@@ -17,6 +17,10 @@ is not seen, and neither is the body of ``if __name__ == "__main__":``,
 which runs only as a script. Statements reached only by some hypothesis
 draws may come and go between runs.
 
+It exits 1 when it lists a statement that ``ALLOWED`` does not name, and 0
+otherwise, so it can run as a check. ``ALLOWED`` names each statement by its
+file, scope and source line, with the reason no tier-1 test can reach it.
+
 A statement is the lines a line event marks when it runs: a simple
 statement's lines, or a compound statement's header (``if``, ``for``,
 ``while``, ``with``, ``def`` or ``class`` with its decorators). A docstring,
@@ -32,6 +36,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "srckit"
 _NO_CODE = (ast.Global, ast.Nonlocal, ast.Try)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# (file, scope, source line) -> why no tier-1 test reaches it
+ALLOWED = {
+    ("src/srckit/cli.py", "cli._environment", "blas = None"):
+        "numpy < 1.25 has no show_config(mode='dicts'); pyproject supports numpy 1.24",
+}
 
 
 def _is_main_guard(node) -> bool:
@@ -103,17 +112,22 @@ def run_traced(args) -> dict:
 
 def main(args) -> int:
     lines = run_traced(args)
-    total = missed = 0
+    total = missed = unexpected = 0
     for path in sorted(PACKAGE.glob("*.py")):
         seen = lines.get(path, set())
         source = path.read_text(encoding="utf-8").splitlines()
+        name = path.relative_to(ROOT).as_posix()
         for first, last, scope in statements(path):
             total += 1
             if not seen.intersection(range(first, last + 1)):
                 missed += 1
-                print(f"{path.relative_to(ROOT)}:{first} {scope}: {source[first - 1].strip()}")
-    print(f"{missed} of {total} statements in {PACKAGE.relative_to(ROOT)} reached by no test")
-    return 0
+                text = source[first - 1].strip()
+                why = ALLOWED.get((name, scope, text))
+                unexpected += why is None
+                print(f"{name}:{first} {scope}: {text}" + (f"  (allowed: {why})" if why else ""))
+    print(f"{missed} of {total} statements in {PACKAGE.relative_to(ROOT)} reached by no test, "
+          f"{unexpected} of them not allowed")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
